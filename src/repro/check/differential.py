@@ -17,11 +17,6 @@ digests cannot:
   frontend (:mod:`repro.sim.frontend`) reorders execution but its
   hazard rules pin data semantics to arrival order, so its oracle read
   digest must equal the sequential replay's at every host queue depth.
-* **Batch on/off** (opt-in) — the batch execution layer
-  (:mod:`repro.sim.kernels`) vectorises hot paths but promises
-  bit-identical results, so its oracle read digest must equal the
-  scalar replay's; combined with ``frontend`` it also exercises the
-  hazard-free batch release inside the event loop.
 * **GC policy zoo** (opt-in) — a garbage-collection policy
   (:mod:`repro.ftl.gc_policy`) reshuffles *where* data lives and *when*
   it migrates, never *what* a read returns: replaying under any policy
@@ -50,7 +45,7 @@ class ReplayFailure:
 
     #: "invariant" | "oracle" | "error" | "scheme-divergence" |
     #: "cache-divergence" | "jobs-divergence" | "frontend-divergence" |
-    #: "qd-divergence" | "batch-divergence" | "policy-divergence"
+    #: "qd-divergence" | "policy-divergence"
     kind: str
     #: scheme the failure occurred in (None for cross-run comparisons)
     scheme: str | None
@@ -138,7 +133,6 @@ def differential_replay(
     attribution: bool = False,
     frontend: bool = False,
     qd_sweep: tuple = (),
-    batch: bool = False,
     policies: tuple = (),
 ) -> DifferentialResult:
     """Replay ``trace`` across ``schemes`` and cross-check the results.
@@ -159,13 +153,6 @@ def differential_replay(
     ``qd_sweep`` (implies the frontend legs) additionally replays at
     each listed host queue depth — reordering freedom may change every
     latency, but never a returned sector version ("qd-divergence").
-
-    ``batch`` adds, per scheme, a replay with the batch execution layer
-    on (:mod:`repro.sim.kernels`): vectorised kernels promise
-    bit-identical behaviour, so the oracle read digest must match the
-    scalar leg exactly ("batch-divergence" otherwise).  When combined
-    with ``frontend`` a batch+frontend leg also runs, exercising the
-    hazard-free batch release inside the event loop.
 
     ``policies`` adds, per scheme, one replay per listed GC policy
     (:data:`repro.config.GC_POLICIES` names): GC decisions move data
@@ -261,36 +248,6 @@ def differential_replay(
                             f"read contents differ at queue depth {qd}: "
                             f"{digests[scheme][:12]} (sequential) vs "
                             f"{got[:12]} (frontend qd={qd})",
-                        )
-                    )
-
-    if batch:
-        legs = [("batch leg", sim_cfg.replace_batch(enabled=True))]
-        if frontend or qd_sweep:
-            legs.append((
-                "batch+frontend leg",
-                sim_cfg.replace_batch(enabled=True)
-                .replace_frontend(enabled=True),
-            ))
-        for label, leg_sim in legs:
-            for scheme in schemes:
-                if scheme not in digests:
-                    continue  # the scalar leg already failed
-                report, failure = _checked_run(scheme, trace, cfg, leg_sim)
-                if failure is not None:
-                    result.failures.append(replace(
-                        failure, detail=f"({label}) {failure.detail}"
-                    ))
-                    continue
-                got = report.extra["check_read_digest"]
-                if got != digests[scheme]:
-                    result.failures.append(
-                        ReplayFailure(
-                            "batch-divergence",
-                            scheme,
-                            f"read contents differ with the batch layer on "
-                            f"({label}): {digests[scheme][:12]} (scalar) vs "
-                            f"{got[:12]} (batch)",
                         )
                     )
 

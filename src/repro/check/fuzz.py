@@ -104,7 +104,6 @@ def run_fuzz(
     compare_jobs_case: int | None = 0,
     attribution: bool = False,
     frontend: bool = False,
-    batch: bool = False,
     policies: tuple = (),
     log: Optional[Callable[[str], None]] = None,
 ) -> FuzzOutcome:
@@ -116,13 +115,11 @@ def run_fuzz(
     ``attribution`` turns on latency attribution in every leg, arming
     the per-request phase-conservation invariant.  ``frontend`` adds a
     per-scheme replay through the event-driven frontend and compares
-    its oracle read digest against the sequential leg; ``batch`` does
-    the same with the batch execution layer on (plus a batch+frontend
-    leg when both are set); ``policies`` adds one leg per listed GC
-    policy, comparing each oracle read digest against the
-    default-policy leg.  Failing cases
-    are shrunk within ``shrink_budget`` replays and, when ``out_dir``
-    is given, dumped there as JSON reproducers.
+    its oracle read digest against the sequential leg; ``policies``
+    adds one leg per listed GC policy, comparing each oracle read
+    digest against the default-policy leg.  Failing cases are shrunk
+    within ``shrink_budget`` replays and, when ``out_dir`` is given,
+    dumped there as JSON reproducers.
     """
     if cfg is None:
         # tiny geometry with the write buffer on, so the cache-off leg
@@ -157,7 +154,6 @@ def run_fuzz(
             compare_jobs=(compare_jobs_case == i),
             attribution=attribution,
             frontend=frontend,
-            batch=batch,
             policies=policies,
         )
         outcome.cases += 1
@@ -178,7 +174,6 @@ def run_fuzz(
                     compare_jobs=False,
                     attribution=attribution,
                     frontend=frontend,
-                    batch=batch,
                     policies=policies,
                 )
             except Exception:
@@ -189,7 +184,7 @@ def run_fuzz(
         final = result if len(shrunk) == len(trace) else differential_replay(
             shrunk, cfg, sim_cfg, schemes=schemes, every=every,
             compare_jobs=False, attribution=attribution, frontend=frontend,
-            batch=batch, policies=policies,
+            policies=policies,
         )
         if out_dir is not None:
             path = dump_counterexample(

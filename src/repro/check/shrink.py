@@ -112,9 +112,12 @@ def sim_cfg_from_dict(doc: dict) -> SimConfig:
     doc["faults"] = FaultConfig(**doc["faults"])
     doc["check"] = CheckConfig(**doc.get("check") or {})
     # dumps from before the frontend/batch blocks existed rebuild as
-    # defaults
+    # defaults; older dumps' batch block carries since-removed keys
     doc["frontend"] = FrontendConfig(**doc.get("frontend") or {})
-    doc["batch"] = BatchConfig(**doc.get("batch") or {})
+    known = {f.name for f in dataclasses.fields(BatchConfig)}
+    doc["batch"] = BatchConfig(
+        **{k: v for k, v in (doc.get("batch") or {}).items() if k in known}
+    )
     cfg = SimConfig(**doc)
     cfg.validate()
     return cfg

@@ -560,7 +560,6 @@ def cmd_check(args) -> int:
             out_dir=args.out,
             attribution=args.attribution,
             frontend=args.frontend,
-            batch=args.batch,
             policies=policies,
             log=print,
         )
@@ -594,7 +593,6 @@ def cmd_check(args) -> int:
         attribution=args.attribution,
         frontend=args.frontend,
         qd_sweep=qd_sweep,
-        batch=args.batch,
         policies=policies,
     )
     print(res.summary())
@@ -735,8 +733,6 @@ def cmd_bench(args) -> int:
         argv += ["--out", args.out]
     if args.check:
         argv.append("--check")
-    if args.batch:
-        argv.append("--batch")
     return benchgate.main(argv)
 
 
@@ -938,9 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="exit nonzero on output drift or >15%% "
                         "normalized-throughput regression vs the baseline")
-    p.add_argument("--batch", action="store_true",
-                   help="run the scenarios through the batch execution "
-                        "layer (digests must match the scalar baseline)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -976,12 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "event-driven frontend (hazard-aware NCQ) and "
                         "compare its oracle read digest against the "
                         "sequential leg")
-    p.add_argument("--batch", action="store_true",
-                   help="also replay each scheme through the batch "
-                        "execution layer (vectorised kernels) and "
-                        "compare its oracle read digest against the "
-                        "scalar leg; with --frontend a combined "
-                        "batch+frontend leg runs too")
     p.add_argument("--qd-sweep", metavar="Q1,Q2,...",
                    help="with --frontend: additionally replay at each "
                         "listed host queue depth (point runs only), "

@@ -531,7 +531,7 @@ class FaultConfig:
 class FrontendConfig:
     """Event-driven frontend options (:mod:`repro.sim.frontend`).
 
-    Off by default: the engine replays the trace through the legacy
+    Off by default: the engine replays the trace through the
     sequential loop (bit-identical to every pinned golden/bench
     digest).  When ``enabled``, :meth:`repro.sim.engine.Simulator.run`
     instead drives a time-ordered event heap
@@ -565,40 +565,19 @@ class FrontendConfig:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """Batched/vectorised replay options (:mod:`repro.sim.kernels`).
+    """Accepted-and-ignored leftover of the batch on/off switch.
 
-    Off by default: the engine steps the trace one request at a time
-    (bit-identical to every pinned golden/bench digest).  When
-    ``enabled``, the trace is decoded into columnar numpy segments
-    (:mod:`repro.traces.columnar`) and the engine replays *hazard-free
-    batches*: runs of consecutive reads go through vectorised kernels
-    (flat-PMT/AMT lookup, sector-mask math, counter accumulation and
-    chip-timeline advancement), and — with ``aging`` — device warm-up
-    writes go through fused per-scheme ``write_run`` kernels.  Output
-    is bit-identical to the scalar loop by contract, enforced by the
-    golden-hotpath fixture, the BENCH gate digests and the ``batch``
-    differential-replay leg (``repro check --batch``).
-
-    Composes with :class:`FrontendConfig`: with both enabled the
-    :class:`~repro.sim.frontend.FrontendScheduler` releases hazard-free
-    batches per dispatch round instead of single requests.
+    The columnar read kernels (:mod:`repro.sim.kernels`) and the fused
+    aging ``write_run`` kernels are unconditional parts of the
+    sequential replay loop; nothing selects them any more.  ``enabled``
+    survives only so callers written against the switch — the frozen
+    ``benchmarks/e2e`` driver, saved ``repro check`` reproducers — still
+    construct.  It selects nothing, no CLI flag reaches it, and it goes
+    when the benchmark is next re-cut.
     """
 
-    #: master switch: decode the trace into columnar segments and
-    #: replay through the batch execution layer
+    #: inert; any value yields the same run
     enabled: bool = False
-    #: largest decoded segment / released batch (bounds kernel working
-    #: sets; hazard windows and checker sweep points segment further)
-    max_batch: int = 512
-    #: route device-aging writes through the fused per-scheme
-    #: ``write_run`` kernels (bit-identical; the dominant replay cost
-    #: on aged scenarios)
-    aging: bool = True
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on inconsistent settings."""
-        if self.max_batch <= 0:
-            raise ConfigError("batch.max_batch must be positive")
 
 
 @dataclass(frozen=True)
@@ -692,10 +671,9 @@ class SimConfig:
     #: Runtime invariant checking (:mod:`repro.check`); off by default.
     check: CheckConfig = field(default_factory=CheckConfig)
     #: Event-driven frontend (:mod:`repro.sim.frontend`); off by
-    #: default — the legacy sequential replay loop stays bit-identical.
+    #: default — the sequential replay loop stays bit-identical.
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    #: Batched/vectorised replay kernels (:mod:`repro.sim.kernels`);
-    #: off by default — opt-in, output bit-identical by contract.
+    #: Inert (see :class:`BatchConfig`).
     batch: BatchConfig = field(default_factory=BatchConfig)
     #: Print a throttled progress line (requests/s, % done, ETA) to
     #: stderr during the replay loop (``--progress`` on the CLI).
@@ -731,7 +709,6 @@ class SimConfig:
         self.faults.validate()
         self.check.validate()
         self.frontend.validate()
-        self.batch.validate()
 
     @classmethod
     def paper_aging(cls, **kw) -> "SimConfig":
@@ -767,11 +744,8 @@ class SimConfig:
         return cfg
 
     def replace_batch(self, **kw) -> "SimConfig":
-        """Copy with batch-kernel overrides (validated)."""
-        batch = dataclasses.replace(self.batch, **kw)
-        cfg = replace(self, batch=batch)
-        cfg.validate()
-        return cfg
+        """Copy with the inert :class:`BatchConfig` block replaced."""
+        return replace(self, batch=dataclasses.replace(self.batch, **kw))
 
 
 SCHEMES = ("ftl", "mrsm", "across")

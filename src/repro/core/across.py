@@ -181,164 +181,17 @@ class AcrossFTL(BaseFTL):
 
     # ------------------------------------------------------------------
     def write_run(self, offsets, sizes, target: int) -> int:
-        """Fused aging-write kernel (SimConfig.batch).
+        """Aging writes run through the shared fused page-mapped kernel
+        (:meth:`BaseFTL._write_run_paged`), screened by ``_aidx``.
 
-        An aging write whose touched pages carry no across area —
-        screened through the flat ``_aidx`` mirror before any state is
-        touched — is exactly a plain page-mapped update, so it runs
-        the same inlined per-piece pipeline as
-        :meth:`~repro.ftl.pagemap.PageMapFTL.write_run`.  Anything the
-        screen cannot prove equivalent — an across-page request
-        (re-alignment may create an area), an extent overlapping a
-        live area (AMerge/ARollback), a non-positive size — goes
-        through the real :meth:`write` for that one request, which
-        keeps the whole run bit-identical to the scalar loop while
-        still fast-pathing the ~99% of warm-up writes that never meet
-        an area.
-        """
-        if self._write_run_fallback():
-            return super().write_run(offsets, sizes, target)
-        from ..errors import FlashProtocolError
-        from ..flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID
-        from ..ftl.meta import DataPageMeta
-
-        c = self.counters
-        writes = c.writes
-        reads = c.reads
-        aging = OpKind.AGING
-        spp = self.spp
-        pmt = self._pmt
-        pmt_mask = self._pmt_mask
-        cache = self._pmt_cache
-        unlimited = cache.unlimited
-        epp = cache.entries_per_page
-        cached = cache._cached
-        move_to_end = cached.move_to_end
-        access = cache.access
-        aidx_of = self._aidx
-        write = self.write
-        service = self.service
-        arr = service.array
-        state = arr._state
-        wp = arr._write_ptr
-        valid_count = arr._valid_count
-        last_mod = arr._last_mod
-        meta_of = arr._meta
-        allocator = self.allocator
-        allocate = allocator.allocate
-        order = allocator._plane_order
-        active = allocator._active[0]
-        n_planes = len(order)
-        ppb = allocator._ppb
-        gc = self.gc
-        maybe_collect = gc.maybe_collect
-        retire_pending = gc._retire_pending
-        free_blocks = gc._free_blocks
-        ok_free = gc._ok_free_count
-        pages_per_plane = self.geom.pages_per_plane
-
-        consumed = 0
-        for offset, size in zip(offsets, sizes):
-            end = offset + size
-            first = offset // spp
-            last = (end - 1) // spp
-            # --- screen: across-page requests and area overlaps take
-            # the real write path (pure mirror probes, no mutation)
-            fallback = size <= 0 or (size <= spp and last == first + 1)
-            if not fallback:
-                for lpn in range(first, last + 1):
-                    if aidx_of[lpn] != -1:
-                        fallback = True
-                        break
-            if fallback:
-                write(offset, size, 0.0, None)
-                consumed += 1
-                if writes[aging] >= target:
-                    break
-                continue
-            for lpn in range(first, last + 1):
-                page_lo = lpn * spp
-                rel_lo = offset - page_lo if offset > page_lo else 0
-                rel_hi = end - page_lo if end < page_lo + spp else spp
-                # --- mapping-cache touch (dirty, untimed, hit inlined)
-                if unlimited:
-                    c.dram_accesses += 1
-                    cache.hits += 1
-                else:
-                    tvpn = lpn // epp
-                    if tvpn in cached:
-                        c.dram_accesses += 1
-                        cache.hits += 1
-                        move_to_end(tvpn)
-                        cached[tvpn] = True
-                    else:
-                        access(lpn, 0.0, dirty=True, timed=False)
-                # --- _write_data_page, untimed / no payload / no obs
-                new_mask = ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
-                old_ppn = pmt[lpn]
-                old_mask = pmt_mask[lpn]
-                if old_mask & ~new_mask and old_ppn >= 0:
-                    # RMW read of the old page (untimed aging read)
-                    if state[old_ppn] != PAGE_VALID:
-                        raise FlashProtocolError(
-                            f"read of non-valid PPN {old_ppn}"
-                        )
-                    arr.total_page_reads += 1
-                    reads[aging] += 1
-                if old_ppn >= 0:
-                    if state[old_ppn] != PAGE_VALID:
-                        raise FlashProtocolError(
-                            f"invalidate of non-valid PPN {old_ppn}"
-                        )
-                    state[old_ppn] = PAGE_INVALID
-                    old_block = old_ppn // ppb
-                    valid_count[old_block] -= 1
-                    del meta_of[old_ppn]
-                    seq = arr.mod_seq + 1
-                    arr.mod_seq = seq
-                    last_mod[old_block] = seq
-                full_mask = old_mask | new_mask
-                # --- allocate (round-robin fast path, exact fallback)
-                cur = allocator._cursor
-                plane = order[cur]
-                block = active[plane]
-                ppn = -1
-                if block is not None:
-                    p = wp[block]
-                    if p < ppb:
-                        ppn = block * ppb + p
-                        allocator._cursor = cur + 1 if cur + 1 < n_planes else 0
-                if ppn < 0:
-                    ppn = allocate(0)
-                # --- program (untimed, AGING kind)
-                if state[ppn] != PAGE_FREE:
-                    raise FlashProtocolError(f"program of non-free PPN {ppn}")
-                block = ppn // ppb
-                page = ppn - block * ppb
-                if page != wp[block]:
-                    raise FlashProtocolError(
-                        f"out-of-order program: block {block} expects page "
-                        f"{wp[block]}, got {page}"
-                    )
-                state[ppn] = PAGE_VALID
-                wp[block] = page + 1
-                valid_count[block] += 1
-                arr.total_programs += 1
-                meta_of[ppn] = DataPageMeta(lpn, full_mask, None)
-                seq = arr.mod_seq + 1
-                arr.mod_seq = seq
-                last_mod[block] = seq
-                writes[aging] += 1
-                # --- GC check on the written plane
-                plane = ppn // pages_per_plane
-                if retire_pending or len(free_blocks[plane]) < ok_free:
-                    maybe_collect(plane, 0.0, timed=False)
-                pmt[lpn] = ppn
-                pmt_mask[lpn] = full_mask
-            consumed += 1
-            if writes[aging] >= target:
-                break
-        return consumed
+        An aging write whose touched pages carry no across area is
+        exactly a plain page-mapped update; across-page requests and
+        area overlaps take the real :meth:`write` for that one request,
+        which still fast-paths the ~99% of warm-up writes that never
+        meet an area."""
+        return self._write_run_paged(
+            offsets, sizes, target, self._pmt_cache, aidx=self._aidx
+        )
 
     # ------------------------------------------------------------------
     def _write_piece(

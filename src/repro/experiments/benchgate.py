@@ -62,22 +62,13 @@ class Scenario:
     make_trace: Callable[[SSDConfig], Any]
     make_sim_cfg: Callable[[], SimConfig]
 
-    def run(self, *, batch: bool = False) -> SimulationReport:
-        """Simulate the scenario on a fresh device.
-
-        ``batch`` replays through the batch execution layer
-        (``SimConfig.batch``): the report — and hence the pinned digest
-        and flash-op counts — must come out identical, only the wall
-        time may differ.  That is exactly what the gate checks when
-        ``repro bench --batch`` compares against the committed
-        baseline."""
+    def run(self) -> SimulationReport:
+        """Simulate the scenario on a fresh device."""
         from .runner import run_trace
 
         cfg = self.make_cfg()
         trace = self.make_trace(cfg)
         sim_cfg = self.make_sim_cfg()
-        if batch:
-            sim_cfg = sim_cfg.replace_batch(enabled=True)
         return run_trace(self.scheme, trace, cfg, sim_cfg)
 
 
@@ -204,13 +195,9 @@ MEASURE_PASSES = 3
 def measure(
     progress: Callable[[str], None] | None = None,
     *,
-    batch: bool = False,
     passes: int = MEASURE_PASSES,
 ) -> dict:
     """Run every pinned scenario; returns the bench document.
-
-    ``batch`` runs every scenario through the batch execution layer —
-    same digests by contract, different wall times by design.
 
     The whole suite runs ``passes`` times — each pass identical to a
     single-shot run, including a cleared trace memo so every pass pays
@@ -229,7 +216,7 @@ def measure(
             if progress is not None:
                 progress(f"running {sc.name} (pass {rep + 1}) ...")
             t0 = time.perf_counter()
-            report = sc.run(batch=batch)
+            report = sc.run()
             wall = time.perf_counter() - t0
             rps = report.requests / wall if wall > 0 else 0.0
             entry = {
@@ -345,18 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         help="fail (exit 1) on output drift or throughput regression "
         "against the baseline",
     )
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="run every scenario through the batch execution layer "
-        "(SimConfig.batch); digests must still match the scalar "
-        "baseline bit for bit",
-    )
     args = parser.parse_args(argv)
 
-    doc = measure(
-        progress=lambda msg: print(f"[bench] {msg}", flush=True),
-        batch=args.batch,
-    )
+    doc = measure(progress=lambda msg: print(f"[bench] {msg}", flush=True))
     out_path = Path(args.out or default_output_name())
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"[bench] wrote {out_path}")

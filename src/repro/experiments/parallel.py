@@ -112,14 +112,16 @@ def trace_fingerprint(trace: Trace) -> str:
 def _sim_cfg_doc(sim_cfg: SimConfig | None) -> dict | None:
     """Canonical dict of a SimConfig, minus output-only knobs.
 
-    ``progress`` is cosmetic (a stderr line) and must not split the
-    cache key; everything else — aging, seed, queue depth, oracle,
+    ``progress`` is cosmetic (a stderr line) and ``batch`` is inert
+    (:class:`~repro.config.BatchConfig`): neither may split the cache
+    key.  Everything else — aging, seed, queue depth, oracle,
     observability — can change the report and stays in.
     """
     if sim_cfg is None:
         return None
     doc = dataclasses.asdict(sim_cfg)
     doc.pop("progress", None)
+    doc.pop("batch", None)
     return doc
 
 
@@ -363,6 +365,10 @@ class ResultStore:
                 waited = True
                 continue
             try:
+                if self._load(spec) is not None:
+                    # another thread claimed, ran and released between
+                    # the miss above and this claim
+                    continue
                 report = run(spec)
                 self.put(spec, report)
                 return report, False

@@ -34,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from ..config import SSDConfig
-from ..errors import MappingError
+from ..errors import FlashProtocolError, MappingError
+from ..flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID
 from ..flash.service import FlashService
 from ..metrics.counters import OpKind
 from ..obs.events import FTLDecision
@@ -439,7 +440,7 @@ class BaseFTL(ABC):
         return t if t > finish else finish
 
     # ------------------------------------------------------------------
-    # batched aging writes (SimConfig.batch)
+    # device-aging write runs
     # ------------------------------------------------------------------
     def write_run(self, offsets, sizes, target: int) -> int:
         """Service a run of untimed aging writes (already clamped to the
@@ -448,14 +449,12 @@ class BaseFTL(ABC):
         run were consumed.
 
         This generic implementation is a scalar loop over :meth:`write`
-        — bit-identical to the engine's legacy per-request aging loop by
-        construction.  Schemes may override it with a fused kernel, but
-        any override must (a) produce exactly the same device state,
-        counters and mapping tables, and (b) fall back here whenever a
-        precondition of its fast path does not hold (payload tracking,
-        observability, timed mode).  The batch-vs-legacy report-digest
-        tests and the ``repro check --batch`` differential leg enforce
-        the equivalence.
+        and is the reference: schemes may override it with a fused
+        kernel, but any override must (a) produce exactly the same
+        device state, counters and mapping tables, and (b) fall back
+        here whenever a precondition of its fast path does not hold
+        (payload tracking, observability, timed mode).
+        ``tests/test_write_run.py`` holds every override to (a).
         """
         counters = self.counters
         write = self.write
@@ -470,8 +469,8 @@ class BaseFTL(ABC):
 
     def _write_run_fallback(self) -> bool:
         """True when a fused :meth:`write_run` override must delegate to
-        the generic scalar loop: the fast paths below inline the
-        untimed, payload-free, unobserved flavour of every flash/cache
+        the generic scalar loop: the fast paths inline the untimed,
+        payload-free, unobserved flavour of every flash/cache
         operation, so any of these features being live would change
         behaviour."""
         return (
@@ -480,6 +479,166 @@ class BaseFTL(ABC):
             or self.service.obs is not None
             or self.service.attr is not None
         )
+
+    def _write_run_paged(
+        self, offsets, sizes, target: int, cache: MappingCache,
+        *, rmw: bool = True, aidx=None,
+    ) -> int:
+        """Fused :meth:`write_run` kernel of the page-mapped schemes:
+        the per-piece pipeline of their :meth:`write` — PMT-cache touch
+        on ``cache``, RMW read, old-page invalidate, allocate, program,
+        GC check — inlined into one loop with the untimed /
+        payload-free / unobserved branches resolved.
+
+        Bit-identical to the generic scalar loop: every counter bump,
+        protocol check, LRU movement, allocator-cursor advance and GC
+        trigger happens in exactly the order :meth:`write` produces.
+
+        ``rmw=False`` is :class:`~repro.ftl.pagemap.PageMapFTL`'s
+        ablation (the old mask is dropped before each piece).  ``aidx``
+        is Across-FTL's flat area-index mirror: a request that is
+        across-page (re-alignment may create an area) or touches a page
+        carrying an area (AMerge/ARollback) is not a plain page-mapped
+        update and goes through the real :meth:`write` — the screen is
+        pure probes, no state is touched before the decision.
+        """
+        if self._write_run_fallback():
+            return BaseFTL.write_run(self, offsets, sizes, target)
+        c = self.counters
+        writes = c.writes
+        reads = c.reads
+        aging = OpKind.AGING
+        spp = self.spp
+        pmt = self._pmt
+        pmt_mask = self._pmt_mask
+        unlimited = cache.unlimited
+        epp = cache.entries_per_page
+        cached = cache._cached
+        move_to_end = cached.move_to_end
+        access = cache.access
+        write = self.write
+        arr = self.service.array
+        state = arr._state
+        wp = arr._write_ptr
+        valid_count = arr._valid_count
+        last_mod = arr._last_mod
+        meta_of = arr._meta
+        allocator = self.allocator
+        allocate = allocator.allocate
+        order = allocator._plane_order
+        active = allocator._active[0]
+        n_planes = len(order)
+        ppb = allocator._ppb
+        gc = self.gc
+        maybe_collect = gc.maybe_collect
+        retire_pending = gc._retire_pending
+        free_blocks = gc._free_blocks
+        ok_free = gc._ok_free_count
+        pages_per_plane = self.geom.pages_per_plane
+
+        consumed = 0
+        for offset, size in zip(offsets, sizes):
+            end = offset + size
+            first = offset // spp
+            last = (end - 1) // spp
+            if aidx is not None:
+                fallback = size <= 0 or (size <= spp and last == first + 1)
+                if not fallback:
+                    for lpn in range(first, last + 1):
+                        if aidx[lpn] != -1:
+                            fallback = True
+                            break
+                if fallback:
+                    write(offset, size, 0.0, None)
+                    consumed += 1
+                    if writes[aging] >= target:
+                        break
+                    continue
+            for lpn in range(first, last + 1):
+                page_lo = lpn * spp
+                rel_lo = offset - page_lo if offset > page_lo else 0
+                rel_hi = end - page_lo if end < page_lo + spp else spp
+                # --- mapping-cache touch (dirty, untimed, hit inlined)
+                if unlimited:
+                    c.dram_accesses += 1
+                    cache.hits += 1
+                else:
+                    tvpn = lpn // epp
+                    if tvpn in cached:
+                        c.dram_accesses += 1
+                        cache.hits += 1
+                        move_to_end(tvpn)
+                        cached[tvpn] = True
+                    else:
+                        access(lpn, 0.0, dirty=True, timed=False)
+                if not rmw:
+                    pmt_mask[lpn] = 0
+                # --- _write_data_page, untimed / no payload / no obs
+                new_mask = ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
+                old_ppn = pmt[lpn]
+                old_mask = pmt_mask[lpn]
+                if old_mask & ~new_mask and old_ppn >= 0:
+                    # RMW read of the old page (untimed aging read)
+                    if state[old_ppn] != PAGE_VALID:
+                        raise FlashProtocolError(
+                            f"read of non-valid PPN {old_ppn}"
+                        )
+                    arr.total_page_reads += 1
+                    reads[aging] += 1
+                if old_ppn >= 0:
+                    if state[old_ppn] != PAGE_VALID:
+                        raise FlashProtocolError(
+                            f"invalidate of non-valid PPN {old_ppn}"
+                        )
+                    state[old_ppn] = PAGE_INVALID
+                    old_block = old_ppn // ppb
+                    valid_count[old_block] -= 1
+                    del meta_of[old_ppn]
+                    seq = arr.mod_seq + 1
+                    arr.mod_seq = seq
+                    last_mod[old_block] = seq
+                full_mask = old_mask | new_mask
+                # --- allocate (round-robin fast path, exact fallback)
+                cur = allocator._cursor
+                plane = order[cur]
+                block = active[plane]
+                ppn = -1
+                if block is not None:
+                    p = wp[block]
+                    if p < ppb:
+                        ppn = block * ppb + p
+                        allocator._cursor = cur + 1 if cur + 1 < n_planes else 0
+                if ppn < 0:
+                    ppn = allocate(0)
+                # --- program (untimed, AGING kind)
+                if state[ppn] != PAGE_FREE:
+                    raise FlashProtocolError(f"program of non-free PPN {ppn}")
+                block = ppn // ppb
+                page = ppn - block * ppb
+                if page != wp[block]:
+                    raise FlashProtocolError(
+                        f"out-of-order program: block {block} expects page "
+                        f"{wp[block]}, got {page}"
+                    )
+                state[ppn] = PAGE_VALID
+                wp[block] = page + 1
+                valid_count[block] += 1
+                arr.total_programs += 1
+                meta_of[ppn] = DataPageMeta(lpn, full_mask, None)
+                seq = arr.mod_seq + 1
+                arr.mod_seq = seq
+                last_mod[block] = seq
+                writes[aging] += 1
+                # --- GC check on the written plane
+                plane = ppn // pages_per_plane
+                if retire_pending or len(free_blocks[plane]) < ok_free:
+                    maybe_collect(plane, 0.0, timed=False)
+                pmt[lpn] = ppn
+                pmt_mask[lpn] = full_mask
+            consumed += 1
+            if writes[aging] >= target:
+                break
+        return consumed
 
     def _read_stamps_from(self, ppn: int, sectors: list[int], out: dict) -> None:
         """Copy the stamps of ``sectors`` found at ``ppn`` into ``out``."""
@@ -542,8 +701,6 @@ class BaseFTL(ABC):
         per-N-requests cadence: the Python loop only visits *mapped*
         LPNs (to compare per-page meta), not the whole logical space.
         """
-        from ..flash.array import PAGE_VALID
-
         arr = self.service.array
         mapped = self.pmt >= 0
         orphans = np.nonzero(~mapped & (self.pmt_mask != 0))[0]

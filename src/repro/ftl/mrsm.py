@@ -234,15 +234,15 @@ class MRSMFTL(BaseFTL):
 
     # ------------------------------------------------------------------
     def write_run(self, offsets, sizes, target: int) -> int:
-        """Fused aging-write kernel (SimConfig.batch): region split,
-        tree-depth-memoised cache touches, region RMW reads, slot kills,
-        R-slot packing and GC checks inlined with the untimed /
-        payload-free / unobserved branches resolved.
+        """Fused aging-write kernel: region split, tree-depth-memoised
+        cache touches, region RMW reads, slot kills, R-slot packing and
+        GC checks inlined with the untimed / payload-free / unobserved
+        branches resolved.
 
         Bit-identical to the generic scalar loop over :meth:`write`
-        (enforced by the batch-vs-legacy digest tests and
-        ``repro check --batch``); delegates to :meth:`BaseFTL.write_run`
-        whenever a fast-path precondition fails.
+        (enforced by ``tests/test_write_run.py``); delegates to
+        :meth:`BaseFTL.write_run` whenever a fast-path precondition
+        fails.
         """
         if self._write_run_fallback():
             return super().write_run(offsets, sizes, target)

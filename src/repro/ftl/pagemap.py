@@ -65,147 +65,11 @@ class PageMapFTL(BaseFTL):
 
     # ------------------------------------------------------------------
     def write_run(self, offsets, sizes, target: int) -> int:
-        """Fused aging-write kernel (SimConfig.batch): the per-piece
-        pipeline of :meth:`write` — PMT-cache touch, RMW read, old-page
-        invalidate, allocate, program, GC check — inlined into one loop
-        with the untimed/payload-free/unobserved branches resolved.
-
-        Bit-identical to the generic scalar loop: every counter bump,
-        protocol check, LRU movement, allocator-cursor advance and GC
-        trigger happens in exactly the order :meth:`write` produces.
-        Any precondition miss (timed mode, payload tracking,
-        observability) delegates to :meth:`BaseFTL.write_run`.
-        """
-        if self._write_run_fallback():
-            return super().write_run(offsets, sizes, target)
-        from ..errors import FlashProtocolError
-        from ..flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID
-        from .meta import DataPageMeta
-
-        c = self.counters
-        writes = c.writes
-        reads = c.reads
-        aging = OpKind.AGING
-        spp = self.spp
-        rmw = self.rmw_enabled
-        pmt = self._pmt
-        pmt_mask = self._pmt_mask
-        cache = self._pmt_cache
-        unlimited = cache.unlimited
-        epp = cache.entries_per_page
-        cached = cache._cached
-        move_to_end = cached.move_to_end
-        access = cache.access
-        service = self.service
-        arr = service.array
-        state = arr._state
-        wp = arr._write_ptr
-        valid_count = arr._valid_count
-        last_mod = arr._last_mod
-        meta_of = arr._meta
-        allocator = self.allocator
-        allocate = allocator.allocate
-        order = allocator._plane_order
-        active = allocator._active[0]
-        n_planes = len(order)
-        ppb = allocator._ppb
-        gc = self.gc
-        maybe_collect = gc.maybe_collect
-        retire_pending = gc._retire_pending
-        free_blocks = gc._free_blocks
-        ok_free = gc._ok_free_count
-        pages_per_plane = self.geom.pages_per_plane
-
-        consumed = 0
-        for offset, size in zip(offsets, sizes):
-            end = offset + size
-            first = offset // spp
-            last = (end - 1) // spp
-            for lpn in range(first, last + 1):
-                page_lo = lpn * spp
-                rel_lo = offset - page_lo if offset > page_lo else 0
-                rel_hi = end - page_lo if end < page_lo + spp else spp
-                # --- mapping-cache touch (dirty, untimed, hit inlined)
-                if unlimited:
-                    c.dram_accesses += 1
-                    cache.hits += 1
-                else:
-                    tvpn = lpn // epp
-                    if tvpn in cached:
-                        c.dram_accesses += 1
-                        cache.hits += 1
-                        move_to_end(tvpn)
-                        cached[tvpn] = True
-                    else:
-                        access(lpn, 0.0, dirty=True, timed=False)
-                if not rmw:
-                    pmt_mask[lpn] = 0
-                # --- _write_data_page, untimed / no payload / no obs
-                new_mask = ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
-                old_ppn = pmt[lpn]
-                old_mask = pmt_mask[lpn]
-                if old_mask & ~new_mask and old_ppn >= 0:
-                    # RMW read of the old page (untimed aging read)
-                    if state[old_ppn] != PAGE_VALID:
-                        raise FlashProtocolError(
-                            f"read of non-valid PPN {old_ppn}"
-                        )
-                    arr.total_page_reads += 1
-                    reads[aging] += 1
-                if old_ppn >= 0:
-                    if state[old_ppn] != PAGE_VALID:
-                        raise FlashProtocolError(
-                            f"invalidate of non-valid PPN {old_ppn}"
-                        )
-                    state[old_ppn] = PAGE_INVALID
-                    old_block = old_ppn // ppb
-                    valid_count[old_block] -= 1
-                    del meta_of[old_ppn]
-                    seq = arr.mod_seq + 1
-                    arr.mod_seq = seq
-                    last_mod[old_block] = seq
-                full_mask = old_mask | new_mask
-                # --- allocate (round-robin fast path, exact fallback)
-                cur = allocator._cursor
-                plane = order[cur]
-                block = active[plane]
-                ppn = -1
-                if block is not None:
-                    p = wp[block]
-                    if p < ppb:
-                        ppn = block * ppb + p
-                        allocator._cursor = cur + 1 if cur + 1 < n_planes else 0
-                if ppn < 0:
-                    ppn = allocate(0)
-                # --- program (untimed, AGING kind)
-                if state[ppn] != PAGE_FREE:
-                    raise FlashProtocolError(f"program of non-free PPN {ppn}")
-                block = ppn // ppb
-                page = ppn - block * ppb
-                if page != wp[block]:
-                    raise FlashProtocolError(
-                        f"out-of-order program: block {block} expects page "
-                        f"{wp[block]}, got {page}"
-                    )
-                state[ppn] = PAGE_VALID
-                wp[block] = page + 1
-                valid_count[block] += 1
-                arr.total_programs += 1
-                meta_of[ppn] = DataPageMeta(lpn, full_mask, None)
-                seq = arr.mod_seq + 1
-                arr.mod_seq = seq
-                last_mod[block] = seq
-                writes[aging] += 1
-                # --- GC check on the written plane
-                plane = ppn // pages_per_plane
-                if retire_pending or len(free_blocks[plane]) < ok_free:
-                    maybe_collect(plane, 0.0, timed=False)
-                pmt[lpn] = ppn
-                pmt_mask[lpn] = full_mask
-            consumed += 1
-            if writes[aging] >= target:
-                break
-        return consumed
+        """Aging writes run through the shared fused page-mapped kernel
+        (:meth:`BaseFTL._write_run_paged`)."""
+        return self._write_run_paged(
+            offsets, sizes, target, self._pmt_cache, rmw=self.rmw_enabled
+        )
 
     # ------------------------------------------------------------------
     def read(

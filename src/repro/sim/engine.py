@@ -15,10 +15,12 @@ counts per sector).
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import sys
 import time as _time
 from collections import deque
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -27,6 +29,7 @@ from ..cache.buffer import DataCache
 from ..config import SimConfig
 from ..errors import ConfigError, SimulationError
 from ..ftl.base import BaseFTL
+from ..metrics.counters import OpKind
 from ..metrics.latency import LatencyRecorder
 from ..metrics.report import SimulationReport
 from ..metrics.sketch import LogHistogram
@@ -40,12 +43,22 @@ from ..obs.events import (
     RequestComplete,
     RequestPhases,
 )
+from ..traces.columnar import decode_segments
 from ..traces.model import OP_READ, OP_TRIM, OP_WRITE, Trace
+from ..traces.synthetic import SyntheticSpec, generate_trace
+from .events import EV_ARRIVE, EV_COMPLETE, EV_ISSUE, EventHeap
+from .frontend import FrontendScheduler, Request
+from .kernels import BatchReadKernel
+from .nand_sched import NandScheduler
 from .oracle import SectorOracle
 
 
 #: progress-line refresh interval in wall-clock seconds
 _PROGRESS_EVERY_S = 0.5
+
+#: largest columnar segment the sequential loop decodes at once (bounds
+#: the read kernel's per-segment screen columns)
+_SEGMENT_REQUESTS = 512
 
 
 def _print_progress(
@@ -144,12 +157,12 @@ class Simulator:
         self._next_rid = 0
         self._now = 0.0
         #: event-driven frontend scheduler (SimConfig.frontend); bound
-        #: during _run_frontend, None on the legacy sequential path
+        #: during _run_frontend, None on the sequential path
         self._frontend = None
-        #: vector read-run kernel (SimConfig.batch); bound during
-        #: _run_batch when the global eligibility screens pass.  Its
-        #: statistics stay Simulator attributes — report extras feed
-        #: pinned digests and must not change shape with batch mode.
+        #: vector read-run kernel; bound during _run_sequential when the
+        #: global eligibility screens pass.  Its statistics stay
+        #: Simulator attributes — report extras feed pinned digests and
+        #: must not change shape with whether the kernel engaged.
         self._batch_kernel = None
         if self.sim_cfg.observability.enabled:
             self.obs = Observability(self.sim_cfg.observability)
@@ -192,8 +205,6 @@ class Simulator:
 
             self.checker = InvariantChecker(ftl, self.sim_cfg.check)
             if self.oracle is not None:
-                import hashlib
-
                 self._read_digest = hashlib.sha256()
 
     # ------------------------------------------------------------------
@@ -245,6 +256,30 @@ class Simulator:
     # ------------------------------------------------------------------
     # device aging (paper §4.1)
     # ------------------------------------------------------------------
+    @contextmanager
+    def _aging_mode(self):
+        """Untimed, AGING-counted flash ops with the bus silenced."""
+        self.ftl.aging = True
+        if self._bus is not None:
+            self._detach_obs()
+        try:
+            yield
+        finally:
+            self.ftl.aging = False
+            if self._bus is not None:
+                self._attach_obs()
+
+    def _write_columns(self, trace: Trace) -> tuple[list[int], list[int]]:
+        """``(offsets, sizes)`` of the trace's writes, clamped to the
+        logical space and with empty extents dropped — the run format
+        :meth:`~repro.ftl.base.BaseFTL.write_run` takes."""
+        limit = self.ftl.logical_pages * self.spp
+        w = trace.ops == OP_WRITE
+        offs = trace.offsets[w]
+        ends = np.minimum(offs + trace.sizes[w], limit)
+        keep = (ends > offs) & (offs >= 0)
+        return offs[keep].tolist(), (ends - offs)[keep].tolist()
+
     def age_device(self) -> None:
         """Pre-condition the flash (paper §4.1: the device is aged so
         90% of capacity has been used, 39.8% valid after warming up).
@@ -253,24 +288,17 @@ class Simulator:
         ``aged_valid``/``aged_used`` fractions exactly.
         ``aging_style="vdi"``: replay a synthetic VDI write stream (like
         the paper's warm-up trace), which also pre-fragments sub-page
-        mapping tables and seeds across-page areas.
+        mapping tables and seeds across-page areas.  Either way the
+        writes reach the scheme as :meth:`~repro.ftl.base.BaseFTL.write_run`
+        runs.
         """
         used = self.sim_cfg.aged_used
-        if used <= 0.0 or self._aged:
-            self._aged = True
-            return
-        self.ftl.aging = True
-        if self._bus is not None:
-            self._detach_obs()
-        try:
-            if self.sim_cfg.aging_style == "vdi":
-                self._age_vdi(used)
-            else:
-                self._age_aligned(used, self.sim_cfg.aged_valid)
-        finally:
-            self.ftl.aging = False
-            if self._bus is not None:
-                self._attach_obs()
+        if used > 0.0 and not self._aged:
+            with self._aging_mode():
+                if self.sim_cfg.aging_style == "vdi":
+                    self._age_vdi(used)
+                else:
+                    self._age_aligned(used, self.sim_cfg.aged_valid)
         self._aged = True
 
     def _age_aligned(self, used: float, valid: float) -> None:
@@ -279,16 +307,16 @@ class Simulator:
         logical_pages = self.ftl.logical_pages
         n_valid = min(int(valid * total_pages), logical_pages)
         n_total = int(used * total_pages)
-        victims = rng.permutation(logical_pages)[:n_valid]
-        spp = self.spp
-        write = self.ftl.write
-        for lpn in victims.tolist():
-            write(lpn * spp, spp, 0.0, None)
+        lpns = rng.permutation(logical_pages)[:n_valid]
         n_over = max(0, n_total - n_valid)
         if n_over and n_valid:
-            over = rng.choice(victims, size=n_over, replace=True)
-            for lpn in over.tolist():
-                write(lpn * spp, spp, 0.0, None)
+            lpns = np.concatenate(
+                [lpns, rng.choice(lpns, size=n_over, replace=True)]
+            )
+        spp = self.spp
+        self.ftl.write_run(
+            (lpns * spp).tolist(), [spp] * len(lpns), sys.maxsize
+        )
 
     def age_with_trace(self, trace: Trace) -> None:
         """Pre-condition by replaying a user-supplied trace's writes
@@ -296,32 +324,14 @@ class Simulator:
         additional-02...LUN6 file, for users who have it."""
         if self._aged:
             return
-        self.ftl.aging = True
-        if self._bus is not None:
-            self._detach_obs()
-        try:
-            limit = self.ftl.logical_pages * self.spp
-            write = self.ftl.write
-            for op, offset, size, _t in trace:
-                if op != OP_WRITE:
-                    continue
-                end = min(offset + size, limit)
-                if end > offset >= 0:
-                    write(offset, end - offset, 0.0, None)
-        finally:
-            self.ftl.aging = False
-            if self._bus is not None:
-                self._attach_obs()
+        with self._aging_mode():
+            self.ftl.write_run(*self._write_columns(trace), sys.maxsize)
         self._aged = True
 
     def _age_vdi(self, used: float) -> None:
         """Replay synthetic VDI writes until ``used`` of the physical
         pages have been programmed (GC may run; erased space counts as
         used work done, mirroring a real warm-up replay)."""
-        from ..metrics.counters import OpKind
-        from ..traces.model import OP_WRITE as _W
-        from ..traces.synthetic import SyntheticSpec, generate_trace
-
         target = int(used * self.ftl.geom.num_pages)
         counters = self.ftl.counters
         chunk = max(2_000, target // 8)
@@ -335,9 +345,6 @@ class Simulator:
         # naively replaying the full ratio on a 64x smaller device would
         # leave every third page shadowed by a stale area and flood the
         # measured run with one-time collision rollbacks).
-        batch_cfg = self.sim_cfg.batch
-        use_run = batch_cfg.enabled and batch_cfg.aging
-        limit = self.ftl.logical_pages * self.spp
         while counters.writes[OpKind.AGING] < target:
             spec = SyntheticSpec(
                 name="aging",
@@ -351,32 +358,10 @@ class Simulator:
                 seed=seed,
             )
             seed += 1
-            trace = generate_trace(spec)
-            if use_run:
-                # batch aging: clamp/filter the write stream vectorised
-                # and hand the whole chunk to the scheme's fused
-                # write_run kernel (bit-identical to the loop below —
-                # it stops on the same target check after each request)
-                w = trace.ops == _W
-                offs = trace.offsets[w]
-                ends = np.minimum(offs + trace.sizes[w], limit)
-                keep = ends > offs
-                self.ftl.write_run(
-                    offs[keep].tolist(),
-                    (ends - offs)[keep].tolist(),
-                    target,
-                )
-                continue
-            write = self.ftl.write
-            for op, offset, size, _t in trace:
-                if op != _W:
-                    continue
-                end = min(offset + size, limit)
-                if end <= offset:
-                    continue
-                write(offset, end - offset, 0.0, None)
-                if counters.writes[OpKind.AGING] >= target:
-                    break
+            # write_run stops on the target check after each request
+            self.ftl.write_run(
+                *self._write_columns(generate_trace(spec)), target
+            )
 
     # ------------------------------------------------------------------
     # single request
@@ -533,11 +518,21 @@ class Simulator:
         return latency
 
     # ------------------------------------------------------------------
-    # legacy sequential replay loop
+    # sequential replay loop
     # ------------------------------------------------------------------
-    def _run_legacy(self, trace: Trace) -> float:
-        """Service the trace one request at a time (the pinned-digest
-        replay model); returns the last arrival timestamp."""
+    def _run_sequential(self, trace: Trace) -> float:
+        """Service the trace one request at a time in trace order (the
+        pinned-digest replay model); returns the last arrival timestamp.
+
+        The trace is decoded into columnar segments; runs of eligible
+        reads are absorbed by the vector kernel (:mod:`repro.sim.kernels`)
+        and everything else — writes, TRIMs, screened-out reads — goes
+        through the scalar :meth:`process` after flushing the pending
+        run.  The kernel is an execution strategy only (same counters,
+        latencies and digests); where ``BatchReadKernel.build`` returns
+        ``None`` (observability, faults, a queue-depth limit, BAST/FAST)
+        this is the plain scalar loop.
+        """
         process = self.process
         checker = self.checker
         qd = self.sim_cfg.queue_depth
@@ -549,79 +544,6 @@ class Simulator:
         #: Metadata-only TRIMs bypass the queue entirely: they complete
         #: at DRAM speed without holding a NAND slot, so they neither
         #: wait for a slot nor gate the admission of later requests.
-        outstanding: list[float] = []
-        progress = self.sim_cfg.progress
-        last = 0.0
-        n = len(trace)
-        loop_t0 = _time.perf_counter()
-        next_prog = loop_t0 + _PROGRESS_EVERY_S
-        prog_width = 0
-        for i, (op, offset, size, ts) in enumerate(
-            zip(
-                trace.ops.tolist(),
-                trace.offsets.tolist(),
-                trace.sizes.tolist(),
-                trace.times.tolist(),
-            )
-        ):
-            start = None
-            takes_slot = op != OP_TRIM
-            if takes_slot and qd is not None and len(outstanding) >= qd:
-                # the device accepts this request only once the
-                # earliest-finishing outstanding one has completed
-                start = max(ts, heapq.heappop(outstanding))
-            process(op, offset, size, ts, start)
-            if takes_slot and qd is not None:
-                heapq.heappush(outstanding, completions[-1])
-            last = ts
-            if checker is not None:
-                checker.maybe_check(i + 1)
-            if (
-                self.series is not None
-                and (i + 1) % self.sim_cfg.snapshot_every == 0
-            ):
-                self.series.append(
-                    Snapshot.capture(i + 1, ts, self.ftl.counters)
-                )
-            if progress:
-                wall = _time.perf_counter()
-                if wall >= next_prog:
-                    prog_width = _print_progress(
-                        trace.name, i + 1, n, wall - loop_t0,
-                        prev_width=prog_width,
-                    )
-                    next_prog = wall + _PROGRESS_EVERY_S
-        if progress:
-            _print_progress(
-                trace.name, n, n, _time.perf_counter() - loop_t0,
-                final=True, prev_width=prog_width,
-            )
-        return last
-
-    # ------------------------------------------------------------------
-    # batched columnar replay loop (SimConfig.batch)
-    # ------------------------------------------------------------------
-    def _run_batch(self, trace: Trace) -> float:
-        """Replay through the batch execution layer: decode the trace
-        into columnar segments, absorb hazard-free runs of eligible
-        reads into the vector kernel, and service everything else —
-        writes, TRIMs, screened-out reads — through the scalar
-        :meth:`process` after flushing the pending run.
-
-        The request *semantics* are the legacy loop's: one request at a
-        time in trace order, same counters, same latencies, same
-        digests.  Only the execution strategy changes — that is the
-        batch layer's whole contract, and the ``batch``
-        differential-replay leg (``repro check --batch``) plus the
-        golden-hotpath fixture pin it.
-        """
-        from ..traces.columnar import decode_segments
-        from .kernels import BatchReadKernel
-
-        process = self.process
-        checker = self.checker
-        qd = self.sim_cfg.queue_depth
-        completions = self._completions
         outstanding: list[float] = []
         kernel = BatchReadKernel.build(self)
         self._batch_kernel = kernel
@@ -636,7 +558,7 @@ class Simulator:
         next_prog = loop_t0 + _PROGRESS_EVERY_S
         prog_width = 0
         for seg in decode_segments(
-            trace, max_batch=self.sim_cfg.batch.max_batch, spp=self.spp
+            trace, max_batch=_SEGMENT_REQUESTS, spp=self.spp
         ):
             ops = seg.ops.tolist()
             offsets = seg.offsets.tolist()
@@ -657,6 +579,8 @@ class Simulator:
                     start = None
                     takes_slot = op != OP_TRIM
                     if takes_slot and qd is not None and len(outstanding) >= qd:
+                        # the device accepts this request only once the
+                        # earliest-finishing outstanding one has completed
                         start = max(ts, heapq.heappop(outstanding))
                     process(op, offsets[k], sizes[k], ts, start)
                     if takes_slot and qd is not None:
@@ -674,7 +598,7 @@ class Simulator:
                 if progress:
                     wall = _time.perf_counter()
                     if wall >= next_prog:
-                        # completed *requests*, not batches: absorbed-
+                        # completed *requests*, not segments: absorbed-
                         # but-unflushed reads are still in flight
                         done = i - (kernel.pending() if kernel else 0)
                         prog_width = _print_progress(
@@ -706,18 +630,12 @@ class Simulator:
         depths, chip budgets and schemes — the frontend's hazard rules
         must reproduce arrival semantics, and the oracle proves it.
         """
-        from .events import EV_ARRIVE, EV_COMPLETE, EventHeap
-        from .frontend import FrontendScheduler
-        from .nand_sched import NandScheduler
-
         fe_cfg = self.sim_cfg.frontend
         bus = self._bus
         heap = EventHeap()
         self._fe_heap = heap
 
         def push_issue(req, now: float) -> None:
-            from .events import EV_ISSUE
-
             heap.push(now, EV_ISSUE, req)
 
         nand = NandScheduler(
@@ -735,7 +653,6 @@ class Simulator:
             issue=push_issue,
             on_stall=self._fe_stall if bus is not None else None,
             checker=self.checker,
-            batch=self.sim_cfg.batch.enabled,
         )
         self._frontend = fe
         #: out-of-order completions buffered until every earlier-arrived
@@ -814,8 +731,6 @@ class Simulator:
         """Build the per-request state at its arrival event: validate
         the extent, assign oracle stamps (writes) or snapshot expected
         versions (reads) in trace order, and announce it on the bus."""
-        from .frontend import Request
-
         if size <= 0:
             raise SimulationError(f"request size must be positive, got {size}")
         if offset < 0 or offset + size > self.ftl.logical_pages * self.spp:
@@ -960,8 +875,6 @@ class Simulator:
             req.phases = attr.complete(cls, latency)
             if self.checker is not None:
                 self.checker.check_attribution(req.phases, latency, req.rid)
-        from .events import EV_COMPLETE
-
         self._fe_heap.push(finish, EV_COMPLETE, req)
 
     def _fe_complete(self, req, now: float) -> None:
@@ -1056,20 +969,20 @@ class Simulator:
         """Age (if configured), replay the whole trace, flush metadata,
         and assemble the report.
 
-        Two replay loops share everything else: the legacy sequential
-        loop (default; bit-identical to all pinned golden/bench
-        digests) and the discrete-event frontend
-        (``SimConfig.frontend.enabled``) that overlaps in-flight
-        requests under hazard ordering (:mod:`repro.sim.frontend`).
+        Two replay loops share everything else: the sequential loop
+        (default; one request at a time in trace order, read runs
+        absorbed by the vector kernel where it applies — the model all
+        pinned golden/bench digests were taken on) and the
+        discrete-event frontend (``SimConfig.frontend.enabled``) that
+        overlaps in-flight requests under hazard ordering
+        (:mod:`repro.sim.frontend`).
         """
         t0 = _time.perf_counter()
         self.age_device()
         if self.sim_cfg.frontend.enabled:
             last = self._run_frontend(trace)
-        elif self.sim_cfg.batch.enabled:
-            last = self._run_batch(trace)
         else:
-            last = self._run_legacy(trace)
+            last = self._run_sequential(trace)
         self.ftl.flush_metadata(last)
         if self.checker is not None:
             # unconditional end-of-run sweep (after the metadata flush,

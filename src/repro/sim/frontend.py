@@ -121,7 +121,6 @@ class FrontendScheduler:
         issue: Callable[[Request, float], None],
         on_stall: Optional[Callable[[Request, Request, float], None]] = None,
         checker=None,
-        batch: bool = False,
     ):
         self.queue_depth = queue_depth
         self.window = window
@@ -131,12 +130,6 @@ class FrontendScheduler:
         self._issue = issue
         self._on_stall = on_stall
         self.checker = checker
-        #: batched release (SimConfig.batch composed with the frontend):
-        #: the dispatch scan makes the identical eligibility decisions,
-        #: but the released requests leave as one hazard-free batch —
-        #: ``nand.submit``/``issue`` run after the scan, in scan order
-        #: at the same ``now``, so the event heap sees the same sequence
-        self.batch = batch
         #: arrival-ordered requests not yet released by the frontend
         self.waiting: list[Request] = []
         #: requests released but not yet complete (hazard set)
@@ -147,10 +140,6 @@ class FrontendScheduler:
         self.hazard_stalls = 0
         #: reads served from DRAM without occupying a NAND slot
         self.cache_bypass = 0
-        #: batch-mode statistics (scheduler attributes only: the report
-        #: dict feeds pinned digests and must not change shape)
-        self.batches_released = 0
-        self.batch_requests = 0
 
     # ------------------------------------------------------------------
     def add(self, req: Request) -> None:
@@ -183,11 +172,6 @@ class FrontendScheduler:
             return
         qd = self.queue_depth
         inflight = self.inflight
-        #: batch mode: (request, needs_slot) release list, scan order.
-        #: Chip prediction is deferred with the release — an earlier
-        #: released trim can move mappings (across-area rollback), and
-        #: the scalar path predicts only after such a trim has issued.
-        release: Optional[list] = [] if self.batch else None
         #: earlier-scanned requests that stayed in the queue; later
         #: candidates must respect arrival order against them
         held: list[Request] = []
@@ -231,30 +215,12 @@ class FrontendScheduler:
             if needs_slot:
                 req.holds_slot = True
                 self.slots_used += 1
-                if release is None:
-                    req.chip = self._predict_chip(req)
-                    self.nand.submit(req, now)
-                else:
-                    release.append((req, True))
+                req.chip = self._predict_chip(req)
+                self.nand.submit(req, now)
             else:
                 if req.op == OP_READ:
                     self.cache_bypass += 1
-                if release is None:
-                    self._issue(req, now)
-                else:
-                    release.append((req, False))
-        if release:
-            self.batches_released += 1
-            self.batch_requests += len(release)
-            predict_chip = self._predict_chip
-            submit = self.nand.submit
-            issue = self._issue
-            for req, to_nand in release:
-                if to_nand:
-                    req.chip = predict_chip(req)
-                    submit(req, now)
-                else:
-                    issue(req, now)
+                self._issue(req, now)
 
     @staticmethod
     def _hazard(

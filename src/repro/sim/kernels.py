@@ -1,4 +1,4 @@
-"""Vectorised per-batch hot paths for the batch replay loop.
+"""Vectorised per-segment hot paths for the sequential replay loop.
 
 :class:`BatchReadKernel` absorbs runs of *eligible* reads from the
 columnar request stream (:mod:`repro.traces.columnar`) and services
@@ -65,7 +65,7 @@ class BatchReadKernel:
     @classmethod
     def build(cls, sim) -> Optional["BatchReadKernel"]:
         """Return a kernel for ``sim``, or ``None`` when any global
-        precondition fails (the batch loop then runs fully scalar)."""
+        precondition fails (the loop then runs fully scalar)."""
         if sim.sim_cfg.queue_depth is not None:
             return None
         if sim.obs is not None or sim.faults is not None:

@@ -1,10 +1,10 @@
-"""Columnar trace decoding for the batch execution layer.
+"""Columnar trace decoding for the sequential replay loop.
 
-The scalar reader — ``for op, offset, size, t in trace`` — hands the
-engine one python tuple per request.  The batch engine
-(:class:`~repro.config.BatchConfig`) instead decodes whole trace
-segments into numpy arrays up front: a :class:`ColumnarSegment` is a
-bounded slice of the trace carrying the four raw request columns plus
+The scalar reader — ``for op, offset, size, t in trace`` — hands out
+one python tuple per request.  The engine's sequential loop instead
+decodes whole trace segments into numpy arrays up front: a
+:class:`ColumnarSegment` is a bounded slice of the trace carrying the
+four raw request columns plus
 the derived per-request geometry the vector kernels need (first/last
 logical page, page-piece count, the across-page classification of
 paper §2.1).
@@ -18,9 +18,9 @@ the scalar reader yields.  That equivalence is pinned two ways:
   columnar arrays, one through the scalar tuple iterator — and the
   property tests require equal hexes on synthetic, blktrace and MSR
   traces (TRIM rows and truncated-tail segments included);
-* the ``batch`` differential-replay leg (``repro check --batch``)
-  replays whole traces through the batch engine and compares oracle
-  read digests against the sequential loop.
+* the kernel-off reference tests (``tests/test_batch.py``) replay
+  whole traces with the read kernel disabled and require the same
+  report and oracle read digests.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def decode_segments(
 
     ``spp`` (sectors per page) drives the derived geometry columns.
     The derived values are computed vectorised per segment, not per
-    request — this is the "decode" stage of the batch pipeline.
+    request — this is the "decode" stage of the replay pipeline.
     """
     if max_batch <= 0:
         raise ValueError(f"max_batch must be positive, got {max_batch}")

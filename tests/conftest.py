@@ -71,6 +71,25 @@ def oracle_sim_cfg() -> SimConfig:
     return SimConfig(check_oracle=True)
 
 
+@pytest.fixture
+def scalar_reference(monkeypatch):
+    """Switch every fused kernel off for one test: reads go through
+    ``Simulator.process`` and aging through the generic
+    ``BaseFTL.write_run`` loop over ``write`` — the reference the
+    kernels must match bit for bit."""
+    from repro.core.across import AcrossFTL
+    from repro.ftl.base import BaseFTL
+    from repro.ftl.mrsm import MRSMFTL
+    from repro.ftl.pagemap import PageMapFTL
+    from repro.sim.kernels import BatchReadKernel
+
+    monkeypatch.setattr(
+        BatchReadKernel, "build", classmethod(lambda cls, sim: None)
+    )
+    for scheme in (PageMapFTL, MRSMFTL, AcrossFTL):
+        monkeypatch.setattr(scheme, "write_run", BaseFTL.write_run)
+
+
 def random_extents(rng: np.random.Generator, n: int, max_sector: int, spp: int):
     """Random (offset, size) extents mixing aligned, across and large."""
     out = []

@@ -1,24 +1,28 @@
-"""Batch execution layer: bit-identical replay through vector kernels.
+"""Read kernels and fused aging: bit-identical to the scalar reference.
 
-``SimConfig.batch`` changes the execution strategy — columnar decode,
-absorbed read runs, fused flush — but not one observable value.  These
-tests hold the full canonical report (``benchgate.report_digest``)
-equal between the scalar and batch loops on all three schemes, on aged
-devices, with the oracle on, and composed with the event-driven
-frontend; plus the behavioural contracts around it (MIN_READ_RUN
-engagement, request-granular progress, config validation).
+The sequential loop absorbs read runs into ``BatchReadKernel`` and ages
+the device through the schemes' fused ``write_run`` kernels — always;
+no option selects them.  These tests hold the full canonical report
+(``benchgate.report_digest``) and the oracle read digest equal to the
+scalar reference (the ``scalar_reference`` fixture switches every
+kernel off) on all three schemes, on aged devices and with the oracle
+on; plus the behavioural contracts around the kernel (MIN_READ_RUN
+engagement, request-granular progress, segment-size independence) and
+the inert ``BatchConfig`` leftover.
 """
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from repro.config import SimConfig, SSDConfig
-from repro.errors import ConfigError
+from repro.config import BatchConfig, SimConfig, SSDConfig
 from repro.experiments.benchgate import report_digest
+from repro.experiments.parallel import run_key
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.traces.model import OP_READ, OP_WRITE, Trace
 from repro.traces.synthetic import SyntheticSpec, VDIWorkloadGenerator
@@ -60,87 +64,86 @@ def flat_trace(rows):
 
 
 class TestBitIdentical:
+    """Normal run first, then the same run under ``scalar_reference``
+    (requested late through ``request.getfixturevalue`` so the first
+    run still has its kernels)."""
+
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_full_report_equal_on_aged_device(self, scheme):
+    def test_full_report_equal_on_aged_device(self, scheme, request):
         cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
         trace = mixed_trace(cfg)
-        base = SimConfig(aged_used=0.55, aged_valid=0.30, seed=9)
-        _, scalar = run_once(scheme, trace, base, cfg)
-        sim, batched = run_once(
-            scheme, trace, base.replace_batch(enabled=True), cfg
-        )
-        assert report_digest(batched) == report_digest(scalar)
-        # the equality is meaningful only if the kernel actually ran
-        assert sim._batch_kernel is not None
-        assert sim._batch_kernel.requests_vectorised > 0
+        sim_cfgs = [
+            SimConfig(aged_used=0.55, aged_valid=0.30, seed=9, aging_style=st)
+            for st in ("aligned", "vdi")
+        ]
+        fused = []
+        for sim_cfg in sim_cfgs:
+            sim, report = run_once(scheme, trace, sim_cfg, cfg)
+            # the equality is meaningful only if the kernel actually ran
+            assert sim._batch_kernel is not None
+            assert sim._batch_kernel.requests_vectorised > 0
+            fused.append(report_digest(report))
+        request.getfixturevalue("scalar_reference")
+        for sim_cfg, want in zip(sim_cfgs, fused):
+            ref_sim, ref = run_once(scheme, trace, sim_cfg, cfg)
+            assert ref_sim._batch_kernel is None
+            assert report_digest(ref) == want
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_full_report_equal_with_oracle(self, scheme):
+    def test_full_report_equal_with_oracle(self, scheme, request):
+        """Oracle on, aged device, invariant checker armed: the read
+        kernel folds the same stamps into ``check_read_digest`` as the
+        scalar path (aging itself takes the generic loop either way —
+        payload tracking is a fused-kernel fallback condition)."""
         cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
         trace = mixed_trace(cfg, seed=5)
-        base = SimConfig(check_oracle=True)
-        _, scalar = run_once(scheme, trace, base, cfg)
-        _, batched = run_once(
-            scheme, trace, base.replace_batch(enabled=True), cfg
-        )
-        assert report_digest(batched) == report_digest(scalar)
-        assert batched.extra["oracle_reads_verified"] > 0
+        sim_cfg = SimConfig(
+            check_oracle=True, aged_used=0.55, aged_valid=0.30, seed=9
+        ).replace_check(enabled=True, every=64)
+        sim, fused = run_once(scheme, trace, sim_cfg, cfg)
+        assert sim._batch_kernel.requests_vectorised > 0
+        assert fused.extra["oracle_reads_verified"] > 0
+        request.getfixturevalue("scalar_reference")
+        _, ref = run_once(scheme, trace, sim_cfg, cfg)
+        assert fused.extra["check_read_digest"] == ref.extra["check_read_digest"]
+        assert report_digest(fused) == report_digest(ref)
 
-    def test_small_max_batch_still_identical(self):
+    def test_small_max_batch_still_identical(self, monkeypatch):
+        """Segment boundaries are invisible: 5-request segments give
+        the 512-request report."""
         cfg = SSDConfig.tiny()
         trace = mixed_trace(cfg, seed=7)
-        _, scalar = run_once("across", trace, SimConfig(), cfg)
-        _, batched = run_once(
-            "across", trace,
-            SimConfig().replace_batch(enabled=True, max_batch=5), cfg,
-        )
-        assert report_digest(batched) == report_digest(scalar)
+        _, whole = run_once("across", trace, SimConfig(), cfg)
+        monkeypatch.setattr(engine, "_SEGMENT_REQUESTS", 5)
+        sim, chopped = run_once("across", trace, SimConfig(), cfg)
+        assert sim._batch_kernel.requests_vectorised > 0
+        assert report_digest(chopped) == report_digest(whole)
 
-    def test_report_shape_unchanged(self):
-        """Batch stats live on the simulator, never in the report —
+    def test_report_shape_unchanged(self, request):
+        """Kernel stats live on the simulator, never in the report —
         the report dict feeds pinned digests."""
         cfg = SSDConfig.tiny()
         trace = mixed_trace(cfg, n=120)
-        _, scalar = run_once("ftl", trace, SimConfig(), cfg)
-        _, batched = run_once(
-            "ftl", trace, SimConfig().replace_batch(enabled=True), cfg
-        )
-        assert batched.to_dict().keys() == scalar.to_dict().keys()
-        assert batched.extra.keys() == scalar.extra.keys()
+        _, fused = run_once("ftl", trace, SimConfig(), cfg)
+        request.getfixturevalue("scalar_reference")
+        _, ref = run_once("ftl", trace, SimConfig(), cfg)
+        assert fused.to_dict().keys() == ref.to_dict().keys()
+        assert fused.extra.keys() == ref.extra.keys()
 
 
 class TestFrontendComposition:
-    def test_frontend_batch_release_identical(self):
-        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
-        trace = mixed_trace(cfg, seed=13)
-        fe = SimConfig().replace_frontend(enabled=True)
-        _, scalar = run_once("across", trace, fe, cfg)
-        sim, batched = run_once(
-            "across", trace, fe.replace_batch(enabled=True), cfg
-        )
-        assert report_digest(batched) == report_digest(scalar)
-        # released as hazard-free batches, counted per request
-        assert sim._frontend.batches_released > 0
-        assert sim._frontend.batch_requests == len(trace)
-
-    def test_scalar_frontend_releases_no_batches(self):
-        cfg = SSDConfig.tiny()
-        trace = mixed_trace(cfg, n=80)
-        sim, _ = run_once(
-            "ftl", trace, SimConfig().replace_frontend(enabled=True), cfg
-        )
-        assert sim._frontend.batches_released == 0
-        assert sim._frontend.batch_requests == 0
-
     def test_frontend_batch_with_queue_depth(self):
+        """The frozen ``benchmarks/e2e`` driver still sets
+        ``batch.enabled`` on its frontend + queue-depth runs: the flag
+        must construct and change nothing."""
         cfg = SSDConfig.tiny()
         trace = mixed_trace(cfg, seed=17)
         fe = SimConfig(queue_depth=8).replace_frontend(enabled=True)
-        _, scalar = run_once("ftl", trace, fe, cfg)
-        _, batched = run_once(
+        _, plain = run_once("ftl", trace, fe, cfg)
+        _, flagged = run_once(
             "ftl", trace, fe.replace_batch(enabled=True), cfg
         )
-        assert report_digest(batched) == report_digest(scalar)
+        assert report_digest(flagged) == report_digest(plain)
 
 
 class TestMinReadRun:
@@ -152,9 +155,7 @@ class TestMinReadRun:
 
     def _vectorised(self, trace):
         cfg = SSDConfig.tiny()  # no write buffer: reads go to flash
-        sim, _ = run_once(
-            "ftl", trace, SimConfig().replace_batch(enabled=True), cfg
-        )
+        sim, _ = run_once("ftl", trace, SimConfig(), cfg)
         assert sim._batch_kernel is not None
         return sim._batch_kernel.requests_vectorised
 
@@ -177,38 +178,35 @@ class TestMinReadRun:
 class TestBatchProgress:
     def test_progress_counts_requests_not_batches(self, monkeypatch, capsys):
         """Regression: with 15 segments of 8 requests, the progress
-        line must advance per completed request (up to 160), not per
-        batch (at most 15)."""
-        from repro.sim import engine
-
+        line must advance per completed request (up to 120), not per
+        segment (at most 15)."""
         monkeypatch.setattr(engine, "_PROGRESS_EVERY_S", 0.0)
+        monkeypatch.setattr(engine, "_SEGMENT_REQUESTS", 8)
         cfg = SSDConfig.tiny()
         trace = mixed_trace(cfg, n=120)
-        sim_cfg = SimConfig(progress=True).replace_batch(
-            enabled=True, max_batch=8
-        )
-        run_once("ftl", trace, sim_cfg, cfg)
+        run_once("ftl", trace, SimConfig(progress=True), cfg)
         err = capsys.readouterr().err
         done = [int(m) for m in re.findall(r"(\d+)/120", err)]
         assert done
         assert max(done) == 120                    # final line completes
         assert any(0 < d < 120 for d in done)      # mid-run updates
-        assert len({d for d in done}) > 120 // 8   # finer than per-batch
+        assert len({d for d in done}) > 120 // 8   # finer than per-segment
 
 
 class TestBatchConfig:
     def test_defaults_off(self):
-        sc = SimConfig()
-        assert sc.batch.enabled is False
-        assert sc.batch.max_batch == 512
-        assert sc.batch.aging is True
+        """One field is left, and it is inert."""
+        assert [f.name for f in dataclasses.fields(BatchConfig)] == ["enabled"]
+        assert SimConfig().batch.enabled is False
 
     def test_replace_batch_round_trip(self):
-        sc = SimConfig().replace_batch(enabled=True, max_batch=64)
-        assert sc.batch.enabled and sc.batch.max_batch == 64
+        sc = SimConfig().replace_batch(enabled=True)
+        assert sc.batch.enabled
         assert SimConfig().batch.enabled is False  # original untouched
         sc.validate()
-
-    def test_rejects_nonpositive_max_batch(self):
-        with pytest.raises(ConfigError):
-            SimConfig().replace_batch(enabled=True, max_batch=0).validate()
+        # identical reports must share one ResultStore key
+        cfg = SSDConfig.tiny()
+        trace = mixed_trace(cfg, n=20)
+        assert run_key("ftl", trace, cfg, sc) == run_key(
+            "ftl", trace, cfg, SimConfig()
+        )

@@ -103,7 +103,7 @@ class _FakeScenario:
     name = "fake"
     scheme = "ftl"
 
-    def run(self, *, batch=False):
+    def run(self):
         from types import SimpleNamespace
 
         return SimpleNamespace(
@@ -147,14 +147,6 @@ def test_measure_raises_on_digest_drift(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="non-deterministic"):
         benchgate.measure(passes=2)
-
-
-def test_bench_batch_flag_same_digest(tmp_path, one_scenario):
-    """--batch changes the execution strategy, never the digest."""
-    rc, doc = _run(tmp_path, [])
-    rc_b, doc_b = _run(tmp_path, ["--batch"])
-    assert rc == rc_b == 0
-    assert doc_b["scenarios"][0]["digest"] == doc["scenarios"][0]["digest"]
 
 
 def test_repro_bench_cli(tmp_path, one_scenario, monkeypatch):

@@ -110,6 +110,16 @@ class TestConfigRoundTrip:
         back = sim_cfg_from_dict(doc)
         assert not back.check.enabled
 
+    def test_sim_config_with_retired_batch_keys(self):
+        """Reproducers dumped while ``BatchConfig`` still had
+        ``max_batch``/``aging`` must keep loading."""
+        import dataclasses
+
+        doc = dataclasses.asdict(SimConfig(seed=3))
+        doc["batch"] = {"enabled": True, "max_batch": 64, "aging": False}
+        back = sim_cfg_from_dict(doc)
+        assert back == SimConfig(seed=3).replace_batch(enabled=True)
+
 
 class TestCounterexampleFiles:
     def test_round_trip(self, tmp_path):

@@ -1,11 +1,11 @@
 """Columnar trace decoding: scalar/batched equivalence properties.
 
-The batch pipeline's decode stage (:mod:`repro.traces.columnar`) must
+The replay loop's decode stage (:mod:`repro.traces.columnar`) must
 describe *exactly* the request stream the scalar reader yields — for
 synthetic, blktrace and MSR traces alike, TRIM rows and truncated tail
-segments included.  These properties pin that equivalence; the batch
-differential-replay leg (``repro check --batch``) pins the rest of the
-pipeline downstream of it.
+segments included.  These properties pin that equivalence; the
+kernel-off reference tests (``tests/test_batch.py``) pin the rest of
+the pipeline downstream of it.
 """
 
 import numpy as np

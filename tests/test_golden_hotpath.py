@@ -6,7 +6,10 @@ benchmark scenario (fig09 replays per scheme, the faults-stress preset
 and the scale-0.02 hotpath replay).  Any hot-path optimisation must
 keep these reports bit-identical — this is the proof behind the
 "≥2x faster, same output" contract of the performance overhaul, and
-the same fixture backs the digests in ``BENCH_baseline.json``.
+the same fixture backs the digests in ``BENCH_baseline.json``.  Each
+scenario is held to the fixture twice: as shipped (read kernel and
+fused aging on) and with every kernel switched off by the
+``scalar_reference`` fixture.
 
 Regenerate (only after an *intentional* behaviour change):
 
@@ -24,6 +27,7 @@ Regenerate (only after an *intentional* behaviour change):
 ...then regenerate ``BENCH_baseline.json`` with ``repro bench`` too.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -49,9 +53,7 @@ def test_fixture_covers_every_scenario(golden):
     assert sorted(golden) == sorted(sc.name for sc in scenarios())
 
 
-@pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
-def test_report_matches_golden(sc, golden):
-    report = sc.run()
+def _assert_matches(sc, report, golden, label=""):
     got = canonical_report_dict(report)
     want = golden[sc.name]
     if got != want:
@@ -61,30 +63,24 @@ def test_report_matches_golden(sc, golden):
             if want.get(key) != got.get(key)
         ]
         pytest.fail(
-            f"{sc.name}: simulation output drifted from the golden "
+            f"{sc.name}{label}: simulation output drifted from the golden "
             f"fixture in {len(diff)} key(s):\n  " + "\n  ".join(diff[:20])
         )
-    # the digest is what BENCH_baseline.json pins; tie the two together
-    blob = json.dumps(want, sort_keys=True).encode()
-    import hashlib
 
+
+@pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
+def test_report_matches_golden(sc, golden, scalar_reference):
+    """The scalar reference (every kernel off — what the fixture was
+    first generated on) reproduces the golden reports."""
+    report = sc.run()
+    _assert_matches(sc, report, golden, " (scalar reference)")
+    # the digest is what BENCH_baseline.json pins; tie the two together
+    blob = json.dumps(golden[sc.name], sort_keys=True).encode()
     assert report_digest(report) == hashlib.sha256(blob).hexdigest()
 
 
 @pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
 def test_batch_report_matches_golden(sc, golden):
-    """The batch execution layer (``SimConfig.batch``) must reproduce
-    the same golden reports bit for bit — same fixture, different
-    execution strategy."""
-    got = canonical_report_dict(sc.run(batch=True))
-    want = golden[sc.name]
-    if got != want:
-        diff = [
-            f"{key}: golden={want.get(key)!r} got={got.get(key)!r}"
-            for key in sorted(set(want) | set(got))
-            if want.get(key) != got.get(key)
-        ]
-        pytest.fail(
-            f"{sc.name} (batch): output drifted from the golden fixture "
-            f"in {len(diff)} key(s):\n  " + "\n  ".join(diff[:20])
-        )
+    """The run as shipped — read kernel and fused aging on, as they
+    always are — reproduces the same golden reports bit for bit."""
+    _assert_matches(sc, sc.run(), golden)

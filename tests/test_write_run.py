@@ -1,0 +1,181 @@
+"""Fused ``write_run`` kernels leave exactly the reference device state.
+
+``BaseFTL.write_run`` — a scalar loop over ``write`` — is the reference
+for device aging.  Each scheme overrides it with a fused kernel (the
+page-mapped schemes share ``BaseFTL._write_run_paged``; MRSM has its
+own) that inlines the untimed flavour of every flash/cache operation.
+Engine-level digests cover that indirectly; here the two are run side
+by side on fresh devices and *every* piece of state they touch is
+compared: PMT and masks, region/AMT tables, page states and write
+pointers, page metadata, counters, the allocator cursor, GC tallies and
+the mapping caches' LRU order — also with a mapping cache too small for
+the table (miss/evict/write-back paths) and under the ``hot_cold``
+policy (separate write streams).
+"""
+
+import dataclasses
+import sys
+
+import numpy as np
+import pytest
+
+from conftest import random_extents
+from repro.config import SSDConfig
+from repro.flash.service import FlashService
+from repro.ftl import make_ftl
+from repro.ftl.base import BaseFTL
+from repro.metrics.counters import OpKind
+
+SCHEMES = ("ftl", "mrsm", "across")
+
+#: 2048 physical pages: small enough that ~3000 page writes wrap the
+#: device through GC, large enough that the PMT spans four translation
+#: pages (512 entries each) so a two-page mapping cache really evicts
+#: and its LRU order matters
+CFG = SSDConfig(
+    channels=2,
+    chips_per_channel=1,
+    dies_per_chip=1,
+    planes_per_die=2,
+    blocks_per_plane=16,
+    pages_per_block=32,
+    page_size_bytes=4 * 1024,
+    write_buffer_bytes=0,
+)
+
+VARIANTS = {
+    "default": {},
+    "small-map-cache": {"mapping_cache_entries": 1024},
+    "hot-cold": {"gc_policy": "hot_cold"},
+}
+
+
+def _meta_state(meta):
+    return type(meta).__name__, [getattr(meta, a) for a in meta.__slots__]
+
+
+def _cache_state(cache):
+    return {
+        "lru": list(cache._cached.items()),
+        "on_flash": sorted(cache._on_flash),
+        "tallies": (cache.hits, cache.misses, cache.evictions),
+    }
+
+
+def device_state(ftl) -> dict:
+    """Everything an aging write can touch, as comparable plain data."""
+    arr = ftl.service.array
+    gc = ftl.gc
+    state = {
+        "pmt": ftl._pmt.tolist(),
+        "pmt_mask": ftl._pmt_mask.tolist(),
+        "map_ppn": ftl._map_ppn,
+        "page_state": bytes(arr._state),
+        "write_ptr": arr._write_ptr.tolist(),
+        "valid_count": arr._valid_count.tolist(),
+        "erase_count": arr._erase_count.tolist(),
+        "last_mod": arr._last_mod.tolist(),
+        "array_tallies": (
+            arr.mod_seq, arr.total_programs, arr.total_page_reads
+        ),
+        "free_blocks": [list(d) for d in arr._free_blocks],
+        "meta": {ppn: _meta_state(m) for ppn, m in arr._meta.items()},
+        "counters": ftl.counters.snapshot(),
+        "allocator": (ftl.allocator._cursor, ftl.allocator._active),
+        "gc": (
+            gc.collections, gc.migrated_pages, gc.stalls,
+            gc.slices, gc.deferrals, gc.wear_migrations,
+        ),
+        "caches": {
+            name: _cache_state(getattr(ftl, name))
+            for name in ("_pmt_cache", "_amt_cache", "_cache")
+            if hasattr(ftl, name)
+        },
+    }
+    if ftl.name == "mrsm":
+        state["regions"] = (
+            ftl.region_map, ftl.region_mask, sorted(ftl._ever_fragmented)
+        )
+    if ftl.name == "across":
+        amt = ftl.amt
+        state["areas"] = {
+            "aidx": ftl._aidx.tolist(),
+            "aidx_of_lpn": ftl.aidx_of_lpn,
+            "entries": {
+                a: (e.lpn0, e.start, e.size, e.appn)
+                for a, e in amt._entries.items()
+            },
+            "amt_alloc": (
+                list(amt._free), amt._next, amt.total_created, amt.peak_live
+            ),
+            "stats": dataclasses.asdict(ftl.across_stats),
+        }
+    return state
+
+
+def aging_ftl(scheme, cfg, **ftl_kw):
+    ftl = make_ftl(scheme, FlashService(cfg), **ftl_kw)
+    ftl.aging = True
+    assert not ftl._write_run_fallback()  # the fused path is really taken
+    return ftl
+
+
+def aging_run(n, seed):
+    """A mixed run of across-page, sub-page and multi-page extents."""
+    rng = np.random.default_rng(seed)
+    span = int(CFG.logical_sectors * 0.9)
+    extents = random_extents(rng, n, span, CFG.sectors_per_page)
+    return [o for o, _ in extents], [s for _, s in extents]
+
+
+def assert_same_device(fused, ref):
+    got, want = device_state(fused), device_state(ref)
+    for key in want:
+        assert got[key] == want[key], f"{fused.name}: {key} differs"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fused_run_matches_reference(scheme, variant):
+    cfg = CFG.replace(**VARIANTS[variant])
+    fused = aging_ftl(scheme, cfg)
+    ref = aging_ftl(scheme, cfg)
+    # two runs back to back: the second starts on a dirty, GC-active
+    # device with warm caches
+    for seed in (1, 2):
+        offsets, sizes = aging_run(900, seed)
+        assert fused.write_run(offsets, sizes, sys.maxsize) == len(offsets)
+        assert BaseFTL.write_run(ref, offsets, sizes, sys.maxsize) == len(
+            offsets
+        )
+        assert_same_device(fused, ref)
+    assert fused.gc.collections > 0  # GC really ran under the kernel
+    if variant == "small-map-cache":
+        table = fused._cache if scheme == "mrsm" else fused._pmt_cache
+        assert table.evictions > 0  # the miss/evict paths really ran
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fused_run_stops_on_the_same_request(scheme):
+    """The AGING-write target is checked after each request: both
+    paths consume the same prefix of the run."""
+    fused = aging_ftl(scheme, CFG)
+    ref = aging_ftl(scheme, CFG)
+    offsets, sizes = aging_run(400, seed=3)
+    target = 150
+    consumed = fused.write_run(offsets, sizes, target)
+    assert consumed == BaseFTL.write_run(ref, offsets, sizes, target)
+    assert 0 < consumed < len(offsets)
+    assert fused.counters.writes[OpKind.AGING] >= target
+    assert_same_device(fused, ref)
+
+
+def test_pagemap_rmw_ablation_matches_reference():
+    """``rmw_enabled=False`` (the ablation knob) drops the old mask
+    before every piece — in the shared kernel as in ``write``."""
+    fused = aging_ftl("ftl", CFG, rmw_enabled=False)
+    ref = aging_ftl("ftl", CFG, rmw_enabled=False)
+    offsets, sizes = aging_run(900, seed=4)
+    fused.write_run(offsets, sizes, sys.maxsize)
+    BaseFTL.write_run(ref, offsets, sizes, sys.maxsize)
+    assert_same_device(fused, ref)
