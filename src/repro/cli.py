@@ -748,6 +748,7 @@ def cmd_serve(args) -> int:
     """
     import asyncio
     import json as _json
+    import signal
 
     from .experiments.parallel import ResultStore
     from .fleet.service import FleetService, serve_forever
@@ -761,7 +762,8 @@ def cmd_serve(args) -> int:
             payload = _json.load(sys.stdin)
         else:
             payload = _json.loads(Path(args.once).read_text())
-        doc = service.handle_request(payload)
+        with service:  # joins the worker pool the request may have spawned
+            doc = service.handle_request(payload)
         print(_json.dumps(doc, indent=1, sort_keys=True))
         return 0 if doc.get("ok") else 1
 
@@ -782,6 +784,10 @@ def cmd_serve(args) -> int:
               f"jobs: {args.jobs})", file=sys.stderr)
         await task
 
+    # a daemon is stopped with TERM as often as with Ctrl-C: both must
+    # unwind through serve_forever's ``finally``, which joins the worker
+    # pool — workers orphaned by a plain kill would wait forever
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         asyncio.run(run())
     except KeyboardInterrupt:

@@ -12,6 +12,7 @@ from .parallel import (
     ResultStore,
     RunSpec,
     SweepOutcome,
+    WorkerPool,
     execute_runs,
     run_key,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "ResultStore",
     "RunSpec",
     "SweepOutcome",
+    "WorkerPool",
     "execute_runs",
     "run_key",
 ]

@@ -12,12 +12,16 @@ module supplies the missing execution layer:
   :class:`~repro.metrics.report.SimulationReport` objects keyed by
   :func:`run_key`, shared across processes *and* sessions, so repeated
   bench invocations and figure regeneration reuse finished runs.
+* :class:`WorkerPool` — the owner of one lazily spawned ``spawn``-context
+  :class:`concurrent.futures.ProcessPoolExecutor`.  A sweep builds one
+  for its own duration; the serve layer keeps one for its lifetime so a
+  cold request does not pay a pool spawn.
 * :func:`execute_runs` — fans a batch of :class:`RunSpec` out across
-  cores with :class:`concurrent.futures.ProcessPoolExecutor`.  Workers
-  are plain fresh-device replays (same seeds, no shared mutable state),
-  so their reports are identical to in-process runs; a determinism test
-  enforces this.  Workers run with ``progress`` forced off and the
-  parent renders a single sweep-level progress line instead.
+  cores through a :class:`WorkerPool`.  Workers are plain fresh-device
+  replays (same seeds, no shared mutable state), so their reports are
+  identical to in-process runs; a determinism test enforces this.
+  Workers run with ``progress`` forced off and the parent renders a
+  single sweep-level progress line instead.
 
 Filename helpers (:func:`sanitize_fragment`, :func:`run_filename`) are
 shared with :meth:`ExperimentContext.save_results` so archives and the
@@ -27,6 +31,7 @@ store speak one naming scheme.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -35,6 +40,8 @@ import re
 import sys
 import tempfile
 import threading
+from concurrent.futures import BrokenExecutor, Future, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -51,6 +58,7 @@ __all__ = [
     "ResultStore",
     "SweepError",
     "SweepOutcome",
+    "WorkerPool",
     "execute_runs",
     "run_key",
     "run_filename",
@@ -183,11 +191,20 @@ class RunSpec:
             self.trace.name, self.scheme, self.cfg.page_size_bytes, self.kwargs
         )
 
-    def key(self) -> str:
-        """The run's :func:`run_key` (the store / dedup identity)."""
+    @functools.cached_property
+    def _key(self) -> str:
+        # hashing the trace is the cost; one store access asks for the
+        # key two or three times.  cached_property writes the instance
+        # ``__dict__`` directly, which a frozen dataclass permits, and
+        # the fields the key is made of cannot change afterwards
         return run_key(
             self.scheme, self.trace, self.cfg, self.sim_cfg, self.kwargs
         )
+
+    def key(self) -> str:
+        """The run's :func:`run_key` (the store / dedup identity),
+        computed once per spec."""
+        return self._key
 
 
 def _execute_spec(spec: RunSpec) -> SimulationReport:
@@ -297,7 +314,9 @@ class ResultStore:
         )
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, indent=1)
+                # dumps, not dump(indent=...): only the one-shot compact
+                # form goes through the C encoder
+                fh.write(json.dumps(doc))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -478,6 +497,83 @@ def _sweep_progress(done: int, total: int, label: str, final: bool = False):
     sys.stderr.flush()
 
 
+class WorkerPool:
+    """Owner of one lazily spawned worker-process pool.
+
+    The executor is built on the first :meth:`submit`, never at
+    construction, with the ``spawn`` start method (Linux and macOS
+    replay identically and fork-under-threads never happens).
+    :meth:`submit` and :meth:`close` are thread-safe, so the serve
+    layer's request threads share one pool and never run more than
+    ``workers`` processes between them.  A pool whose worker died
+    (:class:`~concurrent.futures.process.BrokenProcessPool`) is
+    discarded and rebuilt on the next submit; the futures it held fail, each to its own caller.
+    ``close()`` joins the workers; a later submit spawns afresh.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._lock = threading.Lock()
+        self._executor = None
+        self._spawns = 0
+        self._tasks = 0
+        self._rebuilds = 0
+
+    def _spawn(self):
+        # imported here: process pools drag in the multiprocessing
+        # queue and connection modules, which in-process runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._spawns += 1
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+
+    def submit(self, fn: Callable, *args) -> Future:
+        """Schedule ``fn(*args)`` on a worker, spawning the pool first
+        if there is none and replacing it if a worker has died."""
+        with self._lock:
+            self._tasks += 1
+            if self._executor is None:
+                self._executor = self._spawn()
+            try:
+                return self._executor.submit(fn, *args)
+            except BrokenExecutor:
+                self._executor.shutdown(wait=True)
+                self._rebuilds += 1
+                self._executor = self._spawn()
+                return self._executor.submit(fn, *args)
+
+    def close(self) -> None:
+        """Cancel what has not started, wait for what has, join the
+        workers.  Idempotent."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def stats(self) -> dict[str, int]:
+        """Thread-safe snapshot: executors built, worker processes of
+        the current one (it starts them on demand and publishes no
+        count, hence the private read), tasks submitted, executors
+        replaced after a worker died."""
+        with self._lock:
+            executor = self._executor
+            return {
+                "spawns": self._spawns,
+                "workers": len(executor._processes) if executor else 0,
+                "tasks": self._tasks,
+                "rebuilds": self._rebuilds,
+            }
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def execute_runs(
     specs: Sequence[RunSpec],
     *,
@@ -486,16 +582,18 @@ def execute_runs(
     progress: bool = False,
     fresh: bool = False,
     on_error: str = "raise",
+    pool: WorkerPool | None = None,
 ) -> SweepOutcome:
     """Execute a batch of independent runs, reusing and filling ``store``.
 
-    ``jobs`` > 1 fans the cache-missing specs out across a process pool
-    (pinned to the ``spawn`` start method so Linux and macOS replay
-    identically and fork-under-threads never happens); ``jobs`` <= 1
-    runs them in-process (identical results either way — each run is a
-    fresh seeded device).  ``fresh=True`` skips store lookups (but
-    still persists results), for forced re-measurement.  Reports come
-    back in spec order.
+    ``jobs`` > 1 fans the cache-missing specs out across a
+    :class:`WorkerPool` — the caller's long-lived ``pool`` when one is
+    passed (it stays open), otherwise one built for this call and
+    closed before it returns; ``jobs`` <= 1 runs them in-process
+    (identical results either way — each run is a fresh seeded
+    device).  ``fresh=True`` skips store lookups (but still persists
+    results), for forced re-measurement.  Reports come back in spec
+    order.
 
     Worker exceptions are caught per-future and recorded as
     ``(spec.label, exception)`` in :attr:`SweepOutcome.failures`;
@@ -582,13 +680,13 @@ def execute_runs(
             _release(i)
 
     if jobs > 1 and len(leaders) > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        workers = min(jobs, len(leaders))
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with (
+            WorkerPool(min(jobs, len(leaders)))
+            if pool is None
+            else nullcontext(pool)
+        ) as workers:
             futures = {
-                pool.submit(_execute_spec, specs[i]): i for i in leaders
+                workers.submit(_execute_spec, specs[i]): i for i in leaders
             }
             for fut in as_completed(futures):
                 i = futures[fut]

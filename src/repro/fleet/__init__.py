@@ -16,7 +16,8 @@ Modules:
 
 * :mod:`repro.fleet.config` — :class:`FleetConfig`, the fleet shape.
 * :mod:`repro.fleet.workload` — the multi-tenant composer: Zipf
-  popularity, deterministic shard routing, per-shard merged traces.
+  popularity, deterministic shard routing, per-shard merged traces,
+  and the bounded :class:`PlanCache` in front of the composer.
 * :mod:`repro.fleet.qos` — per-tenant QoS aggregation over the shard
   reports' stream sketches.
 * :mod:`repro.fleet.service` — the request handler + asyncio HTTP
@@ -26,10 +27,17 @@ Modules:
 from .config import FleetConfig
 from .qos import TenantQos, aggregate_qos, fleet_summary
 from .service import FleetService, serve_forever, start_server_thread
-from .workload import ShardPlan, compose_shards, shard_of, tenant_weights
+from .workload import (
+    PlanCache,
+    ShardPlan,
+    compose_shards,
+    shard_of,
+    tenant_weights,
+)
 
 __all__ = [
     "FleetConfig",
+    "PlanCache",
     "ShardPlan",
     "TenantQos",
     "FleetService",

@@ -11,7 +11,12 @@ The service is two layers:
   siblings still land), backed by one shared
   :class:`~repro.experiments.parallel.ResultStore` — so a repeated
   request re-simulates nothing (``executed=0, cached=N``) and returns
-  a byte-identical ``digest``.
+  a byte-identical ``digest``.  The service owns two things for its
+  whole lifetime: a :class:`~repro.experiments.parallel.WorkerPool`
+  (spawned by the first batch that misses the store, shared by every
+  request thread, joined by :meth:`FleetService.close`) and a
+  :class:`~repro.fleet.workload.PlanCache` (a repeated fleet request
+  synthesises no trace).
 * :func:`serve_forever` / :func:`start_server_thread` — a minimal
   hand-rolled HTTP/1.1 loop over :func:`asyncio.start_server` (the
   toolchain has no HTTP framework and the stdlib server is threaded).
@@ -21,7 +26,7 @@ The service is two layers:
 Wire protocol (all bodies JSON):
 
 * ``GET /healthz`` → ``{"ok": true}``
-* ``GET /stats`` → service + store counters
+* ``GET /stats`` → service, store, worker-pool and plan-cache counters
 * ``GET /metrics`` → the same counters as Prometheus text
 * ``POST /simulate`` → dispatch on the payload's ``kind``:
 
@@ -46,11 +51,16 @@ from typing import Any, Optional
 
 from ..config import SimConfig, SSDConfig, SCHEMES
 from ..errors import ConfigError, ReproError
-from ..experiments.parallel import ResultStore, RunSpec, execute_runs
+from ..experiments.parallel import (
+    ResultStore,
+    RunSpec,
+    WorkerPool,
+    execute_runs,
+)
 from ..traces.synthetic import SyntheticSpec, generate_trace
 from .config import FleetConfig
 from .qos import aggregate_qos, fleet_summary
-from .workload import compose_shards
+from .workload import PlanCache
 
 #: SimConfig knobs a request may set; anything else is rejected so a
 #: typo cannot silently run a default simulation under a wrong key
@@ -112,7 +122,12 @@ class ServiceStats:
 
 
 class FleetService:
-    """JSON request handler over one shared ResultStore."""
+    """JSON request handler over one shared ResultStore.
+
+    Constructing one starts no process: the worker pool spawns on the
+    first batch with two or more runs to simulate.  Call :meth:`close`
+    (or use the service as a context manager) when done with it.
+    """
 
     def __init__(
         self,
@@ -127,6 +142,19 @@ class FleetService:
         self.jobs = jobs
         self._lock = threading.Lock()
         self._stats = ServiceStats()
+        self._pool = WorkerPool(jobs)
+        self._plans = PlanCache()
+
+    def close(self) -> None:
+        """Join the worker processes.  Idempotent; a request handled
+        afterwards spawns them again."""
+        self._pool.close()
+
+    def __enter__(self) -> "FleetService":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- accounting ------------------------------------------------------
     def _count(self, **deltas: int) -> None:
@@ -135,10 +163,16 @@ class FleetService:
                 setattr(self._stats, k, getattr(self._stats, k) + v)
 
     def stats(self) -> dict:
-        """Service counters plus the underlying store's."""
+        """Service counters plus the store's, the worker pool's and the
+        plan cache's."""
         with self._lock:
             svc = dataclasses.asdict(self._stats)
-        return {"service": svc, "store": self.store.stats()}
+        return {
+            "service": svc,
+            "store": self.store.stats(),
+            "pool": self._pool.stats(),
+            "plans": self._plans.stats(),
+        }
 
     # -- request plumbing ------------------------------------------------
     def _device_for(self, payload: dict) -> SSDConfig:
@@ -173,6 +207,7 @@ class FleetService:
             jobs=self.jobs,
             store=self.store,
             on_error="continue",
+            pool=self._pool,
         )
         self._count(
             runs_executed_total=out.executed,
@@ -242,7 +277,7 @@ class FleetService:
                 "do not set it in 'sim'"
             )
         fleet = FleetConfig.from_dict(dict(payload.get("fleet") or {}))
-        plans = compose_shards(fleet, cfg)
+        plans = self._plans.compose(fleet, cfg)
         specs = []
         for plan in plans:
             sim_cfg = _sim_cfg_from(
@@ -427,7 +462,10 @@ async def serve_forever(
         async with server:
             await server.serve_forever()
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # request threads first: one still inside handle_request would
+        # submit to the closed worker pool and spawn it again
+        pool.shutdown(wait=True, cancel_futures=True)
+        service.close()
 
 
 class ServerHandle:

@@ -18,12 +18,18 @@ Three deterministic steps, all pure functions of the
    The slice boundaries double as the shard run's
    ``SimConfig.qos_streams``, which is how per-tenant QoS falls out of
    a single shard report (:mod:`repro.fleet.qos`).
+
+:class:`PlanCache` keeps recently composed plans so a repeated fleet
+request goes straight to its run keys without synthesising a trace.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -180,3 +186,83 @@ def compose_shards(
             slice_sectors=slice_sectors,
         ))
     return plans
+
+
+#: :class:`PlanCache` bounds.  Every cached request is ~25 bytes of
+#: trace columns, so the request cap — the same number as the trace
+#: memo's ``_TRACE_MEMO_MAX_REQUESTS`` — holds the cache near 5 MiB
+#: however the entries are sized.
+_PLAN_CACHE_ENTRIES = 8
+_PLAN_CACHE_MAX_REQUESTS = 200_000
+
+
+class PlanCache:
+    """Bounded, lock-guarded LRU in front of :func:`compose_shards`.
+
+    Keyed on the frozen ``(FleetConfig, SSDConfig)`` pair, which is
+    everything composition reads.  It caches *plans*, never results: a
+    hit saves regenerating every tenant stream only to recompute run
+    keys the :class:`~repro.experiments.parallel.ResultStore` already
+    holds, and the store stays the one source of reports.  Bounded by
+    entry count and by total requests across entries; a fleet larger
+    than the request cap on its own is composed and not kept.  Cached
+    plans are shared between callers, so they come back as a tuple and
+    their trace arrays are read-only.
+    """
+
+    def __init__(
+        self,
+        max_entries: int = _PLAN_CACHE_ENTRIES,
+        max_requests: int = _PLAN_CACHE_MAX_REQUESTS,
+    ):
+        self.max_entries = max_entries
+        self.max_requests = max_requests
+        self._lock = threading.Lock()
+        #: key -> (plans, requests summed over the plans)
+        self._plans: "OrderedDict[tuple, tuple[tuple[ShardPlan, ...], int]]" = (
+            OrderedDict()
+        )
+        self._hits = 0
+        self._misses = 0
+
+    def compose(
+        self, cfg: FleetConfig, ssd_cfg: SSDConfig
+    ) -> Sequence[ShardPlan]:
+        """``compose_shards(cfg, ssd_cfg)``, from the cache when an
+        equal pair was composed recently."""
+        key = (cfg, ssd_cfg)
+        with self._lock:
+            entry = self._plans.get(key)
+            if entry is not None:
+                self._plans.move_to_end(key)
+                self._hits += 1
+                return entry[0]
+            self._misses += 1
+        # composed outside the lock: two threads missing on one key both
+        # compose (equal plans, the later insert wins) rather than every
+        # other fleet request waiting behind one composition
+        plans = tuple(compose_shards(cfg, ssd_cfg))
+        requests = sum(len(plan.trace) for plan in plans)
+        if requests > self.max_requests:
+            return plans
+        for plan in plans:
+            plan.trace.freeze()
+        with self._lock:
+            self._plans[key] = (plans, requests)
+            self._plans.move_to_end(key)
+            while (
+                len(self._plans) > self.max_entries
+                or sum(n for _, n in self._plans.values()) > self.max_requests
+            ):
+                self._plans.popitem(last=False)
+        return plans
+
+    def stats(self) -> dict[str, int]:
+        """Thread-safe snapshot of the hit/miss counters and the number
+        of plans held."""
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "entries": len(self._plans),
+            }

@@ -251,42 +251,61 @@ def write_json_snapshot(path, counters, samplers=None, extra=None) -> None:
         json.dump(json_snapshot(counters, samplers, extra), fh, indent=1)
 
 
-_SERVE_HELP = {
-    "requests_total": "HTTP simulation requests handled",
-    "sweeps_total": "Sweep-kind requests handled",
-    "fleets_total": "Fleet-kind requests handled",
-    "errors_total": "Requests rejected with an error response",
-    "runs_executed_total": "Simulations actually executed",
-    "runs_cached_total": "Runs answered from the result store",
-    "runs_failed_total": "Runs that raised in a worker",
-    "hits_total": "Result-store lookups that found a report",
-    "misses_total": "Result-store lookups that found nothing",
-    "puts_total": "Reports persisted to the result store",
-    "coalesced_total": "Runs served after awaiting an in-flight twin",
+#: ``/stats`` section -> metric-name prefix (service counters already
+#: end in ``_total``; every other section's keys are bare)
+_STATS_SECTIONS = (
+    ("service", "repro_serve"),
+    ("store", "repro_store"),
+    ("pool", "repro_pool"),
+    ("plans", "repro_plans"),
+)
+
+#: the point-in-time values; everything else in ``/stats`` is monotonic
+_STATS_GAUGES = {
+    "repro_store_inflight": "Run keys currently being simulated",
+    "repro_pool_workers": "Live worker processes of the service's pool",
+    "repro_plans_entries": "Composed fleet plans held by the plan cache",
+}
+
+_STATS_HELP = {
+    "repro_serve_requests_total": "HTTP simulation requests handled",
+    "repro_serve_sweeps_total": "Sweep-kind requests handled",
+    "repro_serve_fleets_total": "Fleet-kind requests handled",
+    "repro_serve_errors_total": "Requests rejected with an error response",
+    "repro_serve_runs_executed_total": "Simulations actually executed",
+    "repro_serve_runs_cached_total": "Runs answered from the result store",
+    "repro_serve_runs_failed_total": "Runs that raised in a worker",
+    "repro_store_hits_total": "Result-store lookups that found a report",
+    "repro_store_misses_total": "Result-store lookups that found nothing",
+    "repro_store_puts_total": "Reports persisted to the result store",
+    "repro_store_coalesced_total": "Runs served after awaiting an in-flight twin",
+    "repro_pool_spawns_total": "Worker pools started",
+    "repro_pool_tasks_total": "Runs submitted to the worker pool",
+    "repro_pool_rebuilds_total": "Worker pools replaced after a worker died",
+    "repro_plans_hits_total": "Fleet requests whose shard plans were cached",
+    "repro_plans_misses_total": "Fleet requests that composed their shard plans",
 }
 
 
 def stats_prometheus_text(stats: dict) -> str:
     """Render :meth:`repro.fleet.service.FleetService.stats` output
-    (``{"service": {...}, "store": {...}}``) for ``GET /metrics``.
+    (``{"service": {...}, "store": {...}, "pool": {...}, "plans":
+    {...}}``) for ``GET /metrics``.
 
     Same exposition contract as :func:`prometheus_text`: ``repro_``
     prefix, counters end in ``_total``, one HELP/TYPE pair per family.
-    The store's ``inflight`` count is the one gauge.
+    ``store.inflight``, ``pool.workers`` and ``plans.entries`` are the
+    gauges.
     """
     exp = _Exposition()
-    for k, v in stats.get("service", {}).items():
-        name = f"repro_serve_{k}"
-        exp.family(name, "counter", _SERVE_HELP.get(k, k))
-        exp.sample(name, None, v)
-    for k, v in stats.get("store", {}).items():
-        if k == "inflight":
-            name = "repro_store_inflight"
-            exp.family(name, "gauge", "Run keys currently being simulated")
-        else:
-            name = f"repro_store_{k}_total"
-            exp.family(
-                name, "counter", _SERVE_HELP.get(f"{k}_total", k)
-            )
-        exp.sample(name, None, v)
+    for section, prefix in _STATS_SECTIONS:
+        for k, v in stats.get(section, {}).items():
+            name = f"{prefix}_{k}"
+            if name in _STATS_GAUGES:
+                exp.family(name, "gauge", _STATS_GAUGES[name])
+            else:
+                if not name.endswith("_total"):
+                    name += "_total"
+                exp.family(name, "counter", _STATS_HELP.get(name, k))
+            exp.sample(name, None, v)
     return exp.text()

@@ -63,6 +63,14 @@ class Trace:
             self.times.tolist(),
         )
 
+    def freeze(self) -> "Trace":
+        """Mark the four arrays read-only and return ``self``: a trace
+        held in a cache is shared between callers, and an in-place edit
+        by one must fail loudly instead of corrupting the others."""
+        for arr in (self.times, self.ops, self.offsets, self.sizes):
+            arr.setflags(write=False)
+        return self
+
     # ------------------------------------------------------------------
     @property
     def write_ratio(self) -> float:

@@ -35,6 +35,7 @@ across sites occasionally exceed the site (merged reads, §4.2.1).
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -549,7 +550,11 @@ class VDIWorkloadGenerator:
 #: not retained.  Cached traces are marked read-only as a tripwire:
 #: traces are immutable by repo convention, and sharing one across
 #: callers must never let an in-place edit corrupt a later run.
+#: ``repro serve`` generates from several request threads at once, so
+#: every read-reorder-evict of the memo happens under the lock;
+#: generation itself runs outside it.
 _TRACE_MEMO: "OrderedDict[SyntheticSpec, Trace]" = OrderedDict()
+_TRACE_MEMO_LOCK = threading.Lock()
 _TRACE_MEMO_ENTRIES = 8
 _TRACE_MEMO_MAX_REQUESTS = 200_000
 
@@ -583,16 +588,16 @@ def generate_trace(spec: SyntheticSpec, *, memo: bool = True) -> Trace:
     """
     if not memo or spec.requests > _TRACE_MEMO_MAX_REQUESTS:
         return VDIWorkloadGenerator(spec).generate()
-    cached = _TRACE_MEMO.get(spec)
-    if cached is not None:
-        _TRACE_MEMO.move_to_end(spec)
-        return cached
-    trace = VDIWorkloadGenerator(spec).generate()
-    for arr in (trace.times, trace.ops, trace.offsets, trace.sizes):
-        arr.setflags(write=False)
-    _TRACE_MEMO[spec] = trace
-    while len(_TRACE_MEMO) > _TRACE_MEMO_ENTRIES:
-        _TRACE_MEMO.popitem(last=False)
+    with _TRACE_MEMO_LOCK:
+        cached = _TRACE_MEMO.get(spec)
+        if cached is not None:
+            _TRACE_MEMO.move_to_end(spec)
+            return cached
+    trace = VDIWorkloadGenerator(spec).generate().freeze()
+    with _TRACE_MEMO_LOCK:
+        _TRACE_MEMO[spec] = trace
+        while len(_TRACE_MEMO) > _TRACE_MEMO_ENTRIES:
+            _TRACE_MEMO.popitem(last=False)
     return trace
 
 

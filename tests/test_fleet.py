@@ -8,6 +8,7 @@ from repro.errors import ConfigError, ReproError
 from repro.experiments.runner import run_trace
 from repro.fleet import (
     FleetConfig,
+    PlanCache,
     aggregate_qos,
     compose_shards,
     fleet_summary,
@@ -154,6 +155,143 @@ class TestComposer:
         cfg = FleetConfig(shards=1, tenants=10**6, requests_per_tenant=1)
         with pytest.raises(ConfigError, match="do not fit"):
             compose_shards(cfg, ssd_cfg)
+
+
+class TestPlanCache:
+    def test_cached_plans_equal_fresh_ones(self, fleet_cfg, ssd_cfg, plans):
+        cache = PlanCache()
+        first = cache.compose(fleet_cfg, ssd_cfg)
+        again = cache.compose(fleet_cfg, ssd_cfg)
+        assert again is first  # no second composition
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        assert len(first) == len(plans)
+        for cached, fresh in zip(first, plans):
+            assert cached.shard_id == fresh.shard_id
+            assert cached.tenant_ids == fresh.tenant_ids
+            assert cached.boundaries == fresh.boundaries
+            assert cached.slice_sectors == fresh.slice_sectors
+            assert cached.trace.name == fresh.trace.name
+            for name in ("times", "ops", "offsets", "sizes"):
+                a = getattr(cached.trace, name)
+                b = getattr(fresh.trace, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_cached_arrays_are_read_only(self, fleet_cfg, ssd_cfg):
+        cache = PlanCache()
+        for plan in cache.compose(fleet_cfg, ssd_cfg):
+            with pytest.raises(ValueError):
+                plan.trace.offsets[:1] = 0
+            with pytest.raises(ValueError):
+                plan.trace.times[:1] = 0.0
+
+    def test_run_keys_identical(self, fleet_cfg, ssd_cfg, plans):
+        from repro.experiments.parallel import RunSpec
+
+        def keys(some_plans):
+            return [
+                RunSpec.make(
+                    fleet_cfg.scheme, p.trace, ssd_cfg,
+                    SimConfig(qos_streams=p.boundaries),
+                ).key()
+                for p in some_plans
+            ]
+
+        cache = PlanCache()
+        cache.compose(fleet_cfg, ssd_cfg)
+        assert keys(cache.compose(fleet_cfg, ssd_cfg)) == keys(plans)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 8}, {"tenants": 5}, {"requests_per_tenant": 61},
+    ])
+    def test_changed_fleet_misses(self, fleet_cfg, ssd_cfg, change):
+        import dataclasses
+
+        cache = PlanCache()
+        cache.compose(fleet_cfg, ssd_cfg)
+        cache.compose(dataclasses.replace(fleet_cfg, **change), ssd_cfg)
+        assert cache.stats() == {"hits": 0, "misses": 2, "entries": 2}
+
+    def test_changed_device_misses(self, fleet_cfg, ssd_cfg):
+        cache = PlanCache()
+        a = cache.compose(fleet_cfg, ssd_cfg)
+        b = cache.compose(fleet_cfg, ssd_cfg.replace(page_size_bytes=4096))
+        assert cache.stats()["misses"] == 2
+        assert a[0].boundaries != b[0].boundaries
+
+    def test_entry_cap_evicts_least_recent(self, ssd_cfg):
+        cache = PlanCache(max_entries=2)
+        cfgs = [
+            FleetConfig(shards=1, tenants=2, requests_per_tenant=10, seed=s)
+            for s in range(3)
+        ]
+        cache.compose(cfgs[0], ssd_cfg)
+        cache.compose(cfgs[1], ssd_cfg)
+        cache.compose(cfgs[0], ssd_cfg)  # cfgs[1] is now the oldest
+        cache.compose(cfgs[2], ssd_cfg)
+        assert cache.stats()["entries"] == 2
+        cache.compose(cfgs[0], ssd_cfg)
+        assert cache.stats()["hits"] == 2
+        cache.compose(cfgs[1], ssd_cfg)
+        assert cache.stats()["misses"] == 4
+
+    def test_request_cap_evicts_and_refuses(self, ssd_cfg):
+        small = [
+            FleetConfig(shards=1, tenants=2, requests_per_tenant=20, seed=s)
+            for s in range(3)
+        ]
+        # two tenants x 20 requests = 40 a fleet: two fit under 100
+        cache = PlanCache(max_entries=8, max_requests=100)
+        for cfg in small:
+            cache.compose(cfg, ssd_cfg)
+        assert cache.stats()["entries"] == 2
+        cache.compose(small[2], ssd_cfg)
+        assert cache.stats()["hits"] == 1
+        # a fleet over the cap on its own is composed, never kept
+        big = FleetConfig(shards=1, tenants=2, requests_per_tenant=80)
+        plans = cache.compose(big, ssd_cfg)
+        assert sum(len(p.trace) for p in plans) > 100
+        assert cache.stats()["entries"] == 2
+        cache.compose(big, ssd_cfg)
+        assert cache.stats()["hits"] == 1
+
+    def test_threads_share_one_cache(self, fleet_cfg, ssd_cfg):
+        import sys
+        import threading
+
+        cache = PlanCache(max_entries=2)
+        cfgs = [
+            FleetConfig(shards=1, tenants=2, requests_per_tenant=5, seed=s)
+            for s in range(4)
+        ]
+        errors = []
+
+        def worker(n):
+            try:
+                for i in range(40):
+                    cfg = cfgs[(n + i) % len(cfgs)]
+                    (plan,) = cache.compose(cfg, ssd_cfg)
+                    if len(plan.trace) != 10:
+                        errors.append("wrong plan")
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        stats = cache.stats()
+        assert stats["entries"] <= 2
+        assert stats["hits"] + stats["misses"] == 8 * 40
 
 
 class TestQos:

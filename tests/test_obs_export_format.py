@@ -15,6 +15,7 @@ from repro.obs.export import (
     attribution_prometheus_text,
     json_snapshot,
     prometheus_text,
+    stats_prometheus_text,
 )
 from repro.sim.engine import Simulator
 from repro.traces.synthetic import SyntheticSpec, VDIWorkloadGenerator
@@ -86,6 +87,37 @@ def _counters():
 class TestExpositionLint:
     def test_counter_text_is_clean(self):
         assert lint_exposition(prometheus_text(_counters())) == []
+
+    def test_serve_stats_text_is_clean(self, tmp_path):
+        """``GET /metrics``: all four ``/stats`` sections, every family
+        named, typed and helped once."""
+        from repro.experiments.parallel import ResultStore
+        from repro.fleet.service import FleetService
+
+        stats = FleetService(ResultStore(tmp_path)).stats()
+        text = stats_prometheus_text(stats)
+        assert lint_exposition(text) == []
+        samples = [
+            line.split()[0] for line in text.splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(samples) == sum(len(section) for section in stats.values())
+        assert len(set(samples)) == len(samples)
+        types = {
+            line.split()[2]: line.split()[3]
+            for line in text.splitlines() if line.startswith("# TYPE ")
+        }
+        gauges = {name for name, t in types.items() if t == "gauge"}
+        assert gauges == {
+            "repro_store_inflight", "repro_pool_workers", "repro_plans_entries"
+        }
+        for name in set(types) - gauges:
+            assert name.endswith("_total"), name
+        # a family without its own HELP text would fall back to its key
+        keys = {k for section in stats.values() for k in section}
+        for line in text.splitlines():
+            if line.startswith("# HELP "):
+                assert line.split(" ", 3)[3] not in keys, line
 
     def test_gauges_and_chip_labels_are_clean(self):
         import numpy as np

@@ -102,6 +102,42 @@ class TestRunKey:
         other.sizes[0] += 1
         assert trace_fingerprint(other) != trace_fingerprint(trace)
 
+    def test_trace_hashed_once_per_spec(
+        self, tiny_setup, tmp_path, monkeypatch
+    ):
+        """get / put / execute_runs between them ask for a spec's key
+        five or more times; the trace is hashed once."""
+        from repro.experiments import parallel
+
+        calls = []
+
+        def counting(trace):
+            calls.append(trace.name)
+            return trace_fingerprint(trace)
+
+        monkeypatch.setattr(parallel, "trace_fingerprint", counting)
+        store = ResultStore(tmp_path / "store")
+        specs = _specs(tiny_setup, ["ftl", "across"])
+        assert store.get(specs[0]) is None
+        execute_runs(specs + [specs[0]], store=store)
+        assert store.get(specs[0]) is not None
+        assert specs[0] in store
+        store.put(specs[1], store.get(specs[1]))
+        assert len(calls) == len(specs)
+        assert specs[0].key() == run_key(
+            "ftl", specs[0].trace, specs[0].cfg, specs[0].sim_cfg
+        )
+
+    def test_cached_key_survives_pickle_and_not_replace(self, tiny_setup):
+        import dataclasses
+        import pickle
+
+        (spec,) = _specs(tiny_setup, ["ftl"])
+        key = spec.key()
+        assert pickle.loads(pickle.dumps(spec)).key() == key
+        other = dataclasses.replace(spec, scheme="mrsm")
+        assert other.key() != key
+
 
 class TestReportRoundTrip:
     def test_from_dict_equals_original(self, tiny_setup):
@@ -163,6 +199,34 @@ class TestResultStore:
         doc["key"] = "0" * 64
         store.path_for(spec).write_text(json.dumps(doc))
         assert store.get(spec) is None
+
+    def test_compact_file_is_plain_json(self, tiny_setup, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        (spec,) = _specs(tiny_setup, ["ftl"])
+        execute_runs([spec], store=store)
+        text = store.path_for(spec).read_text()
+        assert "\n" not in text
+        doc = json.loads(text)
+        assert doc["store_version"] == ResultStore.STORE_VERSION
+        assert doc["key"] == spec.key()
+
+    def test_indented_file_of_earlier_commits_still_loads(
+        self, tiny_setup, tmp_path
+    ):
+        """Stores written before the compact encoder used
+        ``json.dump(doc, fh, indent=1)``; same document, same version."""
+        store = ResultStore(tmp_path / "store")
+        (spec,) = _specs(tiny_setup, ["ftl"])
+        (report,) = execute_runs([spec], store=store).reports
+        path = store.path_for(spec)
+        doc = json.loads(path.read_text())
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+        assert path.read_text().count("\n") > 10
+        again = ResultStore(tmp_path / "store")
+        assert again.get(spec).to_dict() == report.to_dict()
+        out = execute_runs([spec], store=again)
+        assert out.executed == 0 and out.cached == 1
 
     def test_index_and_len(self, tiny_setup, tmp_path):
         store = ResultStore(tmp_path / "store")

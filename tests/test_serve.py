@@ -99,6 +99,26 @@ class TestFleetRequests:
         assert second["digest"] == first["digest"]
         assert second["tenants"] == first["tenants"]
 
+    def test_plan_cache_hit_keeps_digest(self, service, tmp_path):
+        """The second reply comes from the plan cache and the store, the
+        third from a service that has neither: one digest."""
+        first = service.handle_request(FLEET_REQ)
+        second = service.handle_request(FLEET_REQ)
+        assert service.stats()["plans"] == {
+            "hits": 1, "misses": 1, "entries": 1
+        }
+        fresh = FleetService(ResultStore(tmp_path / "other"), device=TINY)
+        third = fresh.handle_request(FLEET_REQ)
+        assert third["executed"] == len(first["shards"])
+        assert first["digest"] == second["digest"] == third["digest"]
+        assert first["tenants"] == second["tenants"] == third["tenants"]
+
+    def test_in_process_service_never_spawns(self, service):
+        service.handle_request(FLEET_REQ)
+        assert service.stats()["pool"] == {
+            "spawns": 0, "workers": 0, "tasks": 0, "rebuilds": 0
+        }
+
     def test_stats_accumulate(self, service):
         service.handle_request(FLEET_REQ)
         service.handle_request(FLEET_REQ)
@@ -139,7 +159,7 @@ class TestHttpServer:
     def test_stats_route(self, server):
         with urllib.request.urlopen(server + "/stats", timeout=30) as r:
             doc = json.load(r)
-        assert "service" in doc and "store" in doc
+        assert set(doc) == {"service", "store", "pool", "plans"}
 
     def test_metrics_route(self, server):
         with urllib.request.urlopen(server + "/metrics", timeout=30) as r:

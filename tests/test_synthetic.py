@@ -78,6 +78,60 @@ class TestDeterminism:
         assert not np.array_equal(a.offsets, b.offsets)
 
 
+class TestMemoUnderThreads:
+    def test_hammer_from_eight_threads(self):
+        """``repro serve`` generates from several request threads.  Two
+        more specs than the memo holds, drawn at random, so most calls
+        hit and the rest evict: unguarded, a thread that hit a key
+        another thread evicts a moment later dies in ``move_to_end``
+        with ``KeyError``.  No thread may raise, and every trace equals
+        ``memo=False``."""
+        import random
+        import sys
+        import threading
+
+        from repro.traces.synthetic import _TRACE_MEMO, _TRACE_MEMO_ENTRIES
+
+        def arrays(t):
+            return [a.tobytes() for a in (t.times, t.ops, t.offsets, t.sizes)]
+
+        # tiny traces: the time goes into the memo, not the generator
+        specs = [
+            spec(requests=2, seed=s) for s in range(_TRACE_MEMO_ENTRIES + 2)
+        ]
+        want = {s: arrays(generate_trace(s, memo=False)) for s in specs}
+        errors = []
+        gate = threading.Barrier(8)
+
+        def worker(n):
+            rng = random.Random(n)
+            try:
+                gate.wait(timeout=30)
+                for _ in range(6000):
+                    s = rng.choice(specs)
+                    if arrays(generate_trace(s)) != want[s]:
+                        errors.append(f"trace for seed {s.seed} differs")
+                        return
+            except Exception as exc:  # what the test is looking for
+                errors.append(repr(exc)[:80])
+
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(_TRACE_MEMO) <= _TRACE_MEMO_ENTRIES
+
+
 class TestAcrossSiteDynamics:
     def test_sites_reused(self):
         gen = VDIWorkloadGenerator(spec(site_reuse=0.9))
