@@ -3,10 +3,14 @@
 
 DRAM mapping tables vanish on power loss; a real FTL rebuilds them by
 scanning the out-of-band records of every valid flash page.  This demo
-runs a VDI workload under Across-FTL, "pulls the plug" (wipes the PMT,
-the across-page mapping table and the AIdx references), rebuilds from
-flash, and proves both the table state and the user data survive —
-including the re-aligned across-page areas.
+runs a VDI workload under Across-FTL, "pulls the plug" (loads the DRAM
+state of a device that has just powered on: empty PMT, across-page
+mapping table and AIdx references), rebuilds from flash, and proves
+both the table state and the user data survive — including the
+re-aligned across-page areas.  The before/after comparison is the
+FTL's own ``state()`` — the device-state seam behind aged-device images
+(docs/architecture.md) — so it covers every table the scheme keeps, not
+a list kept by hand here.
 
 Run:  python examples/power_loss_recovery.py [--requests N]
 """
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import time
+
+import numpy as np
 
 from repro import (
     SimConfig,
@@ -25,6 +31,16 @@ from repro import (
     Simulator,
 )
 from repro.flash.service import FlashService
+
+
+def same_table(a, b) -> bool:
+    """Equal as tables: rows of a dict-backed table may come back in
+    another order (the rebuild scans flash in physical-page order)."""
+    if isinstance(a, np.ndarray) and a.ndim == 2:
+        return np.array_equal(np.unique(a, axis=0), np.unique(b, axis=0))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 def main() -> None:
@@ -57,30 +73,26 @@ def main() -> None:
     )
 
     # --- power loss: all DRAM state gone -----------------------------
-    mapped_before = int((ftl.pmt >= 0).sum())
-    areas_before = {
-        e.aidx: (e.start, e.size, e.appn) for e in ftl.amt.entries()
-    }
-    ftl.pmt.fill(-1)
-    ftl.pmt_mask.fill(0)
-    ftl.amt.clear()
-    ftl.aidx_of_lpn.clear()
-    ftl._map_ppn.clear()
+    before = ftl.state()
+    ftl.load_state(make_ftl("across", FlashService(cfg)).state())
     print("\n*** power loss: PMT, AMT and AIdx references wiped ***")
+    assert not (ftl.pmt >= 0).any() and len(ftl.amt) == 0
 
     t0 = time.perf_counter()
     scanned = ftl.rebuild_from_flash()
     dt = time.perf_counter() - t0
-    areas_after = {
-        e.aidx: (e.start, e.size, e.appn) for e in ftl.amt.entries()
-    }
+    after = ftl.state()
     print(
         f"rebuild: scanned {scanned} valid pages in {dt:.2f}s -> "
         f"{int((ftl.pmt >= 0).sum())} mapped pages, "
         f"{len(ftl.amt)} across-page areas"
     )
-    assert int((ftl.pmt >= 0).sum()) == mapped_before
-    assert areas_after == areas_before
+    lost = [name for name in before if not same_table(before[name], after[name])]
+    for name in before:
+        print(f"  {name:<14} {'lost' if name in lost else 'recovered'}")
+    # AMT allocation history and the Fig. 8 statistics lived in DRAM
+    # only; every mapping table must come back from flash
+    assert set(lost) <= {"amt_free", "amt_alloc", "across_stats"}, lost
     ftl.check_invariants()
 
     # every sector the oracle knows must read back with its newest stamp

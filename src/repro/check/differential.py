@@ -21,9 +21,15 @@ digests cannot:
   (:mod:`repro.ftl.gc_policy`) reshuffles *where* data lives and *when*
   it migrates, never *what* a read returns: replaying under any policy
   must yield the default-policy leg's oracle read digest.
+* **Aged-device image** — a device filled from its cached image
+  (:mod:`repro.sim.image`) must be the aged device, field by field of
+  the device-state seam, and replay to the report digest of the run
+  that aged for itself.  The oracle and the checker keep state outside
+  the seam, so this one leg runs without them (and only on an aged
+  configuration).
 
-Every replay runs with the runtime invariant checker enabled, so a
-sweep violation or oracle mismatch inside any leg is reported as a
+Every other replay runs with the runtime invariant checker enabled, so
+a sweep violation or oracle mismatch inside any leg is reported as a
 failure too.  :func:`~repro.check.fuzz.run_fuzz` feeds this harness
 random workloads; a plain :func:`differential_replay` call is the
 point-run entry (``repro check``).
@@ -45,7 +51,7 @@ class ReplayFailure:
 
     #: "invariant" | "oracle" | "error" | "scheme-divergence" |
     #: "cache-divergence" | "jobs-divergence" | "frontend-divergence" |
-    #: "qd-divergence" | "policy-divergence"
+    #: "qd-divergence" | "policy-divergence" | "image-divergence"
     kind: str
     #: scheme the failure occurred in (None for cross-run comparisons)
     scheme: str | None
@@ -159,7 +165,12 @@ def differential_replay(
     and shape wear but must never change returned sector versions, so
     each policy leg's oracle read digest must match the default-policy
     leg exactly ("policy-divergence" otherwise).
+
+    On an aged configuration the image leg (:func:`_compare_image`)
+    runs too, over the same schemes, policies and replay loops
+    ("image-divergence").
     """
+    base_sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
     sim_cfg = checked_sim_cfg(sim_cfg, every=every, attribution=attribution)
     result = DifferentialResult(trace_name=trace.name)
 
@@ -278,7 +289,74 @@ def differential_replay(
         result.failures.extend(
             _compare_jobs(trace, cfg, sim_cfg, result.reports, jobs)
         )
+    result.failures.extend(
+        _compare_image(
+            trace, cfg, base_sim_cfg, schemes, policies,
+            frontend or bool(qd_sweep),
+        )
+    )
     return result
+
+
+def _compare_image(trace, cfg, sim_cfg, schemes, policies, frontend):
+    """Age a device for real, fill a second one from the image that
+    left behind, and demand the same device state and the same report
+    digest — per scheme, per GC policy and per replay loop."""
+    from ..experiments.benchgate import report_digest
+    from ..flash.service import FlashService
+    from ..ftl import make_ftl
+    from ..sim.engine import Simulator
+    from ..sim.image import IMAGES, device_state, state_diff
+
+    if sim_cfg.aged_used <= 0.0:
+        return []
+    plain = replace(sim_cfg, check_oracle=False, progress=False)
+    plain = plain.replace_check(enabled=False)
+    loops = [plain]
+    if frontend:
+        loops.append(plain.replace_frontend(enabled=True))
+    failures: list[ReplayFailure] = []
+
+    def fail(scheme, where, detail):
+        failures.append(
+            ReplayFailure("image-divergence", scheme, f"({where}) {detail}")
+        )
+
+    for policy in (cfg.gc_policy, *policies):
+        pol_cfg = cfg.replace(gc_policy=policy)
+        for loop_cfg in loops:
+            loop = "frontend" if loop_cfg.frontend.enabled else "sequential"
+            where = f"gc={policy}, {loop}"
+            for scheme in schemes:
+                IMAGES.clear()  # the reference ages for itself
+                sims = []
+                for _ in range(2):
+                    sim = Simulator(
+                        make_ftl(scheme, FlashService(pol_cfg)), loop_cfg
+                    )
+                    sim.age_device()
+                    sims.append(sim)
+                built, restored = sims
+                if built.host["image"] == "bypass":
+                    continue  # fault injection: outside the seam
+                if restored.host["image"] != "memory":
+                    fail(scheme, where, "the aged device left no image")
+                    continue
+                diff = state_diff(
+                    device_state(built.ftl), device_state(restored.ftl)
+                )
+                if diff:
+                    fail(scheme, where, f"restored state differs in {diff}")
+                    continue
+                want = report_digest(built.run(trace))
+                got = report_digest(restored.run(trace))
+                if want != got:
+                    fail(
+                        scheme, where,
+                        f"report digest differs: {want[:12]} (aged) vs "
+                        f"{got[:12]} (restored)",
+                    )
+    return failures
 
 
 def _compare_jobs(trace, cfg, sim_cfg, serial_reports, jobs):

@@ -183,7 +183,7 @@ class InvariantChecker:
                 f"bad={bool(arr.is_bad[extra[0]])})"
             )
         if pooled_arr.size:
-            states = arr.state.reshape(-1, geom.pages_per_block)[pooled_arr]
+            states = arr.page_state.reshape(-1, geom.pages_per_block)[pooled_arr]
             if (states != PAGE_FREE).any():
                 bad = int(pooled_arr[(states != PAGE_FREE).any(axis=1)][0])
                 raise InvariantViolation(
@@ -232,7 +232,7 @@ class InvariantChecker:
 
     def _check_reachability(self) -> None:
         arr = self.array
-        state = arr.state
+        state = arr.page_state
         owners: dict[int, str] = {}
         for ppn, owner in self.ftl.referenced_ppns():
             prior = owners.get(ppn)

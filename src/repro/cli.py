@@ -96,6 +96,14 @@ def _store(args):
     return ResultStore(args.store)
 
 
+def _print_images(images) -> None:
+    """``images: N built, M restored`` on stderr (stdout stays the
+    command's table): how the sweep's aged devices were obtained."""
+    from .experiments.parallel import images_line
+
+    print(images_line(images), file=sys.stderr)
+
+
 def _add_fault_sweep(p: argparse.ArgumentParser) -> None:
     """Shared fault-intensity sweep axis (``faults`` and ``endure``)."""
     p.add_argument("--levels", type=float, nargs="+",
@@ -394,6 +402,7 @@ def cmd_compare(args) -> int:
         store=_store(args),
         progress=getattr(args, "progress", False),
     )
+    _print_images(outcome.images)
     reports = dict(zip(SCHEMES, outcome.reports))
     io = normalize({s: r.total_io_ms for s, r in reports.items()})
     er = normalize({s: float(max(1, r.erase_count)) for s, r in reports.items()})
@@ -513,6 +522,7 @@ def cmd_endure(args) -> int:
         ROW_HEADERS,
         res.rows(),
     ))
+    _print_images(res.images)
     return 0
 
 
@@ -663,6 +673,7 @@ def cmd_figures(args) -> int:
         print()
         if out:
             (out / f"{name}.txt").write_text(result.rendered + "\n")
+    _print_images(ctx.images)
     return 0
 
 

@@ -27,7 +27,7 @@ union is exactly the set of sectors ever written.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -558,6 +558,33 @@ class AcrossFTL(BaseFTL):
         entry.appn = new_ppn
         self.service.invalidate(old_ppn)
         return finish
+
+    # ==================================================================
+    # device-state seam
+    # ==================================================================
+    def state(self) -> dict:
+        """Base tables plus the AIdx references (flat mirror and the
+        dict, in order), the AMT and the across statistics."""
+        s = super().state()
+        s.update(self.amt.state())
+        s.update(
+            aidx=self.aidx.copy(),
+            aidx_of_lpn=np.array(
+                list(self.aidx_of_lpn.items()), np.int64
+            ).reshape(-1, 2),
+            across_stats=asdict(self.across_stats),
+        )
+        return s
+
+    def load_state(self, s: dict) -> None:
+        """Base tables plus the across tables, in place."""
+        super().load_state(s)
+        self.amt.load_state(s)
+        self.aidx[:] = s["aidx"]
+        self.aidx_of_lpn.clear()
+        self.aidx_of_lpn.update(map(tuple, s["aidx_of_lpn"].tolist()))
+        for name, value in s["across_stats"].items():
+            setattr(self.across_stats, name, value)
 
     # ==================================================================
     # power-loss recovery

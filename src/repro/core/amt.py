@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from ..errors import MappingError
 
 #: modelled bytes per AMT entry (AIdx back-ref, Off, Size, APPN — Fig. 5)
@@ -112,6 +114,28 @@ class AcrossMappingTable:
             raise MappingError(f"double release of AMT index {aidx}")
         del self._entries[aidx]
         self._free.append(aidx)
+
+    def state(self) -> dict:
+        """Live entries as ``(aidx, lpn0, start, size, appn)`` rows in
+        dict order, the free list in order, and the allocation tallies
+        — the device-state seam, docs/architecture.md."""
+        rows = [
+            (e.aidx, e.lpn0, e.start, e.size, e.appn)
+            for e in self._entries.values()
+        ]
+        return {
+            "amt_entries": np.array(rows, np.int64).reshape(-1, 5),
+            "amt_free": np.array(self._free, np.int64),
+            "amt_alloc": [self._next, self.total_created, self.peak_live],
+        }
+
+    def load_state(self, s: dict) -> None:
+        """Overwrite the table with a :meth:`state` snapshot, in place."""
+        self._entries.clear()
+        for row in s["amt_entries"].tolist():
+            self._entries[row[0]] = AMTEntry(*row)
+        self._free[:] = s["amt_free"].tolist()
+        self._next, self.total_created, self.peak_live = s["amt_alloc"]
 
     def __len__(self) -> int:
         return len(self._entries)

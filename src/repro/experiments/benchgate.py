@@ -138,12 +138,15 @@ def scenarios() -> tuple[Scenario, ...]:
 # ----------------------------------------------------------------------
 # digests
 # ----------------------------------------------------------------------
+def strip_volatile(doc: dict) -> dict:
+    """A ``SimulationReport.to_dict()`` document without its volatile
+    (wall-clock) keys — the form every digest is taken over."""
+    return {k: v for k, v in doc.items() if k not in _VOLATILE_KEYS}
+
+
 def canonical_report_dict(report: SimulationReport) -> dict:
     """``report.to_dict()`` with volatile (wall-clock) keys removed."""
-    doc = report.to_dict()
-    for key in _VOLATILE_KEYS:
-        doc.pop(key, None)
-    return doc
+    return strip_volatile(report.to_dict())
 
 
 def report_digest(report: SimulationReport) -> str:
@@ -200,11 +203,13 @@ def measure(
     """Run every pinned scenario; returns the bench document.
 
     The whole suite runs ``passes`` times — each pass identical to a
-    single-shot run, including a cleared trace memo so every pass pays
-    the same generation cost — and each scenario keeps its best wall.
+    single-shot run, including a cleared trace memo and aged-device
+    image cache so every pass pays the same generation and aging cost —
+    and each scenario keeps its best wall.
     Simulation is deterministic, so the repeats double as a free
     determinism check: a digest that changes between passes is a bug
     and raises immediately."""
+    from ..sim.image import IMAGES
     from ..traces.synthetic import _TRACE_MEMO
 
     calibration = calibrate()
@@ -212,6 +217,7 @@ def measure(
     order: list[str] = []
     for rep in range(max(1, passes)):
         _TRACE_MEMO.clear()
+        IMAGES.clear()
         for sc in scenarios():
             if progress is not None:
                 progress(f"running {sc.name} (pass {rep + 1}) ...")

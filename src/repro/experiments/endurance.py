@@ -22,8 +22,8 @@ report's ``extra`` block and survive the store round trip.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 from ..config import GC_POLICIES, FaultConfig, SSDConfig, SimConfig
 from ..metrics.report import SimulationReport
@@ -108,6 +108,11 @@ class EnduranceResult:
     scheme: str
     trace_name: str
     cells: tuple[EnduranceCell, ...]
+    #: where the executed cells' aged devices came from
+    #: (:attr:`~repro.experiments.parallel.SweepOutcome.images`)
+    images: Mapping[str, int] = field(
+        default_factory=dict, compare=False, hash=False
+    )
 
     def rows(self) -> dict[str, list]:
         """``{label: row}`` for :func:`repro.cli.render_table`."""
@@ -182,4 +187,4 @@ def run_endurance(
     for policy in policies:
         for lvl in fault_levels:
             cells.append(EnduranceCell(policy, float(lvl), next(it)))
-    return EnduranceResult(scheme, trace.name, tuple(cells))
+    return EnduranceResult(scheme, trace.name, tuple(cells), outcome.images)

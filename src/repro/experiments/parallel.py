@@ -40,6 +40,7 @@ import re
 import sys
 import tempfile
 import threading
+from collections import Counter
 from concurrent.futures import BrokenExecutor, Future, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -60,6 +61,7 @@ __all__ = [
     "SweepOutcome",
     "WorkerPool",
     "execute_runs",
+    "images_line",
     "run_key",
     "run_filename",
     "sanitize_fragment",
@@ -207,19 +209,23 @@ class RunSpec:
         return self._key
 
 
-def _execute_spec(spec: RunSpec) -> SimulationReport:
+def _execute_spec(spec: RunSpec, image_dir=None) -> SimulationReport:
     """Run one spec on a fresh device (the worker entry point).
 
     Workers force ``progress`` off: with N processes interleaving on one
     stderr the per-run line would be garbage — the parent renders a
-    single sweep-level progress bar instead.
+    single sweep-level progress bar instead.  ``image_dir`` is the
+    store's aged-device image directory, if there is a store.
     """
     from .runner import run_trace  # deferred: runner imports this module
 
     sim_cfg = spec.sim_cfg
     if sim_cfg is not None and sim_cfg.progress:
         sim_cfg = dataclasses.replace(sim_cfg, progress=False)
-    return run_trace(spec.scheme, spec.trace, spec.cfg, sim_cfg, **spec.kwargs)
+    return run_trace(
+        spec.scheme, spec.trace, spec.cfg, sim_cfg,
+        image_dir=image_dir, **spec.kwargs,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +270,13 @@ class ResultStore:
 
     def _path(self, label: str, key: str) -> Path:
         return self.root / f"{label}__{key[: self.KEY_DIGITS]}.json"
+
+    @property
+    def image_dir(self) -> Path:
+        """Where runs against this store keep their aged-device images
+        (:mod:`repro.sim.image`); a subdirectory, so ``len()`` and
+        :meth:`index` never see it."""
+        return self.root / "images"
 
     # -- access ----------------------------------------------------------
     def _load(self, spec: RunSpec) -> Optional[dict]:
@@ -368,7 +381,11 @@ class ResultStore:
         computing thread fails, one waiter takes over (a deterministic
         failure then propagates to it too).
         """
-        run = runner if runner is not None else _execute_spec
+        run = (
+            runner
+            if runner is not None
+            else functools.partial(_execute_spec, image_dir=self.image_dir)
+        )
         key = spec.key()
         waited = False
         while True:
@@ -429,7 +446,9 @@ class ResultStore:
         return out
 
     def clear(self) -> int:
-        """Delete every stored run; returns how many were removed."""
+        """Delete every stored run, the aged-device images and the
+        orphan ``*.tmp`` files a killed writer leaves; returns how many
+        runs were removed."""
         n = 0
         for path in self.root.glob("*.json"):
             try:
@@ -437,6 +456,20 @@ class ResultStore:
                 n += 1
             except OSError:
                 pass
+        leftovers = [
+            *self.root.glob("*.tmp"),
+            *self.image_dir.glob("*.npz"),
+            *self.image_dir.glob("*.tmp"),
+        ]
+        for path in leftovers:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        try:
+            self.image_dir.rmdir()
+        except OSError:
+            pass  # never created, or another process is writing to it
         return n
 
 
@@ -463,6 +496,12 @@ class SweepOutcome:
     #: ``(RunSpec.label, exception)`` of every failed spec, in
     #: completion order
     failures: list[tuple[str, BaseException]] = field(default_factory=list)
+    #: where the executed runs' aged devices came from
+    #: (``SimulationReport.host["image"]``): built / memory / disk /
+    #: bypass -> count
+    images: Counter = field(default_factory=Counter)
+    #: wall seconds the executed runs spent in ``age_device``, summed
+    age_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -483,6 +522,18 @@ class SweepOutcome:
 
     def __getitem__(self, i):
         return self.reports[i]
+
+
+def images_line(images: Mapping[str, int]) -> str:
+    """The one-line summary of :attr:`SweepOutcome.images` the CLI
+    prints: ``images: N built, M restored[, K bypassed]``."""
+    line = (
+        f"images: {images.get('built', 0)} built, "
+        f"{images.get('memory', 0) + images.get('disk', 0)} restored"
+    )
+    if images.get("bypass"):
+        line += f", {images['bypass']} bypassed"
+    return line
 
 
 def _sweep_progress(done: int, total: int, label: str, final: bool = False):
@@ -614,6 +665,7 @@ def execute_runs(
         )
     specs = list(specs)
     out = SweepOutcome(reports=[None] * len(specs))
+    image_dir = store.image_dir if store is not None else None
     pending: list[int] = []
     for i, spec in enumerate(specs):
         report = None
@@ -636,6 +688,8 @@ def execute_runs(
     def _finish(i: int, report: SimulationReport) -> None:
         out.reports[i] = report
         out.executed += 1
+        out.images[report.host.get("image", "bypass")] += 1
+        out.age_s += report.host.get("age_s", 0.0)
         if store is not None:
             store.put(specs[i], report)
 
@@ -671,7 +725,7 @@ def execute_runs(
 
     def _run_leader_inprocess(i: int) -> None:
         try:
-            report = _execute_spec(specs[i])
+            report = _execute_spec(specs[i], image_dir)
         except Exception as exc:
             _fail(i, exc)
         else:
@@ -686,7 +740,8 @@ def execute_runs(
             else nullcontext(pool)
         ) as workers:
             futures = {
-                workers.submit(_execute_spec, specs[i]): i for i in leaders
+                workers.submit(_execute_spec, specs[i], image_dir): i
+                for i in leaders
             }
             for fut in as_completed(futures):
                 i = futures[fut]

@@ -11,6 +11,7 @@ persisted by earlier sessions (see :mod:`repro.experiments.parallel`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..config import SCHEMES, SimConfig, SSDConfig
@@ -28,12 +29,17 @@ def run_trace(
     trace: Trace,
     cfg: SSDConfig,
     sim_cfg: SimConfig | None = None,
+    *,
+    image_dir=None,
     **ftl_kw,
 ) -> SimulationReport:
-    """Simulate one trace under one scheme on a fresh device."""
+    """Simulate one trace under one scheme on a fresh device.
+
+    ``image_dir`` names the on-disk tier of the aged-device image cache
+    (:mod:`repro.sim.image`; ``execute_runs`` passes its store's)."""
     service = FlashService(cfg)
     ftl = make_ftl(scheme, service, **ftl_kw)
-    sim = Simulator(ftl, sim_cfg)
+    sim = Simulator(ftl, sim_cfg, image_dir=image_dir)
     return sim.run(trace)
 
 
@@ -72,6 +78,9 @@ class ExperimentContext:
     store: ResultStore | None = None
     #: render a sweep-level progress line while fanning out
     progress: bool = False
+    #: where the aged devices of this session's executed runs came from
+    #: (:attr:`SweepOutcome.images`, summed over every batch)
+    images: Counter = field(default_factory=Counter)
     _traces: dict[str, Trace] = field(default_factory=dict)
     _runs: dict[tuple, SimulationReport] = field(default_factory=dict)
 
@@ -141,6 +150,7 @@ class ExperimentContext:
         if key not in self._runs:
             spec = self._spec(trace_name, scheme, page, ftl_kw)
             outcome = execute_runs([spec], jobs=1, store=self.store)
+            self.images.update(outcome.images)
             self._runs[key] = outcome.reports[0]
         return self._runs[key]
 
@@ -170,6 +180,7 @@ class ExperimentContext:
             outcome = execute_runs(
                 specs, jobs=self.jobs, store=self.store, progress=self.progress
             )
+            self.images.update(outcome.images)
             for p, report in zip(missing, outcome.reports):
                 self._runs[self._memo_key(*p)] = report
         return [self._runs[self._memo_key(*p)] for p in normal]

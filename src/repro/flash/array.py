@@ -9,7 +9,7 @@ per-block table is a plain Python buffer — ``bytearray`` for byte-wide
 state, :class:`array.array` for counters — because scalar indexing of
 those is several times faster than numpy scalar indexing, and the
 per-page operations here are the innermost loop of the whole simulator.
-The public numpy attributes (``state``, ``write_ptr``, ``valid_count``,
+The public numpy attributes (``page_state``, ``write_ptr``, ``valid_count``,
 ``erase_count``, ``last_mod``, ``is_bad``) are **zero-copy views** over
 the same buffers (``np.frombuffer``), so vectorised consumers — GC
 victim selection, wear statistics, observability samplers, tests — read
@@ -66,7 +66,7 @@ class FlashArray:
         # zero-copy numpy views over the same memory (vectorised readers
         # and writers — GC, wear stats, samplers, tests — see every
         # scalar mutation instantly, and vice versa)
-        self.state = np.frombuffer(self._state, dtype=np.uint8)
+        self.page_state = np.frombuffer(self._state, dtype=np.uint8)
         #: next page index to program, per global block
         self.write_ptr = np.frombuffer(self._write_ptr, dtype=np.int32)
         #: number of VALID pages, per global block
@@ -247,12 +247,67 @@ class FlashArray:
         return self._meta.items()
 
     # ------------------------------------------------------------------
+    # device-state seam (docs/architecture.md)
+    # ------------------------------------------------------------------
+    def state(self) -> dict:
+        """Everything mutable, as copied flat arrays: page states, the
+        per-block tables, tallies, each plane's free-block deque in
+        order, and the page metadata encoded into per-kind columns."""
+        # deferred: repro.ftl imports this module while initialising
+        from ..ftl.meta import encode_metas
+
+        free = self._free_blocks
+        out = {
+            "page_state": self.page_state.copy(),
+            "write_ptr": self.write_ptr.copy(),
+            "valid_count": self.valid_count.copy(),
+            "erase_count": self.erase_count.copy(),
+            "last_mod": self.last_mod.copy(),
+            "is_bad": self.is_bad.copy(),
+            "tallies": np.array(
+                [self.mod_seq, self.total_programs, self.total_page_reads],
+                np.int64,
+            ),
+            "free_counts": np.array([len(q) for q in free], np.int64),
+            "free_blocks": np.array(
+                [b for q in free for b in q], np.int64
+            ),
+        }
+        out.update(encode_metas(self._meta))
+        return out
+
+    def load_state(self, s: dict) -> None:
+        """Overwrite this array with a :meth:`state` snapshot, in place:
+        the raw buffers, their numpy views and the free-block deques are
+        bound elsewhere (allocator, GC, kernels) and keep their
+        identity.  Nothing of ``s`` is aliased."""
+        from ..ftl.meta import decode_metas
+
+        self.page_state[:] = s["page_state"]
+        self.write_ptr[:] = s["write_ptr"]
+        self.valid_count[:] = s["valid_count"]
+        self.erase_count[:] = s["erase_count"]
+        self.last_mod[:] = s["last_mod"]
+        self.is_bad[:] = s["is_bad"]
+        self.mod_seq, self.total_programs, self.total_page_reads = s[
+            "tallies"
+        ].tolist()
+        blocks = s["free_blocks"].tolist()
+        pos = 0
+        for q, n in zip(self._free_blocks, s["free_counts"].tolist()):
+            q.clear()
+            q.extend(blocks[pos : pos + n])
+            pos += n
+        self._meta.clear()
+        self._meta.update(decode_metas(s))
+
+    # ------------------------------------------------------------------
     # invariants (used by tests and sanity sweeps)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Verify the block bookkeeping against the raw page states."""
         ppb = self.geom.pages_per_block
-        states = self.state.reshape(-1, ppb)
+        states = self.page_state.reshape(-1, ppb)
         valid = (states == PAGE_VALID).sum(axis=1)
         if not np.array_equal(valid, self.valid_count):
             bad = np.nonzero(valid != self.valid_count)[0][:5]

@@ -165,6 +165,23 @@ class ChipTimeline:
                 t = b
         return t
 
+    def state(self) -> dict:
+        """Copies of the per-chip and per-channel tables (the
+        device-state seam, docs/architecture.md)."""
+        return {
+            "busy_until": self.busy_until.copy(),
+            "busy_time": self.busy_time.copy(),
+            "op_count": self.op_count.copy(),
+            "bus_busy_until": self.bus_busy_until.copy(),
+        }
+
+    def load_state(self, s: dict) -> None:
+        """Overwrite the tables with a :meth:`state` snapshot, in place."""
+        self.busy_until[:] = s["busy_until"]
+        self.busy_time[:] = s["busy_time"]
+        self.op_count[:] = s["op_count"]
+        self.bus_busy_until[:] = s["bus_busy_until"]
+
     def utilization(self, horizon_ms: float) -> np.ndarray:
         """Per-chip busy fraction over ``[0, horizon_ms]``."""
         if horizon_ms <= 0:

@@ -26,7 +26,8 @@ The service is two layers:
 Wire protocol (all bodies JSON):
 
 * ``GET /healthz`` → ``{"ok": true}``
-* ``GET /stats`` → service, store, worker-pool and plan-cache counters
+* ``GET /stats`` → service, store, worker-pool, plan-cache and
+  aged-device image counters
 * ``GET /metrics`` → the same counters as Prometheus text
 * ``POST /simulate`` → dispatch on the payload's ``kind``:
 
@@ -45,12 +46,14 @@ import dataclasses
 import hashlib
 import json
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..config import SimConfig, SSDConfig, SCHEMES
 from ..errors import ConfigError, ReproError
+from ..experiments.benchgate import strip_volatile
 from ..experiments.parallel import (
     ResultStore,
     RunSpec,
@@ -142,6 +145,10 @@ class FleetService:
         self.jobs = jobs
         self._lock = threading.Lock()
         self._stats = ServiceStats()
+        #: where executed runs' aged devices came from
+        #: (``SimulationReport.host["image"]``), summed over the service
+        #: lifetime; guarded by the lock
+        self._images = Counter(built=0, memory=0, disk=0, bypass=0)
         self._pool = WorkerPool(jobs)
         self._plans = PlanCache()
 
@@ -163,15 +170,17 @@ class FleetService:
                 setattr(self._stats, k, getattr(self._stats, k) + v)
 
     def stats(self) -> dict:
-        """Service counters plus the store's, the worker pool's and the
-        plan cache's."""
+        """Service counters plus the store's, the worker pool's, the
+        plan cache's and the aged-device image tallies."""
         with self._lock:
             svc = dataclasses.asdict(self._stats)
+            images = dict(self._images)
         return {
             "service": svc,
             "store": self.store.stats(),
             "pool": self._pool.stats(),
             "plans": self._plans.stats(),
+            "images": images,
         }
 
     # -- request plumbing ------------------------------------------------
@@ -214,6 +223,8 @@ class FleetService:
             runs_cached_total=out.cached,
             runs_failed_total=len(out.failures),
         )
+        with self._lock:
+            self._images.update(out.images)
         return out
 
     # -- sweep requests --------------------------------------------------
@@ -253,6 +264,12 @@ class FleetService:
             s.label: (r.to_dict() if r is not None else None)
             for s, r in zip(specs, out.reports)
         }
+        # the digest covers what was simulated, not how long it took:
+        # two daemons (or one after a store wipe) must agree on it
+        stable = {
+            label: (strip_volatile(doc) if doc is not None else None)
+            for label, doc in results.items()
+        }
         return {
             "ok": out.ok,
             "kind": "sweep",
@@ -262,7 +279,7 @@ class FleetService:
                 {"label": label, "error": f"{type(e).__name__}: {e}"}
                 for label, e in out.failures
             ],
-            "digest": _canonical_digest(results),
+            "digest": _canonical_digest(stable),
             "results": results,
         }
 

@@ -47,7 +47,9 @@ def make_ftl(scheme: str, service, **kw):
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(schemes)}"
         ) from None
-    return cls(service, **kw)
+    ftl = cls(service, **kw)
+    ftl.ftl_kw = dict(kw)
+    return ftl
 
 
 __all__ = [

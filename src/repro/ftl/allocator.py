@@ -16,6 +16,8 @@ write amplification (exercised by ``bench_ablation_streams``).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import OutOfSpaceError
 from ..flash.service import FlashService
 
@@ -116,6 +118,27 @@ class WriteAllocator:
                 self._cursor = (idx + 1) % n
                 return ppn
         raise OutOfSpaceError("no free page in any plane")
+
+    def state(self) -> dict:
+        """Cursor and the active block per ``[stream][plane]`` (-1 =
+        none) — the device-state seam, docs/architecture.md."""
+        return {
+            "cursor": self._cursor,
+            "active": np.array(
+                [
+                    [-1 if b is None else b for b in per_plane]
+                    for per_plane in self._active
+                ],
+                np.int64,
+            ),
+        }
+
+    def load_state(self, s: dict) -> None:
+        """Overwrite cursor and active blocks with a :meth:`state`
+        snapshot (the per-stream lists keep their identity)."""
+        self._cursor = s["cursor"]
+        for per_plane, row in zip(self._active, s["active"].tolist()):
+            per_plane[:] = [None if b < 0 else b for b in row]
 
     def next_plane(self) -> int:
         """The plane the next :meth:`allocate` call will try first."""

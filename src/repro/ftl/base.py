@@ -135,6 +135,13 @@ class BaseFTL(ABC):
         #: dict per table: ``table_id -> {tvpn -> ppn}`` (no tuple keys
         #: rebuilt per map/unmap)
         self._map_ppn: dict[int, dict[int, int]] = {}
+        #: every mapping cache this scheme built, by table id (the
+        #: device-state seam walks them)
+        self.map_caches: dict[int, MappingCache] = {}
+        #: the keyword arguments :func:`repro.ftl.make_ftl` built this
+        #: FTL with — part of an aged-device image's key; None for a
+        #: directly constructed FTL, which is therefore never imaged
+        self.ftl_kw: dict | None = None
 
     # ------------------------------------------------------------------
     # host-facing API
@@ -351,7 +358,7 @@ class BaseFTL(ABC):
                 ppn, now, self._kind(OpKind.MAP), timed=timed
             )
 
-        return MappingCache(
+        cache = MappingCache(
             self.service,
             entries_per_page=entries_per_page,
             capacity_entries=capacity_entries,
@@ -360,6 +367,8 @@ class BaseFTL(ABC):
             touches_fn=touches_fn,
             table_id=table_id,
         )
+        self.map_caches[table_id] = cache
+        return cache
 
     # ------------------------------------------------------------------
     # normal (page-mapped) data path shared by schemes
@@ -649,6 +658,37 @@ class BaseFTL(ABC):
                     out[sec] = meta.payload[sec]
 
     # ------------------------------------------------------------------
+    # device-state seam (docs/architecture.md)
+    # ------------------------------------------------------------------
+    def state(self) -> dict:
+        """This scheme's DRAM tables as copied flat arrays: PMT, PMT
+        masks and the flash locations of spilled translation pages
+        (``map_tables`` keeps the table ids, an empty table included).
+        Schemes with more tables extend the dict."""
+        rows = [
+            (table_id, tvpn, ppn)
+            for table_id, table in self._map_ppn.items()
+            for tvpn, ppn in table.items()
+        ]
+        return {
+            "pmt": self.pmt.copy(),
+            "pmt_mask": self.pmt_mask.copy(),
+            "map_tables": list(self._map_ppn),
+            "map_ppn": np.array(rows, np.int64).reshape(-1, 3),
+        }
+
+    def load_state(self, s: dict) -> None:
+        """Overwrite the tables with a :meth:`state` snapshot, in place
+        (the raw buffers and dicts are bound by kernels and closures)."""
+        self.pmt[:] = s["pmt"]
+        self.pmt_mask[:] = s["pmt_mask"]
+        self._map_ppn.clear()
+        for table_id in s["map_tables"]:
+            self._map_ppn[table_id] = {}
+        for table_id, tvpn, ppn in s["map_ppn"].tolist():
+            self._map_ppn[table_id][tvpn] = ppn
+
+    # ------------------------------------------------------------------
     # power-loss recovery
     # ------------------------------------------------------------------
     def rebuild_from_flash(self) -> int:
@@ -712,7 +752,7 @@ class BaseFTL(ABC):
         if not lpns.size:
             return
         ppns = self.pmt[lpns]
-        stale = np.nonzero(arr.state[ppns] != PAGE_VALID)[0]
+        stale = np.nonzero(arr.page_state[ppns] != PAGE_VALID)[0]
         if stale.size:
             raise MappingError(
                 f"PMT[{int(lpns[stale[0]])}] -> invalid PPN "

@@ -105,6 +105,29 @@ class GarbageCollector:
         self.wear_migrations = 0
 
     # ------------------------------------------------------------------
+    #: the tallies of :meth:`state`, in order
+    _TALLIES = (
+        "collections", "migrated_pages", "stalls",
+        "slices", "deferrals", "wear_migrations",
+    )
+
+    def state(self) -> dict:
+        """Tallies and the partial policy's mid-way victims (policies
+        themselves keep no state) — the device-state seam,
+        docs/architecture.md."""
+        return {
+            "tallies": [getattr(self, name) for name in self._TALLIES],
+            "partial_victim": [list(kv) for kv in self._partial_victim.items()],
+        }
+
+    def load_state(self, s: dict) -> None:
+        """Overwrite the collector with a :meth:`state` snapshot."""
+        for name, value in zip(self._TALLIES, s["tallies"]):
+            setattr(self, name, value)
+        self._partial_victim.clear()
+        self._partial_victim.update(map(tuple, s["partial_victim"]))
+
+    # ------------------------------------------------------------------
     def _candidates(self, plane: int):
         """(lo, valid, eligible) arrays for a plane's blocks."""
         geom = self.service.geom

@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable
 
+import numpy as np
+
 from ..flash.service import FlashService
 from ..metrics.counters import OpKind
 from ..obs.events import CMTEvent
@@ -150,6 +152,28 @@ class MappingCache:
                 self._on_flash.add(tvpn)
                 self._cached[tvpn] = False
         return finish
+
+    # ------------------------------------------------------------------
+    def state(self) -> dict:
+        """Cached translation pages in LRU order with their dirty flags,
+        the flash-resident set and the tallies — the device-state seam,
+        docs/architecture.md."""
+        n = len(self._cached)
+        return {
+            "lru_tvpn": np.fromiter(self._cached, np.int64, n),
+            "lru_dirty": np.fromiter(self._cached.values(), np.bool_, n),
+            "on_flash": np.array(sorted(self._on_flash), np.int64),
+            "tallies": [self.hits, self.misses, self.evictions],
+        }
+
+    def load_state(self, s: dict) -> None:
+        """Overwrite the cache with a :meth:`state` snapshot (containers
+        keep their identity: the aging kernels bind them)."""
+        self._cached.clear()
+        self._cached.update(zip(s["lru_tvpn"].tolist(), s["lru_dirty"].tolist()))
+        self._on_flash.clear()
+        self._on_flash.update(s["on_flash"].tolist())
+        self.hits, self.misses, self.evictions = s["tallies"]
 
     @property
     def cached_pages(self) -> int:

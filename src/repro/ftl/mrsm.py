@@ -659,6 +659,49 @@ class MRSMFTL(BaseFTL):
         return finish
 
     # ------------------------------------------------------------------
+    # device-state seam
+    # ------------------------------------------------------------------
+    def state(self) -> dict:
+        """Base tables plus the region map and masks (each in dict
+        order) and the ever-fragmented LPN set."""
+        s = super().state()
+        n = len(self.region_map)
+        locs = np.array(list(self.region_map.values()), np.int64)
+        s.update(
+            region_map_key=np.fromiter(self.region_map, np.int64, n),
+            region_map_loc=locs.reshape(-1, 2),
+            region_mask_key=np.fromiter(
+                self.region_mask, np.int64, len(self.region_mask)
+            ),
+            region_mask=np.fromiter(
+                self.region_mask.values(), np.uint64, len(self.region_mask)
+            ),
+            ever_fragmented=np.array(sorted(self._ever_fragmented), np.int64),
+        )
+        return s
+
+    def load_state(self, s: dict) -> None:
+        """Base tables plus the region tables, in place."""
+        super().load_state(s)
+        locs = s["region_map_loc"]
+        self.region_map.clear()
+        self.region_map.update(
+            zip(
+                s["region_map_key"].tolist(),
+                zip(locs[:, 0].tolist(), locs[:, 1].tolist()),
+            )
+        )
+        self.region_mask.clear()
+        self.region_mask.update(
+            zip(s["region_mask_key"].tolist(), s["region_mask"].tolist())
+        )
+        self._ever_fragmented.clear()
+        self._ever_fragmented.update(s["ever_fragmented"].tolist())
+        # the memoised tree depth is valid for a table-size interval
+        # only: empty it so the next lookup recomputes from the new size
+        self._tt_lo, self._tt_hi = 0, -1
+
+    # ------------------------------------------------------------------
     # power-loss recovery
     # ------------------------------------------------------------------
     def _rebuild_reset(self) -> None:

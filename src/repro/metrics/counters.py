@@ -8,7 +8,7 @@ and DRAM access counts (Fig. 12b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 
@@ -239,6 +239,18 @@ class FlashOpCounters:
         out.gc_deferrals = int(d.get("gc_deferrals", 0))
         out.wear_migrations = int(d.get("wear_migrations", 0))
         return out
+
+    def load_state(self, d: dict) -> None:
+        """Overwrite this instance with a :meth:`snapshot`, in place:
+        the FTL, the mapping caches and the aging kernels hold this
+        object and its per-kind dicts by reference."""
+        src = FlashOpCounters.from_snapshot(d)
+        for f in fields(self):
+            value = getattr(src, f.name)
+            if isinstance(value, dict):
+                getattr(self, f.name).update(value)
+            else:
+                setattr(self, f.name, value)
 
     def merged_with(self, other: "FlashOpCounters") -> "FlashOpCounters":
         """Element-wise sum (used when aggregating multi-trace runs)."""

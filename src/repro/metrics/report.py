@@ -47,6 +47,13 @@ class SimulationReport:
     #: ``attribution``: None unless the feature was on, and then absent
     #: from :meth:`to_dict` output.
     streams: dict | None = None
+    #: Host-side facts about how the run was produced — ``age_s`` (wall
+    #: seconds in ``Simulator.age_device``) and ``image`` (where the
+    #: aged device came from: ``built``, ``memory``, ``disk`` or
+    #: ``bypass``).  Not a result: excluded from equality and from
+    #: :meth:`to_dict`, so digests and stored reports never see it; it
+    #: does survive the worker pickle, which is how a sweep tallies it.
+    host: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- headline metrics used by the figures ----------------------------
     @property

@@ -258,6 +258,7 @@ _STATS_SECTIONS = (
     ("store", "repro_store"),
     ("pool", "repro_pool"),
     ("plans", "repro_plans"),
+    ("images", "repro_images"),
 )
 
 #: the point-in-time values; everything else in ``/stats`` is monotonic
@@ -284,13 +285,17 @@ _STATS_HELP = {
     "repro_pool_rebuilds_total": "Worker pools replaced after a worker died",
     "repro_plans_hits_total": "Fleet requests whose shard plans were cached",
     "repro_plans_misses_total": "Fleet requests that composed their shard plans",
+    "repro_images_built_total": "Runs that aged their device and stored its image",
+    "repro_images_memory_total": "Runs whose aged device came from an in-process image",
+    "repro_images_disk_total": "Runs whose aged device came from an on-disk image",
+    "repro_images_bypass_total": "Runs outside the image cache (no aging, or an excluded mode)",
 }
 
 
 def stats_prometheus_text(stats: dict) -> str:
     """Render :meth:`repro.fleet.service.FleetService.stats` output
     (``{"service": {...}, "store": {...}, "pool": {...}, "plans":
-    {...}}``) for ``GET /metrics``.
+    {...}, "images": {...}}``) for ``GET /metrics``.
 
     Same exposition contract as :func:`prometheus_text`: ``repro_``
     prefix, counters end in ``_total``, one HELP/TYPE pair per family.

@@ -29,7 +29,7 @@ from ..cache.buffer import DataCache
 from ..config import SimConfig
 from ..errors import ConfigError, SimulationError
 from ..ftl.base import BaseFTL
-from ..metrics.counters import OpKind
+from ..metrics.counters import FlashOpCounters, OpKind
 from ..metrics.latency import LatencyRecorder
 from ..metrics.report import SimulationReport
 from ..metrics.sketch import LogHistogram
@@ -48,6 +48,7 @@ from ..traces.model import OP_READ, OP_TRIM, OP_WRITE, Trace
 from ..traces.synthetic import SyntheticSpec, generate_trace
 from .events import EV_ARRIVE, EV_COMPLETE, EV_ISSUE, EventHeap
 from .frontend import FrontendScheduler, Request
+from .image import IMAGES, DeviceImage, device_geometry, image_key
 from .kernels import BatchReadKernel
 from .nand_sched import NandScheduler
 from .oracle import SectorOracle
@@ -103,8 +104,22 @@ def _print_progress(
 class Simulator:
     """Runs block traces against one FTL instance."""
 
-    def __init__(self, ftl: BaseFTL, sim_cfg: SimConfig | None = None):
+    def __init__(
+        self,
+        ftl: BaseFTL,
+        sim_cfg: SimConfig | None = None,
+        *,
+        image_dir=None,
+    ):
         self.ftl = ftl
+        #: directory of on-disk aged-device images (beside a
+        #: ResultStore); None keeps :meth:`age_device` to the
+        #: in-process image tier
+        self.image_dir = image_dir
+        #: host-side facts about this run, outside every digest:
+        #: ``age_s`` and where the aged device came from (``image``:
+        #: built / memory / disk / bypass)
+        self.host: dict = {}
         self.cfg = ftl.cfg
         self.sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
         self.sim_cfg.validate()
@@ -292,14 +307,59 @@ class Simulator:
         writes reach the scheme as :meth:`~repro.ftl.base.BaseFTL.write_run`
         runs.
         """
-        used = self.sim_cfg.aged_used
-        if used > 0.0 and not self._aged:
-            with self._aging_mode():
-                if self.sim_cfg.aging_style == "vdi":
-                    self._age_vdi(used)
-                else:
-                    self._age_aligned(used, self.sim_cfg.aged_valid)
+        if self._aged:
+            return
+        t0 = _time.perf_counter()
+        source = "bypass"
+        if self.sim_cfg.aged_used > 0.0:
+            source = self._restore_or_age()
         self._aged = True
+        self.host = {"age_s": _time.perf_counter() - t0, "image": source}
+
+    def _restore_or_age(self) -> str:
+        """Fill the device from its cached image, or age it and cache
+        the image; returns where the aged device came from."""
+        if not self._imageable():
+            self._age()
+            return "bypass"
+        key = image_key(self.ftl, self.sim_cfg)
+        hit = IMAGES.fetch(key, device_geometry(self.ftl), self.image_dir)
+        if hit is not None:
+            image, tier = hit
+            image.restore(self.ftl)
+            return tier
+        self._age()
+        # captured before replay mutates the device
+        IMAGES.store(DeviceImage.capture(self.ftl, key), self.image_dir)
+        return "built"
+
+    def _age(self) -> None:
+        with self._aging_mode():
+            if self.sim_cfg.aging_style == "vdi":
+                self._age_vdi(self.sim_cfg.aged_used)
+            else:
+                self._age_aligned(
+                    self.sim_cfg.aged_used, self.sim_cfg.aged_valid
+                )
+
+    def _imageable(self) -> bool:
+        """The one predicate deciding whether :meth:`age_device` may go
+        through the image cache: a scheme inside the device-state seam,
+        built by :func:`~repro.ftl.make_ftl` (its kwargs key the image),
+        a device nothing has touched yet, and none of the modes that
+        keep state the seam does not describe (fault injector, sector
+        oracle / payload stamps, runtime checker)."""
+        ftl = self.ftl
+        return (
+            ftl.uses_generic_gc
+            and ftl.ftl_kw is not None
+            and not ftl.track_payload
+            and self.faults is None
+            and self.oracle is None
+            and self.checker is None
+            and ftl.service.array.mod_seq == 0
+            and ftl.counters == FlashOpCounters()
+        )
 
     def _age_aligned(self, used: float, valid: float) -> None:
         rng = np.random.default_rng(self.sim_cfg.seed)
@@ -324,9 +384,11 @@ class Simulator:
         additional-02...LUN6 file, for users who have it."""
         if self._aged:
             return
+        t0 = _time.perf_counter()
         with self._aging_mode():
             self.ftl.write_run(*self._write_columns(trace), sys.maxsize)
         self._aged = True
+        self.host = {"age_s": _time.perf_counter() - t0, "image": "bypass"}
 
     def _age_vdi(self, used: float) -> None:
         """Replay synthetic VDI writes until ``used`` of the physical
@@ -1042,6 +1104,7 @@ class Simulator:
             extra=extra,
             mapping_table_bytes=self.ftl.mapping_table_bytes(),
             wall_seconds=_time.perf_counter() - t0,
+            host=dict(self.host),
             attribution=(
                 self._attr.summary() if self._attr is not None else None
             ),

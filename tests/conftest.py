@@ -16,6 +16,16 @@ from repro import (
 from repro.flash.service import FlashService
 
 
+@pytest.fixture(autouse=True)
+def no_images_from_earlier_tests():
+    """The aged-device image cache is per process: without this, a test
+    that ages a device would restore whatever an earlier test aged
+    under the same key instead of exercising the aging it is about."""
+    from repro.sim.image import IMAGES
+
+    IMAGES.clear()
+
+
 @pytest.fixture
 def tiny_cfg() -> SSDConfig:
     return SSDConfig.tiny()

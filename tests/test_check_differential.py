@@ -164,6 +164,68 @@ class TestFailurePaths:
         assert res.failures[0].scheme == "ftl"
 
 
+class TestImageLeg:
+    AGED = SimConfig(aged_used=0.9, aged_valid=0.398, aging_style="vdi")
+
+    def test_agrees_over_policies_and_loops(self, diff_trace, diff_cfg):
+        res = differential_replay(
+            diff_trace, diff_cfg, self.AGED, every=200, compare_cache=False,
+            frontend=True, policies=("preemptive",),
+        )
+        assert res.ok, res.summary()
+
+    def test_a_field_load_state_drops_is_named(
+        self, diff_trace, diff_cfg, monkeypatch
+    ):
+        from repro.ftl.gc import GarbageCollector
+
+        monkeypatch.setattr(GarbageCollector, "load_state", lambda self, s: None)
+        res = differential_replay(
+            diff_trace, diff_cfg, self.AGED, schemes=("across",),
+            every=200, compare_cache=False,
+        )
+        assert [f.kind for f in res.failures] == ["image-divergence"]
+        assert res.failures[0].scheme == "across"
+        assert "gc.tallies" in res.failures[0].detail
+
+    def test_a_restore_that_replays_differently_is_caught(
+        self, diff_trace, diff_cfg, monkeypatch
+    ):
+        """State the seam does not see (here: a chip left busy by the
+        restore) shows up as a digest difference."""
+        from repro.flash.timing import ChipTimeline
+
+        real = ChipTimeline.load_state
+
+        def late(self, s):
+            real(self, s)
+            self._busy_until[0] += 5.0
+            self.state = lambda: s  # hide it from the state comparison
+
+        monkeypatch.setattr(ChipTimeline, "load_state", late)
+        res = differential_replay(
+            diff_trace, diff_cfg, self.AGED, schemes=("ftl",),
+            every=200, compare_cache=False,
+        )
+        assert [f.kind for f in res.failures] == ["image-divergence"]
+        assert "report digest differs" in res.failures[0].detail
+
+    def test_nothing_to_compare_on_a_fresh_device(
+        self, diff_trace, diff_cfg, monkeypatch
+    ):
+        from repro.sim.image import DeviceImage
+
+        def boom(*a, **kw):
+            raise AssertionError("image leg ran without aging")
+
+        monkeypatch.setattr(DeviceImage, "capture", boom)
+        res = differential_replay(
+            diff_trace, diff_cfg, SimConfig(), schemes=("ftl",),
+            every=200, compare_cache=False,
+        )
+        assert res.ok
+
+
 class TestResultTypes:
     def test_summary_lists_failures(self):
         res = DifferentialResult(

@@ -71,6 +71,18 @@ class TestRunAndCompare:
         for scheme in ("ftl", "mrsm", "across"):
             assert scheme in out
 
+    def test_compare_says_where_aged_devices_came_from(self, trace_file, capsys):
+        argv = [
+            "compare", "--trace", str(trace_file),
+            "--aged-used", "0.05", "--aged-valid", "0.02",
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert "images: 3 built, 0 restored" in first.err
+        assert "images:" not in first.out  # the table stays clean
+        assert main(argv) == 0  # same process: the memory tier answers
+        assert "images: 0 built, 3 restored" in capsys.readouterr().err
+
     def test_unknown_lun(self):
         with pytest.raises(SystemExit):
             main(["run", "--lun", "lun99", "--aged-used", "0",

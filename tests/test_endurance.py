@@ -97,9 +97,11 @@ class TestCli:
             "--levels", "0", "1",
         ])
         assert rc == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "endurance zoo" in out
         assert "greedy x0" in out and "preemptive x1" in out
+        # fault-free cells are imaged, fault-injected ones age as ever
+        assert "images: 2 built, 0 restored, 2 bypassed" in err
 
     def test_endure_rejects_unknown_policy(self):
         from repro.cli import main

@@ -16,7 +16,7 @@ def arr():
 class TestProgram:
     def test_program_marks_valid(self, arr):
         arr.program(0, "meta")
-        assert arr.state[0] == PAGE_VALID
+        assert arr.page_state[0] == PAGE_VALID
         assert arr.read(0) == "meta"
 
     def test_sequential_program_required(self, arr):
@@ -45,7 +45,7 @@ class TestInvalidate:
     def test_invalidate(self, arr):
         arr.program(0, "a")
         arr.invalidate(0)
-        assert arr.state[0] == PAGE_INVALID
+        assert arr.page_state[0] == PAGE_INVALID
         assert arr.valid_count[0] == 0
 
     def test_read_invalid_rejected(self, arr):
@@ -81,7 +81,7 @@ class TestErase:
         arr.invalidate(0)
         free_before = arr.free_block_count(0)
         arr.erase(0)
-        assert arr.state[0] == PAGE_FREE
+        assert arr.page_state[0] == PAGE_FREE
         assert arr.write_ptr[0] == 0
         assert arr.erase_count[0] == 1
         assert arr.free_block_count(0) == free_before + 1

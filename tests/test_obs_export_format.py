@@ -89,7 +89,7 @@ class TestExpositionLint:
         assert lint_exposition(prometheus_text(_counters())) == []
 
     def test_serve_stats_text_is_clean(self, tmp_path):
-        """``GET /metrics``: all four ``/stats`` sections, every family
+        """``GET /metrics``: all five ``/stats`` sections, every family
         named, typed and helped once."""
         from repro.experiments.parallel import ResultStore
         from repro.fleet.service import FleetService
@@ -113,6 +113,10 @@ class TestExpositionLint:
         }
         for name in set(types) - gauges:
             assert name.endswith("_total"), name
+        assert {n for n in types if n.startswith("repro_images_")} == {
+            f"repro_images_{source}_total"
+            for source in ("built", "memory", "disk", "bypass")
+        }
         # a family without its own HELP text would fall back to its key
         keys = {k for section in stats.values() for k in section}
         for line in text.splitlines():

@@ -49,6 +49,18 @@ class TestSweepRequests:
         assert second["digest"] == first["digest"]
         assert second["results"] == first["results"]
 
+    def test_digest_covers_what_was_simulated_not_how_long_it_took(
+        self, service, tmp_path
+    ):
+        """Two daemons (or one after a store wipe) answer the same sweep
+        with the same digest; ``wall_seconds`` stays in the results."""
+        first = service.handle_request(SWEEP_REQ)
+        other = FleetService(ResultStore(tmp_path / "other"), device=TINY)
+        second = other.handle_request(SWEEP_REQ)
+        assert second["executed"] == 2 and second["cached"] == 0
+        assert second["digest"] == first["digest"]
+        assert all("wall_seconds" in r for r in second["results"].values())
+
     def test_changed_workload_misses(self, service):
         service.handle_request(SWEEP_REQ)
         other = dict(SWEEP_REQ, workload={"requests": 301, "seed": 5})
@@ -119,6 +131,22 @@ class TestFleetRequests:
             "spawns": 0, "workers": 0, "tasks": 0, "rebuilds": 0
         }
 
+    def test_images_section_tallies_executed_runs(self, service):
+        """``/stats`` says where executed runs' aged devices came from;
+        cached runs age nothing and count nowhere."""
+        aged = dict(SWEEP_REQ, sim={"aged_used": 0.5, "aged_valid": 0.2})
+        service.handle_request(aged)
+        assert service.stats()["images"] == {
+            "built": 2, "memory": 0, "disk": 0, "bypass": 0
+        }
+        service.handle_request(aged)  # both runs cached
+        other = dict(aged, workload={"requests": 301, "seed": 5})
+        service.handle_request(other)  # same devices, another trace
+        service.handle_request(SWEEP_REQ)  # no aging asked for
+        assert service.stats()["images"] == {
+            "built": 2, "memory": 2, "disk": 0, "bypass": 2
+        }
+
     def test_stats_accumulate(self, service):
         service.handle_request(FLEET_REQ)
         service.handle_request(FLEET_REQ)
@@ -159,7 +187,7 @@ class TestHttpServer:
     def test_stats_route(self, server):
         with urllib.request.urlopen(server + "/stats", timeout=30) as r:
             doc = json.load(r)
-        assert set(doc) == {"service", "store", "pool", "plans"}
+        assert set(doc) == {"service", "store", "pool", "plans", "images"}
 
     def test_metrics_route(self, server):
         with urllib.request.urlopen(server + "/metrics", timeout=30) as r:

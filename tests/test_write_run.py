@@ -6,14 +6,15 @@ page-mapped schemes share ``BaseFTL._write_run_paged``; MRSM has its
 own) that inlines the untimed flavour of every flash/cache operation.
 Engine-level digests cover that indirectly; here the two are run side
 by side on fresh devices and *every* piece of state they touch is
-compared: PMT and masks, region/AMT tables, page states and write
-pointers, page metadata, counters, the allocator cursor, GC tallies and
-the mapping caches' LRU order — also with a mapping cache too small for
-the table (miss/evict/write-back paths) and under the ``hot_cold``
-policy (separate write streams).
+compared — the device-state seam (``state()`` per component, walked by
+``repro.sim.image.device_state``) is the one enumeration of it: PMT and
+masks, region/AMT tables, page states and write pointers, page
+metadata, counters, the allocator cursor, GC tallies and the mapping
+caches' LRU order — also with a mapping cache too small for the table
+(miss/evict/write-back paths) and under the ``hot_cold`` policy
+(separate write streams).
 """
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.flash.service import FlashService
 from repro.ftl import make_ftl
 from repro.ftl.base import BaseFTL
 from repro.metrics.counters import OpKind
+from repro.sim.image import device_state, state_diff
 
 SCHEMES = ("ftl", "mrsm", "across")
 
@@ -50,69 +52,6 @@ VARIANTS = {
 }
 
 
-def _meta_state(meta):
-    return type(meta).__name__, [getattr(meta, a) for a in meta.__slots__]
-
-
-def _cache_state(cache):
-    return {
-        "lru": list(cache._cached.items()),
-        "on_flash": sorted(cache._on_flash),
-        "tallies": (cache.hits, cache.misses, cache.evictions),
-    }
-
-
-def device_state(ftl) -> dict:
-    """Everything an aging write can touch, as comparable plain data."""
-    arr = ftl.service.array
-    gc = ftl.gc
-    state = {
-        "pmt": ftl._pmt.tolist(),
-        "pmt_mask": ftl._pmt_mask.tolist(),
-        "map_ppn": ftl._map_ppn,
-        "page_state": bytes(arr._state),
-        "write_ptr": arr._write_ptr.tolist(),
-        "valid_count": arr._valid_count.tolist(),
-        "erase_count": arr._erase_count.tolist(),
-        "last_mod": arr._last_mod.tolist(),
-        "array_tallies": (
-            arr.mod_seq, arr.total_programs, arr.total_page_reads
-        ),
-        "free_blocks": [list(d) for d in arr._free_blocks],
-        "meta": {ppn: _meta_state(m) for ppn, m in arr._meta.items()},
-        "counters": ftl.counters.snapshot(),
-        "allocator": (ftl.allocator._cursor, ftl.allocator._active),
-        "gc": (
-            gc.collections, gc.migrated_pages, gc.stalls,
-            gc.slices, gc.deferrals, gc.wear_migrations,
-        ),
-        "caches": {
-            name: _cache_state(getattr(ftl, name))
-            for name in ("_pmt_cache", "_amt_cache", "_cache")
-            if hasattr(ftl, name)
-        },
-    }
-    if ftl.name == "mrsm":
-        state["regions"] = (
-            ftl.region_map, ftl.region_mask, sorted(ftl._ever_fragmented)
-        )
-    if ftl.name == "across":
-        amt = ftl.amt
-        state["areas"] = {
-            "aidx": ftl._aidx.tolist(),
-            "aidx_of_lpn": ftl.aidx_of_lpn,
-            "entries": {
-                a: (e.lpn0, e.start, e.size, e.appn)
-                for a, e in amt._entries.items()
-            },
-            "amt_alloc": (
-                list(amt._free), amt._next, amt.total_created, amt.peak_live
-            ),
-            "stats": dataclasses.asdict(ftl.across_stats),
-        }
-    return state
-
-
 def aging_ftl(scheme, cfg, **ftl_kw):
     ftl = make_ftl(scheme, FlashService(cfg), **ftl_kw)
     ftl.aging = True
@@ -129,9 +68,9 @@ def aging_run(n, seed):
 
 
 def assert_same_device(fused, ref):
-    got, want = device_state(fused), device_state(ref)
-    for key in want:
-        assert got[key] == want[key], f"{fused.name}: {key} differs"
+    """Every field of the device-state seam equal — dict, LRU and deque
+    *order* included, because the seam stores each as a sequence."""
+    assert state_diff(device_state(fused), device_state(ref)) == []
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
