@@ -87,6 +87,13 @@ class FlashArray:
         self.total_page_reads = 0
         #: FTL metadata of currently-valid pages
         self._meta: dict[int, Any] = {}
+        #: out-of-band side columns by name (numpy views over the raw
+        #: buffers :meth:`oob_column` hands out): per-page records an FTL
+        #: keeps as flat columns instead of inside ``meta`` objects.
+        #: They are flash content — captured and restored with the
+        #: array, never reset by it (an erased page's record is stale
+        #: until the page is programmed again, and nobody reads it).
+        self.oob: dict[str, np.ndarray] = {}
         #: per-plane pool of fully-erased blocks (global block ids)
         self._free_blocks: list[deque[int]] = [
             deque(
@@ -155,6 +162,19 @@ class FlashArray:
     def meta(self, ppn: int) -> Any:
         """Peek at a valid page's meta without protocol check semantics."""
         return self._meta[ppn]
+
+    def oob_column(
+        self, name: str, typecode: str, per_page: int = 1, fill: int = 0
+    ) -> array:
+        """Register the out-of-band side column ``name``: ``per_page``
+        records of ``typecode`` for every physical page, each ``fill``
+        to start with.  Returns the raw buffer for the owner's scalar
+        indexing; :attr:`oob` keeps the numpy view over it."""
+        if name in self.oob:
+            raise ValueError(f"out-of-band column {name!r} registered twice")
+        raw = array(typecode, [fill]) * (self.geom.num_pages * per_page)
+        self.oob[name] = np.frombuffer(raw, dtype=typecode)
+        return raw
 
     def invalidate(self, ppn: int) -> None:
         """Mark a VALID page stale (its data was superseded)."""
@@ -252,7 +272,8 @@ class FlashArray:
     def state(self) -> dict:
         """Everything mutable, as copied flat arrays: page states, the
         per-block tables, tallies, each plane's free-block deque in
-        order, and the page metadata encoded into per-kind columns."""
+        order, the page metadata encoded into per-kind columns and the
+        out-of-band side columns."""
         # deferred: repro.ftl imports this module while initialising
         from ..ftl.meta import encode_metas
 
@@ -274,6 +295,8 @@ class FlashArray:
             ),
         }
         out.update(encode_metas(self._meta))
+        for name, column in self.oob.items():
+            out[name] = column.copy()
         return out
 
     def load_state(self, s: dict) -> None:
@@ -300,6 +323,8 @@ class FlashArray:
             pos += n
         self._meta.clear()
         self._meta.update(decode_metas(s))
+        for name, column in self.oob.items():
+            column[:] = s[name]
 
     # ------------------------------------------------------------------
     # invariants (used by tests and sanity sweeps)

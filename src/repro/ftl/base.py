@@ -273,12 +273,21 @@ class BaseFTL(ABC):
             timed=base_timed if timed is None else (timed and base_timed),
         )
         if gc_check:
-            # GC runs after the program: its migrations and erases keep
-            # the chips busy (delaying *later* requests — the long-tail
-            # effect), but do not gate this request's completion.
-            p = self.geom.plane_of_ppn(ppn)
-            self.gc.maybe_collect(p, now, timed=base_timed)
+            self._gc_check(ppn, now)
         return ppn, finish
+
+    def _gc_check(self, ppn: int, now: float) -> None:
+        """GC check on the plane ``ppn`` was just programmed in.
+
+        GC runs after the program: its migrations and erases keep the
+        chips busy (delaying *later* requests — the long-tail effect),
+        but do not gate this request's completion.  One pass may take
+        several victims, the block this program filled among them, so a
+        caller whose tables must name the new page before a relocation
+        can meet it programs with ``gc_check=False``, records the page
+        and calls this itself.
+        """
+        self.gc.maybe_collect(self.geom.plane_of_ppn(ppn), now, timed=self.timed)
 
     def _relocate(self, old_ppn: int, now: float, timed: bool) -> float:
         """GC callback: move one valid page and fix the mapping."""
@@ -348,8 +357,11 @@ class BaseFTL(ABC):
             # controller schedules it into chip idle periods, so it is
             # counted (Fig. 10's Map share, GC pressure) but does not
             # occupy the foreground timeline
-            ppn, finish = self._program_page(meta, now, OpKind.MAP, timed=False)
+            ppn, finish = self._program_page(
+                meta, now, OpKind.MAP, timed=False, gc_check=False
+            )
             table[tvpn] = ppn
+            self._gc_check(ppn, now)
             return finish
 
         def read(tvpn: int, now: float, timed: bool) -> float:

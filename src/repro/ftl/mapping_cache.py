@@ -86,7 +86,6 @@ class MappingCache:
                 obs.emit(CMTEvent(now, self.table_id, "hit", key))
             return now
         tvpn = key // self.entries_per_page
-        finish = now
         cached = self._cached
         if tvpn in cached:
             self.hits += 1
@@ -95,10 +94,62 @@ class MappingCache:
                 cached[tvpn] = True
             if obs is not None:
                 obs.emit(CMTEvent(now, self.table_id, "hit", key))
-            return finish
+            return now
         self.misses += 1
         if obs is not None:
             obs.emit(CMTEvent(now, self.table_id, "miss", key))
+        return self._fill(tvpn, now, dirty, timed)
+
+    def access_range(
+        self, lo: int, hi: int, now: float, *, dirty: bool, timed: bool = True
+    ) -> float:
+        """Touch every entry of ``lo..hi`` (inclusive) in ascending
+        order; returns the latest completion time.
+
+        Same cache state, tallies and flash traffic as one
+        :meth:`access` per key, at one LRU touch per *translation page*:
+        a page just touched is the most recent entry, nothing a lookup
+        does (eviction write-back and the GC it may trigger included)
+        touches this cache or resizes the table ``touches_fn`` measures,
+        so the page's remaining keys are hits that move nothing.  With
+        observability on, each key goes through :meth:`access` and
+        emits its own event.
+        """
+        if self.service.obs is not None:
+            finish = now
+            for key in range(lo, hi + 1):
+                t = self.access(key, now, dirty=dirty, timed=timed)
+                if t > finish:
+                    finish = t
+            return finish
+        n = hi - lo + 1
+        tf = self._touches_fn
+        self._counters.dram_accesses += n if tf is None else n * tf()
+        if self.unlimited:
+            self.hits += n
+            return now
+        epp = self.entries_per_page
+        cached = self._cached
+        finish = now
+        for tvpn in range(lo // epp, hi // epp + 1):
+            if tvpn in cached:
+                cached.move_to_end(tvpn)
+                if dirty:
+                    cached[tvpn] = True
+            else:
+                self.misses += 1
+                n -= 1
+                t = self._fill(tvpn, now, dirty, timed)
+                if t > finish:
+                    finish = t
+        self.hits += n
+        return finish
+
+    def _fill(self, tvpn: int, now: float, dirty: bool, timed: bool) -> float:
+        """Miss path: fetch the flash-resident copy of ``tvpn`` (if any),
+        install it most-recent and spill the overflow; returns when the
+        lookup may proceed."""
+        finish = now
         if tvpn in self._on_flash:
             # a read lookup blocks: the mapping must be fetched before
             # the data can be located.  A write lookup does not: the new

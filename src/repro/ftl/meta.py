@@ -8,6 +8,7 @@ in plain performance runs.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -69,31 +70,26 @@ class MapPageMeta:
 class RegionPageMeta:
     """An MRSM data page packing up to R sub-page regions.
 
-    ``slots`` holds one ``(region_key, live)`` pair per packed region;
-    a page stays VALID in the array while any slot is live.  ``masks``
-    records each slot's written-sector bitmap (region-relative) for
-    table reconstruction.
+    The page's slot records (region key, written-sector mask and
+    liveness per slot) are out-of-band side columns of the flash array
+    (:attr:`repro.flash.array.FlashArray.oob`, written by
+    :class:`~repro.ftl.mrsm.MRSMFTL`), so this record only carries the
+    ``payloads`` stamps of oracle runs; a run without them programs the
+    one shared :data:`REGION_PAGE`.
     """
 
-    __slots__ = ("slots", "masks", "payloads")
+    __slots__ = ("payloads",)
     kind = "region"
 
-    def __init__(
-        self,
-        slots: list,
-        masks: Optional[list] = None,
-        payloads: Optional[dict] = None,
-    ):
-        self.slots = slots
-        self.masks = masks if masks is not None else [0] * len(slots)
+    def __init__(self, payloads: Optional[dict] = None):
         self.payloads = payloads
 
-    def live_count(self) -> int:
-        """Number of slots still holding the newest copy of a region."""
-        return sum(1 for _, live in self.slots if live)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RegionPageMeta({self.slots!r})"
+        return "RegionPageMeta()"
+
+
+#: the record of every region page programmed without payload stamps
+REGION_PAGE = RegionPageMeta()
 
 
 # ----------------------------------------------------------------------
@@ -102,20 +98,29 @@ class RegionPageMeta:
 #: ``meta_kind`` codes, in the order the per-kind columns are written
 _KIND_CODE = {DataPageMeta: 0, MapPageMeta: 1, RegionPageMeta: 2, AcrossPageMeta: 3}
 
+#: a region page has no per-page record to encode: its slots are the
+#: array's out-of-band side columns, which take these four names in an
+#: mrsm image.  A scheme that registers none writes them empty, so every
+#: image has the same fields whatever the scheme.
+_NO_REGION_COLUMNS = {
+    "region_slots": np.int64,
+    "region_key": np.int64,
+    "region_live": np.bool_,
+    "region_mask": np.uint64,
+}
+
 
 def encode_metas(metas: dict) -> dict:
     """Flat columns for a ``ppn -> meta`` dict.
 
     ``meta_ppn``/``meta_kind`` keep the dict order; each kind's columns
     hold its records in that same order (data: lpn/mask, map: table/tvpn,
-    region: slot count + flattened key/live/mask, across:
-    aidx/start/size).  Payload stamps (oracle runs) have no column and
-    are refused.
+    across: aidx/start/size; a region page is its kind code alone).
+    Payload stamps (oracle runs) have no column and are refused.
     """
     kinds = []
     data_lpn, data_mask = [], []
     map_table, map_tvpn = [], []
-    region_slots, region_key, region_live, region_mask = [], [], [], []
     across_aidx, across_start, across_size = [], [], []
     for m in metas.values():
         code = _KIND_CODE[type(m)]
@@ -130,11 +135,6 @@ def encode_metas(metas: dict) -> dict:
             map_tvpn.append(m.tvpn)
         elif code == 2:
             payload = m.payloads
-            region_slots.append(len(m.slots))
-            for key, live in m.slots:
-                region_key.append(key)
-                region_live.append(live)
-            region_mask.extend(m.masks)
         else:
             payload = m.payload
             across_aidx.append(m.aidx)
@@ -145,37 +145,29 @@ def encode_metas(metas: dict) -> dict:
                 "page metadata carrying payload stamps cannot be imaged"
             )
     i64, u64 = np.int64, np.uint64
-    return {
+    out = {
         "meta_ppn": np.fromiter(metas, i64, len(metas)),
         "meta_kind": np.array(kinds, np.uint8),
         "data_lpn": np.array(data_lpn, i64),
         "data_mask": np.array(data_mask, u64),
         "map_table": np.array(map_table, i64),
         "map_tvpn": np.array(map_tvpn, i64),
-        "region_slots": np.array(region_slots, i64),
-        "region_key": np.array(region_key, i64),
-        "region_live": np.array(region_live, np.bool_),
-        "region_mask": np.array(region_mask, u64),
         "across_aidx": np.array(across_aidx, i64),
         "across_start": np.array(across_start, i64),
         "across_size": np.array(across_size, i64),
     }
+    for name, dtype in _NO_REGION_COLUMNS.items():
+        out[name] = np.empty(0, dtype)
+    return out
 
 
 def decode_metas(cols: dict) -> dict:
-    """Inverse of :func:`encode_metas`: fresh meta objects, same dict
-    order."""
-    slots = list(zip(cols["region_key"].tolist(), cols["region_live"].tolist()))
-    masks = cols["region_mask"].tolist()
-    regions = []
-    pos = 0
-    for n in cols["region_slots"].tolist():
-        regions.append(RegionPageMeta(slots[pos : pos + n], masks[pos : pos + n]))
-        pos += n
+    """Inverse of :func:`encode_metas`: fresh meta objects (region pages
+    share :data:`REGION_PAGE`), same dict order."""
     per_kind = (
         map(DataPageMeta, cols["data_lpn"].tolist(), cols["data_mask"].tolist()),
         map(MapPageMeta, cols["map_table"].tolist(), cols["map_tvpn"].tolist()),
-        iter(regions),
+        repeat(REGION_PAGE),
         map(
             AcrossPageMeta,
             cols["across_aidx"].tolist(),

@@ -34,8 +34,8 @@ would be flash traffic — and, for Across-FTL, no touched logical page
 overlaps a live across area (probed per request against the flat
 ``aidx`` mirror — live, because a scalar-path write earlier in the
 same segment may have created an area).  The page-mapped schemes share
-one absorb path; MRSM gets its own (:meth:`_try_read_mrsm`,
-region-granular dict lookups and tree-touch DRAM accounting) bound as
+one absorb path; MRSM gets its own (:meth:`_try_read_mrsm`, over the
+scheme's region columns with tree-touch DRAM accounting) bound as
 ``try_read`` at construction."""
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class BatchReadKernel:
         if self.mrsm:
             self.pmt = None
             self.pmt_mask = None
-            self.rs = ftl.region_sectors
-            self.region_map = ftl.region_map
-            self.mask_get = ftl.region_mask.get
-            self.tf = ftl._tree_touches
+            # the scheme's own column walks: one definition of how a
+            # sector extent maps to region keys, masks and flash pages
+            self.span = ftl._span
+            self.wanted_pages = ftl._wanted_pages
             self.aidx = None
             # instance attribute shadows the class method: zero-cost
             # per-request dispatch to the region-granular absorb path
@@ -290,14 +290,11 @@ class BatchReadKernel:
         end = offset + size
         if size <= 0 or offset < 0 or end > self.limit:
             return False  # scalar path raises the canonical error
-        rs = self.rs
-        key_lo = offset // rs
-        last_key = (end - 1) // rs
-        unlimited = self.unlimited
-        cached = self.cached
-        epp = self.epp
-        if not unlimited:
-            for tvpn in range(key_lo // epp, last_key // epp + 1):
+        first, last, head, tail = self.span(offset, size)
+        if not self.unlimited:
+            cached = self.cached
+            epp = self.epp
+            for tvpn in range(first // epp, last // epp + 1):
                 if tvpn not in cached:
                     return False
         # --- committed: replay the scalar read's mutations fused
@@ -318,12 +315,10 @@ class BatchReadKernel:
                 (index, ts, across, size, ts + self.cache_ms, 0, 0, offset)
             )
             return True
-        # buffer miss (already counted by full_hit): flash read path
-        tf = self.tf
-        pcache = self.pcache
-        move_to_end = None if unlimited else cached.move_to_end
-        mask_get = self.mask_get
-        region_map = self.region_map
+        # buffer miss (already counted by full_hit): flash read path.
+        # Every translation page was screened as cached, so the range
+        # touch is all hits: tallies and LRU movement, no flash traffic
+        self.pcache.access_range(first, last, ts, dirty=False)
         state = self.state
         meta_of = self.meta
         ppns = self._ppns
@@ -331,39 +326,7 @@ class BatchReadKernel:
         p_lo = len(ppns)
         want_payload = oracle is not None
         found = {} if want_payload else None
-        #: ppn -> wanted sectors, in first-wanted order (dedup: one
-        #: flash read per distinct region page, as the scalar path does)
-        req_ppns: dict = {}
-        sec = offset
-        while sec < end:
-            key = sec // rs
-            region_start = key * rs
-            hi = region_start + rs
-            if hi > end:
-                hi = end
-            rel_lo = sec - region_start
-            rel_hi = hi - region_start
-            sec = hi
-            # region-cache touch (read hit, dirty flag untouched)
-            counters.dram_accesses += tf()
-            pcache.hits += 1
-            if move_to_end is not None:
-                move_to_end(key // epp)
-            present = mask_get(key, 0) & (
-                ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
-            )
-            if not present:
-                continue
-            ppn = region_map[key][0]
-            secs = req_ppns.get(ppn)
-            if secs is None:
-                secs = req_ppns[ppn] = []
-            if want_payload:
-                mask = present
-                while mask:
-                    low = mask & -mask
-                    secs.append(region_start + low.bit_length() - 1)
-                    mask ^= low
+        req_ppns = self.wanted_pages(first, last, head, tail, want_payload)
         n_flash = 0
         for ppn, secs in req_ppns.items():
             if state[ppn] != PAGE_VALID:

@@ -53,8 +53,8 @@ class TestVdiAging:
         # aligned full-page aging leaves coarse entries; VDI aging's
         # sub-page writes fragment the table (the paper's warm-up trace
         # effect behind Fig. 12a)
-        assert not aligned_ftl._ever_fragmented
-        assert len(vdi_ftl._ever_fragmented) > 0
+        assert not aligned_ftl.fragmented.any()
+        assert vdi_ftl.fragmented.any()
 
     def test_chips_idle_after_vdi_aging(self):
         svc, ftl, sim = aged_sim("ftl", "vdi")

@@ -567,7 +567,7 @@ def test_processes_racing_on_one_key(tmp_path):
 #: fingerprint of the tiny-device image per scheme (CFG, AGED)
 FINGERPRINTS = {
     "ftl": "bd3b02a4a9de26b1f1404d73fcfcaec3da58c0d7ab8991b54e841a467f260f93",
-    "mrsm": "66b9c1e409dca5f8e1ef83571c08cdefff2cbf0eb75afd8348ecffb1a43ad148",
+    "mrsm": "05bd55d65857a68772a1b32714198612df3fa90e0443d65d638529f18374af63",
     "across": "bee529e59056b385e894fc03c2dcb079ac91be3426a7a687704a5fb3768e2b84",
 }
 
@@ -581,6 +581,28 @@ def test_image_fingerprint_is_pinned(scheme):
         "become misses), then pin the new fingerprint here: "
         f"{scheme!r}: {got!r} — see CONTRIBUTING.md"
     )
+
+
+def test_mrsm_bench_image_is_array_copies():
+    """MRSM's tables are flat columns in the device and in the image:
+    on the e2e bench device the image is no larger than the 6.2 MB its
+    dict-ordered encoding took, and a restore is array copies (14 ms on
+    the reference box; 60-130 ms when it rebuilt ~250 k tuples)."""
+    cfg = dataclasses.replace(SSDConfig.bench_default(), blocks_per_plane=8)
+    assert aged("mrsm", cfg).host["image"] == "built"
+    restores = []
+    gc.collect()
+    gc.freeze()  # the collection a restore starts with: not this session's heap
+    try:
+        for _ in range(3):
+            restored = aged("mrsm", cfg)
+            assert restored.host["image"] == "memory"
+            restores.append(restored.host["age_s"])
+    finally:
+        gc.unfreeze()
+    assert cached_image(restored).nbytes <= 6_150_646
+    assert min(restores) <= 0.040
+    restored.ftl.check_invariants()
 
 
 def test_fingerprint_sees_values_and_arrays():

@@ -161,13 +161,14 @@ mixed_ops_strategy = st.lists(
 )
 
 
-def run_mixed_workload(scheme: str, ops):
-    """Like run_workload but with TRIM mixed in."""
+def run_mixed_workload(scheme: str, ops, *, check_every: int = 0, **ftl_kw):
+    """Like run_workload but with TRIM mixed in; ``check_every`` also
+    runs the scheme's invariant check every that many requests."""
     svc = FlashService(CFG)
-    ftl = make_ftl(scheme, svc, track_payload=True)
+    ftl = make_ftl(scheme, svc, track_payload=True, **ftl_kw)
     versions: dict[int, int] = {}
     v = 0
-    for action, (offset, size) in ops:
+    for i, (action, (offset, size)) in enumerate(ops, 1):
         offset = max(0, min(offset, MAX_SECTOR - 1))
         size = max(1, min(size, MAX_SECTOR - offset))
         if action == "write":
@@ -187,11 +188,14 @@ def run_mixed_workload(scheme: str, ops):
                 assert found.get(s) == versions.get(s), (
                     f"{scheme}: sector {s}"
                 )
+        if check_every and i % check_every == 0:
+            ftl.check_invariants()
     for s, expect in versions.items():
         _, found = ftl.read(s, 1, 0.0)
         assert found.get(s) == expect, f"{scheme}: final sector {s}"
     ftl.check_invariants()
     svc.array.check_invariants()
+    return svc, ftl
 
 
 @given(ops=mixed_ops_strategy)
@@ -222,6 +226,52 @@ def test_across_with_trim(ops):
 )
 def test_mrsm_with_trim(ops):
     run_mixed_workload("mrsm", ops)
+
+
+#: sectors of the window the GC-pressure mix stays in: small enough that
+#: even one live region per flash page (MRSM never merges pages) fits
+HOT_SECTORS = 24 * SPP
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["write"] * 6 + ["read"] * 2 + ["trim"]),
+            extent_strategy(),
+        ),
+        min_size=45,
+        max_size=90,
+    ),
+    regions=st.sampled_from([1, 2, 4, 8]),
+    seed=st.integers(0, 2**16),
+)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_mrsm_columns_stay_consistent_under_gc(ops, regions, seed):
+    """Random write/read/trim mixes under the sector oracle, folded into
+    a hot window and interleaved with sub-page overwrites so GC keeps
+    relocating region pages; the column invariants (live counts, region
+    <-> slot bijection, entry counter, valid page <=> live slots) are
+    checked every few requests, for every region size."""
+    rng = np.random.default_rng(seed)
+    mixed = []
+    for action, (offset, size) in ops:
+        offset %= HOT_SECTORS
+        mixed.append((action, (offset, min(size, HOT_SECTORS - offset))))
+        for _ in range(9):  # >= 450 writes: more than the device holds
+            page = int(rng.integers(HOT_SECTORS // SPP))
+            rel = int(rng.integers(SPP - 1))
+            mixed.append(
+                ("write", (page * SPP + rel, int(rng.integers(1, SPP - rel + 1))))
+            )
+    svc, ftl = run_mixed_workload(
+        "mrsm", mixed, check_every=7, regions_per_page=regions
+    )
+    assert ftl.R == regions
+    assert svc.counters.erases > 0
 
 
 def test_across_equivalence_with_pagemap():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_ftl
+from conftest import build_ftl, random_extents
 
 
 def stamps_for(offset, size, v):
@@ -48,9 +48,11 @@ def snapshot(ftl):
             e.aidx: (e.lpn0, e.start, e.size, e.appn)
             for e in ftl.amt.entries()
         }
-    if hasattr(ftl, "region_map"):
-        state["region_map"] = dict(ftl.region_map)
-        state["region_mask"] = dict(ftl.region_mask)
+    if ftl.name == "mrsm":
+        # the DRAM-side region columns, through the device-state seam
+        seam = ftl.state()
+        state["region_loc"] = seam["region_loc"]
+        state["region_mask"] = seam["region_mask"]
     return state
 
 
@@ -61,9 +63,11 @@ def wipe(ftl):
     if hasattr(ftl, "aidx_of_lpn"):
         ftl.amt.clear()
         ftl.aidx_of_lpn.clear()
-    if hasattr(ftl, "region_map"):
-        ftl.region_map.clear()
-        ftl.region_mask.clear()
+    if ftl.name == "mrsm":
+        # the DRAM-side columns only: the slot records are flash (OOB)
+        # content, which a power loss does not take
+        ftl._rebuild_reset()
+        assert ftl.region_count == 0 and not ftl.region_masks.any()
 
 
 @pytest.mark.parametrize("scheme", ["ftl", "across", "mrsm"])
@@ -82,9 +86,9 @@ class TestRebuild:
         if "areas" in before:
             assert before["areas"] == after["areas"]
             assert before["aidx"] == after["aidx"]
-        if "region_map" in before:
-            assert before["region_map"] == after["region_map"]
-            assert before["region_mask"] == after["region_mask"]
+        if "region_loc" in before:
+            assert np.array_equal(before["region_loc"], after["region_loc"])
+            assert np.array_equal(before["region_mask"], after["region_mask"])
 
     def test_data_readable_after_rebuild(self, scheme, tiny_cfg):
         svc, ftl = build_ftl(scheme, tiny_cfg)
@@ -120,6 +124,61 @@ class TestRebuild:
         ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 999))
         _, found = ftl.read(2056, 12, 0.0)
         assert all(v == 999 for v in found.values())
+        ftl.check_invariants()
+
+
+def region_tables(ftl):
+    seam = ftl.state()
+    return seam["region_loc"].tolist(), seam["region_mask"].tolist()
+
+
+@pytest.mark.parametrize("regions", [1, 2, 4, 8])
+class TestRegionColumnsRebuild:
+    """MRSM's DRAM-side columns (key -> slot location, key -> mask) come
+    back from the flash-side slot columns alone."""
+
+    def test_after_gc(self, regions, micro_cfg):
+        svc, ftl = build_ftl("mrsm", micro_cfg, regions_per_page=regions)
+        rng = np.random.default_rng(regions)
+        span = int(ftl.logical_pages * ftl.spp * 0.4)
+        for off, size in random_extents(rng, 3 * svc.geom.num_pages, span, ftl.spp):
+            ftl.write(off, size, 0.0, stamps_for(off, size, off))
+        assert svc.counters.erases > 0 and ftl.gc.migrated_pages > 0
+        before = region_tables(ftl)
+        oob = {name: col.copy() for name, col in svc.array.oob.items()}
+        wipe(ftl)
+        ftl.rebuild_from_flash()
+        assert region_tables(ftl) == before
+        assert ftl.region_count == sum(loc >= 0 for loc in before[0])
+        # recovery read the slot columns and left them as they were
+        for name, col in svc.array.oob.items():
+            assert np.array_equal(col, oob[name]), name
+        ftl.check_invariants()
+
+    def test_after_trim(self, regions, tiny_cfg):
+        """A whole-region TRIM killed a slot — flash content, so it
+        stays trimmed; a partial one only narrowed the DRAM mask and is
+        forgotten (the documented caveat of ``rebuild_from_flash``)."""
+        svc, ftl = build_ftl("mrsm", tiny_cfg, regions_per_page=regions)
+        rs = ftl.region_sectors
+        ftl.write(0, 4 * rs, 0.0, stamps_for(0, 4 * rs, 1))
+        written = region_tables(ftl)
+        ftl.trim(rs, rs, 1.0)          # region 1, whole
+        ftl.trim(2 * rs, 1, 1.0)       # region 2, first sector
+        if rs > 1:
+            assert ftl.region_masks[2] == ((1 << rs) - 1) & ~1
+        wipe(ftl)
+        ftl.rebuild_from_flash()
+        assert ftl.region_loc(1) is None
+        locs, masks = region_tables(ftl)
+        assert locs[0] == written[0][0] and locs[3] == written[0][3]
+        if rs > 1:
+            assert locs[2] == written[0][2]
+            assert masks[2] == (1 << rs) - 1  # the trimmed sector is back
+            _, found = ftl.read(2 * rs, 1, 2.0)
+            assert found == {2 * rs: 1}
+        _, found = ftl.read(rs, rs, 2.0)
+        assert found == {}
         ftl.check_invariants()
 
 

@@ -92,10 +92,10 @@ class TestMRSMTrim:
     def test_region_trim_kills_slot(self, tiny_cfg):
         svc, ftl = build_ftl("mrsm", tiny_cfg)
         ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
-        ppn = ftl.region_map[0][0]
+        ppn, _ = ftl.region_loc(0)
         ftl.trim(0, 16, 1.0)
         assert not svc.array.is_valid(ppn)
-        assert not ftl.region_map
+        assert ftl.region_count == 0
         _, found = ftl.read(0, 16, 2.0)
         assert found == {}
         ftl.check_invariants()
@@ -104,7 +104,7 @@ class TestMRSMTrim:
         svc, ftl = build_ftl("mrsm", tiny_cfg)
         ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
         ftl.trim(0, 2, 1.0)  # half of region 0
-        assert 0 in ftl.region_map
+        assert ftl.region_loc(0) is not None
         _, found = ftl.read(0, 4, 2.0)
         assert set(found) == {2, 3}
         ftl.check_invariants()
