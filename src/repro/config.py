@@ -567,10 +567,9 @@ class FrontendConfig:
 class BatchConfig:
     """Accepted-and-ignored leftover of the batch on/off switch.
 
-    The columnar read kernels (:mod:`repro.sim.kernels`) and the fused
-    aging ``write_run`` kernels are unconditional parts of the
-    sequential replay loop; nothing selects them any more.  ``enabled``
-    survives only so callers written against the switch — the frozen
+    There is one sequential replay loop and one fused aging path;
+    nothing selects between variants any more.  ``enabled`` survives
+    only so callers written against the switch — the frozen
     ``benchmarks/e2e`` driver, saved ``repro check`` reproducers — still
     construct.  It selects nothing, no CLI flag reaches it, and it goes
     when the benchmark is next re-cut.

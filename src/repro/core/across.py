@@ -107,11 +107,10 @@ class AcrossFTL(BaseFTL):
         #: absent means AIdx = -1)
         self.aidx_of_lpn: dict[int, int] = {}
         #: flat mirror of ``aidx_of_lpn`` (-1 = no area), same raw-buffer
-        #: + zero-copy-view layout as the PMT: the batched read kernel
-        #: screens whole request runs for area overlap with one
-        #: vectorised gather instead of a dict probe per LPN.  Kept in
-        #: lockstep at every mutation site of ``aidx_of_lpn``
-        #: (tests assert the two stay equal).
+        #: + zero-copy-view layout as the PMT: fused aging screens each
+        #: request for area overlap with an array load instead of a
+        #: dict probe per LPN.  Kept in lockstep at every mutation site
+        #: of ``aidx_of_lpn`` (tests assert the two stay equal).
         self._aidx = array("q", [-1]) * self.logical_pages
         self.aidx = np.frombuffer(self._aidx, dtype=np.int64)
         self.across_stats = AcrossStats()
@@ -280,13 +279,17 @@ class AcrossFTL(BaseFTL):
         if self.service.obs is not None:
             self._emit_decision("direct", l0, now)
         meta = AcrossPageMeta(-1, offset, size, payload)
-        ppn, finish = self._program_page(meta, now, OpKind.DATA)
+        ppn, finish = self._program_page(
+            meta, now, OpKind.DATA, gc_check=False
+        )
         entry = self.amt.create(l0, offset, size, ppn)
         meta.aidx = entry.aidx
         self.aidx_of_lpn[l0] = entry.aidx
         self.aidx_of_lpn[l0 + 1] = entry.aidx
         self._aidx[l0] = entry.aidx
         self._aidx[l0 + 1] = entry.aidx
+        # the AMT names the area before a GC pass can relocate it
+        self._gc_check(ppn, now)
         for lpn in entry.lpns:
             self._shadow_pmt(lpn, self._area_rel_mask(lpn, offset, offset + size))
         t = self._amt_cache.access(entry.aidx, now, dirty=True, timed=self.timed)
@@ -349,9 +352,11 @@ class AcrossFTL(BaseFTL):
 
         self.service.invalidate(entry.appn)
         meta = AcrossPageMeta(entry.aidx, u_lo, u_hi - u_lo, payload)
-        ppn, t = self._program_page(meta, finish, OpKind.DATA)
-        finish = max(finish, t)
+        ppn, t = self._program_page(meta, finish, OpKind.DATA, gc_check=False)
         entry.start, entry.size, entry.appn = u_lo, u_hi - u_lo, ppn
+        # as in _direct_write: the AMT names the page before the check
+        self._gc_check(ppn, finish)
+        finish = max(finish, t)
         for lpn in entry.lpns:
             self._shadow_pmt(lpn, self._area_rel_mask(lpn, u_lo, u_hi))
         if not self.aging:

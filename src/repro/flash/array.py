@@ -302,7 +302,7 @@ class FlashArray:
     def load_state(self, s: dict) -> None:
         """Overwrite this array with a :meth:`state` snapshot, in place:
         the raw buffers, their numpy views and the free-block deques are
-        bound elsewhere (allocator, GC, kernels) and keep their
+        bound elsewhere (allocator, GC, fused aging) and keep their
         identity.  Nothing of ``s`` is aliased."""
         from ..ftl.meta import decode_metas
 

@@ -455,9 +455,12 @@ class BaseFTL(ABC):
         if old_ppn >= 0:
             service.invalidate(old_ppn)
         meta = DataPageMeta(lpn, old_mask | new_mask, payload)
-        new_ppn, t = self._program_page(meta, finish, OpKind.DATA)
+        new_ppn, t = self._program_page(
+            meta, finish, OpKind.DATA, gc_check=False
+        )
         self._pmt[lpn] = new_ppn
         self._pmt_mask[lpn] = old_mask | new_mask
+        self._gc_check(new_ppn, finish)
         return t if t > finish else finish
 
     # ------------------------------------------------------------------
@@ -508,7 +511,7 @@ class BaseFTL(ABC):
         """Fused :meth:`write_run` kernel of the page-mapped schemes:
         the per-piece pipeline of their :meth:`write` — PMT-cache touch
         on ``cache``, RMW read, old-page invalidate, allocate, program,
-        GC check — inlined into one loop with the untimed /
+        PMT update, GC check — inlined into one loop with the untimed /
         payload-free / unobserved branches resolved.
 
         Bit-identical to the generic scalar loop: every counter bump,
@@ -650,12 +653,13 @@ class BaseFTL(ABC):
                 arr.mod_seq = seq
                 last_mod[block] = seq
                 writes[aging] += 1
-                # --- GC check on the written plane
+                pmt[lpn] = ppn
+                pmt_mask[lpn] = full_mask
+                # --- GC check on the written plane (after the PMT
+                # names the page: the pass may relocate it)
                 plane = ppn // pages_per_plane
                 if retire_pending or len(free_blocks[plane]) < ok_free:
                     maybe_collect(plane, 0.0, timed=False)
-                pmt[lpn] = ppn
-                pmt_mask[lpn] = full_mask
             consumed += 1
             if writes[aging] >= target:
                 break
@@ -691,7 +695,7 @@ class BaseFTL(ABC):
 
     def load_state(self, s: dict) -> None:
         """Overwrite the tables with a :meth:`state` snapshot, in place
-        (the raw buffers and dicts are bound by kernels and closures)."""
+        (the raw buffers and dicts are bound by fused aging and closures)."""
         self.pmt[:] = s["pmt"]
         self.pmt_mask[:] = s["pmt_mask"]
         self._map_ppn.clear()

@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from ..flash.service import FlashService
-from ..metrics.counters import OpKind
 from ..obs.events import CMTEvent
 
 #: program_map_page(tvpn, now, timed) -> completion time.  Provided by
@@ -219,7 +218,7 @@ class MappingCache:
 
     def load_state(self, s: dict) -> None:
         """Overwrite the cache with a :meth:`state` snapshot (containers
-        keep their identity: the aging kernels bind them)."""
+        keep their identity: fused aging binds them)."""
         self._cached.clear()
         self._cached.update(zip(s["lru_tvpn"].tolist(), s["lru_dirty"].tolist()))
         self._on_flash.clear()

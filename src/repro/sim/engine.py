@@ -49,7 +49,6 @@ from ..traces.synthetic import SyntheticSpec, generate_trace
 from .events import EV_ARRIVE, EV_COMPLETE, EV_ISSUE, EventHeap
 from .frontend import FrontendScheduler, Request
 from .image import IMAGES, DeviceImage, device_geometry, image_key
-from .kernels import BatchReadKernel
 from .nand_sched import NandScheduler
 from .oracle import SectorOracle
 
@@ -58,7 +57,7 @@ from .oracle import SectorOracle
 _PROGRESS_EVERY_S = 0.5
 
 #: largest columnar segment the sequential loop decodes at once (bounds
-#: the read kernel's per-segment screen columns)
+#: the ``tolist()`` footprint of the request columns)
 _SEGMENT_REQUESTS = 512
 
 
@@ -174,11 +173,6 @@ class Simulator:
         #: event-driven frontend scheduler (SimConfig.frontend); bound
         #: during _run_frontend, None on the sequential path
         self._frontend = None
-        #: vector read-run kernel; bound during _run_sequential when the
-        #: global eligibility screens pass.  Its statistics stay
-        #: Simulator attributes — report extras feed pinned digests and
-        #: must not change shape with whether the kernel engaged.
-        self._batch_kernel = None
         if self.sim_cfg.observability.enabled:
             self.obs = Observability(self.sim_cfg.observability)
             self._bus = self.obs.bus
@@ -586,14 +580,8 @@ class Simulator:
         """Service the trace one request at a time in trace order (the
         pinned-digest replay model); returns the last arrival timestamp.
 
-        The trace is decoded into columnar segments; runs of eligible
-        reads are absorbed by the vector kernel (:mod:`repro.sim.kernels`)
-        and everything else — writes, TRIMs, screened-out reads — goes
-        through the scalar :meth:`process` after flushing the pending
-        run.  The kernel is an execution strategy only (same counters,
-        latencies and digests); where ``BatchReadKernel.build`` returns
-        ``None`` (observability, faults, a queue-depth limit, BAST/FAST)
-        this is the plain scalar loop.
+        Every request goes through :meth:`process`; the trace is decoded
+        in columnar segments only to bound the ``tolist()`` footprint.
         """
         process = self.process
         checker = self.checker
@@ -607,8 +595,6 @@ class Simulator:
         #: at DRAM speed without holding a NAND slot, so they neither
         #: wait for a slot nor gate the admission of later requests.
         outstanding: list[float] = []
-        kernel = BatchReadKernel.build(self)
-        self._batch_kernel = kernel
         progress = self.sim_cfg.progress
         snap_every = (
             self.sim_cfg.snapshot_every if self.series is not None else 0
@@ -622,54 +608,32 @@ class Simulator:
         for seg in decode_segments(
             trace, max_batch=_SEGMENT_REQUESTS, spp=self.spp
         ):
-            ops = seg.ops.tolist()
-            offsets = seg.offsets.tolist()
-            sizes = seg.sizes.tolist()
-            times = seg.times.tolist()
-            if kernel is not None:
-                kernel.begin_segment(seg)
-            for k in range(len(ops)):
-                op = ops[k]
-                ts = times[k]
-                if not (
-                    kernel is not None
-                    and op == OP_READ
-                    and kernel.try_read(k, offsets[k], sizes[k], ts, i)
-                ):
-                    if kernel is not None:
-                        kernel.flush()
-                    start = None
-                    takes_slot = op != OP_TRIM
-                    if takes_slot and qd is not None and len(outstanding) >= qd:
-                        # the device accepts this request only once the
-                        # earliest-finishing outstanding one has completed
-                        start = max(ts, heapq.heappop(outstanding))
-                    process(op, offsets[k], sizes[k], ts, start)
-                    if takes_slot and qd is not None:
-                        heapq.heappush(outstanding, completions[-1])
-                    if checker is not None:
-                        checker.maybe_check(i + 1)
+            for op, offset, size, ts in seg.request_tuples():
+                start = None
+                takes_slot = qd is not None and op != OP_TRIM
+                if takes_slot and len(outstanding) >= qd:
+                    # the device accepts this request only once the
+                    # earliest-finishing outstanding one has completed
+                    start = max(ts, heapq.heappop(outstanding))
+                process(op, offset, size, ts, start)
+                if takes_slot:
+                    heapq.heappush(outstanding, completions[-1])
                 last = ts
                 i += 1
+                if checker is not None:
+                    checker.maybe_check(i)
                 if snap_every and i % snap_every == 0:
-                    if kernel is not None:
-                        kernel.flush()
                     self.series.append(
                         Snapshot.capture(i, ts, self.ftl.counters)
                     )
                 if progress:
                     wall = _time.perf_counter()
                     if wall >= next_prog:
-                        # completed *requests*, not segments: absorbed-
-                        # but-unflushed reads are still in flight
-                        done = i - (kernel.pending() if kernel else 0)
                         prog_width = _print_progress(
-                            trace.name, done, n, wall - loop_t0,
+                            trace.name, i, n, wall - loop_t0,
                             prev_width=prog_width,
                         )
                         next_prog = wall + _PROGRESS_EVERY_S
-        if kernel is not None:
-            kernel.flush()
         if progress:
             _print_progress(
                 trace.name, n, n, _time.perf_counter() - loop_t0,
@@ -1032,8 +996,7 @@ class Simulator:
         and assemble the report.
 
         Two replay loops share everything else: the sequential loop
-        (default; one request at a time in trace order, read runs
-        absorbed by the vector kernel where it applies — the model all
+        (default; one request at a time in trace order — the model all
         pinned golden/bench digests were taken on) and the
         discrete-event frontend (``SimConfig.frontend.enabled``) that
         overlaps in-flight requests under hazard ordering

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import TraceFormatError
-from .model import OP_READ, OP_TRIM, OP_WRITE, Trace
+from .model import OP_READ, OP_TRIM, OP_WRITE, Trace, check_row
 
 _EVENT_WHITELIST = ("Q", "D")
 
@@ -83,7 +83,9 @@ def load_blktrace(
                 raise TraceFormatError(f"{path}:{lineno}: bad extent") from None
             if nsectors <= 0:
                 continue
-            times.append(t_s * 1000.0)
+            t_ms = t_s * 1000.0
+            check_row(path, lineno, t_ms, sector, nsectors)
+            times.append(t_ms)
             ops.append(op)
             offsets.append(sector)
             sizes.append(nsectors)

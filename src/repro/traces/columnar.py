@@ -1,26 +1,19 @@
 """Columnar trace decoding for the sequential replay loop.
 
-The scalar reader — ``for op, offset, size, t in trace`` — hands out
-one python tuple per request.  The engine's sequential loop instead
-decodes whole trace segments into numpy arrays up front: a
-:class:`ColumnarSegment` is a bounded slice of the trace carrying the
-four raw request columns plus
-the derived per-request geometry the vector kernels need (first/last
-logical page, page-piece count, the across-page classification of
-paper §2.1).
+The engine's sequential loop decodes the trace in bounded segments
+instead of converting every column to python objects at once: a
+:class:`ColumnarSegment` is a slice of the trace carrying the four raw
+request columns plus derived per-request geometry (first/last logical
+page, page-piece count, the across-page classification of paper §2.1).
 
 Decoding is *pure*: a segment is views/arithmetic over the trace's own
 arrays, so the request stream it describes is byte-identical to what
-the scalar reader yields.  That equivalence is pinned two ways:
-
-* :func:`request_digest` / :func:`request_digest_scalar` compute the
-  same SHA-256 over the canonical request encoding — one from the
-  columnar arrays, one through the scalar tuple iterator — and the
-  property tests require equal hexes on synthetic, blktrace and MSR
-  traces (TRIM rows and truncated-tail segments included);
-* the kernel-off reference tests (``tests/test_batch.py``) replay
-  whole traces with the read kernel disabled and require the same
-  report and oracle read digests.
+the scalar reader (``for op, offset, size, t in trace``) yields.
+:func:`request_digest` / :func:`request_digest_scalar` pin that: the
+same SHA-256 over the canonical request encoding — one from the
+columnar arrays, one through the scalar tuple iterator — and the
+property tests require equal hexes on synthetic, blktrace and MSR
+traces (TRIM rows and truncated-tail segments included).
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ class ColumnarSegment:
     """One decoded trace segment (a bounded run of requests).
 
     The four raw columns are slices of the trace arrays; the derived
-    columns are what the batch kernels consume per request:
+    columns describe each request's page geometry:
 
     ``lpn_lo``/``lpn_hi``
         first and last logical page the extent touches;
@@ -79,7 +72,7 @@ class ColumnarSegment:
     def request_tuples(self):
         """The segment's requests as scalar ``(op, offset, size, time)``
         tuples — the same stream the scalar reader yields for this
-        slice (equivalence-test helper, not a hot path)."""
+        slice; what the sequential loop iterates."""
         return list(
             zip(
                 self.ops.tolist(),

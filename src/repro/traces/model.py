@@ -8,6 +8,7 @@ the SYSTOR'17 traces the paper replays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,27 @@ from ..errors import TraceFormatError
 OP_READ = 0
 OP_WRITE = 1
 OP_TRIM = 2
+
+#: one past the largest sector address the int64 columns can hold
+_SECTOR_LIMIT = 2**63
+
+
+def check_row(path, lineno: int, time_ms: float, offset: int, size: int) -> None:
+    """Validate one parsed row of a trace file before it enters the
+    columns, naming it as ``path:lineno``.  Without this a non-finite
+    time is accepted silently (an all-NaN time column after rebasing),
+    and a bad extent surfaces later with neither file nor line — as a
+    bare ``OverflowError`` from the int64 conversion, or from
+    :class:`Trace` itself."""
+    if not math.isfinite(time_ms):
+        raise TraceFormatError(f"{path}:{lineno}: non-finite timestamp")
+    if offset < 0:
+        raise TraceFormatError(f"{path}:{lineno}: negative offset {offset}")
+    if offset + size >= _SECTOR_LIMIT:
+        raise TraceFormatError(
+            f"{path}:{lineno}: extent [{offset}, {offset + size}) exceeds "
+            "the 64-bit sector range"
+        )
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import TraceFormatError
 from ..units import SECTOR_BYTES
-from .model import OP_READ, OP_WRITE, Trace
+from .model import OP_READ, OP_WRITE, Trace, check_row
 
 _TICKS_PER_MS = 10_000.0
 
@@ -51,14 +51,16 @@ def load_msr(path: str | Path, name: str | None = None) -> Trace:
                 t = int(ts) / _TICKS_PER_MS
                 off_b = int(off)
                 size_b = int(size)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
+                # OverflowError: a tick count too large for a float
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
             if size_b <= 0:
                 continue
-            times.append(t)
-            ops.append(OP_WRITE if typ == "write" else OP_READ)
             lo = off_b // SECTOR_BYTES
             hi = -(-(off_b + size_b) // SECTOR_BYTES)
+            check_row(path, lineno, t, lo, hi - lo)
+            times.append(t)
+            ops.append(OP_WRITE if typ == "write" else OP_READ)
             offsets.append(lo)
             sizes.append(hi - lo)
     if not times:

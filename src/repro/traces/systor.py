@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import TraceFormatError
 from ..units import SECTOR_BYTES
-from .model import OP_READ, OP_TRIM, OP_WRITE, Trace
+from .model import OP_READ, OP_TRIM, OP_WRITE, Trace, check_row
 
 _HEADER = "Timestamp,Response,IOType,LUN,Offset,Size"
 
@@ -47,10 +47,12 @@ def load_systor(
         first = fh.readline().strip()
         if not first:
             raise TraceFormatError(f"{path}: empty trace file")
+        first_data_line = 2
         if not first.lower().startswith("timestamp"):
             # no header: treat the first line as data
             fh = _chain_line(first, fh)
-        for lineno, line in enumerate(fh, start=2):
+            first_data_line = 1
+        for lineno, line in enumerate(fh, start=first_data_line):
             line = line.strip()
             if not line:
                 continue
@@ -79,12 +81,14 @@ def load_systor(
             if size_b <= 0:
                 skipped += 1
                 continue
-            times.append(t * 1000.0)  # seconds -> ms
-            ops.append(op)
             # byte offsets are not always sector-aligned; round down/up
             # to sector granularity like the device interface would
             lo = off_b // SECTOR_BYTES
             hi = -(-(off_b + size_b) // SECTOR_BYTES)
+            t *= 1000.0  # seconds -> ms
+            check_row(path, lineno, t, lo, hi - lo)
+            times.append(t)
+            ops.append(op)
             offsets.append(lo)
             sizes.append(hi - lo)
     if not times:

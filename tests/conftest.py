@@ -13,6 +13,7 @@ from repro import (
     generate_trace,
     make_ftl,
 )
+from repro.flash.array import PAGE_VALID
 from repro.flash.service import FlashService
 
 
@@ -83,21 +84,47 @@ def oracle_sim_cfg() -> SimConfig:
 
 @pytest.fixture
 def scalar_reference(monkeypatch):
-    """Switch every fused kernel off for one test: reads go through
-    ``Simulator.process`` and aging through the generic
-    ``BaseFTL.write_run`` loop over ``write`` — the reference the
-    kernels must match bit for bit."""
+    """Switch fused aging off for one test: ftl / across age through
+    the generic ``BaseFTL.write_run`` loop over ``write`` — the
+    reference ``_write_run_paged`` must match bit for bit.  (MRSM has no
+    fused path, and replay has one loop: ``Simulator.process``.)"""
     from repro.core.across import AcrossFTL
     from repro.ftl.base import BaseFTL
     from repro.ftl.pagemap import PageMapFTL
-    from repro.sim.kernels import BatchReadKernel
 
-    monkeypatch.setattr(
-        BatchReadKernel, "build", classmethod(lambda cls, sim: None)
-    )
-    # (MRSM has no fused kernel: it ages through the generic loop)
     for scheme in (PageMapFTL, AcrossFTL):
         monkeypatch.setattr(scheme, "write_run", BaseFTL.write_run)
+
+
+def relocate_each_programmed_page(ftl, kind, *, invariants_hold=True):
+    """Make every GC check first relocate the pages of ``kind``
+    programmed since the previous check — what one GC pass does when it
+    takes several victims and the block that program filled is among
+    them.  Fresh pages are found by diffing the array's page states, so
+    the fused aging path (which never calls ``service.program_page``) is
+    covered as well.  ``invariants_hold=False`` skips the "new page is
+    already whole" sweep for sites whose check legitimately runs
+    mid-operation (Across-FTL shadows the PMT mask *after* the check;
+    digests pin that order).  Returns the list of PPNs moved."""
+    arr = ftl.service.array
+    seen = arr.page_state == PAGE_VALID
+    maybe_collect = ftl.gc.maybe_collect
+    moved = []
+
+    def relocating_collect(plane, now, *, timed=True):
+        valid = arr.page_state == PAGE_VALID
+        for ppn in np.flatnonzero(valid & ~seen).tolist():
+            if arr.meta(ppn).kind == kind:
+                if invariants_hold:
+                    ftl.check_invariants()
+                ftl._relocate(ppn, now, timed)
+                moved.append(ppn)
+        finish = maybe_collect(plane, now, timed=timed)
+        seen[:] = arr.page_state == PAGE_VALID
+        return finish
+
+    ftl.gc.maybe_collect = relocating_collect
+    return moved
 
 
 def random_extents(rng: np.random.Generator, n: int, max_sector: int, spp: int):

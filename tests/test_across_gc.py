@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import build_ftl, relocate_each_programmed_page
 from repro.flash.service import FlashService
 from repro.core.across import AcrossFTL
 
@@ -72,3 +73,39 @@ class TestAreaRelocation:
         for s, expect in itertools.islice(version.items(), 0, None, 7):
             _, found = ftl.read(s, 1, 0.0)
             assert found.get(s) == expect, s
+
+
+class TestProgramRecordGcCheck:
+    def test_amt_names_the_area_before_the_gc_check(self, tiny_cfg):
+        """program -> AMT entry / AIdx -> GC check at every site that
+        programs an across page (direct write, both AMerge flavours): a
+        pass that takes the block just filled finds the area through
+        the AMT.  The PMT mask is shadowed after the check, so the full
+        invariant sweep only holds once the write returns."""
+        svc, ftl = build_ftl("across", tiny_cfg)
+        moved = relocate_each_programmed_page(
+            ftl, "across", invariants_hold=False
+        )
+        versions = {}
+        for v, (off, size) in enumerate(
+            [
+                (0, 64),     # normal data under the area to come
+                (24, 12),    # direct write: area over pages 1|2
+                (26, 8),     # across-page update inside it: profitable
+                (22, 4),     # one-page update beside it: unprofitable
+                (2056, 12),  # direct write onto never-written pages
+            ]
+        ):
+            stamps = {s: v for s in range(off, off + size)}
+            versions.update(stamps)
+            ftl.write(off, size, 0.0, stamps)
+            ftl.check_invariants()
+        st = ftl.across_stats
+        assert (
+            st.direct_writes, st.profitable_amerge, st.unprofitable_amerge
+        ) == (2, 1, 1)
+        assert len(moved) == 4
+        assert not any(svc.array.is_valid(ppn) for ppn in moved)
+        for sec, v in versions.items():
+            assert ftl.read(sec, 1, 0.0)[1] == {sec: v}
+        svc.array.check_invariants()

@@ -1,20 +1,20 @@
-"""Read kernels and fused aging: bit-identical to the scalar reference.
+"""The sequential loop and fused aging: bit-identical to the reference.
 
-The sequential loop absorbs read runs into ``BatchReadKernel`` and ages
-the device through the schemes' fused ``write_run`` kernels — always;
-no option selects them.  These tests hold the full canonical report
-(``benchgate.report_digest``) and the oracle read digest equal to the
-scalar reference (the ``scalar_reference`` fixture switches every
-kernel off) on all three schemes, on aged devices and with the oracle
-on; plus the behavioural contracts around the kernel (MIN_READ_RUN
-engagement, request-granular progress, segment-size independence) and
-the inert ``BatchConfig`` leftover.
+Replay has one path — ``Simulator._run_sequential`` is a loop over
+``Simulator.process`` — and aging has one fused path
+(``BaseFTL._write_run_paged``); no option selects either.  These tests
+hold the full canonical report (``benchgate.report_digest``) of the
+loop equal to ``process()`` driven by hand, and of fused aging equal to
+the reference ``write_run`` (the ``scalar_reference`` fixture), on all
+three schemes; plus the contracts around the loop (request-granular
+progress, segment-size independence) and the inert ``BatchConfig``
+leftover.
 """
 
 import dataclasses
+import heapq
 import re
 
-import numpy as np
 import pytest
 
 from repro.config import BatchConfig, SimConfig, SSDConfig
@@ -24,7 +24,7 @@ from repro.flash.service import FlashService
 from repro.ftl import make_ftl
 from repro.sim import engine
 from repro.sim.engine import Simulator
-from repro.traces.model import OP_READ, OP_WRITE, Trace
+from repro.traces.model import OP_TRIM, Trace
 from repro.traces.synthetic import SyntheticSpec, VDIWorkloadGenerator
 from repro.units import MIB
 
@@ -32,8 +32,7 @@ SCHEMES = ("ftl", "mrsm", "across")
 
 
 def mixed_trace(cfg, n=300, seed=3, write_ratio=0.35):
-    """A read-leaning synthetic workload (long read runs engage the
-    kernel) sized to the given geometry."""
+    """A read-leaning synthetic workload sized to the given geometry."""
     spec = SyntheticSpec(
         name="batch-eq",
         requests=n,
@@ -53,60 +52,93 @@ def run_once(scheme, trace, sim_cfg, cfg):
     return sim, report
 
 
-def flat_trace(rows):
-    """Build a trace from explicit ``(op, offset, size)`` rows, 1 ms
-    apart."""
-    ops = np.array([r[0] for r in rows], np.uint8)
-    offsets = np.array([r[1] for r in rows], np.int64)
-    sizes = np.array([r[2] for r in rows], np.int64)
-    times = np.arange(len(rows), dtype=np.float64)
-    return Trace("flat", times, ops, offsets, sizes)
+def run_by_hand(scheme, trace, sim_cfg, cfg):
+    """``Simulator.run`` with the sequential loop written out: every
+    request through ``sim.process`` in trace order, the scalar reader
+    instead of columnar segments, the same NCQ slot heap and checker
+    cadence."""
+    sim = Simulator(make_ftl(scheme, FlashService(cfg)), sim_cfg)
+
+    def by_hand(trace):
+        qd = sim_cfg.queue_depth
+        outstanding = []
+        last = 0.0
+        for i, (op, offset, size, ts) in enumerate(trace, 1):
+            start = None
+            takes_slot = qd is not None and op != OP_TRIM
+            if takes_slot and len(outstanding) >= qd:
+                start = max(ts, heapq.heappop(outstanding))
+            sim.process(op, offset, size, ts, start)
+            if takes_slot:
+                heapq.heappush(outstanding, sim._completions[-1])
+            if sim.checker is not None:
+                sim.checker.maybe_check(i)
+            last = ts
+        return last
+
+    sim._run_sequential = by_hand
+    return sim.run(trace)
 
 
 class TestBitIdentical:
-    """Normal run first, then the same run under ``scalar_reference``
-    (requested late through ``request.getfixturevalue`` so the first
-    run still has its kernels)."""
+    @pytest.mark.parametrize("qd", (None, 4))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_loop_is_process_by_hand(self, scheme, qd):
+        """The loop *is* the scalar reference: ``run()`` and
+        ``process()`` called by hand give one report (aged tiny
+        device, data cache on, TRIM rows bypassing the slot heap)."""
+        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
+        trace = mixed_trace(cfg)
+        ops = trace.ops.copy()
+        ops[::17] = OP_TRIM
+        trace = Trace(trace.name, trace.times, ops, trace.offsets, trace.sizes)
+        sim_cfg = SimConfig(
+            aged_used=0.55, aged_valid=0.30, seed=9, queue_depth=qd
+        )
+        _, looped = run_once(scheme, trace, sim_cfg, cfg)
+        assert looped.extra["trim_count"] > 0
+        by_hand = run_by_hand(scheme, trace, sim_cfg, cfg)
+        assert report_digest(by_hand) == report_digest(looped)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_full_report_equal_with_oracle(self, scheme):
+        """Oracle on, aged device, invariant checker armed: the loop
+        folds the same stamps into ``check_read_digest``, and sweeps at
+        the same cadence, as ``process()`` by hand."""
+        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
+        trace = mixed_trace(cfg, seed=5)
+        sim_cfg = SimConfig(
+            check_oracle=True, aged_used=0.55, aged_valid=0.30, seed=9
+        ).replace_check(enabled=True, every=64)
+        _, looped = run_once(scheme, trace, sim_cfg, cfg)
+        assert looped.extra["oracle_reads_verified"] > 0
+        assert looped.extra["check_sweeps"] > 1
+        by_hand = run_by_hand(scheme, trace, sim_cfg, cfg)
+        assert (
+            by_hand.extra["check_read_digest"]
+            == looped.extra["check_read_digest"]
+        )
+        assert report_digest(by_hand) == report_digest(looped)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_full_report_equal_on_aged_device(self, scheme, request):
+        """Fused aging vs the reference ``write_run`` at engine level:
+        normal run first, then the same run under ``scalar_reference``
+        (requested late so the first run still ages fused)."""
         cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
         trace = mixed_trace(cfg)
         sim_cfgs = [
             SimConfig(aged_used=0.55, aged_valid=0.30, seed=9, aging_style=st)
             for st in ("aligned", "vdi")
         ]
-        fused = []
-        for sim_cfg in sim_cfgs:
-            sim, report = run_once(scheme, trace, sim_cfg, cfg)
-            # the equality is meaningful only if the kernel actually ran
-            assert sim._batch_kernel is not None
-            assert sim._batch_kernel.requests_vectorised > 0
-            fused.append(report_digest(report))
+        fused = [
+            report_digest(run_once(scheme, trace, sim_cfg, cfg)[1])
+            for sim_cfg in sim_cfgs
+        ]
         request.getfixturevalue("scalar_reference")
         for sim_cfg, want in zip(sim_cfgs, fused):
-            ref_sim, ref = run_once(scheme, trace, sim_cfg, cfg)
-            assert ref_sim._batch_kernel is None
+            _, ref = run_once(scheme, trace, sim_cfg, cfg)
             assert report_digest(ref) == want
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_full_report_equal_with_oracle(self, scheme, request):
-        """Oracle on, aged device, invariant checker armed: the read
-        kernel folds the same stamps into ``check_read_digest`` as the
-        scalar path (aging itself takes the generic loop either way —
-        payload tracking is a fused-kernel fallback condition)."""
-        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
-        trace = mixed_trace(cfg, seed=5)
-        sim_cfg = SimConfig(
-            check_oracle=True, aged_used=0.55, aged_valid=0.30, seed=9
-        ).replace_check(enabled=True, every=64)
-        sim, fused = run_once(scheme, trace, sim_cfg, cfg)
-        assert sim._batch_kernel.requests_vectorised > 0
-        assert fused.extra["oracle_reads_verified"] > 0
-        request.getfixturevalue("scalar_reference")
-        _, ref = run_once(scheme, trace, sim_cfg, cfg)
-        assert fused.extra["check_read_digest"] == ref.extra["check_read_digest"]
-        assert report_digest(fused) == report_digest(ref)
 
     def test_small_max_batch_still_identical(self, monkeypatch):
         """Segment boundaries are invisible: 5-request segments give
@@ -115,20 +147,8 @@ class TestBitIdentical:
         trace = mixed_trace(cfg, seed=7)
         _, whole = run_once("across", trace, SimConfig(), cfg)
         monkeypatch.setattr(engine, "_SEGMENT_REQUESTS", 5)
-        sim, chopped = run_once("across", trace, SimConfig(), cfg)
-        assert sim._batch_kernel.requests_vectorised > 0
+        _, chopped = run_once("across", trace, SimConfig(), cfg)
         assert report_digest(chopped) == report_digest(whole)
-
-    def test_report_shape_unchanged(self, request):
-        """Kernel stats live on the simulator, never in the report —
-        the report dict feeds pinned digests."""
-        cfg = SSDConfig.tiny()
-        trace = mixed_trace(cfg, n=120)
-        _, fused = run_once("ftl", trace, SimConfig(), cfg)
-        request.getfixturevalue("scalar_reference")
-        _, ref = run_once("ftl", trace, SimConfig(), cfg)
-        assert fused.to_dict().keys() == ref.to_dict().keys()
-        assert fused.extra.keys() == ref.extra.keys()
 
 
 class TestFrontendComposition:
@@ -144,35 +164,6 @@ class TestFrontendComposition:
             "ftl", trace, fe.replace_batch(enabled=True), cfg
         )
         assert report_digest(flagged) == report_digest(plain)
-
-
-class TestMinReadRun:
-    def _seeded(self, rows):
-        """40 whole-page writes (data + cached translation pages),
-        then ``rows``."""
-        seed = [(OP_WRITE, lpn * 16, 16) for lpn in range(40)]
-        return flat_trace(seed + rows)
-
-    def _vectorised(self, trace):
-        cfg = SSDConfig.tiny()  # no write buffer: reads go to flash
-        sim, _ = run_once("ftl", trace, SimConfig(), cfg)
-        assert sim._batch_kernel is not None
-        return sim._batch_kernel.requests_vectorised
-
-    def test_short_runs_stay_scalar(self):
-        rows = []
-        for i in range(30):
-            rows += [(OP_WRITE, (i % 40) * 16, 16),
-                     (OP_READ, (i % 40) * 16, 16),
-                     (OP_READ, ((i + 1) % 40) * 16, 16)]
-        assert self._vectorised(self._seeded(rows)) == 0
-
-    def test_long_runs_are_absorbed(self):
-        rows = []
-        for i in range(15):
-            rows.append((OP_WRITE, (i % 40) * 16, 16))
-            rows += [(OP_READ, ((i + j) % 40) * 16, 16) for j in range(6)]
-        assert self._vectorised(self._seeded(rows)) >= 6
 
 
 class TestBatchProgress:

@@ -1,6 +1,7 @@
 """blktrace/blkparse text parser."""
 
 import gzip
+import re
 
 import pytest
 
@@ -69,3 +70,33 @@ class TestParse:
         # the trailing "Reads Queued" block must not break parsing
         t = load_blktrace(sample_file)
         assert len(t) == 4
+
+
+class TestMalformedRows:
+    """Same contract as the CSV loaders (tests/test_traces_formats.py):
+    a bad row is a ``TraceFormatError`` naming ``path:line``."""
+
+    @pytest.mark.parametrize(
+        "ts, sector",
+        [
+            ("0.2", "99999999999999999999999"),
+            ("0.2", "-8"),
+            ("nan", "64"),
+            ("inf", "64"),
+            ("9" * 400, "64"),
+        ],
+        ids=[
+            "offset-overflows-int64", "negative-offset", "nan-time",
+            "inf-time", "time-overflows-float",
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, ts, sector):
+        row = "  8,0    3     {}     {}  697  Q   W {} + 8 [kworker/3:1]"
+        p = tmp_path / "bad.txt"
+        p.write_text(
+            "CPU summary line\n"
+            + row.format(1, "0.1", "0") + "\n"
+            + row.format(2, ts, sector) + "\n"
+        )
+        with pytest.raises(TraceFormatError, match=re.escape(f"{p}:3:")):
+            load_blktrace(p)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.check.invariants import InvariantChecker
-from repro.config import CheckConfig, SCHEMES, SimConfig, SSDConfig
+from repro.config import CheckConfig, SCHEMES, SimConfig
 from repro.errors import (
     ConfigError,
     FlashProtocolError,

@@ -465,6 +465,100 @@ class TestFrontendDifferential:
         assert any(f.kind == "frontend-divergence" for f in res.failures)
 
 
+class TestVersusSequentialLoop:
+    """ROADMAP's "one replay loop" question, answered: can the event
+    frontend stand in for ``_run_sequential``?  Only where its extra
+    rules cannot fire — which is the sequential loop.  These pin the
+    facts (they pass before and after any change; a failure means a
+    timing rule moved and docs/architecture.md §2 needs the new one)."""
+
+    SCHEMES = ("ftl", "mrsm", "across")
+
+    @staticmethod
+    def both(scheme, cfg, trace, queue_depth):
+        """``to_dict()`` of the sequential loop and of the frontend at
+        ``window=1`` on an aged, GC-active device; the frontend's three
+        own tallies and the host wall clock dropped."""
+        base = SimConfig(
+            aged_used=0.85, aged_valid=0.4, seed=9, queue_depth=queue_depth
+        )
+        out = []
+        for sim_cfg in (base, base.replace_frontend(enabled=True, window=1)):
+            sim = Simulator(make_ftl(scheme, FlashService(cfg)), sim_cfg)
+            doc = sim.run(trace).to_dict()
+            del doc["wall_seconds"]
+            doc["extra"] = {
+                k: v for k, v in doc["extra"].items()
+                if not k.startswith("frontend_")
+            }
+            out.append(doc)
+        return out
+
+    @pytest.fixture(scope="class")
+    def vdi_trace(self):
+        cfg = SSDConfig.tiny()
+        spec = SyntheticSpec(
+            "fe-vs-seq", 1500, 0.5, 0.22, 8.0,
+            footprint_sectors=int(cfg.logical_sectors * 0.6), seed=5,
+        )
+        return generate_trace(spec)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_equal_at_queue_depth_one_without_data_cache(
+        self, scheme, vdi_trace
+    ):
+        """QD 1, in-order release, no data cache: no hazard can stall,
+        no chip queue can reorder, nothing bypasses the slot — field
+        for field the sequential loop's report."""
+        seq, fe = self.both(scheme, SSDConfig.tiny(), vdi_trace, 1)
+        assert fe == seq
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_only_latency_differs_with_the_data_cache(
+        self, scheme, vdi_trace
+    ):
+        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
+        seq, fe = self.both(scheme, cfg, vdi_trace, 1)
+        assert [k for k in seq if seq[k] != fe[k]] == ["latency"]
+
+    def test_the_rule_cached_read_bypasses_the_host_slot(self):
+        """The first divergence, isolated: a fully cached read arriving
+        while a write is in flight waits for the one host slot in the
+        sequential loop and bypasses it in the frontend."""
+        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
+        trace = Trace(
+            "rule",
+            np.array([0.0, 100.0, 100.01]),
+            np.array([OP_WRITE, OP_WRITE, OP_READ], np.uint8),
+            np.array([0, 1600, 0]),
+            np.array([16, 16, 16]),
+        )
+        read_latency = {}
+        for enabled in (False, True):
+            sim_cfg = SimConfig(
+                queue_depth=1, record_requests=True
+            ).replace_frontend(enabled=enabled, window=1)
+            sim = Simulator(make_ftl("ftl", FlashService(cfg)), sim_cfg)
+            report = sim.run(trace)
+            assert report.counters.cache_hits == 1
+            log = sim.request_log
+            (read_latency[enabled],) = log.latency[log.op == OP_READ].tolist()
+        cache_ms = cfg.timing.cache_access_ms
+        assert read_latency[True] == pytest.approx(cache_ms)
+        # the write issued at 100.0 holds the slot until it completes
+        assert read_latency[False] > 100 * cache_ms
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_differs_at_unbounded_queue_depth(self, scheme, vdi_trace):
+        """``queue_depth=None`` is the model every pinned digest was
+        taken on: the sequential loop starts each request at arrival,
+        the frontend adds hazard stalls and per-chip queues — so the
+        frontend cannot replace the loop without re-pinning them."""
+        seq, fe = self.both(scheme, SSDConfig.tiny(), vdi_trace, None)
+        assert seq["latency"] != fe["latency"]
+        assert seq["extra"] != fe["extra"]
+
+
 class TestFrontendJobsDeterminism:
     def test_jobs_1_vs_4_bit_identical(self):
         from repro.experiments.benchgate import report_digest

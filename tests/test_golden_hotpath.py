@@ -7,9 +7,9 @@ and the scale-0.02 hotpath replay).  Any hot-path optimisation must
 keep these reports bit-identical — this is the proof behind the
 "≥2x faster, same output" contract of the performance overhaul, and
 the same fixture backs the digests in ``BENCH_baseline.json``.  Each
-scenario is held to the fixture twice: as shipped (read kernel and
-fused aging on) and with every kernel switched off by the
-``scalar_reference`` fixture.
+scenario is held to the fixture twice: as shipped (fused aging) and
+aged through the reference ``write_run`` by the ``scalar_reference``
+fixture.
 
 Regenerate (only after an *intentional* behaviour change):
 
@@ -70,7 +70,7 @@ def _assert_matches(sc, report, golden, label=""):
 
 @pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
 def test_report_matches_golden(sc, golden, scalar_reference):
-    """The scalar reference (every kernel off — what the fixture was
+    """The scalar reference (fused aging off — what the fixture was
     first generated on) reproduces the golden reports."""
     report = sc.run()
     _assert_matches(sc, report, golden, " (scalar reference)")
@@ -81,6 +81,6 @@ def test_report_matches_golden(sc, golden, scalar_reference):
 
 @pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
 def test_batch_report_matches_golden(sc, golden):
-    """The run as shipped — read kernel and fused aging on, as they
-    always are — reproduces the same golden reports bit for bit."""
+    """The run as shipped — fused aging on, as it always is —
+    reproduces the same golden reports bit for bit."""
     _assert_matches(sc, sc.run(), golden)

@@ -6,7 +6,7 @@ from repro.errors import ConfigError, MappingError
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
 from repro.ftl.mrsm import MRSMFTL
-from conftest import build_ftl
+from conftest import build_ftl, relocate_each_programmed_page
 
 
 @pytest.fixture
@@ -208,39 +208,11 @@ class TestColumnHazards:
     grew: write order against GC, the -1 sentinel as an index, empty
     and out-of-range extents."""
 
-    @staticmethod
-    def relocate_each_programmed_page(svc, ftl, kind):
-        """Make every GC check first relocate the page just programmed
-        when it is of ``kind`` — what one GC pass does when it takes
-        several victims and the block that program filled is among
-        them.  Returns the list of PPNs moved."""
-        programmed = []
-        program_page = svc.program_page
-
-        def recording_program(ppn, meta, *args, **kw):
-            programmed.append((ppn, meta.kind))
-            return program_page(ppn, meta, *args, **kw)
-
-        svc.program_page = recording_program
-        maybe_collect = ftl.gc.maybe_collect
-        moved = []
-
-        def relocating_collect(plane, now, *, timed=True):
-            ppn, programmed_kind = programmed[-1]
-            if programmed_kind == kind and ppn not in moved:
-                ftl.check_invariants()  # the new page is already whole
-                ftl._relocate(ppn, now, timed)
-                moved.append(ppn)
-            return maybe_collect(plane, now, timed=timed)
-
-        ftl.gc.maybe_collect = relocating_collect
-        return moved
-
     def test_page_columns_are_written_before_the_gc_check(self, tiny_cfg):
         """allocate -> program -> columns -> GC: a relocation never
         meets a valid region page whose slots are unwritten."""
         svc, ftl = build_ftl("mrsm", tiny_cfg)
-        moved = self.relocate_each_programmed_page(svc, ftl, "region")
+        moved = relocate_each_programmed_page(ftl, "region")
         versions = {}
         for v, (off, size) in enumerate(
             [(0, 16), (6, 10), (2056, 12), (3, 2), (0, 64), (30, 7), (2050, 40)]
@@ -259,7 +231,7 @@ class TestColumnHazards:
         translation page an eviction programmed before GC can move it."""
         svc = FlashService(tiny_cfg)
         ftl = make_ftl("mrsm", svc, mapping_cache_entries=512)
-        moved = self.relocate_each_programmed_page(svc, ftl, "map")
+        moved = relocate_each_programmed_page(ftl, "map")
         rs = ftl.region_sectors
         epp = ftl._cache.entries_per_page
         for i in range(12):  # one region in each of three translation pages

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import build_ftl
+from conftest import build_ftl, relocate_each_programmed_page
 
 
 @pytest.fixture
@@ -153,3 +153,33 @@ class TestLatencies:
         ftl.write(0, 16, 0.0)
         t, _ = ftl.read(0, 8, 50.0)
         assert t == pytest.approx(50.075)
+
+
+class TestProgramRecordGcCheck:
+    @pytest.mark.parametrize("scheme", ["ftl", "across"])
+    def test_pmt_names_the_page_before_the_gc_check(self, scheme, tiny_cfg):
+        """program -> PMT -> GC check: a pass that takes the block this
+        program filled finds the page where the PMT says it is."""
+        svc, ftl = build_ftl(scheme, tiny_cfg)
+        # Across-FTL checks mid-rollback, while the area still shadows
+        moved = relocate_each_programmed_page(
+            ftl, "data", invariants_hold=scheme == "ftl"
+        )
+        versions = {}
+        writes = [(0, 16), (6, 10), (3, 2), (0, 64), (30, 2), (2040, 40)]
+        if scheme == "across":
+            # an area over pages 0|1, then an update too wide to merge:
+            # ARollback writes both pages back through this path
+            writes += [(12, 8), (0, 32)]
+        for v, (off, size) in enumerate(writes):
+            stamps = stamps_for(off, size, v)
+            versions.update(stamps)
+            ftl.write(off, size, 0.0, stamps)
+        assert len(moved) >= len(writes)
+        assert not any(svc.array.is_valid(ppn) for ppn in moved)
+        for sec, v in versions.items():
+            assert ftl.read(sec, 1, 0.0)[1] == {sec: v}
+        if scheme == "across":
+            assert ftl.across_stats.rollbacks == 1
+        ftl.check_invariants()
+        svc.array.check_invariants()

@@ -1,6 +1,7 @@
 """SYSTOR'17 and MSR trace parsers (round trips and error paths)."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -129,3 +130,54 @@ class TestMSR:
         p.write_text("")
         with pytest.raises(TraceFormatError):
             load_msr(p)
+
+
+#: one malformed value per defect: (timestamp, byte offset) overrides
+BAD_ROWS = {
+    "offset-overflows-int64": (None, "99999999999999999999999"),
+    "negative-offset": (None, "-4096"),
+    "nan-time": ("nan", None),
+    "inf-time": ("inf", None),
+    "time-overflows-float": ("9" * 400, None),
+}
+
+
+def _systor_rows(ts, off):
+    row = "{},0.0,W,0,{},4096"
+    return [
+        "Timestamp,Response,IOType,LUN,Offset,Size",
+        row.format("0.5", "0"),
+        row.format(ts or "0.6", off or "8192"),
+    ]
+
+
+def _msr_rows(ts, off):
+    row = "{},h,0,Write,{},4096,1"
+    return [
+        "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime",
+        row.format("128166372003061629", "0"),
+        row.format(ts or "128166372003071629", off or "8192"),
+    ]
+
+
+class TestMalformedRows:
+    """A bad row fails as ``TraceFormatError`` naming ``path:line`` —
+    never a bare ``OverflowError`` from the int64 conversion, a
+    location-less error from ``Trace``, or an accepted NaN time."""
+
+    @pytest.mark.parametrize("defect", BAD_ROWS)
+    @pytest.mark.parametrize(
+        "load, rows", [(load_systor, _systor_rows), (load_msr, _msr_rows)],
+        ids=["systor", "msr"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, load, rows, defect):
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(rows(*BAD_ROWS[defect])) + "\n")
+        with pytest.raises(TraceFormatError, match=re.escape(f"{p}:3:")):
+            load(p)
+
+    def test_headerless_systor_counts_from_line_one(self, tmp_path):
+        p = tmp_path / "bare.csv"
+        p.write_text("0.5,0.0,W,0,0,4096\n0.6,0.0,W,0,xx,4096\n")
+        with pytest.raises(TraceFormatError, match=re.escape(f"{p}:2:")):
+            load_systor(p)

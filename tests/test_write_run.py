@@ -20,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_extents
+from conftest import random_extents, relocate_each_programmed_page
 from repro.config import SSDConfig
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
@@ -130,3 +130,23 @@ def test_mrsm_ages_through_the_reference_loop():
     assert 0 < ftl.write_run(offsets, sizes, 150) < len(offsets)
     assert ftl.counters.writes[OpKind.AGING] >= 150
     ftl.check_invariants()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fused_run_records_the_pmt_before_the_gc_check(scheme):
+    """The fused loop stores ``pmt[lpn]`` above its inlined GC check, so
+    a pass that takes the block just filled can relocate the new page.
+    The inlined screen only calls the collector on a low plane; opening
+    it (``_ok_free_count``) sends every program there."""
+    ftl = aging_ftl(scheme, CFG)
+    moved = relocate_each_programmed_page(
+        ftl, "data", invariants_hold=scheme == "ftl"
+    )
+    ftl.gc._ok_free_count = CFG.blocks_per_plane + 1
+    offsets, sizes = aging_run(120, seed=6)
+    assert ftl.write_run(offsets, sizes, sys.maxsize) == len(offsets)
+    assert len(moved) >= len(offsets) // 2
+    arr = ftl.service.array
+    assert not any(arr.is_valid(ppn) for ppn in moved)
+    ftl.check_invariants()
+    arr.check_invariants()
