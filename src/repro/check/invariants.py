@@ -5,8 +5,8 @@ requests, no matter how aggressively the hot path is optimised:
 
 1.  **Flash bookkeeping** — per-block ``valid_count`` equals the VALID
     page count, write pointers split each block into a programmed
-    prefix and a FREE suffix, retired blocks are sealed, and the meta
-    store holds exactly one record per valid page
+    prefix and a FREE suffix, retired blocks are sealed, and a page
+    holds a record (``kind != 0``) exactly while it is VALID
     (:meth:`repro.flash.array.FlashArray.check_invariants`).
 2.  **Free-pool conservation** — a block sits in its plane's free pool
     exactly when it is fully erased (``write_ptr == 0``) and not
@@ -248,7 +248,7 @@ class InvariantChecker:
             owners[ppn] = owner
         n_valid = arr.total_valid_pages
         if len(owners) != n_valid:
-            for ppn, _meta in arr.valid_items():
+            for ppn in np.flatnonzero(state == PAGE_VALID).tolist():
                 if ppn not in owners:
                     raise InvariantViolation(
                         f"valid PPN {ppn} ({arr.meta(ppn)!r}) is "

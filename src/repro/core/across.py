@@ -33,9 +33,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import MappingError
-from ..ftl.allocator import STREAM_GC
 from ..ftl.base import BaseFTL, iter_bits, mask_range
-from ..ftl.meta import AcrossPageMeta
+from ..ftl.meta import KIND_ACROSS
 from ..metrics.counters import OpKind
 from ..units import lpn_range, split_extent
 from .amt import AMT_ENTRY_BYTES, AcrossMappingTable
@@ -103,14 +102,8 @@ class AcrossFTL(BaseFTL):
         #: every overlapping update rolls the area back.
         self.amerge_enabled = amerge_enabled
         self.amt = AcrossMappingTable()
-        #: LPN -> AIdx of the area covering it (the PMT AIdx field;
-        #: absent means AIdx = -1)
-        self.aidx_of_lpn: dict[int, int] = {}
-        #: flat mirror of ``aidx_of_lpn`` (-1 = no area), same raw-buffer
-        #: + zero-copy-view layout as the PMT: fused aging screens each
-        #: request for area overlap with an array load instead of a
-        #: dict probe per LPN.  Kept in lockstep at every mutation site
-        #: of ``aidx_of_lpn`` (tests assert the two stay equal).
+        #: LPN -> AIdx of the area covering it (the PMT AIdx field; -1 =
+        #: none), in the raw-buffer + zero-copy-view layout of the PMT
         self._aidx = array("q", [-1]) * self.logical_pages
         self.aidx = np.frombuffer(self._aidx, dtype=np.int64)
         self.across_stats = AcrossStats()
@@ -200,8 +193,8 @@ class AcrossFTL(BaseFTL):
         t = self._pmt_cache.access(lpn, now, dirty=True, timed=self.timed)
         if t > now:
             now = t
-        aidx = self.aidx_of_lpn.get(lpn)
-        if aidx is not None:
+        aidx = self._aidx[lpn]
+        if aidx >= 0:
             entry = self.amt.get(aidx)
             amask = self._area_rel_mask(lpn, entry.start, entry.end)
             piece_mask = ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
@@ -230,10 +223,10 @@ class AcrossFTL(BaseFTL):
         t0 = self._pmt_cache.access(l0, now, dirty=True, timed=self.timed)
         t1 = self._pmt_cache.access(l1, now, dirty=True, timed=self.timed)
         now = max(now, t0, t1)
-        a0 = self.aidx_of_lpn.get(l0)
-        a1 = self.aidx_of_lpn.get(l1)
+        a0 = self._aidx[l0]
+        a1 = self._aidx[l1]
 
-        if a0 is not None and a0 == a1:
+        if a0 >= 0 and a0 == a1:
             # an area already covers exactly this LPN pair: update it
             entry = self.amt.get(a0)
             u_lo = min(entry.start, offset)
@@ -252,7 +245,7 @@ class AcrossFTL(BaseFTL):
         # conflicting neighbour areas (an LPN can hold only one AIdx):
         # roll them back, then re-align the new request
         finish = now
-        for aidx in {a for a in (a0, a1) if a is not None}:
+        for aidx in {a for a in (a0, a1) if a >= 0}:
             entry = self.amt.get(aidx)
             finish = max(finish, self._rollback(entry, now, None))
         return max(finish, self._direct_write(offset, size, finish, stamps))
@@ -278,16 +271,14 @@ class AcrossFTL(BaseFTL):
                         payload[sec] = stamps[sec]
         if self.service.obs is not None:
             self._emit_decision("direct", l0, now)
-        meta = AcrossPageMeta(-1, offset, size, payload)
+        # the entry first: the page's record carries its index
+        entry = self.amt.create(l0, offset, size, -1)
         ppn, finish = self._program_page(
-            meta, now, OpKind.DATA, gc_check=False
+            (KIND_ACROSS, entry.aidx, offset, size), now, OpKind.DATA,
+            payload=payload,
         )
-        entry = self.amt.create(l0, offset, size, ppn)
-        meta.aidx = entry.aidx
-        self.aidx_of_lpn[l0] = entry.aidx
-        self.aidx_of_lpn[l0 + 1] = entry.aidx
-        self._aidx[l0] = entry.aidx
-        self._aidx[l0 + 1] = entry.aidx
+        entry.appn = ppn
+        self._aidx[l0] = self._aidx[l0 + 1] = entry.aidx
         # the AMT names the area before a GC pass can relocate it
         self._gc_check(ppn, now)
         for lpn in entry.lpns:
@@ -339,20 +330,22 @@ class AcrossFTL(BaseFTL):
                 self.counters.update_reads += 1
             finish = max(finish, t)
             if payload is not None:
-                old_meta = self.service.array.meta(entry.appn)
-                if old_meta.payload:
+                old_payload = self.service.array.payloads.get(entry.appn)
+                if old_payload:
                     for sec in range(retained_lo, retained_hi):
-                        if (new_lo <= sec < new_hi) or sec not in old_meta.payload:
+                        if (new_lo <= sec < new_hi) or sec not in old_payload:
                             continue
-                        payload[sec] = old_meta.payload[sec]
+                        payload[sec] = old_payload[sec]
         if payload is not None and stamps:
             for sec in range(new_lo, new_hi):
                 if sec in stamps:
                     payload[sec] = stamps[sec]
 
         self.service.invalidate(entry.appn)
-        meta = AcrossPageMeta(entry.aidx, u_lo, u_hi - u_lo, payload)
-        ppn, t = self._program_page(meta, finish, OpKind.DATA, gc_check=False)
+        ppn, t = self._program_page(
+            (KIND_ACROSS, entry.aidx, u_lo, u_hi - u_lo), finish, OpKind.DATA,
+            payload=payload,
+        )
         entry.start, entry.size, entry.appn = u_lo, u_hi - u_lo, ppn
         # as in _direct_write: the AMT names the page before the check
         self._gc_check(ppn, finish)
@@ -395,7 +388,7 @@ class AcrossFTL(BaseFTL):
         if not self.aging:
             self.counters.update_reads += 1
         finish = max(finish, t)
-        area_meta = self.service.array.meta(entry.appn)
+        area_payload = self.service.array.payloads.get(entry.appn)
 
         for lpn in entry.lpns:
             amask = self._area_rel_mask(lpn, entry.start, entry.end)
@@ -405,12 +398,12 @@ class AcrossFTL(BaseFTL):
             extra_payload = None
             if self.track_payload:
                 extra_payload = {}
-                if area_meta.payload:
+                if area_payload:
                     base = lpn * self.spp
                     for bit in iter_bits(keep_mask):
                         sec = base + bit
-                        if sec in area_meta.payload:
-                            extra_payload[sec] = area_meta.payload[sec]
+                        if sec in area_payload:
+                            extra_payload[sec] = area_payload[sec]
             t = self._write_data_page(
                 lpn,
                 rel_lo,
@@ -421,7 +414,6 @@ class AcrossFTL(BaseFTL):
                 extra_payload=extra_payload,
             )
             finish = max(finish, t)
-            del self.aidx_of_lpn[lpn]
             self._aidx[lpn] = -1
         self.service.invalidate(entry.appn)
         self.amt.release(entry.aidx)
@@ -451,9 +443,9 @@ class AcrossFTL(BaseFTL):
             finish = max(finish, t)
             wanted = mask_range(rel_lo, rel_lo + count)
             base = lpn * self.spp
-            aidx = self.aidx_of_lpn.get(lpn)
+            aidx = self._aidx[lpn]
             amask = 0
-            if aidx is not None:
+            if aidx >= 0:
                 entry = self.amt.get(aidx)
                 amask = self._area_rel_mask(lpn, entry.start, entry.end)
                 hit = wanted & amask
@@ -522,8 +514,8 @@ class AcrossFTL(BaseFTL):
         end = offset + size
         seen: set[int] = set()
         for lpn in range(first, last):
-            aidx = self.aidx_of_lpn.get(lpn)
-            if aidx is None or aidx in seen:
+            aidx = self._aidx[lpn]
+            if aidx < 0 or aidx in seen:
                 continue
             seen.add(aidx)
             entry = self.amt.get(aidx)
@@ -535,7 +527,6 @@ class AcrossFTL(BaseFTL):
                 # fully trimmed: release the area, no data survives
                 self.service.invalidate(entry.appn)
                 for alpn in entry.lpns:
-                    del self.aidx_of_lpn[alpn]
                     self._aidx[alpn] = -1
                 self.amt.release(entry.aidx)
             else:
@@ -547,38 +538,28 @@ class AcrossFTL(BaseFTL):
     # ==================================================================
     # GC relocation of across pages
     # ==================================================================
-    def _relocate_extra(self, old_ppn: int, meta, now: float) -> float:
-        if meta.kind != "across":
-            return super()._relocate_extra(old_ppn, meta, now)
-        entry = self.amt.get(meta.aidx)
-        if entry.appn != old_ppn:
-            raise MappingError(
-                f"AMT {meta.aidx} points to {entry.appn}, GC found {old_ppn}"
-            )
-        plane = self.geom.plane_of_ppn(old_ppn)
-        new_ppn, finish = self._program_page(
-            meta, now, OpKind.GC, plane=plane, gc_check=False,
-            stream=STREAM_GC,
-        )
-        entry.appn = new_ppn
-        self.service.invalidate(old_ppn)
-        return finish
+    def _remap(self, code: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """Across pages: the AMT entry follows its area."""
+        if code != KIND_ACROSS:
+            return super()._remap(code, src, dst)
+        aidxs = self.service.array.a[dst].tolist()
+        for old, new, aidx in zip(src.tolist(), dst.tolist(), aidxs):
+            entry = self.amt.get(aidx)
+            if entry.appn != old:
+                raise MappingError(
+                    f"AMT {aidx} points to {entry.appn}, GC found {old}"
+                )
+            entry.appn = new
 
     # ==================================================================
     # device-state seam
     # ==================================================================
     def state(self) -> dict:
-        """Base tables plus the AIdx references (flat mirror and the
-        dict, in order), the AMT and the across statistics."""
+        """Base tables plus the AIdx column, the AMT and the across
+        statistics."""
         s = super().state()
         s.update(self.amt.state())
-        s.update(
-            aidx=self.aidx.copy(),
-            aidx_of_lpn=np.array(
-                list(self.aidx_of_lpn.items()), np.int64
-            ).reshape(-1, 2),
-            across_stats=asdict(self.across_stats),
-        )
+        s.update(aidx=self.aidx.copy(), across_stats=asdict(self.across_stats))
         return s
 
     def load_state(self, s: dict) -> None:
@@ -586,8 +567,6 @@ class AcrossFTL(BaseFTL):
         super().load_state(s)
         self.amt.load_state(s)
         self.aidx[:] = s["aidx"]
-        self.aidx_of_lpn.clear()
-        self.aidx_of_lpn.update(map(tuple, s["aidx_of_lpn"].tolist()))
         for name, value in s["across_stats"].items():
             setattr(self.across_stats, name, value)
 
@@ -596,7 +575,6 @@ class AcrossFTL(BaseFTL):
     # ==================================================================
     def _rebuild_reset(self) -> None:
         self.amt.clear()
-        self.aidx_of_lpn.clear()
         self.aidx.fill(-1)
 
     def _rebuild_page(self, ppn: int, meta) -> None:
@@ -605,9 +583,8 @@ class AcrossFTL(BaseFTL):
         lpn0 = meta.start // self.spp
         entry = self.amt.restore(meta.aidx, lpn0, meta.start, meta.size, ppn)
         for lpn in entry.lpns:
-            if lpn in self.aidx_of_lpn:
+            if self._aidx[lpn] >= 0:
                 raise MappingError(f"LPN {lpn} claimed by two across areas")
-            self.aidx_of_lpn[lpn] = entry.aidx
             self._aidx[lpn] = entry.aidx
 
     def _rebuild_finish(self) -> None:
@@ -625,9 +602,7 @@ class AcrossFTL(BaseFTL):
     def mapping_table_bytes(self) -> int:
         """Fig. 12a model: PMT entries widened by the AIdx field, plus
         the live AMT (entries are page-granular and demand-allocated)."""
-        mapped_lpns = int((self.pmt >= 0).sum()) + sum(
-            1 for lpn in self.aidx_of_lpn if self._pmt[lpn] < 0
-        )
+        mapped_lpns = int(((self.pmt >= 0) | (self.aidx >= 0)).sum())
         return (
             mapped_lpns * (self.PMT_ENTRY_BYTES + AIDX_FIELD_BYTES)
             + len(self.amt) * AMT_ENTRY_BYTES
@@ -670,13 +645,8 @@ class AcrossFTL(BaseFTL):
         """Across-specific invariants on top of the base PMT checks."""
         super().check_invariants()
         self.amt.check_invariants()
-        mirrored = np.nonzero(self.aidx >= 0)[0]
-        if mirrored.size != len(self.aidx_of_lpn) or any(
-            self.aidx_of_lpn.get(int(lpn)) != int(self.aidx[lpn])
-            for lpn in mirrored
-        ):
-            raise MappingError("AIdx mirror out of sync with aidx_of_lpn")
-        for lpn, aidx in self.aidx_of_lpn.items():
+        for lpn in np.nonzero(self.aidx >= 0)[0].tolist():
+            aidx = self._aidx[lpn]
             entry = self.amt.get(aidx)
             if lpn not in entry.lpns:
                 raise MappingError(f"AIdx[{lpn}]={aidx} but area spans {entry.lpns}")
@@ -687,15 +657,18 @@ class AcrossFTL(BaseFTL):
                 )
         for entry in self.amt.entries():
             for lpn in entry.lpns:
-                if self.aidx_of_lpn.get(lpn) != entry.aidx:
+                if self._aidx[lpn] != entry.aidx:
                     raise MappingError(
                         f"area {entry.aidx} not referenced by LPN {lpn}"
                     )
             if not self.service.array.is_valid(entry.appn):
                 raise MappingError(f"area {entry.aidx} -> invalid PPN {entry.appn}")
-            meta = self.service.array.meta(entry.appn)
-            if meta.kind != "across" or meta.aidx != entry.aidx:
-                raise MappingError(f"area {entry.aidx} -> foreign page {meta!r}")
+            rec = self.service.array.record(entry.appn)
+            if rec[:2] != (KIND_ACROSS, entry.aidx):
+                raise MappingError(
+                    f"area {entry.aidx} -> foreign page "
+                    f"{self.service.array.meta(entry.appn)!r}"
+                )
             if not (2 <= entry.size <= self.spp):
                 raise MappingError(f"area {entry.aidx} has bad size {entry.size}")
             first, last = lpn_range(entry.start, entry.size, self.spp)

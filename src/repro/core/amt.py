@@ -3,9 +3,8 @@
 Each entry records one *across-page area*: a physical page (``appn``)
 holding a sector extent (``start``, ``size``) that spans logical pages
 ``lpn0`` and ``lpn0 + 1``.  The PMT references entries by index via its
-``AIdx`` field (we keep that association in the FTL as a sparse dict,
-equivalent to the paper's in-entry field but cheaper for the common
-case AIdx = -1).
+``AIdx`` field (the FTL keeps it as a column beside the PMT, -1 = no
+area).
 
 Indices are recycled through a free list so the table stays dense and
 its working set — which is what the AMT's mapping cache moves between

@@ -1,8 +1,10 @@
 """NAND flash array: page states, block bookkeeping, protocol checks.
 
-The array is deliberately FTL-agnostic: a programmed page carries an
-opaque ``meta`` object owned by the FTL (its reverse-mapping record),
-which garbage collection later reads back.
+The array is deliberately FTL-agnostic: a programmed page carries the
+FTL's reverse-mapping record — a ``kind`` code and three integer fields
+whose meaning the FTL owns (:mod:`repro.ftl.meta`) — in four columns
+indexed by PPN, which garbage collection later reads back a block at a
+time.
 
 Storage layout (the hot-path contract of this module): every per-page /
 per-block table is a plain Python buffer — ``bytearray`` for byte-wide
@@ -10,7 +12,8 @@ state, :class:`array.array` for counters — because scalar indexing of
 those is several times faster than numpy scalar indexing, and the
 per-page operations here are the innermost loop of the whole simulator.
 The public numpy attributes (``page_state``, ``write_ptr``, ``valid_count``,
-``erase_count``, ``last_mod``, ``is_bad``) are **zero-copy views** over
+``erase_count``, ``last_mod``, ``is_bad``, ``kind``, ``a``, ``b``, ``c``)
+are **zero-copy views** over
 the same buffers (``np.frombuffer``), so vectorised consumers — GC
 victim selection, wear statistics, observability samplers, tests — read
 and write the very same memory.  Even the full Table 1 device (16.7 M
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Any, Iterator
+from typing import Optional
 
 import numpy as np
 
@@ -85,11 +88,26 @@ class FlashArray:
         #: :mod:`repro.check` (plain ints: one increment on the hot path)
         self.total_programs = 0
         self.total_page_reads = 0
-        #: FTL metadata of currently-valid pages
-        self._meta: dict[int, Any] = {}
+        #: blocks retired so far (``is_bad.sum()``, kept as a counter)
+        self.total_bad_blocks = 0
+        # the FTL's record of every VALID page, as columns by PPN:
+        # ``kind`` (0 = no record: the page is not VALID) and the fields
+        # ``a``, ``b``, ``c`` (:mod:`repro.ftl.meta`), stale once ``kind``
+        # is cleared
+        self._kind = bytearray(n_pages)
+        self._a = array("q", [0]) * n_pages
+        self._b = array("Q", [0]) * n_pages
+        self._c = array("i", [0]) * n_pages
+        self.kind = np.frombuffer(self._kind, dtype=np.uint8)
+        self.a = np.frombuffer(self._a, dtype=np.int64)
+        self.b = np.frombuffer(self._b, dtype=np.uint64)
+        self.c = np.frombuffer(self._c, dtype=np.int32)
+        #: sector-version stamps of oracle runs: ``ppn -> dict`` for the
+        #: VALID pages programmed with any (aging writes none)
+        self.payloads: dict[int, dict] = {}
         #: out-of-band side columns by name (numpy views over the raw
-        #: buffers :meth:`oob_column` hands out): per-page records an FTL
-        #: keeps as flat columns instead of inside ``meta`` objects.
+        #: buffers :meth:`oob_column` hands out): further per-page
+        #: records an FTL keeps, with a layout of its own.
         #: They are flash content — captured and restored with the
         #: array, never reset by it (an erased page's record is stale
         #: until the page is programmed again, and nobody reads it).
@@ -129,7 +147,10 @@ class FlashArray:
     # ------------------------------------------------------------------
     # page operations
     # ------------------------------------------------------------------
-    def program(self, ppn: int, meta: Any) -> None:
+    def program(
+        self, ppn: int, kind: int, a: int = 0, b: int = 0, c: int = 0,
+        payload: Optional[dict] = None,
+    ) -> None:
         """Program one page, storing the FTL's reverse-map record."""
         state = self._state
         if state[ppn] != PAGE_FREE:
@@ -147,21 +168,33 @@ class FlashArray:
         wp[block] = page + 1
         self._valid_count[block] += 1
         self.total_programs += 1
-        self._meta[ppn] = meta
+        self._kind[ppn] = kind
+        self._a[ppn] = a
+        self._b[ppn] = b
+        self._c[ppn] = c
+        if payload:
+            self.payloads[ppn] = payload
         seq = self.mod_seq + 1
         self.mod_seq = seq
         self._last_mod[block] = seq
 
-    def read(self, ppn: int) -> Any:
-        """Return the meta stored at a VALID page."""
+    def read(self, ppn: int) -> None:
+        """Read a VALID page: protocol check and tally."""
         if self._state[ppn] != PAGE_VALID:
             raise FlashProtocolError(f"read of non-valid PPN {ppn}")
         self.total_page_reads += 1
-        return self._meta[ppn]
 
-    def meta(self, ppn: int) -> Any:
-        """Peek at a valid page's meta without protocol check semantics."""
-        return self._meta[ppn]
+    def record(self, ppn: int) -> tuple[int, int, int, int]:
+        """A page's ``(kind, a, b, c)`` — what :meth:`program` took."""
+        return self._kind[ppn], self._a[ppn], self._b[ppn], self._c[ppn]
+
+    def meta(self, ppn: int):
+        """A valid page's record as a :mod:`repro.ftl.meta` object, for
+        the cold paths; ``KeyError`` for a page that holds none."""
+        # deferred: repro.ftl imports this module while initialising
+        from ..ftl.meta import record
+
+        return record(*self.record(ppn), self.payloads.get(ppn))
 
     def oob_column(
         self, name: str, typecode: str, per_page: int = 1, fill: int = 0
@@ -184,7 +217,9 @@ class FlashArray:
         state[ppn] = PAGE_INVALID
         block = ppn // self._ppb
         self._valid_count[block] -= 1
-        del self._meta[ppn]
+        self._kind[ppn] = 0
+        if self.payloads:
+            self.payloads.pop(ppn, None)
         seq = self.mod_seq + 1
         self.mod_seq = seq
         self._last_mod[block] = seq
@@ -192,6 +227,46 @@ class FlashArray:
     def is_valid(self, ppn: int) -> bool:
         """True while the page holds live data."""
         return self._state[ppn] == PAGE_VALID
+
+    def copy_run(self, src: np.ndarray, dst: int) -> None:
+        """Move the pages ``src`` (ascending PPNs of one block) onto the
+        run of free pages from ``dst`` on inside another: ``read(s);
+        program(d, *record(s)); invalidate(s)`` pair by pair — checks,
+        tallies and ``mod_seq`` stamps included — as column operations.
+        Payload stamps have no column and stay behind."""
+        n = len(src)
+        state = self.page_state
+        if (state[src] != PAGE_VALID).any():
+            bad = int(src[state[src] != PAGE_VALID][0])
+            raise FlashProtocolError(f"read of non-valid PPN {bad}")
+        ppb = self._ppb
+        block = dst // ppb
+        page = dst - block * ppb
+        wp = self._write_ptr
+        end = dst + n
+        if page != wp[block] or page + n > ppb or state[dst:end].any():
+            raise FlashProtocolError(
+                f"out-of-order or non-free program: block {block} expects "
+                f"page {wp[block]}, got a run of {n} from {page}"
+            )
+        old_block = int(src[0]) // ppb
+        state[dst:end] = PAGE_VALID
+        state[src] = PAGE_INVALID
+        wp[block] = page + n
+        self._valid_count[block] += n
+        self._valid_count[old_block] -= n
+        self.total_page_reads += n
+        self.total_programs += n
+        self.kind[dst:end] = self.kind[src]
+        self.a[dst:end] = self.a[src]
+        self.b[dst:end] = self.b[src]
+        self.c[dst:end] = self.c[src]
+        self.kind[src] = 0
+        # pair i stamps its program 2i + 1 and its invalidate 2i + 2
+        seq = self.mod_seq + 2 * n
+        self.mod_seq = seq
+        self._last_mod[block] = seq - 1
+        self._last_mod[old_block] = seq
 
     # ------------------------------------------------------------------
     # block operations
@@ -234,6 +309,7 @@ class FlashArray:
         self._state[lo : lo + self._ppb] = self._bad_run
         self._write_ptr[block] = self._ppb
         self._is_bad[block] = 1
+        self.total_bad_blocks += 1
         # defensive: a block retired while pooled must leave the pool
         plane = self.geom.plane_of_block(block)
         try:
@@ -244,59 +320,52 @@ class FlashArray:
         self.mod_seq = seq
         self._last_mod[block] = seq
 
-    @property
-    def total_bad_blocks(self) -> int:
-        """Blocks retired so far (lost over-provisioning)."""
-        return sum(self._is_bad)
-
-    def valid_ppns(self, block: int) -> Iterator[int]:
-        """Iterate the VALID PPNs of a block (GC migration source)."""
+    def valid_ppns(self, block: int) -> np.ndarray:
+        """The VALID PPNs of a block, ascending (GC migration source)."""
         lo = block * self._ppb
-        state = self._state
-        for ppn in range(lo, lo + self._ppb):
-            if state[ppn] == PAGE_VALID:
-                yield ppn
+        return lo + np.flatnonzero(
+            self.page_state[lo : lo + self._ppb] == PAGE_VALID
+        )
 
     def block_full(self, block: int) -> bool:
         """True once every page of the block has been programmed."""
         return self._write_ptr[block] == self._ppb
 
-    def valid_items(self):
-        """Iterate ``(ppn, meta)`` over every VALID page — the full-device
-        OOB scan an FTL performs to rebuild its tables after power loss."""
-        return self._meta.items()
-
     # ------------------------------------------------------------------
     # device-state seam (docs/architecture.md)
     # ------------------------------------------------------------------
-    def state(self) -> dict:
-        """Everything mutable, as copied flat arrays: page states, the
-        per-block tables, tallies, each plane's free-block deque in
-        order, the page metadata encoded into per-kind columns and the
-        out-of-band side columns."""
-        # deferred: repro.ftl imports this module while initialising
-        from ..ftl.meta import encode_metas
+    #: the per-page and per-block columns, by attribute name
+    _COLUMNS = (
+        "page_state", "write_ptr", "valid_count", "erase_count", "last_mod",
+        "is_bad", "kind", "a", "b", "c",
+    )
 
+    def _columns(self) -> dict[str, np.ndarray]:
+        """Every column view by its :meth:`state` name, side columns too."""
+        return {**{n: getattr(self, n) for n in self._COLUMNS}, **self.oob}
+
+    def state(self) -> dict:
+        """Everything mutable, as copied flat arrays: every column (the
+        stale record fields of pages that hold none zeroed), tallies and
+        each plane's free-block deque in order.  Payload stamps (oracle
+        runs) have no column and are refused."""
+        if self.payloads:
+            raise ValueError(
+                "page metadata carrying payload stamps cannot be imaged"
+            )
         free = self._free_blocks
-        out = {
-            "page_state": self.page_state.copy(),
-            "write_ptr": self.write_ptr.copy(),
-            "valid_count": self.valid_count.copy(),
-            "erase_count": self.erase_count.copy(),
-            "last_mod": self.last_mod.copy(),
-            "is_bad": self.is_bad.copy(),
-            "tallies": np.array(
+        out = {name: col.copy() for name, col in self._columns().items()}
+        live = out["kind"] != 0
+        for name in "abc":
+            out[name] *= live
+        out.update(
+            tallies=np.array(
                 [self.mod_seq, self.total_programs, self.total_page_reads],
                 np.int64,
             ),
-            "free_counts": np.array([len(q) for q in free], np.int64),
-            "free_blocks": np.array(
-                [b for q in free for b in q], np.int64
-            ),
-        }
-        out.update(encode_metas(self._meta))
-        for name, column in self.oob.items():
-            out[name] = column.copy()
+            free_counts=np.array([len(q) for q in free], np.int64),
+            free_blocks=np.array([b for q in free for b in q], np.int64),
+        )
         return out
 
     def load_state(self, s: dict) -> None:
@@ -304,14 +373,10 @@ class FlashArray:
         the raw buffers, their numpy views and the free-block deques are
         bound elsewhere (allocator, GC, fused aging) and keep their
         identity.  Nothing of ``s`` is aliased."""
-        from ..ftl.meta import decode_metas
-
-        self.page_state[:] = s["page_state"]
-        self.write_ptr[:] = s["write_ptr"]
-        self.valid_count[:] = s["valid_count"]
-        self.erase_count[:] = s["erase_count"]
-        self.last_mod[:] = s["last_mod"]
-        self.is_bad[:] = s["is_bad"]
+        for name, col in self._columns().items():
+            col[:] = s[name]
+        self.payloads.clear()
+        self.total_bad_blocks = int(self.is_bad.sum())
         self.mod_seq, self.total_programs, self.total_page_reads = s[
             "tallies"
         ].tolist()
@@ -321,10 +386,6 @@ class FlashArray:
             q.clear()
             q.extend(blocks[pos : pos + n])
             pos += n
-        self._meta.clear()
-        self._meta.update(decode_metas(s))
-        for name, column in self.oob.items():
-            column[:] = s[name]
 
     # ------------------------------------------------------------------
     # invariants (used by tests and sanity sweeps)
@@ -350,11 +411,12 @@ class FlashArray:
         bad = np.nonzero(self.is_bad)[0]
         if bad.size and (self.write_ptr[bad] != ppb).any():
             raise FlashProtocolError("retired block with unsealed write ptr")
-        n_valid_meta = len(self._meta)
-        if n_valid_meta != int(self.valid_count.sum()):
+        bad = np.nonzero((self.kind != 0) != (self.page_state == PAGE_VALID))[0]
+        if bad.size:
             raise FlashProtocolError(
-                f"meta store has {n_valid_meta} entries but "
-                f"{int(self.valid_count.sum())} pages are valid"
+                f"PPN {int(bad[0])}: a page holds a record exactly while "
+                f"it is valid (kind {int(self.kind[bad[0]])}, state "
+                f"{int(self.page_state[bad[0]])})"
             )
 
     @property

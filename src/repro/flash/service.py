@@ -13,7 +13,9 @@ not leave the chips busy or pollute measured counts).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Optional
+
+import numpy as np
 
 from ..config import SSDConfig
 from ..errors import MediaError
@@ -134,13 +136,17 @@ class FlashService:
     def program_page(
         self,
         ppn: int,
-        meta: Any,
+        rec: Optional[tuple[int, int, int, int]],
         now: float,
         kind: OpKind = OpKind.DATA,
         *,
         timed: bool = True,
+        payload: Optional[dict] = None,
     ) -> float:
-        """Program a free page; returns completion time.
+        """Program a free page with the record ``rec`` — the ``(kind,
+        a, b, c)`` of :meth:`FlashArray.program`, None for a flash-level
+        probe that keeps none — and, in oracle runs, its ``payload``
+        stamps; returns completion time.
 
         With fault injection on, timed programs may report failure
         status; each failure is absorbed by an in-place reprogram pulse
@@ -149,7 +155,7 @@ class FlashService:
         ``FaultConfig.retire_after_program_fails`` is queued on
         :attr:`retire_pending` for bad-block retirement by GC.
         """
-        self.array.program(ppn, meta)
+        self.array.program(ppn, *(rec or (0, 0, 0, 0)), payload)
         c = self.counters
         c.writes[kind] += 1
         if kind is not OpKind.AGING:
@@ -194,6 +200,36 @@ class FlashService:
                 now, obs.current_request, "program", kind.value,
                 self.geom.chip_of_ppn(ppn), finish, ppn,
             ))
+        return finish
+
+    def copy_run(
+        self, src: np.ndarray, dst: int, now: float, kind: OpKind,
+        *, timed: bool = True,
+    ) -> float:
+        """Move the valid pages ``src`` of one block onto the free run
+        from ``dst`` on in another (:meth:`FlashArray.copy_run`), leaving
+        counters and timelines where a :meth:`read_page` +
+        :meth:`program_page` per page, in order, would — provided no
+        event bus, fault injector, attribution recorder or payload stamp
+        is there to see single operations.  Returns the last program's
+        completion time."""
+        self.array.copy_run(src, dst)
+        n = len(src)
+        c = self.counters
+        c.reads[kind] += n
+        c.writes[kind] += n
+        if kind is not OpKind.AGING:
+            c._measured_reads += n
+            c._measured_writes += n
+        finish = now
+        if timed:
+            # op by op: summed durations would round differently
+            read, program = self.timeline.read, self.timeline.program
+            src_chip = int(src[0]) // self._pages_per_chip
+            dst_chip = dst // self._pages_per_chip
+            for _ in range(n):
+                read(src_chip, now)
+                finish = program(dst_chip, now)
         return finish
 
     def erase_block(self, block: int, now: float, *, aging: bool = False) -> float:

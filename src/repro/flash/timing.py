@@ -72,9 +72,6 @@ class ChipTimeline:
             self._bus_busy_until, dtype=np.float64
         )
 
-    def _channel(self, chip: int) -> int:
-        return chip // self.chips_per_channel
-
     def _occupy(self, chip: int, now: float, duration: float) -> float:
         bu = self._busy_until
         start = bu[chip]

@@ -53,9 +53,6 @@ class WriteAllocator:
         self._array = service.array
         self._ppb = self.geom.pages_per_block
 
-    def _stream(self, stream: int) -> int:
-        return stream if self.separate_streams else STREAM_USER
-
     # ------------------------------------------------------------------
     def active_blocks(self) -> set[int]:
         """Blocks currently open for writing (GC must not pick these)."""

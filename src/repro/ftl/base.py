@@ -40,11 +40,11 @@ from ..flash.service import FlashService
 from ..metrics.counters import OpKind
 from ..obs.events import FTLDecision
 from ..units import split_extent
-from .allocator import STREAM_GC, STREAM_USER, WriteAllocator
+from .allocator import STREAM_GC, WriteAllocator
 from .gc import GarbageCollector
 from .gc_policy import make_policy
 from .mapping_cache import MappingCache
-from .meta import DataPageMeta, MapPageMeta
+from .meta import KIND_DATA, KIND_MAP
 
 
 def mask_range(lo: int, hi: int) -> int:
@@ -110,7 +110,7 @@ class BaseFTL(ABC):
         self.gc = GarbageCollector(
             service,
             self.allocator,
-            self._relocate,
+            self._relocate_pages,
             self.cfg.gc_threshold,
             self.cfg.gc_restore,
             policy=gc_policy,
@@ -243,37 +243,31 @@ class BaseFTL(ABC):
     # ------------------------------------------------------------------
     def _program_page(
         self,
-        meta,
+        rec: tuple[int, int, int, int],
         now: float,
         kind: OpKind,
         *,
-        plane: int | None = None,
-        gc_check: bool = True,
-        timed: bool | None = None,
-        stream: int = STREAM_USER,
+        payload: Optional[dict] = None,
+        timed: bool = True,
     ) -> tuple[int, float]:
-        """Allocate a page (preferring ``plane``), program ``meta`` and
-        run the GC check on the plane written.  Returns (ppn, finish).
+        """Allocate the next page and program the record ``rec``
+        (:meth:`FlashService.program_page`); returns (ppn, finish).  The
+        caller names the page in its tables, then runs :meth:`_gc_check`.
 
         ``timed=False`` models background work the controller schedules
         into idle periods (translation-page write-back): the program is
         counted but does not occupy a foreground chip timeline.
         """
         base_timed = self.timed
-        ppn = None
-        if plane is not None:
-            ppn = self.allocator.allocate_in_plane(plane, stream)
-        if ppn is None:
-            ppn = self.allocator.allocate(stream)
+        ppn = self.allocator.allocate()
         finish = self.service.program_page(
             ppn,
-            meta,
+            rec,
             now,
             kind if base_timed else OpKind.AGING,
-            timed=base_timed if timed is None else (timed and base_timed),
+            timed=timed and base_timed,
+            payload=payload,
         )
-        if gc_check:
-            self._gc_check(ppn, now)
         return ppn, finish
 
     def _gc_check(self, ppn: int, now: float) -> None:
@@ -282,55 +276,105 @@ class BaseFTL(ABC):
         GC runs after the program: its migrations and erases keep the
         chips busy (delaying *later* requests — the long-tail effect),
         but do not gate this request's completion.  One pass may take
-        several victims, the block this program filled among them, so a
-        caller whose tables must name the new page before a relocation
-        can meet it programs with ``gc_check=False``, records the page
-        and calls this itself.
+        several victims, the block this program filled among them, so
+        the caller's tables must name the new page by now.
         """
         self.gc.maybe_collect(self.geom.plane_of_ppn(ppn), now, timed=self.timed)
 
     def _relocate(self, old_ppn: int, now: float, timed: bool) -> float:
-        """GC callback: move one valid page and fix the mapping."""
-        self.service.read_page(old_ppn, now, self._kind(OpKind.GC), timed=timed)
-        meta = self.service.array.meta(old_ppn)
-        kind = meta.kind
-        if kind == "data":
-            return self._relocate_data(old_ppn, meta, now)
-        if kind == "map":
-            return self._relocate_map(old_ppn, meta, now)
-        return self._relocate_extra(old_ppn, meta, now)
+        """Move one valid page: :meth:`_relocate_pages` of a list of one."""
+        return self._relocate_pages([old_ppn], now, timed)
 
-    def _relocate_data(self, old_ppn: int, meta: DataPageMeta, now: float) -> float:
-        if self._pmt[meta.lpn] != old_ppn:
-            raise MappingError(
-                f"GC found data page for LPN {meta.lpn} at PPN {old_ppn} "
-                f"but PMT points to {self._pmt[meta.lpn]}"
-            )
-        plane = self.geom.plane_of_ppn(old_ppn)
-        new_ppn, finish = self._program_page(
-            meta, now, OpKind.GC, plane=plane, gc_check=False, stream=STREAM_GC
+    def _relocate_pages(self, ppns, now: float, timed: bool) -> float:
+        """GC callback: move the valid pages ``ppns`` — ascending, all
+        in one block — to the GC frontier of their plane and fix the
+        mapping tables; returns the last program's completion time.
+
+        Destinations are what one ``allocate_in_plane`` per page hands
+        out: runs ending with the plane's active GC block, each moved
+        as one :meth:`FlashService.copy_run`.  A page the exhausted
+        plane cannot take spills to ``allocator.allocate`` and moves by
+        itself through ``read_page`` / ``program_page`` — as every page
+        does while the event bus, the fault injector, attribution or
+        payload stamps need to see single operations.  The tables are
+        remapped once per record kind (:meth:`_remap`), afterwards:
+        nothing in between reads them.
+        """
+        service = self.service
+        arr = service.array
+        allocator = self.allocator
+        src = np.asarray(ppns, np.int64)
+        n = len(src)
+        dst = np.empty(n, np.int64)
+        plane = int(src[0]) // self.geom.pages_per_plane
+        ppb = self.geom.pages_per_block
+        kind = OpKind.GC if self.timed else OpKind.AGING
+        per_page = (
+            service.obs is not None or service.faults is not None
+            or service.attr is not None or bool(arr.payloads)
         )
-        self._pmt[meta.lpn] = new_ppn
-        self.service.invalidate(old_ppn)
+        finish = now
+        i = 0
+        while i < n:
+            new = allocator.allocate_in_plane(plane, STREAM_GC)
+            if new is None or per_page:
+                old = int(src[i])
+                service.read_page(old, now, kind, timed=timed)
+                if new is None:
+                    new = allocator.allocate(STREAM_GC)
+                t = service.program_page(
+                    new, arr.record(old), now, kind,
+                    timed=timed, payload=arr.payloads.get(old),
+                )
+                service.invalidate(old)
+                count = 1
+            else:
+                count = min(n - i, ppb - new % ppb)
+                t = service.copy_run(
+                    src[i : i + count], new, now, kind, timed=timed
+                )
+            dst[i : i + count] = np.arange(new, new + count)
+            i += count
+            if t > finish:
+                finish = t
+        kinds = arr.kind[dst]
+        for code in sorted(set(kinds.tolist())):
+            moved = kinds == code
+            self._remap(code, src[moved], dst[moved])
         return finish
 
-    def _relocate_map(self, old_ppn: int, meta: MapPageMeta, now: float) -> float:
-        table = self._map_ppn.get(meta.table_id)
-        if table is None or table.get(meta.tvpn) != old_ppn:
+    def _remap(self, code: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """Point the tables at ``dst`` for the pages of record kind
+        ``code`` that GC moved there from ``src``; a table that does
+        not name the old page is a :class:`MappingError`.  Schemes with
+        more page kinds extend this and chain up."""
+        arr = self.service.array
+        if code == KIND_DATA:
+            lpns = arr.a[dst]
+            stale = np.flatnonzero(self.pmt[lpns] != src)
+            if stale.size:
+                at = stale[0]
+                raise MappingError(
+                    f"GC found data page for LPN {int(lpns[at])} at PPN "
+                    f"{int(src[at])} but PMT points to "
+                    f"{int(self.pmt[lpns[at]])}"
+                )
+            self.pmt[lpns] = dst
+        elif code == KIND_MAP:
+            for old, new, table_id, tvpn in zip(
+                src.tolist(), dst.tolist(),
+                arr.a[dst].tolist(), arr.b[dst].tolist(),
+            ):
+                table = self._map_ppn.get(table_id)
+                if table is None or table.get(tvpn) != old:
+                    raise MappingError(
+                        f"stale map page {(table_id, tvpn)} at PPN {old}"
+                    )
+                table[tvpn] = new
+        else:
             raise MappingError(
-                f"stale map page {(meta.table_id, meta.tvpn)} "
-                f"at PPN {old_ppn}"
+                f"scheme {self.name!r} cannot relocate pages of kind {code}"
             )
-        plane = self.geom.plane_of_ppn(old_ppn)
-        new_ppn, finish = self._program_page(
-            meta, now, OpKind.GC, plane=plane, gc_check=False, stream=STREAM_GC
-        )
-        table[meta.tvpn] = new_ppn
-        self.service.invalidate(old_ppn)
-        return finish
-
-    def _relocate_extra(self, old_ppn: int, meta, now: float) -> float:
-        raise MappingError(f"scheme {self.name!r} cannot relocate {meta!r}")
 
     # ------------------------------------------------------------------
     # translation-page I/O callbacks for MappingCache
@@ -352,13 +396,12 @@ class BaseFTL(ABC):
             if old is not None:
                 self.service.invalidate(old)
                 del table[tvpn]
-            meta = MapPageMeta(table_id, tvpn)
             # translation-page write-back is background work: the
             # controller schedules it into chip idle periods, so it is
             # counted (Fig. 10's Map share, GC pressure) but does not
             # occupy the foreground timeline
             ppn, finish = self._program_page(
-                meta, now, OpKind.MAP, timed=False, gc_check=False
+                (KIND_MAP, table_id, tvpn, 0), now, OpKind.MAP, timed=False
             )
             table[tvpn] = ppn
             self._gc_check(ppn, now)
@@ -435,13 +478,13 @@ class BaseFTL(ABC):
             if timed:
                 self.counters.update_reads += 1
             if payload is not None:
-                old_meta = self.service.array.meta(old_ppn)
-                if old_meta.payload:
+                old_payload = service.array.payloads.get(old_ppn)
+                if old_payload:
                     base = lpn * self.spp
                     for bit in iter_bits(retained):
                         sec = base + bit
-                        if sec in old_meta.payload:
-                            payload[sec] = old_meta.payload[sec]
+                        if sec in old_payload:
+                            payload[sec] = old_payload[sec]
         if payload is not None:
             if extra_payload:
                 payload.update(extra_payload)
@@ -454,9 +497,9 @@ class BaseFTL(ABC):
 
         if old_ppn >= 0:
             service.invalidate(old_ppn)
-        meta = DataPageMeta(lpn, old_mask | new_mask, payload)
         new_ppn, t = self._program_page(
-            meta, finish, OpKind.DATA, gc_check=False
+            (KIND_DATA, lpn, old_mask | new_mask, 0), finish, OpKind.DATA,
+            payload=payload,
         )
         self._pmt[lpn] = new_ppn
         self._pmt_mask[lpn] = old_mask | new_mask
@@ -546,7 +589,10 @@ class BaseFTL(ABC):
         wp = arr._write_ptr
         valid_count = arr._valid_count
         last_mod = arr._last_mod
-        meta_of = arr._meta
+        kind_of = arr._kind
+        rec_a = arr._a
+        rec_b = arr._b
+        rec_c = arr._c
         allocator = self.allocator
         allocate = allocator.allocate
         order = allocator._plane_order
@@ -617,7 +663,7 @@ class BaseFTL(ABC):
                     state[old_ppn] = PAGE_INVALID
                     old_block = old_ppn // ppb
                     valid_count[old_block] -= 1
-                    del meta_of[old_ppn]
+                    kind_of[old_ppn] = 0
                     seq = arr.mod_seq + 1
                     arr.mod_seq = seq
                     last_mod[old_block] = seq
@@ -648,7 +694,10 @@ class BaseFTL(ABC):
                 wp[block] = page + 1
                 valid_count[block] += 1
                 arr.total_programs += 1
-                meta_of[ppn] = DataPageMeta(lpn, full_mask, None)
+                kind_of[ppn] = KIND_DATA
+                rec_a[ppn] = lpn
+                rec_b[ppn] = full_mask
+                rec_c[ppn] = 0
                 seq = arr.mod_seq + 1
                 arr.mod_seq = seq
                 last_mod[block] = seq
@@ -667,11 +716,11 @@ class BaseFTL(ABC):
 
     def _read_stamps_from(self, ppn: int, sectors: list[int], out: dict) -> None:
         """Copy the stamps of ``sectors`` found at ``ppn`` into ``out``."""
-        meta = self.service.array.meta(ppn)
-        if meta.payload:
+        payload = self.service.array.payloads.get(ppn)
+        if payload:
             for sec in sectors:
-                if sec in meta.payload:
-                    out[sec] = meta.payload[sec]
+                if sec in payload:
+                    out[sec] = payload[sec]
 
     # ------------------------------------------------------------------
     # device-state seam (docs/architecture.md)
@@ -719,23 +768,25 @@ class BaseFTL(ABC):
         self.pmt_mask.fill(0)
         self._map_ppn.clear()
         self._rebuild_reset()
-        scanned = 0
-        for ppn, meta in self.service.array.valid_items():
-            scanned += 1
-            kind = meta.kind
-            if kind == "data":
-                if self._pmt[meta.lpn] != -1:
-                    raise MappingError(
-                        f"two valid data pages claim LPN {meta.lpn}"
-                    )
-                self._pmt[meta.lpn] = ppn
-                self._pmt_mask[meta.lpn] = meta.mask
-            elif kind == "map":
-                self._map_ppn.setdefault(meta.table_id, {})[meta.tvpn] = ppn
+        arr = self.service.array
+        kinds = arr.kind
+        data = np.flatnonzero(kinds == KIND_DATA)
+        lpns = arr.a[data]
+        claims = np.bincount(lpns, minlength=1)
+        if claims.max() > 1:
+            raise MappingError(
+                f"two valid data pages claim LPN {int(claims.argmax())}"
+            )
+        self.pmt[lpns] = data
+        self.pmt_mask[lpns] = arr.b[data]
+        others = np.flatnonzero((kinds != KIND_DATA) & (kinds != 0))
+        for ppn in others.tolist():
+            if kinds[ppn] == KIND_MAP:
+                self._map_ppn.setdefault(arr._a[ppn], {})[arr._b[ppn]] = ppn
             else:
-                self._rebuild_page(ppn, meta)
+                self._rebuild_page(ppn, arr.meta(ppn))
         self._rebuild_finish()
-        return scanned
+        return data.size + others.size
 
     def _rebuild_reset(self) -> None:
         """Scheme hook: clear scheme-specific tables before the scan."""
@@ -753,9 +804,8 @@ class BaseFTL(ABC):
         """Cross-check PMT against the flash array (tests and
         :mod:`repro.check` sweeps).
 
-        Vectorised over the PMT views so it stays affordable at a
-        per-N-requests cadence: the Python loop only visits *mapped*
-        LPNs (to compare per-page meta), not the whole logical space.
+        Vectorised over the PMT views and the array's record columns,
+        so it stays affordable at a per-N-requests cadence.
         """
         arr = self.service.array
         mapped = self.pmt >= 0
@@ -774,12 +824,13 @@ class BaseFTL(ABC):
                 f"PMT[{int(lpns[stale[0]])}] -> invalid PPN "
                 f"{int(ppns[stale[0]])}"
             )
-        pmt = self._pmt
-        meta_of = arr.meta
-        for lpn in lpns.tolist():
-            meta = meta_of(pmt[lpn])
-            if meta.kind != "data" or meta.lpn != lpn:
-                raise MappingError(f"PMT[{lpn}] -> foreign page {meta!r}")
+        foreign = np.nonzero((arr.kind[ppns] != KIND_DATA) | (arr.a[ppns] != lpns))[0]
+        if foreign.size:
+            at = foreign[0]
+            raise MappingError(
+                f"PMT[{int(lpns[at])}] -> foreign page "
+                f"{arr.meta(int(ppns[at]))!r}"
+            )
 
     def referenced_ppns(self):
         """Yield ``(ppn, owner)`` for every flash page this FTL's tables

@@ -38,7 +38,7 @@ from ..errors import ConfigError, MappingError, OutOfSpaceError
 from ..metrics.counters import OpKind
 from ..units import split_extent
 from .base import BaseFTL, iter_bits, mask_range
-from .meta import DataPageMeta
+from .meta import KIND_DATA
 
 
 class _LogBlock:
@@ -169,7 +169,7 @@ class BASTFTL(BaseFTL):
                         for o in range(off + 1, self.ppb)
                     )
                 ):
-                    pad = DataPageMeta(lbn * self.ppb + off, 0, None)
+                    pad = (KIND_DATA, lbn * self.ppb + off, 0, 0)
                     self.service.program_page(
                         new_pbn * self.ppb + off, pad, now, kind,
                         timed=self.timed,
@@ -177,9 +177,9 @@ class BASTFTL(BaseFTL):
                     self.service.invalidate(new_pbn * self.ppb + off)
                 continue
             self.service.read_page(src, now, kind, timed=self.timed)
-            meta = arr.meta(src)
             self.service.program_page(
-                new_pbn * self.ppb + off, meta, now, kind, timed=self.timed
+                new_pbn * self.ppb + off, arr.record(src), now, kind,
+                timed=self.timed, payload=arr.payloads.get(src),
             )
             arr.invalidate(src)
         self.full_merges += 1
@@ -194,7 +194,7 @@ class BASTFTL(BaseFTL):
         if block < 0:
             return
         arr = self.service.array
-        for ppn in list(arr.valid_ppns(block)):
+        for ppn in arr.valid_ppns(block).tolist():
             arr.invalidate(ppn)
 
     def _log_for(self, lbn: int, now: float) -> _LogBlock:
@@ -250,13 +250,13 @@ class BASTFTL(BaseFTL):
             if not self.aging:
                 self.counters.update_reads += 1
             if payload is not None:
-                old_meta = self.service.array.meta(old_ppn)
-                if old_meta.payload:
+                old_payload = self.service.array.payloads.get(old_ppn)
+                if old_payload:
                     base = lpn * self.spp
                     for bit in iter_bits(retained):
                         sec = base + bit
-                        if sec in old_meta.payload:
-                            payload[sec] = old_meta.payload[sec]
+                        if sec in old_payload:
+                            payload[sec] = old_payload[sec]
         if payload is not None and stamps:
             base = lpn * self.spp
             for bit in iter_bits(new_mask):
@@ -266,9 +266,9 @@ class BASTFTL(BaseFTL):
 
         page_idx = log.write_ptr
         ppn = log.block * self.ppb + page_idx
-        meta = DataPageMeta(lpn, old_mask | new_mask, payload)
         t = self.service.program_page(
-            ppn, meta, finish, self._kind(OpKind.DATA), timed=self.timed
+            ppn, (KIND_DATA, lpn, old_mask | new_mask, 0), finish,
+            self._kind(OpKind.DATA), timed=self.timed, payload=payload,
         )
         finish = max(finish, t)
         # supersede the previous copy

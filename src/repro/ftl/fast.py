@@ -29,7 +29,7 @@ from ..errors import ConfigError, MappingError, OutOfSpaceError
 from ..metrics.counters import OpKind
 from ..units import split_extent
 from .base import BaseFTL, iter_bits, mask_range
-from .meta import DataPageMeta
+from .meta import KIND_DATA
 
 
 class FASTFTL(BaseFTL):
@@ -103,20 +103,22 @@ class FASTFTL(BaseFTL):
                 dst = new_pbn * self.ppb + off
                 if src is None:
                     # pad the hole so programming stays sequential
-                    pad = DataPageMeta(base_lpn + off, 0, None)
+                    pad = (KIND_DATA, base_lpn + off, 0, 0)
                     self.service.program_page(
                         dst, pad, now, kind, timed=self.timed
                     )
                     self.service.invalidate(dst)
                     continue
                 self.service.read_page(src, now, kind, timed=self.timed)
-                meta = arr.meta(src)
-                self.service.program_page(dst, meta, now, kind, timed=self.timed)
+                self.service.program_page(
+                    dst, arr.record(src), now, kind,
+                    timed=self.timed, payload=arr.payloads.get(src),
+                )
                 arr.invalidate(src)
                 self.log_map.pop(base_lpn + off, None)
             self.block_map[lbn] = new_pbn
         if old_pbn >= 0:
-            for ppn in list(arr.valid_ppns(old_pbn)):
+            for ppn in arr.valid_ppns(old_pbn).tolist():
                 arr.invalidate(ppn)
             self.service.erase_block(old_pbn, now, aging=self.aging)
         self.full_merges += 1
@@ -149,7 +151,7 @@ class FASTFTL(BaseFTL):
             ):
                 self._merge_lbn(lbn, now)
         arr = self.service.array
-        for ppn in list(arr.valid_ppns(block)):
+        for ppn in arr.valid_ppns(block).tolist():
             # anything still valid here belongs to log_map entries of
             # merged-away lbns; merging removed them, so this only
             # fires for stale safety — invalidate defensively
@@ -208,13 +210,13 @@ class FASTFTL(BaseFTL):
             if not self.aging:
                 self.counters.update_reads += 1
             if payload is not None:
-                old_meta = self.service.array.meta(old_ppn)
-                if old_meta.payload:
+                old_payload = self.service.array.payloads.get(old_ppn)
+                if old_payload:
                     base = lpn * self.spp
                     for bit in iter_bits(retained):
                         sec = base + bit
-                        if sec in old_meta.payload:
-                            payload[sec] = old_meta.payload[sec]
+                        if sec in old_payload:
+                            payload[sec] = old_payload[sec]
         if payload is not None and stamps:
             base = lpn * self.spp
             for bit in iter_bits(new_mask):
@@ -222,9 +224,9 @@ class FASTFTL(BaseFTL):
                 if sec in stamps:
                     payload[sec] = stamps[sec]
 
-        meta = DataPageMeta(lpn, old_mask | new_mask, payload)
         t = self.service.program_page(
-            ppn, meta, finish, self._kind(OpKind.DATA), timed=self.timed
+            ppn, (KIND_DATA, lpn, old_mask | new_mask, 0), finish,
+            self._kind(OpKind.DATA), timed=self.timed, payload=payload,
         )
         finish = max(finish, t)
         if old_ppn is not None:

@@ -17,7 +17,7 @@ flash-op totals of Fig. 10 without polluting the Data/Map split.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..config import GC_POLICIES
 from ..flash.service import FlashService
@@ -25,8 +25,8 @@ from ..obs.events import GCEvent, GcPolicyDecision, GCStall
 from .allocator import WriteAllocator
 from .gc_policy import GcPolicy, make_policy
 
-#: relocate(old_ppn, now, timed) -> completion time
-RelocateFn = Callable[[int, float, bool], float]
+#: relocate(valid ppns of one block, now, timed) -> completion time
+RelocateFn = Callable[[Sequence[int], float, bool], float]
 
 __all__ = ["GC_POLICIES", "GarbageCollector", "RelocateFn"]
 
@@ -158,6 +158,17 @@ class GarbageCollector:
         return self.policy_obj.select_victim(plane, lo, valid, eligible)
 
     # ------------------------------------------------------------------
+    def _move_valid(
+        self, block: int, now: float, timed: bool, budget: int | None = None
+    ) -> tuple[float, int]:
+        """Relocate the valid pages of ``block`` — the first ``budget``
+        of them, when given — as one call of the FTL's block-level
+        ``relocate``; returns (finish, pages moved)."""
+        ppns = self.service.array.valid_ppns(block)[:budget]
+        moved = len(ppns)
+        self.migrated_pages += moved
+        return (self.relocate(ppns, now, timed) if moved else now), moved
+
     def collect_once(self, plane: int, now: float, *, timed: bool = True) -> float:
         """Collect a single victim block; returns the erase finish time,
         or ``now`` when no victim exists."""
@@ -170,10 +181,7 @@ class GarbageCollector:
             obs.emit(GCEvent(
                 now, plane, victim, int(arr.valid_count[victim])
             ))
-        finish = now
-        for ppn in list(arr.valid_ppns(victim)):
-            finish = max(finish, self.relocate(ppn, now, timed))
-            self.migrated_pages += 1
+        finish, _ = self._move_valid(victim, now, timed)
         finish = max(finish, self.service.erase_block(victim, now, aging=not timed))
         self.collections += 1
         return finish
@@ -189,10 +197,7 @@ class GarbageCollector:
                 now, self.service.geom.plane_of_block(block), self.policy,
                 "wear_migrate", block, int(arr.valid_count[block]),
             ))
-        finish = now
-        for ppn in list(arr.valid_ppns(block)):
-            finish = max(finish, self.relocate(ppn, now, timed))
-            self.migrated_pages += 1
+        finish, _ = self._move_valid(block, now, timed)
         finish = max(finish, self.service.erase_block(block, now, aging=not timed))
         self.wear_migrations += 1
         if timed:
@@ -223,11 +228,8 @@ class GarbageCollector:
                 continue
             if arr.write_ptr[block] < geom.pages_per_block:
                 continue
-            relocated = 0
-            for ppn in list(arr.valid_ppns(block)):
-                finish = max(finish, self.relocate(ppn, now, timed))
-                relocated += 1
-                self.migrated_pages += 1
+            moved_by, relocated = self._move_valid(block, now, timed)
+            finish = max(finish, moved_by)
             if timed and relocated:
                 service.counters.fault_relocations += relocated
             service.retire(block, finish, relocated)
@@ -302,15 +304,7 @@ class GarbageCollector:
                 obs.emit(GCEvent(
                     now, plane, victim, int(arr.valid_count[victim])
                 ))
-        budget = self._budget
-        finish = now
-        moved = 0
-        for ppn in list(arr.valid_ppns(victim)):
-            if budget is not None and moved >= budget:
-                break
-            finish = max(finish, self.relocate(ppn, now, timed))
-            self.migrated_pages += 1
-            moved += 1
+        finish, moved = self._move_valid(victim, now, timed, self._budget)
         self.slices += 1
         if timed:
             service.counters.gc_slices += 1

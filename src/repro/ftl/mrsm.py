@@ -53,9 +53,8 @@ import numpy as np
 
 from ..errors import ConfigError, MappingError
 from ..metrics.counters import OpKind
-from .allocator import STREAM_GC, STREAM_USER
 from .base import BaseFTL, iter_bits
-from .meta import REGION_PAGE, RegionPageMeta
+from .meta import KIND_REGION
 
 #: a region entry records offset, size, PPN and slot ("a complicated
 #: mapping data structure to record the offset and size information",
@@ -221,8 +220,7 @@ class MRSMFTL(BaseFTL):
             self.service.invalidate(ppn)
 
     def _program_region_page(
-        self, keys, masks, payload: Optional[dict], now: float, kind: OpKind,
-        plane: Optional[int] = None, stream: int = STREAM_USER,
+        self, keys, masks, payload: Optional[dict], now: float
     ) -> tuple[int, float]:
         """Program one page packing ``keys`` in slot order and record it
         in both column sets; returns (ppn, finish).
@@ -231,9 +229,8 @@ class MRSMFTL(BaseFTL):
         (:meth:`~repro.ftl.base.BaseFTL._gc_check`), so a relocation can
         never meet a valid region page whose slots are unwritten.
         """
-        meta = REGION_PAGE if payload is None else RegionPageMeta(payload)
         ppn, finish = self._program_page(
-            meta, now, kind, plane=plane, gc_check=False, stream=stream
+            (KIND_REGION, 0, 0, 0), now, OpKind.DATA, payload=payload
         )
         rloc = self._rloc
         rmask = self._rmask
@@ -324,9 +321,9 @@ class MRSMFTL(BaseFTL):
                     # while its old page is still valid, i.e. before the
                     # kill (the slot itself keeps the page alive)
                     if track and old_mask & ~new_mask:
-                        old = self.service.array.meta(
+                        old = self.service.array.payloads.get(
                             self._mapped_ppn(key)
-                        ).payloads
+                        )
                         if old:
                             self._copy_stamps(
                                 key, old_mask & ~new_mask, old, payload
@@ -337,9 +334,7 @@ class MRSMFTL(BaseFTL):
                 if stamps and track:
                     self._copy_stamps(key, new_mask, stamps, payload)
                 masks.append(old_mask | new_mask)
-            ppn, t = self._program_region_page(
-                keys, masks, payload, start, OpKind.DATA
-            )
+            ppn, t = self._program_region_page(keys, masks, payload, start)
             if t > finish:
                 finish = t
             self._gc_check(ppn, start)
@@ -366,7 +361,7 @@ class MRSMFTL(BaseFTL):
             if t > finish:
                 finish = t
             if sectors:
-                payloads = self.service.array.meta(ppn).payloads
+                payloads = self.service.array.payloads.get(ppn)
                 if payloads:
                     for sec in sectors:
                         if sec in payloads:
@@ -430,39 +425,35 @@ class MRSMFTL(BaseFTL):
     # ------------------------------------------------------------------
     # GC relocation of region pages
     # ------------------------------------------------------------------
-    def _relocate_extra(self, old_ppn: int, meta, now: float) -> float:
-        if meta.kind != "region":
-            return super()._relocate_extra(old_ppn, meta, now)
-        slot_key = self._slot_key
-        rloc = self._rloc
-        rmask = self._rmask
-        base = old_ppn * self.R
-        end = base + self._page_slots[old_ppn]
-        live_keys = []
-        masks = []
-        for loc in range(base, end):
-            k = slot_key[loc]
-            if k < 0:
-                continue
-            if rloc[k] != loc:
-                raise MappingError(f"region {k} not mapped to GC page {old_ppn}")
-            live_keys.append(k)
-            masks.append(rmask[k])
-        payload = None
-        if meta.payloads is not None:
-            payload = {}
-            for k, mask in zip(live_keys, masks):
-                self._copy_stamps(k, mask, meta.payloads, payload)
-        _, finish = self._program_region_page(
-            live_keys, masks, payload, now, OpKind.GC,
-            self.geom.plane_of_ppn(old_ppn), STREAM_GC,
-        )
+    def _remap(self, code: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """Region pages: compact each moved page's live slots, in slot
+        order, into the first slots of its new page (both column sets)
+        and kill the old copies."""
+        if code != KIND_REGION:
+            return super()._remap(code, src, dst)
+        R = self.R
+        oob = self.service.array.oob
+        slot_key = oob["region_key"]
+        old_locs = src[:, None] * R + np.arange(R)
+        keys = slot_key[old_locs]
+        live = keys >= 0
+        counts = live.sum(axis=1)
+        new_locs = (dst[:, None] * R + live.cumsum(axis=1) - 1)[live]
+        old_live = old_locs[live]
+        keys = keys[live]
+        stale = np.flatnonzero(self.region_locs[keys] != old_live)
+        if stale.size:
+            raise MappingError(
+                f"region {int(keys[stale[0]])} not mapped to GC page "
+                f"{int(old_live[stale[0]]) // R}"
+            )
+        self.region_locs[keys] = new_locs
+        slot_key[new_locs] = keys
+        oob["region_mask"][new_locs] = self.region_masks[keys]
+        oob["region_slots"][dst] = oob["region_live"][dst] = counts
         # the old copies are dead: a slot key >= 0 always means "live"
-        for loc in range(base, end):
-            slot_key[loc] = -1
-        self._page_live[old_ppn] = 0
-        self.service.invalidate(old_ppn)
-        return finish
+        slot_key[old_live] = -1
+        oob["region_live"][src] = 0
 
     # ------------------------------------------------------------------
     # device-state seam
@@ -606,11 +597,7 @@ class MRSMFTL(BaseFTL):
             raise MappingError(
                 f"PPN {int(wrong[0][0])}: live slot past the programmed ones"
             )
-        is_region = np.zeros(live.size, np.bool_)
-        is_region[
-            [ppn for ppn, meta in arr.valid_items() if meta.kind == "region"]
-        ] = True
-        wrong = np.nonzero(is_region != (live > 0))[0]
+        wrong = np.nonzero((arr.kind == KIND_REGION) != (live > 0))[0]
         if wrong.size:
             raise MappingError(
                 f"PPN {int(wrong[0])}: valid region page <=> live slots broken"

@@ -15,6 +15,7 @@ counts per sector).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import sys
@@ -313,6 +314,11 @@ class Simulator:
     def _restore_or_age(self) -> str:
         """Fill the device from its cached image, or age it and cache
         the image; returns where the aged device came from."""
+        # a dropped simulator's device is cyclic garbage (FTL <-> GC <->
+        # policy, cache callbacks): megabytes of columns in a few dozen
+        # objects, which the object-counting collector lets pile up
+        # (three oracle devices: +12 MiB peak RSS).  One pass, ~6 ms:
+        gc.collect()
         if not self._imageable():
             self._age()
             return "bypass"

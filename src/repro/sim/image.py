@@ -28,7 +28,6 @@ See docs/architecture.md, "Device state seam".
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
 import json
 import os
@@ -60,7 +59,7 @@ __all__ = [
 #: bump whenever aging behaviour or the image layout changes: files of
 #: another version are misses and get overwritten
 #: (tests/test_image.py pins a fingerprint per scheme to remind you)
-IMAGE_VERSION = 2
+IMAGE_VERSION = 3
 
 #: byte bound of the in-process tier (bench-device images are 2-5 MiB)
 MEMORY_BYTES = 64 * 1024 * 1024
@@ -218,22 +217,7 @@ class DeviceImage:
             for dotted, value in source.items():
                 comp, name = dotted.split(".", 1)
                 state.setdefault(comp, {})[name] = value
-        # a restore allocates up to ~10^5 long-lived acyclic objects
-        # (one metadata record per valid data / across page) in one go;
-        # the cyclic collector would rescan them again and again for
-        # nothing, so it waits until they are all built.  It runs once
-        # first: the previous run's simulator is cyclic garbage,
-        # and aging used to allocate enough to get it collected — a
-        # worker that only restores would keep every old device
-        # (peak RSS 108 -> 196 MiB over nine runs on the bench device)
-        collecting = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            load_device_state(ftl, state)
-        finally:
-            if collecting:
-                gc.enable()
+        load_device_state(ftl, state)
 
     @property
     def nbytes(self) -> int:

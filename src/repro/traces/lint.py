@@ -58,7 +58,8 @@ def lint_trace(
                     "error",
                     "out-of-range",
                     f"{int(over.sum())} requests ({over.mean():.1%}) end "
-                    f"beyond the device's {logical_sectors} sectors — "
+                    f"beyond the device's {logical_sectors} sectors, the "
+                    f"first at request {int(over.argmax())} — "
                     "clamp with Trace.clamped_to() before simulating",
                 )
             )
@@ -69,7 +70,8 @@ def lint_trace(
                 "warning",
                 "huge-requests",
                 f"{int(huge.sum())} requests exceed 4 MiB (max "
-                f"{int(trace.sizes.max()) * SECTOR_BYTES // KIB} KiB) — "
+                f"{int(trace.sizes.max()) * SECTOR_BYTES // KIB} KiB), the "
+                f"first at request {int(huge.argmax())} — "
                 "real block layers split these",
             )
         )

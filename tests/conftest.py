@@ -127,6 +127,77 @@ def relocate_each_programmed_page(ftl, kind, *, invariants_hold=True):
     return moved
 
 
+def page_at_a_time_relocation(ftl):
+    """The GC callback as it was before the block-level move: one
+    ``read_page`` -> check -> allocate -> ``program_page`` -> remap ->
+    ``invalidate`` chain per valid page, with its own per-kind table
+    updates.  ``ftl.gc.relocate = page_at_a_time_relocation(ftl)`` turns
+    a device into the reference ``BaseFTL._relocate_pages`` is held to
+    (tests/test_gc_block_move.py): same device state, same counters."""
+    from repro.errors import MappingError
+    from repro.ftl.allocator import STREAM_GC
+    from repro.ftl.meta import KIND_ACROSS, KIND_DATA, KIND_MAP, KIND_REGION
+    from repro.metrics.counters import OpKind
+
+    service = ftl.service
+    arr = service.array
+    allocator = ftl.allocator
+
+    def remap(old, new, code, a, b):
+        if code == KIND_DATA:
+            if ftl._pmt[a] != old:
+                raise MappingError(f"PMT[{a}] != {old}")
+            ftl._pmt[a] = new
+        elif code == KIND_MAP:
+            if ftl._map_ppn[a][b] != old:
+                raise MappingError(f"stale map page {(a, b)}")
+            ftl._map_ppn[a][b] = new
+        elif code == KIND_ACROSS:
+            entry = ftl.amt.get(a)
+            if entry.appn != old:
+                raise MappingError(f"AMT {a} does not name {old}")
+            entry.appn = new
+        elif code == KIND_REGION:
+            R = ftl.R
+            loc = new * R
+            for old_loc in range(old * R, old * R + ftl._page_slots[old]):
+                key = ftl._slot_key[old_loc]
+                if key < 0:
+                    continue
+                if ftl._rloc[key] != old_loc:
+                    raise MappingError(f"region {key} not at {old_loc}")
+                ftl._slot_key[loc] = key
+                ftl._slot_mask[loc] = ftl._rmask[key]
+                ftl._rloc[key] = loc
+                ftl._slot_key[old_loc] = -1
+                loc += 1
+            ftl._page_slots[new] = ftl._page_live[new] = loc - new * R
+            ftl._page_live[old] = 0
+        else:
+            raise MappingError(f"page {old} holds no record")
+
+    def relocate(ppns, now, timed):
+        finish = now
+        for old in np.asarray(ppns).tolist():
+            kind = OpKind.GC if ftl.timed else OpKind.AGING
+            service.read_page(old, now, kind, timed=timed)
+            rec = arr.record(old)
+            new = allocator.allocate_in_plane(
+                ftl.geom.plane_of_ppn(old), STREAM_GC
+            )
+            if new is None:
+                new = allocator.allocate(STREAM_GC)
+            finish = max(finish, service.program_page(
+                new, rec, now, kind, timed=ftl.timed,
+                payload=arr.payloads.get(old),
+            ))
+            remap(old, new, *rec[:3])
+            service.invalidate(old)
+        return finish
+
+    return relocate
+
+
 def random_extents(rng: np.random.Generator, n: int, max_sector: int, spp: int):
     """Random (offset, size) extents mixing aligned, across and large."""
     out = []

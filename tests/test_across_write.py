@@ -36,8 +36,8 @@ class TestDirectWrite:
         svc, ftl = ftl_pair
         ftl.write(2056, 12, 0.0)
         entry = next(ftl.amt.entries())
-        assert ftl.aidx_of_lpn[128] == entry.aidx
-        assert ftl.aidx_of_lpn[129] == entry.aidx
+        assert ftl.aidx[128] == entry.aidx
+        assert ftl.aidx[129] == entry.aidx
 
     def test_shadowing_of_normal_pages(self, ftl_pair):
         svc, ftl = ftl_pair
@@ -154,7 +154,7 @@ class TestARollback:
         ftl.write(2060, 16, 0.0, stamps_for(2060, 16, 2))
         assert ftl.across_stats.rollbacks == 1
         assert len(ftl.amt) == 0
-        assert 128 not in ftl.aidx_of_lpn and 129 not in ftl.aidx_of_lpn
+        assert ftl.aidx[128] == -1 and ftl.aidx[129] == -1
 
     def test_rollback_data_correct(self, ftl_pair):
         svc, ftl = ftl_pair

@@ -6,6 +6,7 @@ from repro.config import SSDConfig
 from repro.errors import OutOfSpaceError
 from repro.flash.service import FlashService
 from repro.ftl.allocator import WriteAllocator
+from repro.ftl.meta import KIND_DATA
 
 
 @pytest.fixture
@@ -23,7 +24,7 @@ class TestRoundRobin:
         planes = set()
         for _ in range(svc.num_planes):
             ppn = alloc.allocate()
-            svc.array.program(ppn, None)
+            svc.array.program(ppn, KIND_DATA)
             chips.append(svc.geom.chip_of_ppn(ppn))
             planes.add(svc.geom.plane_of_ppn(ppn))
         n_chips = svc.geom.num_chips
@@ -37,7 +38,7 @@ class TestRoundRobin:
         ppns = []
         for _ in range(3):
             ppn = alloc.allocate_in_plane(0)
-            svc.array.program(ppn, None)
+            svc.array.program(ppn, KIND_DATA)
             ppns.append(ppn)
         assert ppns == [ppns[0], ppns[0] + 1, ppns[0] + 2]
 
@@ -47,7 +48,7 @@ class TestRoundRobin:
         first_block = None
         for i in range(ppb + 1):
             ppn = alloc.allocate_in_plane(0)
-            svc.array.program(ppn, None)
+            svc.array.program(ppn, KIND_DATA)
             if i == 0:
                 first_block = svc.geom.block_of_ppn(ppn)
         assert svc.geom.block_of_ppn(ppn) != first_block
@@ -56,7 +57,7 @@ class TestRoundRobin:
         svc, alloc = setup
         first = alloc.next_plane()
         ppn = alloc.allocate()
-        svc.array.program(ppn, None)
+        svc.array.program(ppn, KIND_DATA)
         second = alloc.next_plane()
         assert svc.geom.plane_of_ppn(ppn) == first
         # the next target sits on a different chip (channel-first)
@@ -91,7 +92,7 @@ class TestActiveBlocks:
     def test_active_tracked(self, setup):
         svc, alloc = setup
         ppn = alloc.allocate_in_plane(0)
-        svc.array.program(ppn, None)
+        svc.array.program(ppn, KIND_DATA)
         blk = svc.geom.block_of_ppn(ppn)
         assert blk in alloc.active_blocks()
         assert alloc.is_active(blk)
@@ -102,9 +103,9 @@ class TestActiveBlocks:
         blk = None
         for _ in range(ppb):
             ppn = alloc.allocate_in_plane(0)
-            svc.array.program(ppn, None)
+            svc.array.program(ppn, KIND_DATA)
             blk = svc.geom.block_of_ppn(ppn)
         # allocating once more rotates to a fresh block
         ppn = alloc.allocate_in_plane(0)
-        svc.array.program(ppn, None)
+        svc.array.program(ppn, KIND_DATA)
         assert not alloc.is_active(blk)

@@ -11,6 +11,7 @@ from repro.experiments.runner import run_trace
 from repro.faults import FaultInjector, raw_bit_error_rate, read_retry_steps
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
+from repro.ftl.meta import KIND_DATA
 from repro.metrics.report import SimulationReport
 from repro.sim.engine import Simulator
 from repro.traces.synthetic import SyntheticSpec, generate_trace
@@ -109,7 +110,7 @@ class TestServiceInjection:
         # rber so high every read walks retry steps
         fcfg = FaultConfig(enabled=True, rber_base=5e-3, ecc_bits=8)
         svc = self._service(tiny_cfg, fcfg)
-        svc.program_page(0, {"lpn": 0}, 0.0, timed=False)
+        svc.program_page(0, (KIND_DATA, 0, 0, 0), 0.0, timed=False)
         finish = svc.read_page(0, 0.0)
         assert finish > tiny_cfg.timing.read_ms
         assert svc.counters.read_retries > 0
@@ -119,7 +120,7 @@ class TestServiceInjection:
             enabled=True, rber_base=0.5, ecc_bits=4, max_read_retries=1
         )
         svc = self._service(tiny_cfg, fcfg)
-        svc.program_page(0, {"lpn": 0}, 0.0, timed=False)
+        svc.program_page(0, (KIND_DATA, 0, 0, 0), 0.0, timed=False)
         svc.read_page(0, 0.0)
         assert svc.counters.uncorrectable_reads == 1
 
@@ -129,7 +130,7 @@ class TestServiceInjection:
             halt_on_uncorrectable=True,
         )
         svc = self._service(tiny_cfg, fcfg)
-        svc.program_page(0, {"lpn": 0}, 0.0, timed=False)
+        svc.program_page(0, (KIND_DATA, 0, 0, 0), 0.0, timed=False)
         with pytest.raises(MediaError):
             svc.read_page(0, 0.0)
 
@@ -139,7 +140,7 @@ class TestServiceInjection:
             max_program_retries=2, retire_after_program_fails=3,
         )
         svc = self._service(tiny_cfg, fcfg)
-        finish = svc.program_page(0, {"lpn": 0}, 0.0)
+        finish = svc.program_page(0, (KIND_DATA, 0, 0, 0), 0.0)
         # every attempt failed: base program + 2 reprogram pulses
         assert finish == pytest.approx(3 * tiny_cfg.timing.program_ms)
         assert svc.counters.program_fails == 3
@@ -150,7 +151,7 @@ class TestServiceInjection:
         svc = self._service(tiny_cfg, fcfg)
         ppb = tiny_cfg.pages_per_block
         for p in range(ppb):
-            svc.program_page(p, {"lpn": p}, 0.0, timed=False)
+            svc.program_page(p, (KIND_DATA, p, 0, 0), 0.0, timed=False)
             svc.invalidate(p)
         free_before = svc.array.total_free_blocks()
         svc.erase_block(0, 0.0)
@@ -167,7 +168,7 @@ class TestServiceInjection:
         svc = self._service(tiny_cfg, fcfg)
         ppb = tiny_cfg.pages_per_block
         for p in range(ppb):
-            svc.program_page(p, {"lpn": p}, 0.0, timed=False)
+            svc.program_page(p, (KIND_DATA, p, 0, 0), 0.0, timed=False)
         svc.read_page(0, 0.0, timed=False)
         for p in range(ppb):
             svc.invalidate(p)

@@ -4,7 +4,11 @@ import pytest
 
 from repro.config import SSDConfig
 from repro.flash.service import FlashService
+from repro.ftl.meta import KIND_DATA
 from repro.metrics.counters import OpKind
+
+#: the record the pages of this file are programmed with
+REC = (KIND_DATA, 0, 0, 0)
 
 
 @pytest.fixture
@@ -14,22 +18,22 @@ def svc():
 
 class TestCounting:
     def test_data_write_counted(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.DATA)
+        svc.program_page(0, REC, 0.0, OpKind.DATA)
         assert svc.counters.data_writes == 1
         assert svc.counters.total_writes == 1
 
     def test_map_write_counted_separately(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.MAP)
+        svc.program_page(0, REC, 0.0, OpKind.MAP)
         assert svc.counters.map_writes == 1
         assert svc.counters.data_writes == 0
 
     def test_read_counted(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.DATA)
+        svc.program_page(0, REC, 0.0, OpKind.DATA)
         svc.read_page(0, 0.0, OpKind.DATA)
         assert svc.counters.data_reads == 1
 
     def test_gc_ops_separate(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.GC)
+        svc.program_page(0, REC, 0.0, OpKind.GC)
         svc.read_page(0, 0.0, OpKind.GC)
         assert svc.counters.gc_writes == 1
         assert svc.counters.gc_reads == 1
@@ -38,17 +42,17 @@ class TestCounting:
         assert svc.counters.total_reads == 1
 
     def test_aging_excluded_from_totals(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.AGING)
+        svc.program_page(0, REC, 0.0, OpKind.AGING)
         assert svc.counters.total_writes == 0
 
     def test_erase_counting(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.DATA)
+        svc.program_page(0, REC, 0.0, OpKind.DATA)
         svc.invalidate(0)
         svc.erase_block(0, 0.0)
         assert svc.counters.erases == 1
 
     def test_aging_erase_separate(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.AGING)
+        svc.program_page(0, REC, 0.0, OpKind.AGING)
         svc.invalidate(0)
         svc.erase_block(0, 0.0, aging=True)
         assert svc.counters.erases == 0
@@ -57,22 +61,22 @@ class TestCounting:
 
 class TestTiming:
     def test_timed_program_advances_chip(self, svc):
-        t = svc.program_page(0, "m", 1.0, OpKind.DATA)
+        t = svc.program_page(0, REC, 1.0, OpKind.DATA)
         assert t == pytest.approx(3.0)
 
     def test_untimed_ops_do_not_occupy(self, svc):
-        t = svc.program_page(0, "m", 1.0, OpKind.AGING, timed=False)
+        t = svc.program_page(0, REC, 1.0, OpKind.AGING, timed=False)
         assert t == 1.0
         assert (svc.timeline.busy_until == 0).all()
 
     def test_erase_occupies_chip(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.DATA)
+        svc.program_page(0, REC, 0.0, OpKind.DATA)
         svc.invalidate(0)
         t = svc.erase_block(0, 10.0)
         assert t == pytest.approx(13.5)
 
     def test_read_untimed(self, svc):
-        svc.program_page(0, "m", 0.0, OpKind.DATA, timed=False)
+        svc.program_page(0, REC, 0.0, OpKind.DATA, timed=False)
         assert svc.read_page(0, 5.0, OpKind.DATA, timed=False) == 5.0
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.flash.service import FlashService
+from repro.ftl.meta import KIND_DATA
 from repro.ftl.pagemap import PageMapFTL
 
 
@@ -39,9 +40,7 @@ class TestVictimSelection:
         # fill two blocks in plane 0 via direct allocation
         for i in range(2 * ppb):
             ppn = ftl.allocator.allocate_in_plane(0)
-            from repro.ftl.meta import DataPageMeta
-
-            svc.array.program(ppn, DataPageMeta(i))
+            svc.array.program(ppn, KIND_DATA, i)
             ftl.pmt[i] = ppn
             ftl.pmt_mask[i] = (1 << spp) - 1
         b0 = svc.geom.block_of_ppn(ftl.pmt[0])
@@ -56,11 +55,9 @@ class TestVictimSelection:
         svc, ftl = setup
         spp = ftl.spp
         ppb = svc.geom.pages_per_block
-        from repro.ftl.meta import DataPageMeta
-
         for i in range(ppb):
             ppn = ftl.allocator.allocate_in_plane(0)
-            svc.array.program(ppn, DataPageMeta(i))
+            svc.array.program(ppn, KIND_DATA, i)
             ftl.pmt[i] = ppn
             ftl.pmt_mask[i] = (1 << spp) - 1
         # the only full block is entirely valid: no reclaimable space

@@ -8,6 +8,7 @@ from repro.flash.service import FlashService
 from repro.flash.wear import projected_lifetime_writes, wear_stats
 from repro.ftl.gc import GC_POLICIES, GarbageCollector
 from repro.ftl.gc_policy import GcPolicy, make_policy
+from repro.ftl.meta import KIND_DATA
 from repro.ftl.pagemap import PageMapFTL
 
 
@@ -31,7 +32,7 @@ class TestPolicySelection:
         svc = FlashService(micro_cfg)
         ftl = PageMapFTL(svc)
         with pytest.raises(ValueError):
-            GarbageCollector(svc, ftl.allocator, ftl._relocate, 0.1, 0.12,
+            GarbageCollector(svc, ftl.allocator, ftl._relocate_pages, 0.1, 0.12,
                              policy="nope")
 
     def test_config_validates_policy(self):
@@ -61,7 +62,7 @@ class TestPolicySelection:
         svc = FlashService(micro_cfg)
         ftl = PageMapFTL(svc)
         gc = GarbageCollector(
-            svc, ftl.allocator, ftl._relocate, 0.1, 0.12,
+            svc, ftl.allocator, ftl._relocate_pages, 0.1, 0.12,
             policy=make_policy("cost_benefit", micro_cfg),
         )
         assert gc.policy == "cost_benefit"
@@ -110,13 +111,11 @@ class TestPolicyCharacter:
         ftl = PageMapFTL(svc)
         spp = ftl.spp
         ppb = svc.geom.pages_per_block
-        from repro.ftl.meta import DataPageMeta
-
         # fill two blocks in plane 0 and invalidate one page in each,
         # the "old" block first
         for i in range(2 * ppb):
             ppn = ftl.allocator.allocate_in_plane(0)
-            svc.array.program(ppn, DataPageMeta(i))
+            svc.array.program(ppn, KIND_DATA, i)
             ftl.pmt[i] = ppn
             ftl.pmt_mask[i] = (1 << spp) - 1
         b_old = svc.geom.block_of_ppn(int(ftl.pmt[0]))

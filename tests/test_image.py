@@ -64,6 +64,9 @@ SCHEMES = ("ftl", "mrsm", "across")
 #: translation pages, LRU order and evictions are part of every image
 CFG = SSDConfig.tiny().replace(mapping_cache_entries=2048)
 
+#: the device of ``benchmarks/e2e``
+BENCH_CFG = dataclasses.replace(SSDConfig.bench_default(), blocks_per_plane=8)
+
 #: the paper's steady state (90 % used / 39.8 % valid): GC has run
 AGED = SimConfig(aged_used=0.90, aged_valid=0.398, aging_style="vdi")
 
@@ -425,23 +428,39 @@ class TestMemoryTier:
         )
 
     def test_a_restore_does_not_keep_the_previous_device(self):
-        """A simulator is cyclic garbage once dropped, and a restore
-        runs with the cyclic collector off: it must collect first, or a
-        worker that only restores holds every device it ever filled."""
+        """A simulator is cyclic garbage once dropped; neither the
+        cache nor a later restore from the same image may hold on to
+        it, or a worker that only restores keeps every device it ever
+        filled.  (The restore itself no longer collects: with page
+        records in columns it allocates next to nothing.)"""
+        aged("mrsm")
+        previous = aged("mrsm")
+        assert previous.host["image"] == "memory"
+        gone = weakref.ref(previous.ftl.service.array)
+        del previous
         aged("mrsm")
         gc.collect()
-        gc.disable()  # nothing but the restore itself may collect
-        try:
-            previous = aged("mrsm")
-            assert previous.host["image"] == "memory"
-            gone = weakref.ref(previous.ftl.service.array)
-            del previous
-            assert gone() is not None  # cyclic: refcounting left it
-            aged("mrsm")
-            assert gone() is None
-            assert not gc.isenabled()  # left as found
-        finally:
-            gc.enable()
+        assert gone() is None
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_restore_allocates_no_per_page_objects(self, scheme):
+        """Page records are columns in the device and in the image, so
+        filling the e2e bench device (65 536 pages, ~24 500 of them
+        valid) is array copies plus the scheme's small dicts (cache
+        LRUs, translation-page locations, AMT entries): the live-object
+        count moves by a constant, not by the pages — which is why a
+        restore no longer has to park the cyclic collector."""
+        image = cached_image(aged(scheme, BENCH_CFG))
+        fresh = build(scheme, BENCH_CFG)
+        assert fresh.ftl.service.array.total_valid_pages == 0
+        gc.collect()
+        was_enabled = gc.isenabled()
+        before = sys.getallocatedblocks()
+        image.restore(fresh.ftl)
+        grown = sys.getallocatedblocks() - before
+        assert gc.isenabled() == was_enabled
+        assert fresh.ftl.service.array.total_valid_pages > 20_000
+        assert grown < 2_000, grown
 
     def test_restore_copies_out_of_a_read_only_image(self):
         sim = aged("mrsm")
@@ -566,9 +585,9 @@ def test_processes_racing_on_one_key(tmp_path):
 # ----------------------------------------------------------------------
 #: fingerprint of the tiny-device image per scheme (CFG, AGED)
 FINGERPRINTS = {
-    "ftl": "bd3b02a4a9de26b1f1404d73fcfcaec3da58c0d7ab8991b54e841a467f260f93",
-    "mrsm": "05bd55d65857a68772a1b32714198612df3fa90e0443d65d638529f18374af63",
-    "across": "bee529e59056b385e894fc03c2dcb079ac91be3426a7a687704a5fb3768e2b84",
+    "ftl": "67da8eba5687f1cb0c367dd7f3ec5c7f6c143e544259da58f39cf81ebb0a39fb",
+    "mrsm": "016e5e2f857b5b8258a200f62b9e945c9e4ecc6d930507311d31cb0366ea371e",
+    "across": "13df2e41350dcc8f68906919a913bf5e49687484b152423102a51b1af2966e9f",
 }
 
 
@@ -586,23 +605,32 @@ def test_image_fingerprint_is_pinned(scheme):
 def test_mrsm_bench_image_is_array_copies():
     """MRSM's tables are flat columns in the device and in the image:
     on the e2e bench device the image is no larger than the 6.2 MB its
-    dict-ordered encoding took, and a restore is array copies (14 ms on
+    dict-ordered encoding took, and a restore is array copies (2 ms on
     the reference box; 60-130 ms when it rebuilt ~250 k tuples)."""
-    cfg = dataclasses.replace(SSDConfig.bench_default(), blocks_per_plane=8)
-    assert aged("mrsm", cfg).host["image"] == "built"
+    assert aged("mrsm", BENCH_CFG).host["image"] == "built"
     restores = []
-    gc.collect()
-    gc.freeze()  # the collection a restore starts with: not this session's heap
-    try:
-        for _ in range(3):
-            restored = aged("mrsm", cfg)
-            assert restored.host["image"] == "memory"
-            restores.append(restored.host["age_s"])
-    finally:
-        gc.unfreeze()
+    for _ in range(3):
+        restored = aged("mrsm", BENCH_CFG)
+        assert restored.host["image"] == "memory"
+        restores.append(restored.host["age_s"])
     assert cached_image(restored).nbytes <= 6_150_646
     assert min(restores) <= 0.040
     restored.ftl.check_invariants()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_image_holds_page_records_as_columns(scheme):
+    """One layout for every scheme: the array's ``kind`` / ``a`` / ``b``
+    / ``c`` columns, no per-kind encoding, and ``region_*`` side columns
+    only where a scheme registered them."""
+    names = {n.split(".", 1)[1] for n in cached_image(aged(scheme)).arrays
+             if n.startswith("array.")}
+    assert {"kind", "a", "b", "c"} <= names
+    assert not {n for n in names if n.startswith(("meta_", "data_", "map_", "across_"))}
+    assert {n for n in names if n.startswith("region_")} == (
+        {"region_key", "region_mask", "region_slots", "region_live"}
+        if scheme == "mrsm" else set()
+    )
 
 
 def test_fingerprint_sees_values_and_arrays():

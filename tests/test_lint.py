@@ -42,6 +42,20 @@ class TestHardProblems:
         t = make([0.0], [OP_WRITE], [0], [20_000])
         assert "huge-requests" in codes(lint_trace(t))
 
+    def test_out_of_range_names_the_first_offender_and_the_count(self):
+        t = make([0.0, 1.0, 2.0, 3.0], [OP_WRITE] * 4,
+                 [0, 16, 500, 1000], [16, 16, 16, 100])
+        (f,) = [f for f in lint_trace(t, logical_sectors=512)
+                if f.code == "out-of-range"]
+        assert "2 requests (50.0%)" in f.message
+        assert "first at request 2" in f.message
+
+    def test_huge_requests_names_the_first_offender_and_the_count(self):
+        t = make([0.0, 1.0, 2.0], [OP_WRITE] * 3, [0, 0, 0], [8, 20_000, 9_000])
+        (f,) = [f for f in lint_trace(t) if f.code == "huge-requests"]
+        assert f.message.startswith("2 requests exceed 4 MiB")
+        assert "first at request 1" in f.message
+
 
 class TestTimeAxis:
     def test_time_offset_reported(self):

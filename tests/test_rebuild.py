@@ -42,8 +42,8 @@ def snapshot(ftl):
         "pmt_mask": ftl.pmt_mask.copy(),
         "map_ppn": dict(ftl._map_ppn),
     }
-    if hasattr(ftl, "aidx_of_lpn"):
-        state["aidx"] = dict(ftl.aidx_of_lpn)
+    if ftl.name == "across":
+        state["aidx"] = ftl.aidx.copy()
         state["areas"] = {
             e.aidx: (e.lpn0, e.start, e.size, e.appn)
             for e in ftl.amt.entries()
@@ -60,9 +60,9 @@ def wipe(ftl):
     ftl.pmt.fill(-1)
     ftl.pmt_mask.fill(0)
     ftl._map_ppn.clear()
-    if hasattr(ftl, "aidx_of_lpn"):
+    if ftl.name == "across":
         ftl.amt.clear()
-        ftl.aidx_of_lpn.clear()
+        ftl.aidx.fill(-1)
     if ftl.name == "mrsm":
         # the DRAM-side columns only: the slot records are flash (OOB)
         # content, which a power loss does not take
@@ -85,7 +85,7 @@ class TestRebuild:
         assert before["map_ppn"] == after["map_ppn"]
         if "areas" in before:
             assert before["areas"] == after["areas"]
-            assert before["aidx"] == after["aidx"]
+            assert np.array_equal(before["aidx"], after["aidx"])
         if "region_loc" in before:
             assert np.array_equal(before["region_loc"], after["region_loc"])
             assert np.array_equal(before["region_mask"], after["region_mask"])
@@ -201,3 +201,41 @@ class TestRebuildEdgeCases:
         # the freed index is reusable again
         ftl.write(4104, 12, 0.0)
         ftl.check_invariants()
+
+    def test_data_pages_come_back_from_the_columns_alone(self, tiny_cfg):
+        """The data half of the scan is three column operations: PPN and
+        mask of every ``KIND_DATA`` row land at the row's LPN."""
+        from repro.ftl.meta import KIND_DATA
+
+        svc, ftl = build_ftl("ftl", tiny_cfg)
+        arr = svc.array
+        random_workload(ftl, n=120, seed=4)
+        rows = np.flatnonzero(arr.kind == KIND_DATA)
+        assert rows.size == arr.total_valid_pages > 0
+        wipe(ftl)
+        assert ftl.rebuild_from_flash() == rows.size
+        assert np.array_equal(ftl.pmt[arr.a[rows]], rows)
+        assert np.array_equal(ftl.pmt_mask[arr.a[rows]], arr.b[rows])
+        assert np.count_nonzero(ftl.pmt >= 0) == rows.size
+
+    def test_two_valid_pages_claiming_one_lpn_are_refused(self, tiny_cfg):
+        from repro.errors import MappingError
+
+        svc, ftl = build_ftl("ftl", tiny_cfg)
+        ftl.write(0, ftl.spp, 0.0)
+        ftl.write(5 * ftl.spp, ftl.spp, 0.0)
+        # corrupt the OOB record of LPN 5's page: it now claims LPN 0
+        svc.array.a[ftl.pmt[5]] = 0
+        with pytest.raises(MappingError, match="two valid data pages claim LPN 0"):
+            ftl.rebuild_from_flash()
+
+    def test_bad_block_counter_is_not_a_table(self, micro_cfg):
+        """Retired blocks are flash state: the counter equals the
+        ``is_bad`` column before and after a table rebuild."""
+        svc, ftl = build_ftl("ftl", micro_cfg)
+        ftl.write(0, ftl.spp, 0.0)
+        arr = svc.array
+        svc.retire(arr.pop_free_block(0), 0.0)
+        assert arr.total_bad_blocks == 1 == int(arr.is_bad.sum())
+        ftl.rebuild_from_flash()
+        assert arr.total_bad_blocks == 1 == int(arr.is_bad.sum())

@@ -3,6 +3,7 @@
 
 from repro.flash.service import FlashService
 from repro.ftl.allocator import STREAM_GC, STREAM_USER, WriteAllocator
+from repro.ftl.meta import KIND_DATA
 from repro.ftl.pagemap import PageMapFTL
 
 
@@ -11,7 +12,7 @@ class TestAllocatorStreams:
         svc = FlashService(tiny_cfg)
         alloc = WriteAllocator(svc)
         a = alloc.allocate_in_plane(0, STREAM_USER)
-        svc.array.program(a, None)
+        svc.array.program(a, KIND_DATA)
         b = alloc.allocate_in_plane(0, STREAM_GC)
         # same active block: GC stream aliases the user stream
         assert svc.geom.block_of_ppn(a) == svc.geom.block_of_ppn(b)
@@ -20,18 +21,18 @@ class TestAllocatorStreams:
         svc = FlashService(tiny_cfg)
         alloc = WriteAllocator(svc, separate_streams=True)
         a = alloc.allocate_in_plane(0, STREAM_USER)
-        svc.array.program(a, None)
+        svc.array.program(a, KIND_DATA)
         b = alloc.allocate_in_plane(0, STREAM_GC)
-        svc.array.program(b, None)
+        svc.array.program(b, KIND_DATA)
         assert svc.geom.block_of_ppn(a) != svc.geom.block_of_ppn(b)
 
     def test_both_streams_excluded_from_gc(self, tiny_cfg):
         svc = FlashService(tiny_cfg)
         alloc = WriteAllocator(svc, separate_streams=True)
         a = alloc.allocate_in_plane(0, STREAM_USER)
-        svc.array.program(a, None)
+        svc.array.program(a, KIND_DATA)
         b = alloc.allocate_in_plane(0, STREAM_GC)
-        svc.array.program(b, None)
+        svc.array.program(b, KIND_DATA)
         blocks = alloc.active_blocks()
         assert svc.geom.block_of_ppn(a) in blocks
         assert svc.geom.block_of_ppn(b) in blocks

@@ -55,7 +55,7 @@ class TestAcrossTrim:
         ftl.trim(2056, 12, 1.0)
         assert len(ftl.amt) == 0
         assert not svc.array.is_valid(appn)
-        assert 128 not in ftl.aidx_of_lpn
+        assert ftl.aidx[128] == -1
         _, found = ftl.read(2048, 32, 2.0)
         assert found == {}
         ftl.check_invariants()
