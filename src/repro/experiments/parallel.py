@@ -554,8 +554,8 @@ class WorkerPool:
     The executor is built on the first :meth:`submit`, never at
     construction, with the ``spawn`` start method (Linux and macOS
     replay identically and fork-under-threads never happens).
-    :meth:`submit` and :meth:`close` are thread-safe, so the serve
-    layer's request threads share one pool and never run more than
+    :meth:`submit`, :meth:`map` and :meth:`close` are thread-safe, so
+    the serve layer's request threads share one pool and never run more than
     ``workers`` processes between them.  A pool whose worker died
     (:class:`~concurrent.futures.process.BrokenProcessPool`) is
     discarded and rebuilt on the next submit; the futures it held fail, each to its own caller.
@@ -595,6 +595,17 @@ class WorkerPool:
                 self._rebuilds += 1
                 self._executor = self._spawn()
                 return self._executor.submit(fn, *args)
+
+    def map(self, fn: Callable, *iterables) -> list:
+        """``[fn(*args) for args in zip(*iterables)]`` on the workers, all
+        submitted before any is awaited; the first call to fail (in that
+        order) raises here and cancels the calls not yet started."""
+        futures = [self.submit(fn, *args) for args in zip(*iterables)]
+        try:
+            return [fut.result() for fut in futures]
+        finally:
+            for fut in futures:
+                fut.cancel()
 
     def close(self) -> None:
         """Cancel what has not started, wait for what has, join the

@@ -13,10 +13,12 @@ The service is two layers:
   request re-simulates nothing (``executed=0, cached=N``) and returns
   a byte-identical ``digest``.  The service owns two things for its
   whole lifetime: a :class:`~repro.experiments.parallel.WorkerPool`
-  (spawned by the first batch that misses the store, shared by every
-  request thread, joined by :meth:`FleetService.close`) and a
+  (spawned by the first batch that misses the store or the first fleet
+  plan to compose, shared by every request thread, joined by
+  :meth:`FleetService.close`) and a
   :class:`~repro.fleet.workload.PlanCache` (a repeated fleet request
-  synthesises no trace).
+  synthesises no trace; with ``jobs > 1`` a new plan's shards are
+  composed on the pool's workers).
 * :func:`serve_forever` / :func:`start_server_thread` — a minimal
   hand-rolled HTTP/1.1 loop over :func:`asyncio.start_server` (the
   toolchain has no HTTP framework and the stdlib server is threaded).
@@ -47,7 +49,7 @@ import hashlib
 import json
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -127,8 +129,9 @@ class ServiceStats:
 class FleetService:
     """JSON request handler over one shared ResultStore.
 
-    Constructing one starts no process: the worker pool spawns on the
-    first batch with two or more runs to simulate.  Call :meth:`close`
+    Constructing one starts no process: with ``jobs > 1`` the worker
+    pool spawns on the first fleet plan to compose or batch with two or
+    more runs to simulate.  Call :meth:`close`
     (or use the service as a context manager) when done with it.
     """
 
@@ -206,7 +209,8 @@ class FleetService:
             raise ConfigError(
                 f"unknown request kind {kind!r}; expected 'sweep' or 'fleet'"
             )
-        except (ReproError, TypeError, ValueError) as exc:
+        except (ReproError, TypeError, ValueError, BrokenExecutor) as exc:
+            # BrokenExecutor: a worker died composing this request's shards
             self._count(errors_total=1)
             return _request_error(f"{type(exc).__name__}: {exc}")
 
@@ -294,7 +298,9 @@ class FleetService:
                 "do not set it in 'sim'"
             )
         fleet = FleetConfig.from_dict(dict(payload.get("fleet") or {}))
-        plans = self._plans.compose(fleet, cfg)
+        # a new plan's shards are composed by the workers that run them
+        compose_map = self._pool.map if self.jobs > 1 else None
+        plans = self._plans.compose(fleet, cfg, map=compose_map)
         specs = []
         for plan in plans:
             sim_cfg = _sim_cfg_from(

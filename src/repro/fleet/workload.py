@@ -11,13 +11,13 @@ Three deterministic steps, all pure functions of the
    tenant id with ``blake2b`` — *not* Python's ``hash``, which is
    randomised per process and would route tenants differently on every
    run; ``shard_by="lba"`` bands tenants into contiguous shard ranges.
-3. **Composition** (:func:`compose_shards`): each shard's tenants get
-   equal page-aligned slices of the shard's logical space, one
-   calibrated synthetic stream each (seeded per tenant), offsets
-   shifted into their slice, and the streams merged by arrival time.
-   The slice boundaries double as the shard run's
-   ``SimConfig.qos_streams``, which is how per-tenant QoS falls out of
-   a single shard report (:mod:`repro.fleet.qos`).
+3. **Composition** (:func:`compose_shard` per shard, :func:`compose_shards`
+   for all): each shard's tenants get equal page-aligned slices of the
+   shard's logical space, one calibrated synthetic stream each (seeded
+   per tenant), offsets shifted into their slice, and the streams
+   merged by arrival time.  The slice boundaries double as the shard
+   run's ``SimConfig.qos_streams``, which is how per-tenant QoS falls
+   out of a single shard report (:mod:`repro.fleet.qos`).
 
 :class:`PlanCache` keeps recently composed plans so a repeated fleet
 request goes straight to its run keys without synthesising a trace.
@@ -25,11 +25,13 @@ request goes straight to its run keys without synthesising a trace.
 
 from __future__ import annotations
 
+import builtins
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,77 +117,78 @@ def _tenant_spec(
     )
 
 
-def compose_shards(
-    cfg: FleetConfig, ssd_cfg: SSDConfig
-) -> list[ShardPlan]:
-    """Compose every shard's merged multi-tenant trace.
+def compose_shard(
+    cfg: FleetConfig, ssd_cfg: SSDConfig, shard_id: int
+) -> ShardPlan:
+    """Compose one shard's merged multi-tenant trace.
 
     Within a shard, tenants (sorted by id) get equal page-aligned
     contiguous slices of the logical space; each tenant's calibrated
     synthetic stream is generated *inside its slice* and the streams
-    are merged by arrival time.  Deterministic end to end: same config
-    → same routing → same traces → same run keys, which is what makes
-    fleet requests cacheable in the ResultStore.
+    are merged by arrival time.  A pure function of its arguments, so
+    shards compose independently — in worker processes, for the serve
+    layer.  Deterministic end to end: same config → same routing → same
+    traces → same run keys, which is what makes fleet requests
+    cacheable in the ResultStore.
     """
     cfg.validate()
-    counts = tenant_requests(cfg)
-    members: dict[int, list[int]] = {s: [] for s in range(cfg.shards)}
-    for t in range(cfg.tenants):
-        members[shard_of(t, cfg)].append(t)
-
+    tenants = [t for t in range(cfg.tenants) if shard_of(t, cfg) == shard_id]
+    if not tenants:
+        return ShardPlan(
+            shard_id=shard_id,
+            tenant_ids=(),
+            trace=Trace.from_lists(f"fleet-s{shard_id:03d}", []),
+            boundaries=(),
+            slice_sectors=0,
+        )
     spp = sectors_per_page(ssd_cfg.page_size_bytes)
-    plans: list[ShardPlan] = []
-    for sid in range(cfg.shards):
-        tenants = sorted(members[sid])
-        if not tenants:
-            plans.append(ShardPlan(
-                shard_id=sid,
-                tenant_ids=(),
-                trace=Trace.from_lists(f"fleet-s{sid:03d}", []),
-                boundaries=(),
-                slice_sectors=0,
-            ))
-            continue
-        auto = ssd_cfg.logical_sectors // len(tenants)
-        slice_sectors = (
-            min(cfg.tenant_sectors, auto) if cfg.tenant_sectors else auto
+    auto = ssd_cfg.logical_sectors // len(tenants)
+    slice_sectors = (
+        min(cfg.tenant_sectors, auto) if cfg.tenant_sectors else auto
+    )
+    slice_sectors -= slice_sectors % spp  # page-aligned slices
+    if slice_sectors < spp:
+        raise ConfigError(
+            f"shard {shard_id}: {len(tenants)} tenants do not fit in "
+            f"{ssd_cfg.logical_sectors} logical sectors (slice "
+            f"smaller than one page)"
         )
-        slice_sectors -= slice_sectors % spp  # page-aligned slices
-        if slice_sectors < spp:
-            raise ConfigError(
-                f"shard {sid}: {len(tenants)} tenants do not fit in "
-                f"{ssd_cfg.logical_sectors} logical sectors (slice "
-                f"smaller than one page)"
-            )
-        streams = []
-        for i, t in enumerate(tenants):
-            spec = _tenant_spec(cfg, t, counts[t], slice_sectors)
-            trace = generate_trace(spec)
-            streams.append(Trace(
-                trace.name,
-                trace.times,
-                trace.ops,
-                trace.offsets + i * slice_sectors,
-                trace.sizes,
-            ))
-        merged = Trace.interleave(
-            streams, name=f"fleet-s{sid:03d}", partitioned=False
-        )
-        # one boundary per tenant slice end: with n tenants that makes
-        # streams 0..n-1 the tenants and stream n the (empty) remainder
-        # of the logical space — so even a one-tenant shard gets a
-        # non-None report.streams section
-        boundaries = tuple(
-            slice_sectors * (i + 1) for i in range(len(tenants))
-        )
-        plans.append(ShardPlan(
-            shard_id=sid,
-            tenant_ids=tuple(tenants),
-            trace=merged,
-            boundaries=boundaries,
-            slice_sectors=slice_sectors,
+    counts = tenant_requests(cfg)
+    streams = []
+    for i, t in enumerate(tenants):
+        spec = _tenant_spec(cfg, t, counts[t], slice_sectors)
+        trace = generate_trace(spec)
+        streams.append(Trace(
+            trace.name,
+            trace.times,
+            trace.ops,
+            trace.offsets + i * slice_sectors,
+            trace.sizes,
         ))
-    return plans
+    merged = Trace.interleave(
+        streams, name=f"fleet-s{shard_id:03d}", partitioned=False
+    )
+    # one boundary per tenant slice end: with n tenants that makes
+    # streams 0..n-1 the tenants and stream n the (empty) remainder of
+    # the logical space — so even a one-tenant shard gets a non-None
+    # report.streams section
+    boundaries = tuple(slice_sectors * (i + 1) for i in range(len(tenants)))
+    return ShardPlan(
+        shard_id=shard_id,
+        tenant_ids=tuple(tenants),
+        trace=merged,
+        boundaries=boundaries,
+        slice_sectors=slice_sectors,
+    )
+
+
+def compose_shards(
+    cfg: FleetConfig, ssd_cfg: SSDConfig
+) -> list[ShardPlan]:
+    """Compose every shard's merged multi-tenant trace: each shard's
+    :func:`compose_shard`, in shard order, in this process."""
+    cfg.validate()
+    return [compose_shard(cfg, ssd_cfg, sid) for sid in range(cfg.shards)]
 
 
 #: :class:`PlanCache` bounds.  Every cached request is ~25 bytes of
@@ -226,10 +229,12 @@ class PlanCache:
         self._misses = 0
 
     def compose(
-        self, cfg: FleetConfig, ssd_cfg: SSDConfig
+        self, cfg: FleetConfig, ssd_cfg: SSDConfig, map: Callable | None = None
     ) -> Sequence[ShardPlan]:
-        """``compose_shards(cfg, ssd_cfg)``, from the cache when an
-        equal pair was composed recently."""
+        """``compose_shards(cfg, ssd_cfg)``, from the cache when an equal
+        pair was composed recently.  A miss composes the shards through
+        ``map`` (default: the builtin, in this thread; the serve layer
+        passes :meth:`~repro.experiments.parallel.WorkerPool.map`)."""
         key = (cfg, ssd_cfg)
         with self._lock:
             entry = self._plans.get(key)
@@ -241,7 +246,9 @@ class PlanCache:
         # composed outside the lock: two threads missing on one key both
         # compose (equal plans, the later insert wins) rather than every
         # other fleet request waiting behind one composition
-        plans = tuple(compose_shards(cfg, ssd_cfg))
+        cfg.validate()
+        shard = functools.partial(compose_shard, cfg, ssd_cfg)
+        plans = tuple((map or builtins.map)(shard, range(cfg.shards)))
         requests = sum(len(plan.trace) for plan in plans)
         if requests > self.max_requests:
             return plans

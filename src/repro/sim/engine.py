@@ -997,6 +997,20 @@ class Simulator:
     # ------------------------------------------------------------------
     # full trace
     # ------------------------------------------------------------------
+    def _check_extents(self, trace: Trace) -> None:
+        """Raise :class:`SimulationError` naming the first request whose
+        extent is empty or leaves ``[0, logical sectors)`` — the check
+        :meth:`process` makes per request, over the whole trace at once."""
+        limit = self.ftl.logical_pages * self.spp
+        offsets, sizes = trace.offsets, trace.sizes
+        bad = (sizes <= 0) | (offsets < 0) | (offsets > limit - sizes)
+        if bad.any():
+            i = int(bad.argmax())
+            raise SimulationError(
+                f"request {i}: extent [{offsets[i]}, {offsets[i] + sizes[i]})"
+                f" is not inside the logical space [0, {limit})"
+            )
+
     def run(self, trace: Trace) -> SimulationReport:
         """Age (if configured), replay the whole trace, flush metadata,
         and assemble the report.
@@ -1006,9 +1020,10 @@ class Simulator:
         pinned golden/bench digests were taken on) and the
         discrete-event frontend (``SimConfig.frontend.enabled``) that
         overlaps in-flight requests under hazard ordering
-        (:mod:`repro.sim.frontend`).
+        (:mod:`repro.sim.frontend`).  A bad extent fails before aging.
         """
         t0 = _time.perf_counter()
+        self._check_extents(trace)
         self.age_device()
         if self.sim_cfg.frontend.enabled:
             last = self._run_frontend(trace)

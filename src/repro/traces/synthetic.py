@@ -35,14 +35,16 @@ across sites occasionally exceed the site (merged reads, §4.2.1).
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError
 from ..units import KIB, SECTOR_BYTES
 from .model import OP_READ, OP_WRITE, Trace
 
@@ -165,13 +167,111 @@ def _weights_cdf(p) -> list[float]:
     return cdf.tolist()
 
 
+_U32 = 0xFFFFFFFF
+_2_32 = 1 << 32
+_TWO_M53 = 1.0 / 9007199254740992.0
+#: ``(double)INT64_MAX``, the bound of numpy's zipf rejection loop
+_INT64_MAX_F = float(2**63 - 1)
+
+
+class _Draws:
+    """numpy's scalar ``random()`` / ``integers()`` / ``zipf()``
+    replayed in Python over a PCG64 generator's raw 64-bit output.
+
+    A scalar ``Generator`` call is mostly per-call overhead; the value
+    is a shift or a multiply.  This reads ``random_raw`` in blocks and
+    recomputes each value as numpy's C code does: ``random()`` is
+    ``(u64 >> 11) * 2**-53``; ``integers()`` is Lemire's bounded-uint32
+    rejection over PCG64's 32-bit draws (the low half of a fresh word,
+    then its buffered high half — ``has_uint32`` / ``uinteger`` taken
+    over at creation; width 1 draws nothing, an empty range raises like
+    numpy, ranges wider than 2**32 are refused); ``zipf()`` is
+    ``random_zipf``'s rejection loop.  Values and stream position match
+    numpy call for call, pinned against the installed numpy by
+    ``tests/test_synthetic.py::TestRngStreamEquivalence``.  The
+    generator is left ahead of the replay and must not be drawn from
+    again.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"the draw replay needs a PCG64 bit generator, "
+                            f"got {type(bitgen).__name__}")
+        raw = bitgen.random_raw
+        # one endless C-level iterator over the raw stream
+        self._next64 = chain.from_iterable(
+            iter(lambda: raw(4096).tolist(), None)
+        ).__next__
+        state = bitgen.state
+        #: the buffered high half of the last 64-bit word, or None
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * _TWO_M53
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        if high is None:
+            low, width = 0, low
+        else:
+            width = high - low
+        if width <= 1:
+            if width == 1:
+                return low
+            raise ValueError("high <= 0" if high is None else "low >= high")
+        if width > _2_32:
+            raise ValueError(f"a range of {width} exceeds the replay's 2**32")
+        while True:
+            half = self._half
+            if half is None:
+                u = self._next64()
+                self._half = u >> 32
+                half = u & _U32
+            else:
+                self._half = None
+            if width == _2_32:
+                return low + half
+            m = half * width
+            # the threshold 2**32 % width is below width: skip it when
+            # the leftover is not
+            if (m & _U32) >= width or (m & _U32) >= _2_32 % width:
+                return low + (m >> 32)
+
+    def zipf(self, a: float) -> int:
+        if not a > 1.0:
+            raise ValueError("a <= 1 or a is NaN")
+        if a >= 1025.0:
+            return 1
+        am1 = a - 1.0
+        b, umin, exponent = 2.0 ** am1, _INT64_MAX_F ** -am1, -1.0 / am1
+        next64 = self._next64
+        while True:
+            u01 = (next64() >> 11) * _TWO_M53
+            u = u01 * umin + (1 - u01)
+            v = (next64() >> 11) * _TWO_M53
+            x = math.floor(u ** exponent)
+            if x > _INT64_MAX_F or x < 1:
+                continue
+            t = (1.0 + 1.0 / x) ** am1
+            if v * x * (t - 1.0) / (b - 1.0) <= t / b:
+                return x
+
+
 class VDIWorkloadGenerator:
-    """Stateful generator producing one :class:`Trace` per call."""
+    """Single-use generator of one :class:`Trace` from a spec.
+
+    The bulk columns are vectorised numpy draws; every per-request draw
+    is numpy's own algorithm replayed over the raw PCG64 stream
+    (:class:`_Draws`, pinned by tests against the installed numpy), so
+    traces equal call-by-call ``Generator`` draws bit for bit.
+    """
 
     def __init__(self, spec: SyntheticSpec):
         spec.validate()
         self.spec = spec
         self.rng = np.random.default_rng(spec.seed)
+        #: the per-request draw replay, built by :meth:`generate`
+        self._draws: _Draws | None = None
         #: across sites: (start_sector, size_sectors) keyed by boundary
         self._sites: list[list[int]] = []
         #: page indices hosting an across site (kept disjoint from the
@@ -193,14 +293,11 @@ class VDIWorkloadGenerator:
         #: where these extents become across-page: rewriting the same
         #: extent is an AMerge overwrite, not a rollback storm.
         self._small_sites: list[tuple[int, int]] = []
-        self._aligned_weights = self._solve_size_mix()
         # zone popularity: zipf over a shuffled zone order so hot zones
         # are scattered across the address space
         ranks = np.arange(1, spec.hot_zones + 1, dtype=np.float64)
         weights = ranks ** (-spec.zipf_s)
         weights /= weights.sum()
-        self._zone_weights = weights
-        self._zone_order = self.rng.permutation(spec.hot_zones)
         self._zone_pages = max(
             1, spec.footprint_sectors // _REF_SPP // spec.hot_zones
         )
@@ -208,9 +305,9 @@ class VDIWorkloadGenerator:
         # order as a plain list (scalar numpy indexing is ~5x slower),
         # and the aligned-size group CDFs
         self._zone_cdf = _weights_cdf(weights)
-        self._zone_order_list = [int(z) for z in self._zone_order]
+        self._zone_order_list = self.rng.permutation(spec.hot_zones).tolist()
         self._last_page = spec.footprint_sectors // _REF_SPP - 1
-        w, ps, pl = self._aligned_weights
+        w, ps, pl = self._solve_size_mix()
         self._small_cdf = _weights_cdf(ps)
         self._large_cdf = _weights_cdf(pl)
         self._small_sizes = _SMALL_SIZES.tolist()
@@ -221,7 +318,7 @@ class VDIWorkloadGenerator:
 
     def _pick_page(self) -> int:
         """A page index drawn from the zipf zone model."""
-        rng = self.rng
+        rng = self._draws
         zone = self._zone_order_list[bisect_right(self._zone_cdf, rng.random())]
         page = zone * self._zone_pages + int(rng.integers(self._zone_pages))
         last = self._last_page
@@ -263,7 +360,7 @@ class VDIWorkloadGenerator:
     # ------------------------------------------------------------------
     def _new_across_site(self) -> tuple[int, int]:
         """A fresh extent straddling a random 8 KiB page boundary."""
-        rng = self.rng
+        rng = self._draws
         n_boundaries = self._n_pages - 1
         b_page = max(1, min(self._pick_page(), n_boundaries))
         # avoid boundaries adjacent to existing sites: an LPN can hold
@@ -302,7 +399,7 @@ class VDIWorkloadGenerator:
         return start, size
 
     def _across_write(self) -> tuple[int, int]:
-        rng = self.rng
+        rng = self._draws
         s = self.spec
         if self._sites and rng.random() < s.site_reuse:
             # zipf-ish reuse: prefer recent sites
@@ -348,7 +445,7 @@ class VDIWorkloadGenerator:
         site's page (without being across itself), producing the
         Unprofitable-AMerge class.
         """
-        rng = self.rng
+        rng = self._draws
         if self._sites and rng.random() < 0.18:
             # update part of an across area without being across
             # ourselves: the union stays within the area, so this is
@@ -405,7 +502,7 @@ class VDIWorkloadGenerator:
 
     def _aligned_write(self) -> tuple[int, int]:
         """4/8 KiB-aligned bulk traffic that is never across at 8 KiB."""
-        rng = self.rng
+        rng = self._draws
         if rng.random() < self._w_small:
             size = self._small_sizes[
                 bisect_right(self._small_cdf, rng.random())
@@ -440,7 +537,7 @@ class VDIWorkloadGenerator:
 
     # ------------------------------------------------------------------
     def _read_target(self) -> tuple[int, int]:
-        rng = self.rng
+        rng = self._draws
         s = self.spec
         if self._sites and rng.random() < s.across_ratio:
             start, size = self._sites[int(rng.integers(len(self._sites)))]
@@ -465,7 +562,12 @@ class VDIWorkloadGenerator:
 
     # ------------------------------------------------------------------
     def generate(self) -> Trace:
-        """Produce the whole trace."""
+        """Produce the whole trace, once.  Per-request draws are numpy's
+        scalar algorithms replayed over the raw PCG64 stream (pinned by
+        tests against the installed numpy); the replay reads ahead of the
+        numpy generator, so a second call raises instead of continuing."""
+        if self._draws is not None:
+            raise ReproError("VDIWorkloadGenerator.generate() runs once")
         s = self.spec
         rng = self.rng
         n = s.requests
@@ -494,10 +596,13 @@ class VDIWorkloadGenerator:
         p_small_cut = p_across + (1 - p_across) * s.small_unaligned
         footprint = s.footprint_sectors
         max_written = 4096  # bounded memory for the read-target pool
-        # bound every per-request callable once: the loop below runs for
-        # each of the trace's (often hundreds of thousands of) requests
-        random = rng.random
-        integers = rng.integers
+        # the bulk draws are done: every later draw is a per-request
+        # scalar, served by the replay.  Bind each per-request callable
+        # once: the loop below runs for each of the trace's (often
+        # hundreds of thousands of) requests
+        self._draws = draws = _Draws(rng)
+        random = draws.random
+        integers = draws.integers
         across_write = self._across_write
         small_unaligned_write = self._small_unaligned_write
         aligned_write = self._aligned_write
@@ -612,9 +717,6 @@ def spec_from_stats(stats, *, requests: int | None = None, seed: int = 1,
     original cannot (exactly how this library's lun presets stand in
     for the paper's SYSTOR'17 traces).
     """
-    from ..errors import ConfigError
-    from ..units import SECTOR_BYTES
-
     if stats.requests == 0:
         raise ConfigError("cannot build a spec from an empty trace")
     footprint = footprint_sectors

@@ -96,6 +96,21 @@ def scalar_reference(monkeypatch):
         monkeypatch.setattr(scheme, "write_run", BaseFTL.write_run)
 
 
+@pytest.fixture
+def numpy_draws(monkeypatch):
+    """Serve the synthetic generator's per-request draws from the numpy
+    ``Generator`` itself instead of the raw-stream replay
+    (``repro.traces.synthetic._Draws``): the call-by-call reference every
+    generated trace must equal byte for byte.  The trace memo is emptied
+    on the way in and out, so no trace crosses between the two paths."""
+    from repro.traces import synthetic
+
+    synthetic._TRACE_MEMO.clear()
+    monkeypatch.setattr(synthetic, "_Draws", lambda rng: rng)
+    yield
+    synthetic._TRACE_MEMO.clear()
+
+
 def relocate_each_programmed_page(ftl, kind, *, invariants_hold=True):
     """Make every GC check first relocate the pages of ``kind``
     programmed since the previous check — what one GC pass does when it

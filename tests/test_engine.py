@@ -37,6 +37,30 @@ class TestProcess:
         with pytest.raises(SimulationError):
             sim.process(OP_WRITE, limit - 4, 8, 0.0)
 
+    @pytest.mark.parametrize("frontend", [False, True])
+    def test_run_rejects_a_bad_extent_before_aging(self, frontend):
+        from repro.config import FrontendConfig
+
+        sim = make_sim(sim_cfg=SimConfig(
+            aged_used=0.5, aged_valid=0.2,
+            frontend=FrontendConfig(enabled=frontend),
+        ))
+        limit = sim.ftl.logical_pages * sim.spp
+        trace = Trace.from_lists("bad", [
+            (OP_WRITE, 0, 16, 0.0),
+            (OP_READ, 64, 8, 1.0),
+            (OP_WRITE, limit - 4, 8, 2.0),   # request 2 crosses the end
+            (OP_WRITE, limit, 8, 3.0),
+        ])
+        with pytest.raises(SimulationError, match=(
+            rf"request 2: extent \[{limit - 4}, {limit + 4}\) is not "
+            rf"inside the logical space \[0, {limit}\)"
+        )):
+            sim.run(trace)
+        assert sim.host == {}  # age_device never ran
+        assert sim.ftl.counters.total_writes == 0
+        assert sim.ftl.service.array.mod_seq == 0
+
     def test_across_classification(self):
         sim = make_sim()
         sim.process(OP_WRITE, 8, 16, 0.0)   # across

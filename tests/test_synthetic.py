@@ -259,13 +259,179 @@ class TestCollection:
             assert measured == pytest.approx(s.across_ratio, abs=0.06)
 
 
+def _arrays(trace) -> list[bytes]:
+    return [
+        trace.name.encode(),
+        *(a.tobytes() for a in (trace.times, trace.ops, trace.offsets,
+                                trace.sizes)),
+    ]
+
+
+def _vdi_aging_spec(cfg):
+    """The spec of the first chunk ``aging_style="vdi"`` ages ``cfg``
+    with, caught on its way into ``generate_trace``."""
+    from repro import SimConfig, make_ftl
+    from repro.flash.service import FlashService
+    from repro.sim import engine
+
+    class Caught(Exception):
+        pass
+
+    def catch(spec, **kw):
+        raise Caught(spec)
+
+    sim = engine.Simulator(
+        make_ftl("ftl", FlashService(cfg)),
+        SimConfig(aging_style="vdi", aged_used=0.9, aged_valid=0.398),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "generate_trace", catch)
+        with pytest.raises(Caught) as caught:
+            sim.age_device()
+    return caught.value.args[0]
+
+
+def _reference_specs():
+    """Every spec family the library synthesises: the six Table 2 luns
+    at three seeds, the vdi aging chunks at tiny and bench footprints,
+    and the tenant specs of a tenant-hashed and an lba-banded fleet."""
+    import dataclasses
+
+    from repro.config import SSDConfig
+    from repro.experiments.workloads import lun_specs
+    from repro.fleet import FleetConfig, compose_shards
+    from repro.fleet.workload import _tenant_spec, tenant_requests
+
+    tiny, bench = SSDConfig.tiny(), SSDConfig.preset("bench")
+    for seed_base in (2023, 7, 4242):
+        yield from lun_specs(tiny, scale=0.002, seed_base=seed_base)
+    for cfg in (tiny, bench):
+        aging = _vdi_aging_spec(cfg)
+        for seed in (aging.seed, aging.seed + 1):
+            # the bench chunk is ~29 k requests: its first 4 000 will do
+            yield dataclasses.replace(
+                aging, seed=seed, requests=min(aging.requests, 4_000)
+            )
+    for shard_by in ("tenant", "lba"):
+        fleet = FleetConfig(shards=3, tenants=12, requests_per_tenant=40,
+                            seed=9, shard_by=shard_by)
+        counts = tenant_requests(fleet)
+        for plan in compose_shards(fleet, tiny):
+            for t in plan.tenant_ids:
+                yield _tenant_spec(fleet, t, counts[t], plan.slice_sectors)
+
+
+@pytest.fixture(scope="module")
+def replayed_traces():
+    """The reference specs' traces through the raw-stream replay (module
+    scope: built before the function-scoped ``numpy_draws`` swaps it)."""
+    return [
+        _arrays(VDIWorkloadGenerator(s).generate()) for s in _reference_specs()
+    ]
+
+
+def _draw_script(rng: np.random.Generator, seed: int, n: int) -> list:
+    """``n`` interleaved per-request draws (random / one- and two-argument
+    integers / zipf) chosen by ``seed``, made on ``rng``."""
+    import random
+
+    script = random.Random(seed)
+    widths = (1, 2, 3, 13, 4096, 2**31 + 11, 2**32)
+    out = []
+    for _ in range(n):
+        kind = script.randrange(4)
+        if kind == 0:
+            out.append(float(rng.random()))
+        elif kind == 1:
+            out.append(int(rng.integers(script.choice(widths))))
+        elif kind == 2:
+            low = script.randrange(-1000, 1000)
+            out.append(int(rng.integers(low, low + script.choice(widths))))
+        else:
+            out.append(int(rng.zipf(script.choice((1.2, 1.6, 3.0)))))
+    return out
+
+
 class TestRngStreamEquivalence:
     """The generator hot path replaces ``Generator.choice`` with
     CDF + ``bisect_right`` (weighted picks) and ``Generator.integers``
-    (uniform picks).  These draws MUST consume the identical RNG stream
-    and return the identical values, or every golden report and bench
-    digest built from generated traces silently changes.  Pin the
-    equivalences numerically."""
+    (uniform picks), and makes every per-request draw from
+    :class:`~repro.traces.synthetic._Draws` — numpy's scalar algorithms
+    replayed over the raw PCG64 stream.  These draws MUST consume the
+    identical RNG stream and return the identical values, or every
+    golden report and bench digest built from generated traces silently
+    changes.  Pin the equivalences numerically, against the installed
+    numpy."""
+
+    @pytest.mark.parametrize("warmup", ["none", "odd-32bit", "permutation"])
+    def test_replay_equals_generator(self, warmup):
+        """≥ 200 seeds per warm-up; the two warm-ups that leave a buffered
+        32-bit half (``has_uint32``) exercise the replay's take-over."""
+        from repro.traces.synthetic import _Draws
+
+        def start(seed):
+            rng = np.random.default_rng(seed)
+            if warmup == "odd-32bit":
+                for _ in range(1 + 2 * (seed % 3)):
+                    rng.integers(1000)
+            elif warmup == "permutation":
+                rng.permutation(64)
+            return rng
+
+        buffered = 0
+        for seed in range(210):
+            ref = start(seed)
+            buffered += ref.bit_generator.state["has_uint32"]
+            want = _draw_script(ref, seed, 120)
+            assert _draw_script(_Draws(start(seed)), seed, 120) == want, seed
+        if warmup == "odd-32bit":
+            assert buffered == 210
+        elif warmup == "permutation":
+            assert buffered > 0
+
+    def test_empty_range_raises_like_numpy(self):
+        from repro.traces.synthetic import _Draws
+
+        d = _Draws(np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        for args in ((0,), (-3,), (5, 5), (5, 2)):
+            with pytest.raises(ValueError) as want:
+                rng.integers(*args)
+            with pytest.raises(ValueError, match=str(want.value)):
+                d.integers(*args)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            d.integers(2**32 + 1)
+        with pytest.raises(ValueError):
+            d.zipf(1.0)
+
+    def test_only_pcg64_is_replayed(self):
+        from repro.traces.synthetic import _Draws
+
+        with pytest.raises(TypeError, match="PCG64"):
+            _Draws(np.random.Generator(np.random.MT19937(1)))
+        with pytest.raises(TypeError, match="PCG64"):
+            _Draws(np.random.Generator(np.random.Philox(1)))
+
+    def test_generate_runs_once(self):
+        from repro.errors import ReproError
+
+        gen = VDIWorkloadGenerator(spec(requests=50))
+        assert len(gen.generate()) == 50
+        with pytest.raises(ReproError, match="runs once"):
+            gen.generate()
+
+    def test_every_spec_family_equals_numpy_draws(
+        self, replayed_traces, numpy_draws
+    ):
+        """End to end: the lun, aging and tenant traces drawn call by
+        call from ``Generator`` are byte-identical to the replay's."""
+        reference = [
+            _arrays(VDIWorkloadGenerator(s).generate())
+            for s in _reference_specs()
+        ]
+        assert len(reference) == len(replayed_traces) > 40
+        for got, want in zip(replayed_traces, reference):
+            assert got == want, want[0]
 
     def test_weighted_choice_equals_cdf_bisect(self):
         from bisect import bisect_right

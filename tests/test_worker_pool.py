@@ -2,6 +2,7 @@
 and its owner, the serve layer: lazy spawn, sharing, a dying worker,
 shutdown.  Every test must leave no child process behind."""
 
+import functools
 import json
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import time
 import urllib.request
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro.config import SimConfig, SSDConfig
@@ -20,6 +22,7 @@ from repro.experiments.parallel import (
     execute_runs,
 )
 from repro.experiments.workloads import lun_specs
+from repro.fleet import FleetConfig, PlanCache, compose_shards
 from repro.fleet.service import FleetService, start_server_thread
 from repro.traces.synthetic import VDIWorkloadGenerator
 
@@ -190,7 +193,8 @@ class TestServicePool:
             assert all(d["ok"] and d["executed"] == 4 for d in docs.values())
             assert 1 <= most[0] <= JOBS
             pool = service.stats()["pool"]
-            assert pool["spawns"] == 1 and pool["tasks"] == 12
+            # composition tasks are pool tasks: 3 x (4 compose + 4 runs)
+            assert pool["spawns"] == 1 and pool["tasks"] == 24
             assert pool["workers"] <= JOBS
         finally:
             service.close()
@@ -204,8 +208,9 @@ class TestServicePool:
         service.close()
         assert multiprocessing.active_children() == []
         service.close()
+        # composition tasks are pool tasks: 4 compose + 4 runs
         assert service.stats()["pool"] == {
-            "spawns": 1, "workers": 0, "tasks": 4, "rebuilds": 0
+            "spawns": 1, "workers": 0, "tasks": 8, "rebuilds": 0
         }
         # answered from the store: no reason to spawn
         assert service.handle_request(fleet_req(21))["cached"] == 4
@@ -235,7 +240,9 @@ class TestServicePool:
             with urllib.request.urlopen(base + "/stats", timeout=30) as r:
                 stats = json.load(r)
             assert stats["pool"]["spawns"] == 1
-            assert stats["pool"]["tasks"] == 12
+            # composition tasks are pool tasks: 3 cold x (4 compose + 4
+            # runs); the repeat is a plan-cache hit and a store hit
+            assert stats["pool"]["tasks"] == 24
             assert 1 <= stats["pool"]["workers"] <= JOBS
             assert stats["pool"]["rebuilds"] == 0
             assert stats["plans"] == {"hits": 1, "misses": 3, "entries": 3}
@@ -247,6 +254,95 @@ class TestServicePool:
             assert multiprocessing.active_children() != []
         finally:
             handle.stop()
+        assert multiprocessing.active_children() == []
+
+
+def assert_same_plans(got, want) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shard_id == b.shard_id
+        assert a.tenant_ids == b.tenant_ids
+        assert a.boundaries == b.boundaries
+        assert a.slice_sectors == b.slice_sectors
+        assert a.trace.name == b.trace.name
+        for name in ("times", "ops", "offsets", "sizes"):
+            x, y = getattr(a.trace, name), getattr(b.trace, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestPooledComposition:
+    """A cold fleet plan's shards are composed on the service's workers
+    (``PlanCache.compose(..., map=WorkerPool.map)``)."""
+
+    @pytest.mark.parametrize("fleet", [
+        FleetConfig(shards=4, tenants=8, requests_per_tenant=30, seed=3),
+        # 3 tenants hashed over 8 shards: most shards are empty
+        FleetConfig(shards=8, tenants=3, requests_per_tenant=30, seed=4),
+        FleetConfig(shards=3, tenants=7, requests_per_tenant=30, seed=5,
+                    shard_by="lba"),
+    ])
+    def test_pooled_plans_equal_compose_shards(self, fleet):
+        want = compose_shards(fleet, TINY)
+        with WorkerPool(JOBS) as pool:
+            cache = PlanCache()
+            got = cache.compose(fleet, TINY, map=pool.map)
+            assert pool.stats()["tasks"] == fleet.shards
+        assert_same_plans(got, want)
+        if fleet.tenants < fleet.shards:
+            assert any(not p.tenant_ids for p in got)
+        # frozen into the cache exactly like an in-process composition
+        assert cache.compose(fleet, TINY) is got
+        assert all(not p.trace.offsets.flags.writeable for p in got)
+
+    def test_pool_map_keeps_order_and_raises_the_first_failure(self):
+        with WorkerPool(JOBS) as pool:
+            assert pool.map(pow, [2, 3, 4], [5, 2, 1]) == [32, 9, 4]
+            with pytest.raises(ZeroDivisionError):
+                pool.map(divmod, [1, 2, 3], [1, 0, 0])
+
+    def test_config_error_in_a_worker_is_the_jobs1_reply(self, tmp_path):
+        # an 8-sector tenant slice is smaller than a 16-sector page
+        req = {"kind": "fleet", "device": "tiny",
+               "fleet": {"shards": 2, "tenants": 4, "tenant_sectors": 8}}
+        serial = FleetService(ResultStore(tmp_path / "a"), jobs=1)
+        with FleetService(ResultStore(tmp_path / "b"), jobs=JOBS) as pooled:
+            doc = pooled.handle_request(req)
+            assert pooled.stats()["pool"]["tasks"] == 2  # raised in a worker
+        assert doc == serial.handle_request(req)
+        assert doc["ok"] is False and "smaller than one page" in doc["error"]
+
+    def test_worker_killed_mid_composition(self, tmp_path):
+        with FleetService(
+            ResultStore(tmp_path / "store"), device=TINY, jobs=JOBS
+        ) as service:
+            pool_map = service._pool.map
+
+            def dying_map(fn, *iterables):
+                # every task carries a Poison: the worker unpickling one
+                # exits on the spot
+                return pool_map(functools.partial(fn, Poison()), *iterables)
+
+            service._pool.map = dying_map
+            doc = service.handle_request(fleet_req(61))
+            del service._pool.map
+            assert doc["ok"] is False
+            assert doc["error"].startswith("BrokenProcessPool")
+            again = service.handle_request(fleet_req(62))
+            assert again["ok"] and again["executed"] == 4
+            stats = service.stats()
+            assert stats["pool"]["rebuilds"] == 1
+            assert stats["service"]["errors_total"] == 1
+            assert stats["plans"]["entries"] == 1  # nothing cached for 61
+
+    def test_jobs1_composes_in_process(self, tmp_path):
+        service = FleetService(
+            ResultStore(tmp_path / "store"), device=TINY, jobs=1
+        )
+        doc = service.handle_request(fleet_req(71))
+        assert doc["ok"] and doc["executed"] == 4
+        assert service.stats()["pool"] == {
+            "spawns": 0, "workers": 0, "tasks": 0, "rebuilds": 0
+        }
         assert multiprocessing.active_children() == []
 
 
