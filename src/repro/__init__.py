@@ -86,8 +86,6 @@ from .fleet import (
 from .flash.service import FlashService
 from .flash.wear import WearStats, projected_lifetime_writes, wear_stats
 from .ftl import MRSMFTL, PageMapFTL, make_ftl
-from .ftl.bast import BASTFTL
-from .ftl.fast import FASTFTL
 from .ftl.gc import GC_POLICIES
 from .ftl.gc_policy import GcPolicy, make_policy
 from .geometry import FlashGeometry, PhysAddr
@@ -145,8 +143,6 @@ __all__ = [
     "AMTEntry",
     "PageMapFTL",
     "MRSMFTL",
-    "BASTFTL",
-    "FASTFTL",
     "make_ftl",
     "GC_POLICIES",
     "GcPolicy",

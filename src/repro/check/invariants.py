@@ -23,10 +23,7 @@ requests, no matter how aggressively the hot path is optimised:
     (PMT/AIdx/AMT/region-slot detail), plus: every PPN any table
     references is VALID on flash, and every VALID flash page is
     referenced by *exactly one* table owner
-    (:meth:`repro.ftl.base.BaseFTL.referenced_ppns`).  Hybrid
-    log-block schemes (BAST/FAST) keep state outside that hook's
-    contract, so the reachability half is skipped for them
-    (``uses_generic_gc`` is False).
+    (:meth:`repro.ftl.base.BaseFTL.referenced_ppns`).
 
 Sweeps only run *between* requests (and at end of run), which is what
 makes 2 sound: mid-GC a block can transiently be out of the pool with
@@ -82,8 +79,7 @@ class InvariantChecker:
         self._check_timeline()
         self._check_counters()
         self.ftl.check_invariants()
-        if self.ftl.uses_generic_gc:
-            self._check_reachability()
+        self._check_reachability()
         self.sweeps += 1
 
     #: absolute tolerance (ms) for the attribution conservation law;

@@ -567,7 +567,7 @@ class FrontendConfig:
 class BatchConfig:
     """Accepted-and-ignored leftover of the batch on/off switch.
 
-    There is one sequential replay loop and one fused aging path;
+    There is one sequential replay loop and one aging path;
     nothing selects between variants any more.  ``enabled`` survives
     only so callers written against the switch — the frozen
     ``benchmarks/e2e`` driver, saved ``repro check`` reproducers — still

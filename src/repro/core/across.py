@@ -172,20 +172,6 @@ class AcrossFTL(BaseFTL):
         return finish
 
     # ------------------------------------------------------------------
-    def write_run(self, offsets, sizes, target: int) -> int:
-        """Aging writes run through the shared fused page-mapped kernel
-        (:meth:`BaseFTL._write_run_paged`), screened by ``_aidx``.
-
-        An aging write whose touched pages carry no across area is
-        exactly a plain page-mapped update; across-page requests and
-        area overlaps take the real :meth:`write` for that one request,
-        which still fast-paths the ~99% of warm-up writes that never
-        meet an area."""
-        return self._write_run_paged(
-            offsets, sizes, target, self._pmt_cache, aidx=self._aidx
-        )
-
-    # ------------------------------------------------------------------
     def _write_piece(
         self, lpn: int, rel_lo: int, rel_hi: int, now: float, stamps: Optional[dict]
     ) -> float:

@@ -371,7 +371,7 @@ class FlashArray:
     def load_state(self, s: dict) -> None:
         """Overwrite this array with a :meth:`state` snapshot, in place:
         the raw buffers, their numpy views and the free-block deques are
-        bound elsewhere (allocator, GC, fused aging) and keep their
+        bound elsewhere (allocator, GC) and keep their
         identity.  Nothing of ``s`` is aliased."""
         for name, col in self._columns().items():
             col[:] = s[name]

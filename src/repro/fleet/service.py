@@ -367,28 +367,38 @@ def _json_response(status: int, doc: Any) -> bytes:
     )
 
 
-async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request: (method, path, body) or None on a bad/empty
-    stream."""
+class _MalformedRequest(ValueError):
+    """A request head the server cannot parse; answered with a 400."""
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        return await reader.readline()
+    except ValueError:  # StreamReader's limit (64 KiB) overran
+        raise _MalformedRequest("request line or header too long") from None
+
+
+async def _read_request(reader: asyncio.StreamReader):
+    """Parse one request: (method, path, body), None on an empty stream;
+    a malformed head raises :class:`_MalformedRequest`."""
+    line = await _readline(reader)
+    if not line:
         return None
     parts = line.decode("latin-1").split()
     if len(parts) < 2:
-        return None
+        raise _MalformedRequest("malformed request line")
     method, path = parts[0].upper(), parts[1]
     length = 0
     while True:
-        hdr = await reader.readline()
+        hdr = await _readline(reader)
         if hdr in (b"\r\n", b"\n", b""):
             break
         name, _, value = hdr.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
-                return None
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):
+                raise _MalformedRequest(f"invalid Content-Length {value!r}")
+            length = int(value)
     if length > _MAX_BODY:
         return method, path, None  # signal 413
     body = await reader.readexactly(length) if length else b""
@@ -447,6 +457,9 @@ def make_http_handler(service: FleetService, pool: ThreadPoolExecutor):
                     405, _request_error(f"method {method} not allowed")
                 ))
             await writer.drain()
+        except _MalformedRequest as e:
+            # flushed by close() below, like the 413
+            writer.write(_json_response(400, _request_error(str(e))))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:

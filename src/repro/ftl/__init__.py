@@ -23,24 +23,11 @@ from .pagemap import PageMapFTL
 
 
 def make_ftl(scheme: str, service, **kw):
-    """Instantiate an FTL scheme by its canonical name.
-
-    Besides the paper's three comparison schemes, the hybrid log-block
-    schemes ``"bast"`` and ``"fast"`` (library extensions) are
-    constructible here; they are not part of :data:`repro.config.SCHEMES` and never appears in
-    the paper-figure sweeps.
-    """
+    """Instantiate an FTL scheme by its canonical name (one of
+    :data:`repro.config.SCHEMES`)."""
     from ..core.across import AcrossFTL
-    from .bast import BASTFTL
-    from .fast import FASTFTL
 
-    schemes = {
-        "ftl": PageMapFTL,
-        "mrsm": MRSMFTL,
-        "across": AcrossFTL,
-        "bast": BASTFTL,
-        "fast": FASTFTL,
-    }
+    schemes = {"ftl": PageMapFTL, "mrsm": MRSMFTL, "across": AcrossFTL}
     try:
         cls = schemes[scheme]
     except KeyError:

@@ -34,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from ..config import SSDConfig
-from ..errors import FlashProtocolError, MappingError
-from ..flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID
+from ..errors import MappingError
+from ..flash.array import PAGE_VALID
 from ..flash.service import FlashService
 from ..metrics.counters import OpKind
 from ..obs.events import FTLDecision
@@ -65,10 +65,6 @@ class BaseFTL(ABC):
 
     #: canonical scheme id ("ftl" / "mrsm" / "across")
     name: str = "base"
-    #: whether the generic greedy GC manages this scheme's space
-    #: (hybrid log-block schemes reclaim through merges instead and
-    #: must never be driven through GarbageCollector)
-    uses_generic_gc: bool = True
     #: bytes per PMT entry used for the Fig. 12a footprint model
     PMT_ENTRY_BYTES = 8
 
@@ -506,214 +502,6 @@ class BaseFTL(ABC):
         self._gc_check(new_ppn, finish)
         return t if t > finish else finish
 
-    # ------------------------------------------------------------------
-    # device-aging write runs
-    # ------------------------------------------------------------------
-    def write_run(self, offsets, sizes, target: int) -> int:
-        """Service a run of untimed aging writes (already clamped to the
-        logical space by the engine), stopping once the AGING write
-        counter reaches ``target``.  Returns how many requests of the
-        run were consumed.
-
-        This generic implementation is a scalar loop over :meth:`write`
-        and is the reference: schemes may override it with a fused
-        kernel, but any override must (a) produce exactly the same
-        device state, counters and mapping tables, and (b) fall back
-        here whenever a precondition of its fast path does not hold
-        (payload tracking, observability, timed mode).
-        ``tests/test_write_run.py`` holds every override to (a).
-        """
-        counters = self.counters
-        write = self.write
-        aging = OpKind.AGING
-        consumed = 0
-        for offset, size in zip(offsets, sizes):
-            write(offset, size, 0.0, None)
-            consumed += 1
-            if counters.writes[aging] >= target:
-                break
-        return consumed
-
-    def _write_run_fallback(self) -> bool:
-        """True when a fused :meth:`write_run` override must delegate to
-        the generic scalar loop: the fast paths inline the untimed,
-        payload-free, unobserved flavour of every flash/cache
-        operation, so any of these features being live would change
-        behaviour."""
-        return (
-            self.timed
-            or self.track_payload
-            or self.service.obs is not None
-            or self.service.attr is not None
-        )
-
-    def _write_run_paged(
-        self, offsets, sizes, target: int, cache: MappingCache,
-        *, rmw: bool = True, aidx=None,
-    ) -> int:
-        """Fused :meth:`write_run` kernel of the page-mapped schemes:
-        the per-piece pipeline of their :meth:`write` — PMT-cache touch
-        on ``cache``, RMW read, old-page invalidate, allocate, program,
-        PMT update, GC check — inlined into one loop with the untimed /
-        payload-free / unobserved branches resolved.
-
-        Bit-identical to the generic scalar loop: every counter bump,
-        protocol check, LRU movement, allocator-cursor advance and GC
-        trigger happens in exactly the order :meth:`write` produces.
-
-        ``rmw=False`` is :class:`~repro.ftl.pagemap.PageMapFTL`'s
-        ablation (the old mask is dropped before each piece).  ``aidx``
-        is Across-FTL's flat area-index mirror: a request that is
-        across-page (re-alignment may create an area) or touches a page
-        carrying an area (AMerge/ARollback) is not a plain page-mapped
-        update and goes through the real :meth:`write` — the screen is
-        pure probes, no state is touched before the decision.
-        """
-        if self._write_run_fallback():
-            return BaseFTL.write_run(self, offsets, sizes, target)
-        c = self.counters
-        writes = c.writes
-        reads = c.reads
-        aging = OpKind.AGING
-        spp = self.spp
-        pmt = self._pmt
-        pmt_mask = self._pmt_mask
-        unlimited = cache.unlimited
-        epp = cache.entries_per_page
-        cached = cache._cached
-        move_to_end = cached.move_to_end
-        access = cache.access
-        write = self.write
-        arr = self.service.array
-        state = arr._state
-        wp = arr._write_ptr
-        valid_count = arr._valid_count
-        last_mod = arr._last_mod
-        kind_of = arr._kind
-        rec_a = arr._a
-        rec_b = arr._b
-        rec_c = arr._c
-        allocator = self.allocator
-        allocate = allocator.allocate
-        order = allocator._plane_order
-        active = allocator._active[0]
-        n_planes = len(order)
-        ppb = allocator._ppb
-        gc = self.gc
-        maybe_collect = gc.maybe_collect
-        retire_pending = gc._retire_pending
-        free_blocks = gc._free_blocks
-        ok_free = gc._ok_free_count
-        pages_per_plane = self.geom.pages_per_plane
-
-        consumed = 0
-        for offset, size in zip(offsets, sizes):
-            end = offset + size
-            first = offset // spp
-            last = (end - 1) // spp
-            if aidx is not None:
-                fallback = size <= 0 or (size <= spp and last == first + 1)
-                if not fallback:
-                    for lpn in range(first, last + 1):
-                        if aidx[lpn] != -1:
-                            fallback = True
-                            break
-                if fallback:
-                    write(offset, size, 0.0, None)
-                    consumed += 1
-                    if writes[aging] >= target:
-                        break
-                    continue
-            for lpn in range(first, last + 1):
-                page_lo = lpn * spp
-                rel_lo = offset - page_lo if offset > page_lo else 0
-                rel_hi = end - page_lo if end < page_lo + spp else spp
-                # --- mapping-cache touch (dirty, untimed, hit inlined)
-                if unlimited:
-                    c.dram_accesses += 1
-                    cache.hits += 1
-                else:
-                    tvpn = lpn // epp
-                    if tvpn in cached:
-                        c.dram_accesses += 1
-                        cache.hits += 1
-                        move_to_end(tvpn)
-                        cached[tvpn] = True
-                    else:
-                        access(lpn, 0.0, dirty=True, timed=False)
-                if not rmw:
-                    pmt_mask[lpn] = 0
-                # --- _write_data_page, untimed / no payload / no obs
-                new_mask = ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
-                old_ppn = pmt[lpn]
-                old_mask = pmt_mask[lpn]
-                if old_mask & ~new_mask and old_ppn >= 0:
-                    # RMW read of the old page (untimed aging read)
-                    if state[old_ppn] != PAGE_VALID:
-                        raise FlashProtocolError(
-                            f"read of non-valid PPN {old_ppn}"
-                        )
-                    arr.total_page_reads += 1
-                    reads[aging] += 1
-                if old_ppn >= 0:
-                    if state[old_ppn] != PAGE_VALID:
-                        raise FlashProtocolError(
-                            f"invalidate of non-valid PPN {old_ppn}"
-                        )
-                    state[old_ppn] = PAGE_INVALID
-                    old_block = old_ppn // ppb
-                    valid_count[old_block] -= 1
-                    kind_of[old_ppn] = 0
-                    seq = arr.mod_seq + 1
-                    arr.mod_seq = seq
-                    last_mod[old_block] = seq
-                full_mask = old_mask | new_mask
-                # --- allocate (round-robin fast path, exact fallback)
-                cur = allocator._cursor
-                plane = order[cur]
-                block = active[plane]
-                ppn = -1
-                if block is not None:
-                    p = wp[block]
-                    if p < ppb:
-                        ppn = block * ppb + p
-                        allocator._cursor = cur + 1 if cur + 1 < n_planes else 0
-                if ppn < 0:
-                    ppn = allocate(0)
-                # --- program (untimed, AGING kind)
-                if state[ppn] != PAGE_FREE:
-                    raise FlashProtocolError(f"program of non-free PPN {ppn}")
-                block = ppn // ppb
-                page = ppn - block * ppb
-                if page != wp[block]:
-                    raise FlashProtocolError(
-                        f"out-of-order program: block {block} expects page "
-                        f"{wp[block]}, got {page}"
-                    )
-                state[ppn] = PAGE_VALID
-                wp[block] = page + 1
-                valid_count[block] += 1
-                arr.total_programs += 1
-                kind_of[ppn] = KIND_DATA
-                rec_a[ppn] = lpn
-                rec_b[ppn] = full_mask
-                rec_c[ppn] = 0
-                seq = arr.mod_seq + 1
-                arr.mod_seq = seq
-                last_mod[block] = seq
-                writes[aging] += 1
-                pmt[lpn] = ppn
-                pmt_mask[lpn] = full_mask
-                # --- GC check on the written plane (after the PMT
-                # names the page: the pass may relocate it)
-                plane = ppn // pages_per_plane
-                if retire_pending or len(free_blocks[plane]) < ok_free:
-                    maybe_collect(plane, 0.0, timed=False)
-            consumed += 1
-            if writes[aging] >= target:
-                break
-        return consumed
-
     def _read_stamps_from(self, ppn: int, sectors: list[int], out: dict) -> None:
         """Copy the stamps of ``sectors`` found at ``ppn`` into ``out``."""
         payload = self.service.array.payloads.get(ppn)
@@ -744,7 +532,8 @@ class BaseFTL(ABC):
 
     def load_state(self, s: dict) -> None:
         """Overwrite the tables with a :meth:`state` snapshot, in place
-        (the raw buffers and dicts are bound by fused aging and closures)."""
+        (``pmt`` / ``pmt_mask`` are numpy views over the raw buffers the
+        hot path indexes)."""
         self.pmt[:] = s["pmt"]
         self.pmt_mask[:] = s["pmt_mask"]
         self._map_ppn.clear()
@@ -782,7 +571,8 @@ class BaseFTL(ABC):
         others = np.flatnonzero((kinds != KIND_DATA) & (kinds != 0))
         for ppn in others.tolist():
             if kinds[ppn] == KIND_MAP:
-                self._map_ppn.setdefault(arr._a[ppn], {})[arr._b[ppn]] = ppn
+                _, table_id, tvpn, _ = arr.record(ppn)
+                self._map_ppn.setdefault(table_id, {})[tvpn] = ppn
             else:
                 self._rebuild_page(ppn, arr.meta(ppn))
         self._rebuild_finish()
@@ -839,9 +629,7 @@ class BaseFTL(ABC):
         Schemes with additional tables (across areas, region pages)
         override and chain up.  The :mod:`repro.check` reachability
         sweep compares these claims against the array's valid pages and
-        requires every valid page to be claimed by exactly one owner —
-        hybrid log-block schemes (BAST/FAST) keep state this hook does
-        not describe and are outside its contract.
+        requires every valid page to be claimed by exactly one owner.
         """
         pmt = self._pmt
         for lpn in np.nonzero(self.pmt >= 0)[0].tolist():

@@ -217,8 +217,8 @@ class MappingCache:
         }
 
     def load_state(self, s: dict) -> None:
-        """Overwrite the cache with a :meth:`state` snapshot (containers
-        keep their identity: fused aging binds them)."""
+        """Overwrite the cache with a :meth:`state` snapshot, in place
+        (the containers keep their identity)."""
         self._cached.clear()
         self._cached.update(zip(s["lru_tvpn"].tolist(), s["lru_dirty"].tolist()))
         self._on_flash.clear()

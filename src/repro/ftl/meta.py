@@ -76,7 +76,7 @@ def record(kind: int, a: int, b: int, c: int, payload: Optional[dict]):
     ``b`` / ``c`` columns (``a`` = lpn | table id | aidx, ``b`` = mask |
     tvpn | start, ``c`` = size) — what
     :meth:`repro.flash.array.FlashArray.meta` hands the checker,
-    recovery, BAST/FAST and tests.  The hot paths read the columns."""
+    recovery and tests.  The hot paths read the columns."""
     if kind == KIND_DATA:
         return DataPageMeta(a, b, payload)
     if kind == KIND_MAP:

@@ -64,14 +64,6 @@ class PageMapFTL(BaseFTL):
         return finish
 
     # ------------------------------------------------------------------
-    def write_run(self, offsets, sizes, target: int) -> int:
-        """Aging writes run through the shared fused page-mapped kernel
-        (:meth:`BaseFTL._write_run_paged`)."""
-        return self._write_run_paged(
-            offsets, sizes, target, self._pmt_cache, rmw=self.rmw_enabled
-        )
-
-    # ------------------------------------------------------------------
     def read(
         self, offset: int, size: int, now: float
     ) -> tuple[float, Optional[dict]]:

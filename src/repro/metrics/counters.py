@@ -242,8 +242,8 @@ class FlashOpCounters:
 
     def load_state(self, d: dict) -> None:
         """Overwrite this instance with a :meth:`snapshot`, in place:
-        the FTL, the mapping caches and fused aging hold this
-        object and its per-kind dicts by reference."""
+        the FTL and the mapping caches hold this object and its
+        per-kind dicts by reference."""
         src = FlashOpCounters.from_snapshot(d)
         for f in fields(self):
             value = getattr(src, f.name)

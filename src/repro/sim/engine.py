@@ -28,7 +28,7 @@ import numpy as np
 
 from ..cache.buffer import DataCache
 from ..config import SimConfig
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from ..ftl.base import BaseFTL
 from ..metrics.counters import FlashOpCounters, OpKind
 from ..metrics.latency import LatencyRecorder
@@ -190,13 +190,6 @@ class Simulator:
         #: fault-free fast path) unless the config block enables it
         self.faults = None
         if self.sim_cfg.faults.enabled:
-            if not ftl.uses_generic_gc:
-                raise ConfigError(
-                    "fault injection requires a scheme using the generic "
-                    "garbage collector (bad-block retirement rides its "
-                    f"relocation path); scheme {ftl.name!r} manages "
-                    "blocks itself"
-                )
             from ..faults import FaultInjector
 
             self.faults = FaultInjector(
@@ -282,7 +275,7 @@ class Simulator:
     def _write_columns(self, trace: Trace) -> tuple[list[int], list[int]]:
         """``(offsets, sizes)`` of the trace's writes, clamped to the
         logical space and with empty extents dropped — the run format
-        :meth:`~repro.ftl.base.BaseFTL.write_run` takes."""
+        :meth:`_write_until` takes."""
         limit = self.ftl.logical_pages * self.spp
         w = trace.ops == OP_WRITE
         offs = trace.offsets[w]
@@ -299,26 +292,27 @@ class Simulator:
         ``aging_style="vdi"``: replay a synthetic VDI write stream (like
         the paper's warm-up trace), which also pre-fragments sub-page
         mapping tables and seeds across-page areas.  Either way the
-        writes reach the scheme as :meth:`~repro.ftl.base.BaseFTL.write_run`
-        runs.
+        writes reach the scheme through :meth:`_write_until`.
         """
         if self._aged:
             return
+        aged = self.sim_cfg.aged_used > 0.0
+        if aged:
+            # a dropped simulator's device is cyclic garbage (FTL <-> GC
+            # <-> policy, cache callbacks): megabytes of columns in a few
+            # dozen objects, which the object-counting collector lets
+            # pile up (three oracle devices: +12 MiB peak RSS).  One
+            # pass, outside the ``age_s`` bracket: its cost scales with
+            # the caller's heap, not with this device.
+            gc.collect()
         t0 = _time.perf_counter()
-        source = "bypass"
-        if self.sim_cfg.aged_used > 0.0:
-            source = self._restore_or_age()
+        source = self._restore_or_age() if aged else "bypass"
         self._aged = True
         self.host = {"age_s": _time.perf_counter() - t0, "image": source}
 
     def _restore_or_age(self) -> str:
         """Fill the device from its cached image, or age it and cache
         the image; returns where the aged device came from."""
-        # a dropped simulator's device is cyclic garbage (FTL <-> GC <->
-        # policy, cache callbacks): megabytes of columns in a few dozen
-        # objects, which the object-counting collector lets pile up
-        # (three oracle devices: +12 MiB peak RSS).  One pass, ~6 ms:
-        gc.collect()
         if not self._imageable():
             self._age()
             return "bypass"
@@ -344,15 +338,14 @@ class Simulator:
 
     def _imageable(self) -> bool:
         """The one predicate deciding whether :meth:`age_device` may go
-        through the image cache: a scheme inside the device-state seam,
-        built by :func:`~repro.ftl.make_ftl` (its kwargs key the image),
+        through the image cache: a scheme built by
+        :func:`~repro.ftl.make_ftl` (its kwargs key the image),
         a device nothing has touched yet, and none of the modes that
         keep state the seam does not describe (fault injector, sector
         oracle / payload stamps, runtime checker)."""
         ftl = self.ftl
         return (
-            ftl.uses_generic_gc
-            and ftl.ftl_kw is not None
+            ftl.ftl_kw is not None
             and not ftl.track_payload
             and self.faults is None
             and self.oracle is None
@@ -374,9 +367,7 @@ class Simulator:
                 [lpns, rng.choice(lpns, size=n_over, replace=True)]
             )
         spp = self.spp
-        self.ftl.write_run(
-            (lpns * spp).tolist(), [spp] * len(lpns), sys.maxsize
-        )
+        self._write_until((lpns * spp).tolist(), [spp] * len(lpns), sys.maxsize)
 
     def age_with_trace(self, trace: Trace) -> None:
         """Pre-condition by replaying a user-supplied trace's writes
@@ -386,7 +377,7 @@ class Simulator:
             return
         t0 = _time.perf_counter()
         with self._aging_mode():
-            self.ftl.write_run(*self._write_columns(trace), sys.maxsize)
+            self._write_until(*self._write_columns(trace), sys.maxsize)
         self._aged = True
         self.host = {"age_s": _time.perf_counter() - t0, "image": "bypass"}
 
@@ -420,10 +411,20 @@ class Simulator:
                 seed=seed,
             )
             seed += 1
-            # write_run stops on the target check after each request
-            self.ftl.write_run(
-                *self._write_columns(generate_trace(spec)), target
-            )
+            self._write_until(*self._write_columns(generate_trace(spec)), target)
+
+    def _write_until(self, offsets, sizes, target: int) -> None:
+        """Aging's one write loop: each ``(offset, size)`` through the
+        scheme's own :meth:`~repro.ftl.base.BaseFTL.write` — the path
+        replay takes — until the AGING write counter reaches ``target``
+        (checked after each request)."""
+        write = self.ftl.write
+        writes = self.ftl.counters.writes
+        aging = OpKind.AGING
+        for offset, size in zip(offsets, sizes):
+            write(offset, size, 0.0, None)
+            if writes[aging] >= target:
+                return
 
     # ------------------------------------------------------------------
     # single request

@@ -103,15 +103,7 @@ def _components(ftl) -> dict:
 
 
 def device_state(ftl) -> dict[str, dict]:
-    """``{component: its state()}`` for one FTL and the device under it.
-
-    Valid for the page-mapped schemes under the generic collector;
-    BAST/FAST keep log-block state no ``state()`` describes.
-    """
-    if not ftl.uses_generic_gc:
-        raise ValueError(
-            f"scheme {ftl.name!r} keeps state outside the device-state seam"
-        )
+    """``{component: its state()}`` for one FTL and the device under it."""
     state = {name: part.state() for name, part in _components(ftl).items()}
     state["counters"] = ftl.counters.snapshot()
     return state

@@ -83,20 +83,6 @@ def oracle_sim_cfg() -> SimConfig:
 
 
 @pytest.fixture
-def scalar_reference(monkeypatch):
-    """Switch fused aging off for one test: ftl / across age through
-    the generic ``BaseFTL.write_run`` loop over ``write`` — the
-    reference ``_write_run_paged`` must match bit for bit.  (MRSM has no
-    fused path, and replay has one loop: ``Simulator.process``.)"""
-    from repro.core.across import AcrossFTL
-    from repro.ftl.base import BaseFTL
-    from repro.ftl.pagemap import PageMapFTL
-
-    for scheme in (PageMapFTL, AcrossFTL):
-        monkeypatch.setattr(scheme, "write_run", BaseFTL.write_run)
-
-
-@pytest.fixture
 def numpy_draws(monkeypatch):
     """Serve the synthetic generator's per-request draws from the numpy
     ``Generator`` itself instead of the raw-stream replay
@@ -116,8 +102,8 @@ def relocate_each_programmed_page(ftl, kind, *, invariants_hold=True):
     programmed since the previous check — what one GC pass does when it
     takes several victims and the block that program filled is among
     them.  Fresh pages are found by diffing the array's page states, so
-    the fused aging path (which never calls ``service.program_page``) is
-    covered as well.  ``invariants_hold=False`` skips the "new page is
+    a block-level GC move (``service.copy_run``) is covered as well.
+    ``invariants_hold=False`` skips the "new page is
     already whole" sweep for sites whose check legitimately runs
     mid-operation (Across-FTL shadows the PMT mask *after* the check;
     digests pin that order).  Returns the list of PPNs moved."""

@@ -1,14 +1,12 @@
-"""The sequential loop and fused aging: bit-identical to the reference.
+"""The sequential loop: bit-identical to ``process()`` by hand.
 
 Replay has one path — ``Simulator._run_sequential`` is a loop over
-``Simulator.process`` — and aging has one fused path
-(``BaseFTL._write_run_paged``); no option selects either.  These tests
+``Simulator.process`` — and no option selects another.  These tests
 hold the full canonical report (``benchgate.report_digest``) of the
-loop equal to ``process()`` driven by hand, and of fused aging equal to
-the reference ``write_run`` (the ``scalar_reference`` fixture), on all
-three schemes; plus the contracts around the loop (request-granular
-progress, segment-size independence) and the inert ``BatchConfig``
-leftover.
+loop equal to ``process()`` driven by hand, on all three schemes; plus
+the contracts around the loop (request-granular progress, segment-size
+independence) and the inert ``BatchConfig`` leftover.  Aging's one
+write path is pinned in ``tests/test_aging_writes.py``.
 """
 
 import dataclasses
@@ -119,26 +117,6 @@ class TestBitIdentical:
             == looped.extra["check_read_digest"]
         )
         assert report_digest(by_hand) == report_digest(looped)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_full_report_equal_on_aged_device(self, scheme, request):
-        """Fused aging vs the reference ``write_run`` at engine level:
-        normal run first, then the same run under ``scalar_reference``
-        (requested late so the first run still ages fused)."""
-        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
-        trace = mixed_trace(cfg)
-        sim_cfgs = [
-            SimConfig(aged_used=0.55, aged_valid=0.30, seed=9, aging_style=st)
-            for st in ("aligned", "vdi")
-        ]
-        fused = [
-            report_digest(run_once(scheme, trace, sim_cfg, cfg)[1])
-            for sim_cfg in sim_cfgs
-        ]
-        request.getfixturevalue("scalar_reference")
-        for sim_cfg, want in zip(sim_cfgs, fused):
-            _, ref = run_once(scheme, trace, sim_cfg, cfg)
-            assert report_digest(ref) == want
 
     def test_small_max_batch_still_identical(self, monkeypatch):
         """Segment boundaries are invisible: 5-request segments give

@@ -99,15 +99,6 @@ class TestCleanRuns:
         rep = run_trace("across", small_trace(tiny_cfg), tiny_cfg, cfg)
         assert rep.extra["check_sweeps"] >= 6
 
-    def test_hybrid_scheme_supported(self, tiny_cfg):
-        # BAST manages blocks itself (uses_generic_gc=False): the
-        # reachability law is skipped but every other sweep still runs
-        svc = FlashService(tiny_cfg)
-        ftl = make_ftl("bast", svc, track_payload=True)
-        sim = Simulator(ftl, checked())
-        rep = sim.run(small_trace(tiny_cfg, n=300))
-        assert rep.extra["check_sweeps"] >= 3
-
 
 # ----------------------------------------------------------------------
 # corruption detection, layer by layer
@@ -158,6 +149,14 @@ class TestCorruptionDetection:
         lpn = int(np.nonzero(ftl.pmt >= 0)[0][0])
         ftl.pmt[lpn] = -1  # drop the mapping, leave the page valid
         ftl.pmt_mask[lpn] = 0
+        with pytest.raises(InvariantViolation, match="unreachable"):
+            chk.check_now()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_reachability_runs_for_every_scheme(self, tiny_cfg, scheme):
+        _svc, ftl, chk = run_checker(tiny_cfg, scheme)
+        claims = list(ftl.referenced_ppns())
+        ftl.referenced_ppns = lambda: iter(claims[1:])  # one page unclaimed
         with pytest.raises(InvariantViolation, match="unreachable"):
             chk.check_now()
 

@@ -72,7 +72,7 @@ class TestEngineEdges:
 
 class TestSchemeEdges:
     def test_one_sector_writes_everywhere(self, tiny_cfg):
-        for scheme in ("ftl", "mrsm", "across", "bast"):
+        for scheme in ("ftl", "mrsm", "across"):
             svc, ftl = build_ftl(scheme, tiny_cfg)
             for sec in (0, 15, 16, 17, 160):
                 ftl.write(sec, 1, 0.0, {sec: sec})

@@ -13,7 +13,6 @@ from repro.flash.service import FlashService
 from repro.ftl import make_ftl
 from repro.ftl.meta import KIND_DATA
 from repro.metrics.report import SimulationReport
-from repro.sim.engine import Simulator
 from repro.traces.synthetic import SyntheticSpec, generate_trace
 
 
@@ -296,12 +295,6 @@ class TestEndToEnd:
         rep = run_trace("across", trace, cfg, checked)
         assert rep.extra["oracle_reads_verified"] > 0
         assert rep.counters.bad_blocks > 0
-
-    def test_hybrid_schemes_rejected(self, tiny_cfg):
-        svc = FlashService(tiny_cfg)
-        ftl = make_ftl("bast", svc)
-        with pytest.raises(ConfigError):
-            Simulator(ftl, SimConfig(faults=FaultConfig.stress()))
 
     def test_metric_names_resolve(self, fault_setup):
         cfg, trace, sim_cfg = fault_setup

@@ -7,9 +7,8 @@ oracle and shape benches still pass), and update the constants with
 the generator snippet in this file's history.
 
 Beyond regression pinning, the relationships between the rows document
-the schemes: across < ftl < mrsm in flash writes; the hybrid log-block
-schemes burn multiples of everyone's programs and erases; MRSM's DRAM
-count dwarfs the flat tables.
+the schemes: across < ftl < mrsm in flash writes; MRSM's DRAM count
+dwarfs the flat tables.
 """
 
 import pytest
@@ -20,8 +19,6 @@ GOLDEN = {
     "ftl": dict(writes=1196, reads=829, erases=0, update_reads=72, dram=2052),
     "mrsm": dict(writes=1322, reads=1073, erases=0, update_reads=28, dram=32050),
     "across": dict(writes=1023, reads=712, erases=0, update_reads=80, dram=2376),
-    "bast": dict(writes=5790, reads=2640, erases=629, update_reads=72, dram=2052),
-    "fast": dict(writes=5389, reads=2538, erases=261, update_reads=72, dram=2052),
 }
 
 
@@ -63,9 +60,3 @@ def test_golden_relationships(golden_setup):
     # MRSM trades RMW reads for mapping-tree DRAM traffic
     assert g["mrsm"]["update_reads"] < g["ftl"]["update_reads"]
     assert g["mrsm"]["dram"] > 10 * g["ftl"]["dram"]
-    # hybrid log-block schemes pay with programs and erases
-    for hybrid in ("bast", "fast"):
-        assert g[hybrid]["writes"] > 3 * g["ftl"]["writes"]
-        assert g[hybrid]["erases"] > 100
-    # FAST improves on BAST under scattered updates
-    assert g["fast"]["erases"] < g["bast"]["erases"]

@@ -6,10 +6,7 @@ benchmark scenario (fig09 replays per scheme, the faults-stress preset
 and the scale-0.02 hotpath replay).  Any hot-path optimisation must
 keep these reports bit-identical — this is the proof behind the
 "≥2x faster, same output" contract of the performance overhaul, and
-the same fixture backs the digests in ``BENCH_baseline.json``.  Each
-scenario is held to the fixture twice: as shipped (fused aging) and
-aged through the reference ``write_run`` by the ``scalar_reference``
-fixture.
+the same fixture backs the digests in ``BENCH_baseline.json``.
 
 Regenerate (only after an *intentional* behaviour change):
 
@@ -53,7 +50,10 @@ def test_fixture_covers_every_scenario(golden):
     assert sorted(golden) == sorted(sc.name for sc in scenarios())
 
 
-def _assert_matches(sc, report, golden, label=""):
+@pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
+def test_report_matches_golden(sc, golden):
+    """Every scenario reproduces its golden report bit for bit."""
+    report = sc.run()
     got = canonical_report_dict(report)
     want = golden[sc.name]
     if got != want:
@@ -63,24 +63,9 @@ def _assert_matches(sc, report, golden, label=""):
             if want.get(key) != got.get(key)
         ]
         pytest.fail(
-            f"{sc.name}{label}: simulation output drifted from the golden "
+            f"{sc.name}: simulation output drifted from the golden "
             f"fixture in {len(diff)} key(s):\n  " + "\n  ".join(diff[:20])
         )
-
-
-@pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
-def test_report_matches_golden(sc, golden, scalar_reference):
-    """The scalar reference (fused aging off — what the fixture was
-    first generated on) reproduces the golden reports."""
-    report = sc.run()
-    _assert_matches(sc, report, golden, " (scalar reference)")
     # the digest is what BENCH_baseline.json pins; tie the two together
-    blob = json.dumps(golden[sc.name], sort_keys=True).encode()
+    blob = json.dumps(want, sort_keys=True).encode()
     assert report_digest(report) == hashlib.sha256(blob).hexdigest()
-
-
-@pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
-def test_batch_report_matches_golden(sc, golden):
-    """The run as shipped — fused aging on, as it always is —
-    reproduces the same golden reports bit for bit."""
-    _assert_matches(sc, sc.run(), golden)

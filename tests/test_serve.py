@@ -2,7 +2,10 @@
 cache loop, and the HTTP server."""
 
 import json
+import logging
+import socket
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -217,3 +220,35 @@ class TestHttpServer:
             urllib.request.urlopen(req, timeout=30)
         assert ei.value.code == 400
         assert "unknown request kind" in json.load(ei.value)["error"]
+
+    @staticmethod
+    def _raw(base, data):
+        """Send ``data`` over a raw socket: (status, JSON body) of the
+        reply."""
+        url = urllib.parse.urlsplit(base)
+        with socket.create_connection((url.hostname, url.port), 30) as sock:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(body)
+
+    @pytest.mark.parametrize("head", [
+        b"POST /simulate HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"POST /simulate HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+    ], ids=["negative-length", "non-numeric-length", "long-request-line",
+            "long-header"])
+    def test_malformed_head_400(self, server, head, caplog):
+        """A head the server cannot parse gets a structured 400, not a
+        silently closed socket or an unhandled exception."""
+        with caplog.at_level(logging.ERROR):
+            status, doc = self._raw(server, head)
+            assert status == 400
+            assert doc["ok"] is False and doc["error"]
+            with urllib.request.urlopen(server + "/healthz", timeout=30) as r:
+                assert json.load(r) == {"ok": True}
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]

@@ -86,9 +86,7 @@ class FTLMachine(RuleBasedStateMachine):
         for s in range(offset, offset + size):
             assert found.get(s) == self.model.get(s), s
 
-    @precondition(
-        lambda self: self.ops > 5 and getattr(self.ftl, "uses_generic_gc", True)
-    )
+    @precondition(lambda self: self.ops > 5)
     @rule()
     def force_gc(self):
         for plane in range(self.service.num_planes):
@@ -114,20 +112,6 @@ class MRSMMachine(FTLMachine):
     scheme = "mrsm"
 
 
-class BASTMachine(FTLMachine):
-    """BAST reclaims space through merges, not the generic GC — the
-    force_gc rule is a no-op for it, everything else applies."""
-
-    scheme = "bast"
-
-
-class FASTMachine(FTLMachine):
-    """FAST shares its log pool across logical blocks; merges replace
-    the generic GC, like BAST."""
-
-    scheme = "fast"
-
-
 TestAcrossStateful = AcrossMachine.TestCase
 TestAcrossStateful.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
@@ -138,13 +122,5 @@ TestPageMapStateful.settings = settings(
 )
 TestMRSMStateful = MRSMMachine.TestCase
 TestMRSMStateful.settings = settings(
-    max_examples=20, stateful_step_count=30, deadline=None
-)
-TestBASTStateful = BASTMachine.TestCase
-TestBASTStateful.settings = settings(
-    max_examples=20, stateful_step_count=30, deadline=None
-)
-TestFASTStateful = FASTMachine.TestCase
-TestFASTStateful.settings = settings(
     max_examples=20, stateful_step_count=30, deadline=None
 )
