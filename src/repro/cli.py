@@ -757,12 +757,11 @@ def cmd_serve(args) -> int:
     for stdin) and prints the response instead of serving — the same
     code path, usable from CI without managing a daemon.
     """
-    import asyncio
     import json as _json
     import signal
 
     from .experiments.parallel import ResultStore
-    from .fleet.service import FleetService, serve_forever
+    from .fleet.service import FleetService, make_server, serve_forever
 
     store = ResultStore(args.store)
     service = FleetService(
@@ -778,29 +777,17 @@ def cmd_serve(args) -> int:
         print(_json.dumps(doc, indent=1, sort_keys=True))
         return 0 if doc.get("ok") else 1
 
-    bound: list = []
-
-    async def run() -> None:
-        import threading
-
-        ready = threading.Event()
-        task = asyncio.ensure_future(serve_forever(
-            service, args.host, args.port, ready=ready, bound=bound
-        ))
-        while not ready.is_set():
-            await asyncio.sleep(0.01)
-        host, port = bound[0]
-        print(f"repro serve listening on http://{host}:{port} "
-              f"(store: {store.root}, device: {args.device}, "
-              f"jobs: {args.jobs})", file=sys.stderr)
-        await task
-
+    server = make_server(service, args.host, args.port)
     # a daemon is stopped with TERM as often as with Ctrl-C: both must
     # unwind through serve_forever's ``finally``, which joins the worker
     # pool — workers orphaned by a plain kill would wait forever
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        asyncio.run(run())
+        host, port = server.server_address[:2]
+        print(f"repro serve listening on http://{host}:{port} "
+              f"(store: {store.root}, device: {args.device}, "
+              f"jobs: {args.jobs})", file=sys.stderr)
+        serve_forever(server)
     except KeyboardInterrupt:
         print("repro serve: shut down", file=sys.stderr)
     return 0

@@ -20,13 +20,13 @@ Modules:
   and the bounded :class:`PlanCache` in front of the composer.
 * :mod:`repro.fleet.qos` — per-tenant QoS aggregation over the shard
   reports' stream sketches.
-* :mod:`repro.fleet.service` — the request handler + asyncio HTTP
+* :mod:`repro.fleet.service` — the request handler + threaded HTTP
   server behind ``repro serve``.
 """
 
 from .config import FleetConfig
 from .qos import TenantQos, aggregate_qos, fleet_summary
-from .service import FleetService, serve_forever, start_server_thread
+from .service import FleetService, make_server, serve_forever, start_server_thread
 from .workload import (
     PlanCache,
     ShardPlan,
@@ -44,6 +44,7 @@ __all__ = [
     "aggregate_qos",
     "compose_shards",
     "fleet_summary",
+    "make_server",
     "serve_forever",
     "shard_of",
     "start_server_thread",

@@ -1,4 +1,4 @@
-"""The ``repro serve`` request handler and its asyncio HTTP server.
+"""The ``repro serve`` request handler and its HTTP server.
 
 The service is two layers:
 
@@ -19,11 +19,12 @@ The service is two layers:
   :class:`~repro.fleet.workload.PlanCache` (a repeated fleet request
   synthesises no trace; with ``jobs > 1`` a new plan's shards are
   composed on the pool's workers).
-* :func:`serve_forever` / :func:`start_server_thread` — a minimal
-  hand-rolled HTTP/1.1 loop over :func:`asyncio.start_server` (the
-  toolchain has no HTTP framework and the stdlib server is threaded).
-  Simulation work is pushed off the event loop into a thread pool, so
-  health checks stay responsive while a sweep runs.
+* :func:`make_server` / :func:`serve_forever` /
+  :func:`start_server_thread` — the stdlib's
+  :class:`~http.server.ThreadingHTTPServer`, one thread per connection
+  and one request per connection.  At most four requests simulate at
+  once; health checks take no slot, so they stay responsive while a
+  sweep runs.
 
 Wire protocol (all bodies JSON):
 
@@ -43,15 +44,17 @@ Wire protocol (all bodies JSON):
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import hashlib
 import json
+import sys
 import threading
 from collections import Counter
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Any, Optional
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any
 
 from ..config import SimConfig, SSDConfig, SCHEMES
 from ..errors import ConfigError, ReproError
@@ -347,209 +350,145 @@ class FleetService:
 _MAX_BODY = 8 * 1024 * 1024  # refuse absurd request bodies
 
 
-def _http_response(
-    status: int, body: bytes, content_type: str = "application/json"
-) -> bytes:
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              405: "Method Not Allowed", 413: "Payload Too Large"}
-    head = (
-        f"HTTP/1.1 {status} {reason.get(status, 'Error')}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n\r\n"
-    )
-    return head.encode() + body
+class _Handler(BaseHTTPRequestHandler):
+    """One request per connection (``Connection: close``); every reply
+    but ``/metrics`` is JSON."""
 
+    protocol_version = "HTTP/1.1"
+    # a head with no or a bad version is still answered with a status line
+    default_request_version = "HTTP/1.1"
+    # seconds a connection may stall while its head or body is read (or
+    # its reply written); the simulation in between is not bounded by it
+    timeout = 60.0
+    server: "_Server"
 
-def _json_response(status: int, doc: Any) -> bytes:
-    return _http_response(
-        status, json.dumps(doc, sort_keys=True).encode() + b"\n"
-    )
+    def log_message(self, format, *args) -> None:  # no access log
+        pass
 
+    def _send(self, status: int, body: bytes,
+              content_type: str = "application/json") -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
 
-class _MalformedRequest(ValueError):
-    """A request head the server cannot parse; answered with a 400."""
+    def _json(self, status: int, doc: Any) -> None:
+        self._send(status, json.dumps(doc, sort_keys=True).encode() + b"\n")
 
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's own refusals in the service's shape: an over-long
+        request line or header is a 400, an unknown method a 405."""
+        message = message or HTTPStatus(code).phrase
+        code = {414: 400, 431: 400, 501: 405}.get(code, code)
+        self._json(code, _request_error(message))
 
-async def _readline(reader: asyncio.StreamReader) -> bytes:
-    try:
-        return await reader.readline()
-    except ValueError:  # StreamReader's limit (64 KiB) overran
-        raise _MalformedRequest("request line or header too long") from None
+    def do_GET(self) -> None:
+        service = self.server.service
+        if self.path == "/healthz":
+            self._json(200, {"ok": True})
+        elif self.path == "/stats":
+            self._json(200, service.stats())
+        elif self.path == "/metrics":
+            from ..obs.export import stats_prometheus_text
 
+            text = stats_prometheus_text(service.stats())
+            self._send(200, text.encode(), "text/plain; version=0.0.4")
+        else:
+            self._json(404, _request_error(f"no such route {self.path}"))
 
-async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request: (method, path, body), None on an empty stream;
-    a malformed head raises :class:`_MalformedRequest`."""
-    line = await _readline(reader)
-    if not line:
-        return None
-    parts = line.decode("latin-1").split()
-    if len(parts) < 2:
-        raise _MalformedRequest("malformed request line")
-    method, path = parts[0].upper(), parts[1]
-    length = 0
-    while True:
-        hdr = await _readline(reader)
-        if hdr in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = hdr.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            value = value.strip()
-            if not (value.isascii() and value.isdigit()):
-                raise _MalformedRequest(f"invalid Content-Length {value!r}")
-            length = int(value)
-    if length > _MAX_BODY:
-        return method, path, None  # signal 413
-    body = await reader.readexactly(length) if length else b""
-    return method, path, body
+    def do_POST(self) -> None:
+        self._json(*self._simulate())
 
-
-def make_http_handler(service: FleetService, pool: ThreadPoolExecutor):
-    """The ``asyncio.start_server`` connection callback: one request
-    per connection (Connection: close), simulation work runs in
-    ``pool`` so the loop keeps answering health checks."""
-
-    async def handle(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _simulate(self) -> tuple[int, dict]:
+        """(status, reply) of a ``POST``: the body is framed by its
+        ``Content-Length`` and read whole before it is routed."""
+        if "Transfer-Encoding" in self.headers:
+            return 411, _request_error(
+                "chunked bodies are not accepted; send Content-Length"
+            )
+        value = self.headers.get("Content-Length", "0").strip()
+        if not (value.isascii() and value.isdigit()):
+            return 400, _request_error(f"invalid Content-Length {value!r}")
+        length = int(value)
+        if length > _MAX_BODY:
+            return 413, _request_error("request body too large")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            return 400, _request_error(
+                f"body ended after {len(body)} of {length} bytes"
+            )
+        if self.path not in ("/", "/simulate"):
+            return 404, _request_error(f"no such route {self.path}")
         try:
-            req = await _read_request(reader)
-            if req is None:
-                return
-            method, path, body = req
-            if body is None:
-                writer.write(_json_response(
-                    413, _request_error("request body too large")
-                ))
-                return
-            if method == "GET" and path == "/healthz":
-                writer.write(_json_response(200, {"ok": True}))
-            elif method == "GET" and path == "/stats":
-                writer.write(_json_response(200, service.stats()))
-            elif method == "GET" and path == "/metrics":
-                from ..obs.export import stats_prometheus_text
-
-                text = stats_prometheus_text(service.stats())
-                writer.write(_http_response(
-                    200, text.encode(), "text/plain; version=0.0.4"
-                ))
-            elif method == "POST" and path in ("/", "/simulate"):
-                try:
-                    payload = json.loads(body or b"null")
-                except ValueError:
-                    writer.write(_json_response(
-                        400, _request_error("request body is not JSON")
-                    ))
-                    return
-                loop = asyncio.get_running_loop()
-                doc = await loop.run_in_executor(
-                    pool, service.handle_request, payload
-                )
-                writer.write(_json_response(200 if doc.get("ok") else 400,
-                                            doc))
-            elif method in ("GET", "POST"):
-                writer.write(_json_response(
-                    404, _request_error(f"no such route {path}")
-                ))
-            else:
-                writer.write(_json_response(
-                    405, _request_error(f"method {method} not allowed")
-                ))
-            await writer.drain()
-        except _MalformedRequest as e:
-            # flushed by close() below, like the 413
-            writer.write(_json_response(400, _request_error(str(e))))
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    return handle
+            payload = json.loads(body or b"null")
+        except ValueError:
+            return 400, _request_error("request body is not JSON")
+        with self.server.slots:
+            doc = self.server.service.handle_request(payload)
+        return (200 if doc.get("ok") else 400), doc
 
 
-async def serve_forever(
-    service: FleetService,
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    *,
-    ready: Optional[threading.Event] = None,
-    bound: Optional[list] = None,
-) -> None:
-    """Run the server until cancelled.  ``ready``/``bound`` let a
-    launcher (CLI, tests) learn the bound address — with ``port=0`` the
-    OS picks a free one."""
-    pool = ThreadPoolExecutor(
-        max_workers=4, thread_name_prefix="repro-serve"
-    )
-    server = await asyncio.start_server(
-        make_http_handler(service, pool), host, port
-    )
+class _Server(ThreadingHTTPServer):
+    """A thread per connection over one :class:`FleetService`."""
+
+    # server_close() joins the request threads
+    daemon_threads = False
+
+    def __init__(self, address: tuple[str, int], service: FleetService):
+        super().__init__(address, _Handler)
+        self.service = service
+        # at most four simulations at once; health checks take no slot
+        self.slots = threading.BoundedSemaphore(4)
+
+    def handle_error(self, request, client_address) -> None:
+        # a client that went away mid-request has nothing to be told
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+def make_server(
+    service: FleetService, host: str = "127.0.0.1", port: int = 8765
+) -> _Server:
+    """Bind ``host:port`` for :func:`serve_forever`; with ``port=0`` the
+    OS picks a free port (``server.server_address`` has it)."""
+    return _Server((host, port), service)
+
+
+def serve_forever(server: _Server) -> None:
+    """Serve until ``server.shutdown()`` or ``KeyboardInterrupt``, then
+    join the request threads and the service's worker pool."""
     try:
-        addr = server.sockets[0].getsockname()
-        if bound is not None:
-            bound.append((addr[0], addr[1]))
-        if ready is not None:
-            ready.set()
-        async with server:
-            await server.serve_forever()
+        server.serve_forever()
     finally:
         # request threads first: one still inside handle_request would
         # submit to the closed worker pool and spawn it again
-        pool.shutdown(wait=True, cancel_futures=True)
-        service.close()
+        server.server_close()
+        server.service.close()
 
 
 class ServerHandle:
     """A running server in a background thread (tests, smoke checks)."""
 
-    def __init__(self, host: str, port: int, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop, task: "asyncio.Task"):
-        self.host = host
-        self.port = port
+    def __init__(self, server: _Server, thread: threading.Thread):
+        self.host, self.port = server.server_address[:2]
+        self._server = server
         self._thread = thread
-        self._loop = loop
-        self._task = task
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Cancel the serve task and join the server thread."""
-        self._loop.call_soon_threadsafe(self._task.cancel)
+        """Stop serving and join the server thread."""
+        self._server.shutdown()
         self._thread.join(timeout)
 
 
 def start_server_thread(
     service: FleetService, host: str = "127.0.0.1", port: int = 0
 ) -> ServerHandle:
-    """Start :func:`serve_forever` on a fresh event loop in a daemon
-    thread and return once the socket is bound."""
-    ready = threading.Event()
-    bound: list = []
-    box: dict = {}
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        task = loop.create_task(
-            serve_forever(service, host, port, ready=ready, bound=bound)
-        )
-        box["loop"] = loop
-        box["task"] = task
-        try:
-            loop.run_until_complete(task)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            loop.close()
-
+    """Bind, then run :func:`serve_forever` in a daemon thread."""
+    server = make_server(service, host, port)
     thread = threading.Thread(
-        target=run, name="repro-serve", daemon=True
+        target=serve_forever, args=(server,), name="repro-serve", daemon=True
     )
     thread.start()
-    if not ready.wait(timeout=10.0):
-        raise ReproError("serve thread failed to bind within 10 s")
-    bhost, bport = bound[0]
-    return ServerHandle(bhost, bport, thread, box["loop"], box["task"])
+    return ServerHandle(server, thread)

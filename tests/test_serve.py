@@ -4,6 +4,9 @@ cache loop, and the HTTP server."""
 import json
 import logging
 import socket
+import struct
+import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -12,6 +15,7 @@ import pytest
 
 from repro.config import SSDConfig
 from repro.experiments.parallel import ResultStore
+from repro.fleet import service as service_mod
 from repro.fleet.service import FleetService, start_server_thread
 
 TINY = SSDConfig.tiny()
@@ -240,15 +244,113 @@ class TestHttpServer:
         b"POST /simulate HTTP/1.1\r\nContent-Length: x\r\n\r\n",
         b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
         b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        # four of the announced 100 bytes, then the client half-closes
+        b"POST /simulate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}{}",
     ], ids=["negative-length", "non-numeric-length", "long-request-line",
-            "long-header"])
+            "long-header", "truncated-body"])
     def test_malformed_head_400(self, server, head, caplog):
-        """A head the server cannot parse gets a structured 400, not a
-        silently closed socket or an unhandled exception."""
+        """A request the server cannot frame gets a structured 400, not
+        a silently closed socket or an unhandled exception."""
         with caplog.at_level(logging.ERROR):
             status, doc = self._raw(server, head)
             assert status == 400
             assert doc["ok"] is False and doc["error"]
             with urllib.request.urlopen(server + "/healthz", timeout=30) as r:
                 assert json.load(r) == {"ok": True}
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    @pytest.mark.parametrize("data, status", [
+        (b"POST /simulate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"2\r\n{}\r\n0\r\n\r\n", 411),
+        (b"POST /simulate HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n", 413),
+    ], ids=["chunked", "over-limit"])
+    def test_unframed_body_refused(self, server, data, status):
+        """A body with no length, or one over the 8 MiB limit, is refused
+        before it is read; the server keeps answering."""
+        got, doc = self._raw(server, data)
+        assert got == status
+        assert doc["ok"] is False and doc["error"]
+        if status == 411:
+            assert "Content-Length" in doc["error"]
+        with urllib.request.urlopen(server + "/healthz", timeout=30) as r:
+            assert json.load(r) == {"ok": True}
+
+    def test_idle_connection_is_closed(self, server, monkeypatch):
+        """A connection that sends nothing cannot hold its request
+        thread past the handler's timeout."""
+        monkeypatch.setattr(service_mod._Handler, "timeout", 0.5)
+        url = urllib.parse.urlsplit(server)
+        with socket.create_connection((url.hostname, url.port), 30) as sock:
+            sock.settimeout(10)
+            t0 = time.monotonic()
+            assert sock.recv(1) == b""  # closed by the server, no reply
+            assert time.monotonic() - t0 < 5
+        with urllib.request.urlopen(server + "/healthz", timeout=30) as r:
+            assert json.load(r) == {"ok": True}
+
+    def test_concurrent_duplicates_simulate_once(self, server):
+        """Two clients send the same cold sweep at once: the store runs
+        each scheme once, and both get the same digest."""
+        req = dict(SWEEP_REQ, workload={"requests": 300, "seed": 77})
+        docs = [None, None]
+
+        def ask(i):
+            docs[i] = self._post(server, req)
+
+        askers = [threading.Thread(target=ask, args=(i,)) for i in (0, 1)]
+        for t in askers:
+            t.start()
+        for t in askers:
+            t.join(timeout=300)
+        assert all(d is not None and d["ok"] for d in docs)
+        assert docs[0]["digest"] == docs[1]["digest"]
+        assert docs[0]["executed"] + docs[1]["executed"] == 2
+
+
+    def test_client_reset_mid_sweep_is_silent(self, tmp_path, capfd, caplog):
+        """A client that resets its connection while its sweep runs
+        costs nothing but the reply: no traceback, no ERROR log, the
+        runs are stored and the worker pool is left as it was."""
+        service = FleetService(
+            ResultStore(tmp_path / "store"), device=TINY, jobs=2
+        )
+        handle = start_server_thread(service)
+        base = f"http://{handle.host}:{handle.port}"
+
+        def stats():
+            with urllib.request.urlopen(base + "/stats", timeout=30) as r:
+                return json.load(r)
+
+        req = dict(SWEEP_REQ, workload={"requests": 4000, "seed": 78})
+        body = json.dumps(req).encode()
+        try:
+            with caplog.at_level(logging.ERROR):
+                before = stats()
+                sock = socket.create_connection((handle.host, handle.port), 30)
+                sock.sendall(
+                    b"POST /simulate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                    % len(body) + body
+                )
+                # reset once the server is simulating: linger 0 makes
+                # close() send an RST, so the reply meets a dead socket
+                deadline = time.monotonic() + 60
+                while (stats()["service"]["requests_total"]
+                       == before["service"]["requests_total"]):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                sock.close()
+                deadline = time.monotonic() + 120
+                while stats()["store"]["puts"] < before["store"]["puts"] + 2:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                pool = stats()["pool"]
+                again = self._post(base, req)
+                assert again["executed"] == 0 and again["cached"] == 2
+                assert stats()["pool"] == pool
+                assert pool["spawns"] == 1 and pool["rebuilds"] == 0
+        finally:
+            handle.stop()  # joins the request threads, the failed write too
+        assert capfd.readouterr().err == ""
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
