@@ -11,7 +11,10 @@ module supplies the missing execution layer:
 * :class:`ResultStore` — an on-disk JSON store of completed
   :class:`~repro.metrics.report.SimulationReport` objects keyed by
   :func:`run_key`, shared across processes *and* sessions, so repeated
-  bench invocations and figure regeneration reuse finished runs.
+  bench invocations and figure regeneration reuse finished runs.  In
+  front of the files sits a byte-bounded in-process tier of decoded
+  reports, so a run asked for again in the same process is not decoded
+  again.
 * :class:`WorkerPool` — the owner of one lazily spawned ``spawn``-context
   :class:`concurrent.futures.ProcessPoolExecutor`.  A sweep builds one
   for its own duration; the serve layer keeps one for its lifetime so a
@@ -30,6 +33,7 @@ store speak one naming scheme.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -51,6 +55,7 @@ import numpy as np
 
 from ..config import SimConfig, SSDConfig
 from ..errors import SweepError
+from ..lru import ByteLRU
 from ..metrics.report import SimulationReport
 from ..traces.model import Trace
 
@@ -67,6 +72,11 @@ __all__ = [
     "sanitize_fragment",
     "trace_fingerprint",
 ]
+
+#: byte bound of :class:`ResultStore`'s in-process tier, counted in
+#: file bytes (a bench-device report file is ~130 KB, nearly all of it
+#: per-request latency samples)
+MEMORY_BYTES = 32 * 1024 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +241,13 @@ def _execute_spec(spec: RunSpec, image_dir=None) -> SimulationReport:
 # ----------------------------------------------------------------------
 # the persistent result store
 # ----------------------------------------------------------------------
+def _signature(st: os.stat_result) -> tuple[int, int, int]:
+    """What identifies one version of a store file: a writer's
+    ``os.replace`` brings a new inode, a rewrite in place a new mtime
+    or size."""
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
 class ResultStore:
     """On-disk cache of completed runs, keyed by :func:`run_key`.
 
@@ -241,6 +258,13 @@ class ResultStore:
     page) never collide.  Writes are atomic (temp file + ``os.replace``)
     so concurrent workers and parallel bench sessions can share a store
     directory safely.
+
+    Reports read from disk are also kept decoded in memory, by run key,
+    under :data:`MEMORY_BYTES` of file bytes (least recently used out
+    first).  An entry answers :meth:`get` only while its file's
+    ``(st_ino, st_mtime_ns, st_size)`` is the one it was read with, so
+    a file deleted, replaced or rewritten under a live store reads as it
+    would with no memory tier: a miss, the new report, or a miss.
     """
 
     STORE_VERSION = 1
@@ -253,6 +277,8 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        #: hits answered by the memory tier (a subset of ``hits``)
+        self.memory_hits = 0
         #: results served after waiting on another thread's in-flight
         #: simulation of the same key (single-flight dedup)
         self.coalesced = 0
@@ -262,6 +288,9 @@ class ResultStore:
         self._lock = threading.Lock()
         #: run key -> Event set when the in-flight computation finishes
         self._inflight: dict[str, threading.Event] = {}
+        #: run key -> (file signature, decoded report), filled by disk
+        #: reads only; its reports are never handed out, only copies
+        self._reports = ByteLRU(MEMORY_BYTES)
 
     # -- paths -----------------------------------------------------------
     def path_for(self, spec: RunSpec) -> Path:
@@ -279,29 +308,52 @@ class ResultStore:
         return self.root / "images"
 
     # -- access ----------------------------------------------------------
-    def _load(self, spec: RunSpec) -> Optional[dict]:
-        """The one shared lookup path: the parsed document for ``spec``,
-        or None on anything wrong (missing, corrupt, key mismatch)."""
-        path = self.path_for(spec)
+    def _load(self, spec: RunSpec) -> Optional[tuple[dict, os.stat_result]]:
+        """The one shared disk lookup: the parsed document for ``spec``
+        and the stat of the very file it was read from, or None on
+        anything wrong (missing, corrupt, key mismatch)."""
         try:
-            doc = json.loads(path.read_text())
+            with open(self.path_for(spec), "rb") as fh:
+                st = os.fstat(fh.fileno())
+                doc = json.loads(fh.read())
         except (OSError, ValueError):
             return None
         if doc.get("key") != spec.key():
             return None
-        return doc
+        return doc, st
 
     def get(self, spec: RunSpec) -> Optional[SimulationReport]:
         """The stored report for ``spec``, or None (corrupt or
-        key-mismatched files count as misses, never as errors)."""
-        doc = self._load(spec)
-        if doc is not None:
+        key-mismatched files count as misses, never as errors).  Every
+        report returned is the caller's own: a memory-tier hit is a deep
+        copy."""
+        key = spec.key()
+        held = self._reports.get(key)
+        if held is not None:
+            try:
+                fresh = _signature(os.stat(self.path_for(spec))) == held[0]
+            except OSError:
+                fresh = False
+            if fresh:
+                report = copy.deepcopy(held[1])
+                with self._lock:
+                    self.hits += 1
+                    self.memory_hits += 1
+                return report
+        report = None
+        loaded = self._load(spec)
+        if loaded is not None:
+            doc, st = loaded
             try:
                 report = SimulationReport.from_dict(doc["report"])
             except (KeyError, TypeError, ValueError):
-                report = None
+                pass
+        if report is None:
+            self._reports.discard(key)
         else:
-            report = None
+            self._reports.put(
+                key, (_signature(st), copy.deepcopy(report)), st.st_size
+            )
         with self._lock:
             if report is None:
                 self.misses += 1
@@ -412,7 +464,9 @@ class ResultStore:
                 self._release(key)
 
     def stats(self) -> dict[str, int]:
-        """Thread-safe snapshot of the access counters."""
+        """Thread-safe snapshot of the access counters and of the memory
+        tier: reports held and their summed file bytes."""
+        memory = self._reports.stats()
         with self._lock:
             return {
                 "hits": self.hits,
@@ -420,6 +474,9 @@ class ResultStore:
                 "puts": self.puts,
                 "coalesced": self.coalesced,
                 "inflight": len(self._inflight),
+                "memory_hits": self.memory_hits,
+                "memory_entries": memory["entries"],
+                "memory_bytes": memory["bytes"],
             }
 
     def __len__(self) -> int:
@@ -447,8 +504,9 @@ class ResultStore:
 
     def clear(self) -> int:
         """Delete every stored run, the aged-device images and the
-        orphan ``*.tmp`` files a killed writer leaves; returns how many
-        runs were removed."""
+        orphan ``*.tmp`` files a killed writer leaves, and empty the
+        memory tier; returns how many runs were removed."""
+        self._reports.clear()
         n = 0
         for path in self.root.glob("*.json"):
             try:

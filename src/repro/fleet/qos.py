@@ -12,7 +12,7 @@ report answer a fleet QoS request byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ReproError
@@ -40,7 +40,9 @@ class TenantQos:
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON serve responses."""
-        return asdict(self)
+        # every field is a scalar: a shallow copy equals asdict(), whose
+        # recursive deep copy a fleet reply would pay for every tenant
+        return dict(vars(self))
 
 
 def _tenant_row(

@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import socket
 import sys
 import threading
 from collections import Counter
@@ -441,6 +442,31 @@ class _Server(ThreadingHTTPServer):
         self.service = service
         # at most four simulations at once; health checks take no slot
         self.slots = threading.BoundedSemaphore(4)
+        # the accepted connections not yet closed; the lock also keeps a
+        # socket from being closed while close_reads shuts it down
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._conns_lock:
+            self._conns.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._conns_lock:
+            self._conns.discard(request)
+        super().shutdown_request(request)
+
+    def close_reads(self) -> None:
+        """End the read side of every open connection: a thread waiting
+        for a request reads end-of-stream and returns at once, while one
+        that is simulating still writes its reply."""
+        with self._conns_lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client has already gone
 
     def handle_error(self, request, client_address) -> None:
         # a client that went away mid-request has nothing to be told
@@ -458,12 +484,15 @@ def make_server(
 
 def serve_forever(server: _Server) -> None:
     """Serve until ``server.shutdown()`` or ``KeyboardInterrupt``, then
-    join the request threads and the service's worker pool."""
+    join the request threads and the service's worker pool.  Idle
+    connections do not delay the join: their read side is closed
+    first."""
     try:
         server.serve_forever()
     finally:
         # request threads first: one still inside handle_request would
         # submit to the closed worker pool and spawn it again
+        server.close_reads()
         server.server_close()
         server.service.close()
 

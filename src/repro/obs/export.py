@@ -264,6 +264,8 @@ _STATS_SECTIONS = (
 #: the point-in-time values; everything else in ``/stats`` is monotonic
 _STATS_GAUGES = {
     "repro_store_inflight": "Run keys currently being simulated",
+    "repro_store_memory_entries": "Decoded reports held by the store's memory tier",
+    "repro_store_memory_bytes": "File bytes of the reports held in the store's memory tier",
     "repro_pool_workers": "Live worker processes of the service's pool",
     "repro_plans_entries": "Composed fleet plans held by the plan cache",
 }
@@ -280,6 +282,7 @@ _STATS_HELP = {
     "repro_store_misses_total": "Result-store lookups that found nothing",
     "repro_store_puts_total": "Reports persisted to the result store",
     "repro_store_coalesced_total": "Runs served after awaiting an in-flight twin",
+    "repro_store_memory_hits_total": "Result-store hits answered from decoded reports in memory",
     "repro_pool_spawns_total": "Worker pools started",
     "repro_pool_tasks_total": "Runs submitted to the worker pool",
     "repro_pool_rebuilds_total": "Worker pools replaced after a worker died",
@@ -299,8 +302,8 @@ def stats_prometheus_text(stats: dict) -> str:
 
     Same exposition contract as :func:`prometheus_text`: ``repro_``
     prefix, counters end in ``_total``, one HELP/TYPE pair per family.
-    ``store.inflight``, ``pool.workers`` and ``plans.entries`` are the
-    gauges.
+    ``store.inflight``, ``store.memory_entries``, ``store.memory_bytes``,
+    ``pool.workers`` and ``plans.entries`` are the gauges.
     """
     exp = _Exposition()
     for section, prefix in _STATS_SECTIONS:

@@ -16,11 +16,12 @@ that work once:
   version, the full key, geometry, the plain values), savable as one
   ``.npz``.
 * **the cache** — :class:`ImageCache`: tier 1 a lock-guarded,
-  byte-bounded in-process LRU (each pool worker keeps its images for
-  its lifetime); tier 2, when the caller names a directory, one
-  ``<key>.npz`` per image written with temp-file + ``os.replace`` and
-  read as a miss on anything wrong.  :data:`IMAGES` is the process's
-  instance; ``Simulator.age_device`` is its only caller.
+  byte-bounded in-process LRU, :class:`~repro.lru.ByteLRU` (each pool
+  worker keeps its images for its lifetime); tier 2, when the caller
+  names a directory, one ``<key>.npz`` per image written with
+  temp-file + ``os.replace`` and read as a miss on anything wrong.
+  :data:`IMAGES` is the process's instance; ``Simulator.age_device``
+  is its only caller.
 
 See docs/architecture.md, "Device state seam".
 """
@@ -32,9 +33,7 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -42,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import SimConfig
+from ..lru import ByteLRU
 
 __all__ = [
     "IMAGE_VERSION",
@@ -277,37 +277,23 @@ class ImageCache:
     """Two-tier store of :class:`DeviceImage` by :func:`image_key`.
 
     Images are immutable once captured, so one may be handed to any
-    number of threads; the lock guards the LRU bookkeeping only.
+    number of threads; the memory tier's lock guards its LRU
+    bookkeeping only.
     """
 
     def __init__(self, max_bytes: int = MEMORY_BYTES):
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._images: "OrderedDict[str, DeviceImage]" = OrderedDict()
-        self._bytes = 0
+        self._memory = ByteLRU(max_bytes)
 
-    def _remember(self, key: str, image: DeviceImage) -> None:
-        size = image.nbytes
-        if size > self.max_bytes:
-            return
-        with self._lock:
-            old = self._images.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._images[key] = image
-            self._bytes += size
-            while self._bytes > self.max_bytes:
-                _, evicted = self._images.popitem(last=False)
-                self._bytes -= evicted.nbytes
+    @property
+    def max_bytes(self) -> int:
+        """Byte bound of the in-process tier."""
+        return self._memory.max_bytes
 
     def fetch(
         self, key: str, geometry: dict, image_dir: Path | None = None
     ) -> tuple[DeviceImage, str] | None:
         """``(image, "memory" | "disk")`` for ``key``, or None."""
-        with self._lock:
-            image = self._images.get(key)
-            if image is not None:
-                self._images.move_to_end(key)
+        image = self._memory.get(key)
         if image is not None:
             return image, "memory"
         if image_dir is None:
@@ -315,7 +301,7 @@ class ImageCache:
         image = DeviceImage.load(Path(image_dir) / f"{key}.npz", key, geometry)
         if image is None:
             return None
-        self._remember(key, image)
+        self._memory.put(key, image, image.nbytes)
         return image, "disk"
 
     def store(self, image: DeviceImage, image_dir: Path | None = None) -> None:
@@ -323,7 +309,7 @@ class ImageCache:
         disk that refuses the write costs the next process a rebuild,
         never this run."""
         key = image.header["key"]
-        self._remember(key, image)
+        self._memory.put(key, image, image.nbytes)
         if image_dir is not None:
             try:
                 image.save(Path(image_dir) / f"{key}.npz")
@@ -332,14 +318,11 @@ class ImageCache:
 
     def clear(self) -> None:
         """Drop the in-process tier."""
-        with self._lock:
-            self._images.clear()
-            self._bytes = 0
+        self._memory.clear()
 
     def stats(self) -> dict[str, int]:
         """Thread-safe snapshot: images and bytes held in memory."""
-        with self._lock:
-            return {"entries": len(self._images), "bytes": self._bytes}
+        return self._memory.stats()
 
 
 #: the process-wide cache behind ``Simulator.age_device`` (pool workers

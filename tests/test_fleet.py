@@ -1,5 +1,7 @@
 """Fleet-scale composition and per-tenant QoS (repro.fleet)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,14 @@ class TestQos:
 
     def test_empty_summary(self):
         assert fleet_summary({})["tenants"] == 0
+
+    def test_row_dict_equals_asdict(self, plans, reports):
+        """A row's plain-dict form is ``dataclasses.asdict``'s, keys in
+        field order, without its deep copy."""
+        row = next(iter(aggregate_qos(plans, reports).values()))
+        doc = row.to_dict()
+        assert doc == dataclasses.asdict(row)
+        assert list(doc) == [f.name for f in dataclasses.fields(row)]
 
     def test_missing_streams_section_raises(self, plans, reports):
         stripped = [

@@ -421,7 +421,7 @@ class TestMemoryTier:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert cache.stats()["bytes"] == sum(
-            im.nbytes for im in cache._images.values()
+            im.nbytes for im, _ in cache._memory._items.values()
         )
 
     def test_a_restore_does_not_keep_the_previous_device(self):

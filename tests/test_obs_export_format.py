@@ -109,7 +109,9 @@ class TestExpositionLint:
         }
         gauges = {name for name, t in types.items() if t == "gauge"}
         assert gauges == {
-            "repro_store_inflight", "repro_pool_workers", "repro_plans_entries"
+            "repro_store_inflight", "repro_store_memory_entries",
+            "repro_store_memory_bytes", "repro_pool_workers",
+            "repro_plans_entries",
         }
         for name in set(types) - gauges:
             assert name.endswith("_total"), name

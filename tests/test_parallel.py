@@ -1,11 +1,15 @@
 """Parallel sweep execution and the persistent result store
 (repro.experiments.parallel)."""
 
+import dataclasses
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.config import SCHEMES, SimConfig, SSDConfig
+from repro.experiments import parallel as parallel_mod
 from repro.experiments.parallel import (
     ResultStore,
     RunSpec,
@@ -476,5 +480,180 @@ class TestSingleFlight:
         store = ResultStore(tmp_path / "store")
         stats = store.stats()
         assert stats == {
-            "hits": 0, "misses": 0, "puts": 0, "coalesced": 0, "inflight": 0
+            "hits": 0, "misses": 0, "puts": 0, "coalesced": 0, "inflight": 0,
+            "memory_hits": 0, "memory_entries": 0, "memory_bytes": 0,
         }
+
+
+class TestMemoryTier:
+    """``ResultStore``'s in-process tier of decoded reports."""
+
+    @staticmethod
+    def _filled(tiny_setup, tmp_path, schemes=("ftl",)):
+        store = ResultStore(tmp_path / "store")
+        specs = _specs(tiny_setup, schemes)
+        execute_runs(specs, store=store)
+        return store, specs
+
+    @staticmethod
+    def _on_disk(store, spec) -> dict:
+        """The stored report, decoded by a store with an empty tier."""
+        return ResultStore(store.root).get(spec).to_dict()
+
+    def test_filled_by_reads_then_hits_in_memory(self, tiny_setup, tmp_path):
+        store, (spec,) = self._filled(tiny_setup, tmp_path)
+        assert store.stats()["memory_entries"] == 0  # a put fills nothing
+        first, second = store.get(spec), store.get(spec)
+        assert first.to_dict() == second.to_dict() == self._on_disk(store, spec)
+        stats = store.stats()
+        assert stats["hits"] == 2 and stats["memory_hits"] == 1
+        assert stats["memory_entries"] == 1
+        assert stats["memory_bytes"] == store.path_for(spec).stat().st_size
+
+    def test_deleted_file_is_a_miss_and_reruns(self, tiny_setup, tmp_path):
+        store, (spec,) = self._filled(tiny_setup, tmp_path)
+        assert store.get(spec) is not None
+        store.path_for(spec).unlink()
+        assert store.get(spec) is None
+        assert store.stats()["memory_entries"] == 0
+        runs = []
+
+        def runner(s):
+            runs.append(s.key())
+            from repro.experiments.parallel import _execute_spec
+
+            return _execute_spec(s)
+
+        report, cached = store.get_or_run(spec, runner=runner)
+        assert not cached and runs == [spec.key()]
+        assert store.path_for(spec).exists()
+
+    def test_replaced_file_returns_the_new_report(self, tiny_setup, tmp_path):
+        store, (spec,) = self._filled(tiny_setup, tmp_path)
+        old = store.get(spec)
+        assert store.get(spec).to_dict() == old.to_dict()  # held in memory
+        new = SimulationReport.from_dict(old.to_dict())
+        new.extra["written_by"] = "another store"
+        ResultStore(store.root).put(spec, new)  # temp file + os.replace
+        assert store.get(spec).to_dict() == new.to_dict()
+        assert store.get(spec).extra["written_by"] == "another store"
+        assert store.stats()["memory_hits"] == 2
+
+    def test_file_corrupted_in_place_is_a_miss(self, tiny_setup, tmp_path):
+        store, (spec,) = self._filled(tiny_setup, tmp_path)
+        assert store.get(spec) is not None
+        path = store.path_for(spec)
+        ino = path.stat().st_ino
+        path.write_text("{not json")  # truncated and rewritten, same inode
+        assert path.stat().st_ino == ino
+        assert store.get(spec) is None
+        assert store.stats()["memory_entries"] == 0
+
+    def test_returned_reports_share_nothing(self, tiny_setup, tmp_path):
+        cfg, sim_cfg, trace = tiny_setup
+        streamed = dataclasses.replace(
+            sim_cfg, qos_streams=(cfg.logical_sectors // 2,)
+        )
+        spec = RunSpec.make("across", trace, cfg, streamed)
+        store = ResultStore(tmp_path / "store")
+        execute_runs([spec], store=store)
+        stored = self._on_disk(store, spec)
+        assert stored["streams"] and stored["extra"]
+        for _ in range(3):  # the filling read, then memory hits
+            got = store.get(spec)
+            assert got.to_dict() == stored
+            for samples in got.latency._buckets.values():
+                samples.latencies[:] = -1.0
+            got.latency.record(True, True, 99.0, 8)
+            got.extra.clear()
+            got.streams["streams"].clear()
+        assert store.stats()["memory_hits"] == 2
+
+    def test_byte_bound_evicts_least_recently_used(
+        self, tiny_setup, tmp_path, monkeypatch
+    ):
+        store, specs = self._filled(tiny_setup, tmp_path, SCHEMES)
+        a, b, c = specs[:3]
+        size_a, size_b, size_c = (
+            store.path_for(s).stat().st_size for s in (a, b, c)
+        )
+        # room for a and either of the others, never all three
+        monkeypatch.setattr(
+            parallel_mod, "MEMORY_BYTES", size_a + max(size_b, size_c)
+        )
+        store = ResultStore(store.root)
+        for s in (a, b, a, c):  # c evicts b, the least recently used
+            store.get(s)
+        stats = store.stats()
+        assert stats["memory_hits"] == 1
+        assert stats["memory_entries"] == 2
+        assert stats["memory_bytes"] == size_a + size_c
+        store.get(a)
+        store.get(c)
+        assert store.stats()["memory_hits"] == 3
+        store.get(b)  # read from disk again
+        assert store.stats()["memory_hits"] == 3
+
+    def test_a_report_over_the_bound_is_never_kept(
+        self, tiny_setup, tmp_path, monkeypatch
+    ):
+        store, (spec,) = self._filled(tiny_setup, tmp_path)
+        size = store.path_for(spec).stat().st_size
+        monkeypatch.setattr(parallel_mod, "MEMORY_BYTES", size - 1)
+        store = ResultStore(store.root)
+        assert store.get(spec) is not None and store.get(spec) is not None
+        stats = store.stats()
+        assert stats["hits"] == 2 and stats["memory_hits"] == 0
+        assert stats["memory_entries"] == stats["memory_bytes"] == 0
+
+    def test_clear_empties_the_tier(self, tiny_setup, tmp_path):
+        store, specs = self._filled(tiny_setup, tmp_path, ("ftl", "across"))
+        for spec in specs:
+            store.get(spec)
+        assert store.stats()["memory_entries"] == 2
+        store.clear()
+        stats = store.stats()
+        assert stats["memory_entries"] == stats["memory_bytes"] == 0
+        assert all(store.get(spec) is None for spec in specs)
+
+    def test_threads_share_one_tier(self, tiny_setup, tmp_path):
+        """Concurrent gets on one store: every caller gets an equal
+        report of its own, and no hit is lost from the counts."""
+        store, specs = self._filled(tiny_setup, tmp_path, SCHEMES)
+        stored = {s.key(): self._on_disk(store, s) for s in specs}
+        for spec in specs:
+            store.get(spec)  # fill: every later get is a memory hit
+        threads_n, rounds = 6, 10
+        got: list = []
+        errors: list = []
+
+        def worker(n):
+            try:
+                for i in range(rounds):
+                    spec = specs[(n + i) % len(specs)]
+                    report = store.get(spec)
+                    assert report.to_dict() == stored[spec.key()]
+                    got.append(report)
+            except Exception as exc:  # reported by the parent below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,))
+                for n in range(threads_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len({id(r) for r in got}) == len(got) == threads_n * rounds
+        stats = store.stats()
+        assert stats["hits"] == len(specs) + threads_n * rounds
+        assert stats["memory_hits"] == threads_n * rounds
+        assert stats["misses"] == len(specs)  # the cold sweep's

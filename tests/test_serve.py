@@ -205,7 +205,8 @@ class TestHttpServer:
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as ei:
             urllib.request.urlopen(server + "/nope", timeout=30)
-        assert ei.value.code == 404
+        with ei.value:
+            assert ei.value.code == 404
 
     def test_bad_json_400(self, server):
         req = urllib.request.Request(
@@ -213,7 +214,8 @@ class TestHttpServer:
         )
         with pytest.raises(urllib.error.HTTPError) as ei:
             urllib.request.urlopen(req, timeout=30)
-        assert ei.value.code == 400
+        with ei.value:
+            assert ei.value.code == 400
 
     def test_bad_request_400_with_reason(self, server):
         req = urllib.request.Request(
@@ -222,8 +224,9 @@ class TestHttpServer:
         )
         with pytest.raises(urllib.error.HTTPError) as ei:
             urllib.request.urlopen(req, timeout=30)
-        assert ei.value.code == 400
-        assert "unknown request kind" in json.load(ei.value)["error"]
+        with ei.value:
+            assert ei.value.code == 400
+            assert "unknown request kind" in json.load(ei.value)["error"]
 
     @staticmethod
     def _raw(base, data):
@@ -287,6 +290,29 @@ class TestHttpServer:
             assert time.monotonic() - t0 < 5
         with urllib.request.urlopen(server + "/healthz", timeout=30) as r:
             assert json.load(r) == {"ok": True}
+
+    def test_shutdown_does_not_wait_for_an_idle_connection(
+        self, tmp_path, monkeypatch
+    ):
+        """Stopping the server with a client connected that has sent
+        nothing takes well under the handler's read timeout: the idle
+        connection is closed, not waited for."""
+        monkeypatch.setattr(service_mod._Handler, "timeout", 5.0)
+        handle = start_server_thread(
+            FleetService(ResultStore(tmp_path / "store"), device=TINY)
+        )
+        with socket.create_connection((handle.host, handle.port), 30) as sock:
+            # the server has accepted it once it answers a later request
+            with urllib.request.urlopen(
+                f"http://{handle.host}:{handle.port}/healthz", timeout=30
+            ) as r:
+                assert json.load(r) == {"ok": True}
+            t0 = time.monotonic()
+            handle.stop(timeout=30)
+            assert time.monotonic() - t0 < 1.0
+            assert not handle._thread.is_alive()
+            sock.settimeout(10)
+            assert sock.recv(1) == b""  # closed without a reply
 
     def test_concurrent_duplicates_simulate_once(self, server):
         """Two clients send the same cold sweep at once: the store runs
