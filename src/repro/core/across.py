@@ -176,7 +176,7 @@ class AcrossFTL(BaseFTL):
         self, lpn: int, rel_lo: int, rel_hi: int, now: float, stamps: Optional[dict]
     ) -> float:
         """One per-LPN piece of a non-across write."""
-        t = self._pmt_cache.access(lpn, now, dirty=True, timed=self.timed)
+        t = self._pmt_cache.access(self, lpn, now, dirty=True, timed=self.timed)
         if t > now:
             now = t
         aidx = self._aidx[lpn]
@@ -206,8 +206,8 @@ class AcrossFTL(BaseFTL):
     ) -> float:
         l0, l_end = lpn_range(offset, size, self.spp)
         l1 = l0 + 1
-        t0 = self._pmt_cache.access(l0, now, dirty=True, timed=self.timed)
-        t1 = self._pmt_cache.access(l1, now, dirty=True, timed=self.timed)
+        t0 = self._pmt_cache.access(self, l0, now, dirty=True, timed=self.timed)
+        t1 = self._pmt_cache.access(self, l1, now, dirty=True, timed=self.timed)
         now = max(now, t0, t1)
         a0 = self._aidx[l0]
         a1 = self._aidx[l1]
@@ -269,7 +269,7 @@ class AcrossFTL(BaseFTL):
         self._gc_check(ppn, now)
         for lpn in entry.lpns:
             self._shadow_pmt(lpn, self._area_rel_mask(lpn, offset, offset + size))
-        t = self._amt_cache.access(entry.aidx, now, dirty=True, timed=self.timed)
+        t = self._amt_cache.access(self, entry.aidx, now, dirty=True, timed=self.timed)
         if not self.aging:
             self.across_stats.direct_writes += 1
             self.across_stats.areas_created += 1
@@ -294,7 +294,7 @@ class AcrossFTL(BaseFTL):
         if self.service.obs is not None:
             self._emit_decision("amerge", entry.lpn0, now)
         finish = now
-        t = self._amt_cache.access(entry.aidx, now, dirty=True, timed=self.timed)
+        t = self._amt_cache.access(self, entry.aidx, now, dirty=True, timed=self.timed)
         finish = max(finish, t)
 
         retained_lo, retained_hi = entry.start, entry.end
@@ -359,7 +359,7 @@ class AcrossFTL(BaseFTL):
         new_pieces = new_pieces or {}
         if self.service.obs is not None:
             self._emit_decision("arollback", entry.lpn0, now)
-        t = self._amt_cache.access(entry.aidx, now, dirty=True, timed=self.timed)
+        t = self._amt_cache.access(self, entry.aidx, now, dirty=True, timed=self.timed)
         finish = max(now, t)
         # the across page's data is needed for every sector the update
         # does not overwrite
@@ -425,7 +425,7 @@ class AcrossFTL(BaseFTL):
         normal_ppns: set[int] = set()
 
         for lpn, rel_lo, count in split_extent(offset, size, self.spp):
-            t = self._pmt_cache.access(lpn, now, dirty=False, timed=self.timed)
+            t = self._pmt_cache.access(self, lpn, now, dirty=False, timed=self.timed)
             finish = max(finish, t)
             wanted = mask_range(rel_lo, rel_lo + count)
             base = lpn * self.spp
@@ -440,7 +440,7 @@ class AcrossFTL(BaseFTL):
                     if aidx not in seen_aidx:
                         seen_aidx.add(aidx)
                         t = self._amt_cache.access(
-                            aidx, now, dirty=False, timed=self.timed
+                            self, aidx, now, dirty=False, timed=self.timed
                         )
                         finish = max(finish, t)
                     plan.setdefault(entry.appn, []).extend(
@@ -596,8 +596,8 @@ class AcrossFTL(BaseFTL):
 
     def flush_metadata(self, now: float) -> float:
         """Write back dirty PMT and AMT translation pages."""
-        t1 = self._pmt_cache.flush(now, timed=self.timed)
-        t2 = self._amt_cache.flush(now, timed=self.timed)
+        t1 = self._pmt_cache.flush(self, now, timed=self.timed)
+        t2 = self._amt_cache.flush(self, now, timed=self.timed)
         return max(t1, t2)
 
     def stats(self) -> dict:

@@ -780,6 +780,11 @@ def execute_runs(
                 dup_of[i] = first_for_key[key]
                 continue
             ev = store._claim(key)
+            if ev is None and store._load(specs[i]) is not None:
+                # stored by another caller after the lookup above
+                store._release(key)
+                ev = threading.Event()
+                ev.set()
             if ev is None:
                 first_for_key[key] = i
                 leaders.append(i)

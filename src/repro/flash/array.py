@@ -291,8 +291,8 @@ class FlashArray:
         """Permanently retire a bad block (media wear-out).
 
         The block must hold no valid pages — callers relocate live data
-        first (the bad-block *remapping* of
-        :meth:`repro.ftl.gc.GarbageCollector.maybe_collect`).  Every
+        first (the bad-block *remapping* that
+        ``GarbageCollector._drain_retirements`` does).  Every
         page goes to ``PAGE_BAD``, the write pointer is sealed, and the
         block never re-enters its plane's free pool: over-provisioning
         shrinks by one block, which is the graceful-degradation

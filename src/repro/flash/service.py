@@ -58,8 +58,8 @@ class FlashService:
         #: `is None` contract, so undecomposed runs pay one branch
         self.attr = None
         #: blocks that crossed the program-failure retirement threshold
-        #: and await relocation of their valid pages; drained by
-        #: :meth:`repro.ftl.gc.GarbageCollector.maybe_collect`
+        #: and await relocation of their valid pages; every GC check
+        #: drains them first (``GarbageCollector._drain_retirements``)
         self.retire_pending: set[int] = set()
 
     # ------------------------------------------------------------------

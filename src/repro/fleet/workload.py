@@ -29,7 +29,6 @@ import builtins
 import functools
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,6 +36,7 @@ import numpy as np
 
 from ..config import SSDConfig
 from ..errors import ConfigError
+from ..lru import ByteLRU
 from ..traces.model import Trace
 from ..traces.synthetic import SyntheticSpec, generate_trace
 from ..units import sectors_per_page
@@ -207,7 +207,8 @@ class PlanCache:
     hit saves regenerating every tenant stream only to recompute run
     keys the :class:`~repro.experiments.parallel.ResultStore` already
     holds, and the store stays the one source of reports.  Bounded by
-    entry count and by total requests across entries; a fleet larger
+    entry count and by total requests across entries (a
+    :class:`~repro.lru.ByteLRU` sized in requests); a fleet larger
     than the request cap on its own is composed and not kept.  Cached
     plans are shared between callers, so they come back as a tuple and
     their trace arrays are read-only.
@@ -218,13 +219,10 @@ class PlanCache:
         max_entries: int = _PLAN_CACHE_ENTRIES,
         max_requests: int = _PLAN_CACHE_MAX_REQUESTS,
     ):
-        self.max_entries = max_entries
-        self.max_requests = max_requests
+        #: key -> plans, sized by their summed requests
+        self._plans = ByteLRU(max_requests, max_entries)
+        #: guards the hit / miss counters
         self._lock = threading.Lock()
-        #: key -> (plans, requests summed over the plans)
-        self._plans: "OrderedDict[tuple, tuple[tuple[ShardPlan, ...], int]]" = (
-            OrderedDict()
-        )
         self._hits = 0
         self._misses = 0
 
@@ -236,12 +234,11 @@ class PlanCache:
         ``map`` (default: the builtin, in this thread; the serve layer
         passes :meth:`~repro.experiments.parallel.WorkerPool.map`)."""
         key = (cfg, ssd_cfg)
+        plans = self._plans.get(key)
         with self._lock:
-            entry = self._plans.get(key)
-            if entry is not None:
-                self._plans.move_to_end(key)
+            if plans is not None:
                 self._hits += 1
-                return entry[0]
+                return plans
             self._misses += 1
         # composed outside the lock: two threads missing on one key both
         # compose (equal plans, the later insert wins) rather than every
@@ -250,26 +247,16 @@ class PlanCache:
         shard = functools.partial(compose_shard, cfg, ssd_cfg)
         plans = tuple((map or builtins.map)(shard, range(cfg.shards)))
         requests = sum(len(plan.trace) for plan in plans)
-        if requests > self.max_requests:
+        if requests > self._plans.max_bytes:
             return plans
         for plan in plans:
             plan.trace.freeze()
-        with self._lock:
-            self._plans[key] = (plans, requests)
-            self._plans.move_to_end(key)
-            while (
-                len(self._plans) > self.max_entries
-                or sum(n for _, n in self._plans.values()) > self.max_requests
-            ):
-                self._plans.popitem(last=False)
+        self._plans.put(key, plans, requests)
         return plans
 
     def stats(self) -> dict[str, int]:
         """Thread-safe snapshot of the hit/miss counters and the number
         of plans held."""
+        entries = self._plans.stats()["entries"]
         with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "entries": len(self._plans),
-            }
+            return {"hits": self._hits, "misses": self._misses, "entries": entries}

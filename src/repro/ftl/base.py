@@ -106,7 +106,6 @@ class BaseFTL(ABC):
         self.gc = GarbageCollector(
             service,
             self.allocator,
-            self._relocate_pages,
             self.cfg.gc_threshold,
             self.cfg.gc_restore,
             policy=gc_policy,
@@ -275,14 +274,16 @@ class BaseFTL(ABC):
         several victims, the block this program filled among them, so
         the caller's tables must name the new page by now.
         """
-        self.gc.maybe_collect(self.geom.plane_of_ppn(ppn), now, timed=self.timed)
+        self.gc.maybe_collect(
+            self, self.geom.plane_of_ppn(ppn), now, timed=self.timed
+        )
 
     def _relocate(self, old_ppn: int, now: float, timed: bool) -> float:
         """Move one valid page: :meth:`_relocate_pages` of a list of one."""
         return self._relocate_pages([old_ppn], now, timed)
 
     def _relocate_pages(self, ppns, now: float, timed: bool) -> float:
-        """GC callback: move the valid pages ``ppns`` — ascending, all
+        """GC relocation: move the valid pages ``ppns`` — ascending, all
         in one block — to the GC frontier of their plane and fix the
         mapping tables; returns the last program's completion time.
 
@@ -373,7 +374,7 @@ class BaseFTL(ABC):
             )
 
     # ------------------------------------------------------------------
-    # translation-page I/O callbacks for MappingCache
+    # translation-page I/O for MappingCache (the cache's owner protocol)
     # ------------------------------------------------------------------
     def _make_cache(
         self,
@@ -381,45 +382,51 @@ class BaseFTL(ABC):
         *,
         entries_per_page: int,
         capacity_entries: int | None,
-        touches_fn=None,
+        tree: bool = False,
     ) -> MappingCache:
-        # the per-table dict is re-fetched on every call (not captured)
-        # so external table wipes (`_map_ppn.clear()` in recovery tests
-        # and examples) can never leave a closure holding a stale dict
-        def program(tvpn: int, now: float, timed: bool) -> float:
-            table = self._map_ppn.setdefault(table_id, {})
-            old = table.get(tvpn)
-            if old is not None:
-                self.service.invalidate(old)
-                del table[tvpn]
-            # translation-page write-back is background work: the
-            # controller schedules it into chip idle periods, so it is
-            # counted (Fig. 10's Map share, GC pressure) but does not
-            # occupy the foreground timeline
-            ppn, finish = self._program_page(
-                (KIND_MAP, table_id, tvpn, 0), now, OpKind.MAP, timed=False
-            )
-            table[tvpn] = ppn
-            self._gc_check(ppn, now)
-            return finish
-
-        def read(tvpn: int, now: float, timed: bool) -> float:
-            ppn = self._map_ppn[table_id][tvpn]
-            return self.service.read_page(
-                ppn, now, self._kind(OpKind.MAP), timed=timed
-            )
-
         cache = MappingCache(
             self.service,
             entries_per_page=entries_per_page,
             capacity_entries=capacity_entries,
-            program_map_page=program,
-            read_map_page=read,
-            touches_fn=touches_fn,
+            tree=tree,
             table_id=table_id,
         )
         self.map_caches[table_id] = cache
         return cache
+
+    def program_map_page(
+        self, table_id: int, tvpn: int, now: float, timed: bool
+    ) -> float:
+        """Write translation page ``tvpn`` of table ``table_id`` back to
+        flash, invalidating its previous copy; returns the program's
+        completion time.  The per-table dict is looked up on every call
+        so an external table wipe (``_map_ppn.clear()`` in recovery
+        tests and examples) never leaves a stale one in use."""
+        table = self._map_ppn.setdefault(table_id, {})
+        old = table.get(tvpn)
+        if old is not None:
+            self.service.invalidate(old)
+            del table[tvpn]
+        # translation-page write-back is background work: the
+        # controller schedules it into chip idle periods, so it is
+        # counted (Fig. 10's Map share, GC pressure) but does not
+        # occupy the foreground timeline
+        ppn, finish = self._program_page(
+            (KIND_MAP, table_id, tvpn, 0), now, OpKind.MAP, timed=False
+        )
+        table[tvpn] = ppn
+        self._gc_check(ppn, now)
+        return finish
+
+    def read_map_page(
+        self, table_id: int, tvpn: int, now: float, timed: bool
+    ) -> float:
+        """Fetch the flash-resident copy of translation page ``tvpn`` of
+        table ``table_id``; returns the read's completion time."""
+        ppn = self._map_ppn[table_id][tvpn]
+        return self.service.read_page(
+            ppn, now, self._kind(OpKind.MAP), timed=timed
+        )
 
     # ------------------------------------------------------------------
     # normal (page-mapped) data path shared by schemes

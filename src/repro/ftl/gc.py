@@ -3,8 +3,8 @@
 When a plane's free-block fraction drops below the policy's trigger
 threshold (Table 1: 10% for the default greedy policy), the collector
 repeatedly picks a victim via the configured :class:`GcPolicy`
-(:mod:`repro.ftl.gc_policy`), migrates its valid pages via the owning
-FTL's ``relocate`` callback (which re-programs them and fixes the
+(:mod:`repro.ftl.gc_policy`), migrates its valid pages through the
+FTL's ``_relocate_pages`` (which re-programs them and fixes the
 mapping tables), and erases the block — until the plane is back above
 ``gc_restore`` or no block would yield free space.  Partial policies
 (``preemptive``) instead relocate bounded slices per invocation and
@@ -13,11 +13,14 @@ defer the rest to later invocations while the plane stays healthy.
 Erase operations are the paper's endurance metric (Fig. 11); migration
 reads/writes are counted with :attr:`OpKind.GC` so they appear in the
 flash-op totals of Fig. 10 without polluting the Data/Map split.
+
+The collector keeps no reference to its FTL, and its policy none to
+the collector: the FTL passes itself into every call that may move
+pages, and the collector passes itself into the policy's hooks, so a
+dropped device is freed by reference counting alone.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 from ..config import GC_POLICIES
 from ..flash.service import FlashService
@@ -25,10 +28,7 @@ from ..obs.events import GCEvent, GcPolicyDecision, GCStall
 from .allocator import WriteAllocator
 from .gc_policy import GcPolicy, make_policy
 
-#: relocate(valid ppns of one block, now, timed) -> completion time
-RelocateFn = Callable[[Sequence[int], float, bool], float]
-
-__all__ = ["GC_POLICIES", "GarbageCollector", "RelocateFn"]
+__all__ = ["GC_POLICIES", "GarbageCollector"]
 
 
 class GarbageCollector:
@@ -38,17 +38,14 @@ class GarbageCollector:
         self,
         service: FlashService,
         allocator: WriteAllocator,
-        relocate: RelocateFn,
         threshold: float,
         restore: float,
         policy: str | GcPolicy = "greedy",
-        wear_weight: float = 4.0,
     ):
         if isinstance(policy, str):
             policy = make_policy(policy, service.cfg)
         self.service = service
         self.allocator = allocator
-        self.relocate = relocate
         #: the strategy object; ``self.policy`` stays the plain name
         #: (the pre-refactor string attribute callers compare against)
         self.policy_obj = policy
@@ -60,7 +57,6 @@ class GarbageCollector:
         #: and even partial policies run the full restore loop
         self.hard_threshold = threshold
         self.restore = restore
-        self.wear_weight = wear_weight
         self._collecting = False
         # maybe_collect() runs after every page program; precompute the
         # smallest free-block count whose free_fraction clears the GC
@@ -74,16 +70,11 @@ class GarbageCollector:
             (c for c in range(bpp + 1) if c / bpp >= self.threshold), bpp + 1
         )
         # policy plumbing resolved once: partial mode, slice budget and
-        # the wear-levelling hook (None when the policy doesn't override
-        # it, so the default path pays a single None check)
-        policy.bind(self)
+        # whether the policy overrides the wear-levelling hook (the
+        # default path then pays a single flag check)
         self._partial = policy.partial
         self._budget = policy.relocation_budget()
-        self._wear_level = (
-            policy.wear_level
-            if type(policy).wear_level is not GcPolicy.wear_level
-            else None
-        )
+        self._wear_level = type(policy).wear_victim is not GcPolicy.wear_victim
         #: plane -> victim block a partial policy is mid-way through
         self._partial_victim: dict[int, int] = {}
         #: number of GC invocations (victim blocks processed)
@@ -155,21 +146,23 @@ class GarbageCollector:
         lo, valid, eligible = self._candidates(plane)
         if not eligible.any():
             return None
-        return self.policy_obj.select_victim(plane, lo, valid, eligible)
+        return self.policy_obj.select_victim(self, plane, lo, valid, eligible)
 
     # ------------------------------------------------------------------
     def _move_valid(
-        self, block: int, now: float, timed: bool, budget: int | None = None
+        self, ftl, block: int, now: float, timed: bool, budget: int | None = None
     ) -> tuple[float, int]:
         """Relocate the valid pages of ``block`` — the first ``budget``
-        of them, when given — as one call of the FTL's block-level
-        ``relocate``; returns (finish, pages moved)."""
+        of them, when given — as one call of ``ftl._relocate_pages``;
+        returns (finish, pages moved)."""
         ppns = self.service.array.valid_ppns(block)[:budget]
         moved = len(ppns)
         self.migrated_pages += moved
-        return (self.relocate(ppns, now, timed) if moved else now), moved
+        return (ftl._relocate_pages(ppns, now, timed) if moved else now), moved
 
-    def collect_once(self, plane: int, now: float, *, timed: bool = True) -> float:
+    def collect_once(
+        self, ftl, plane: int, now: float, *, timed: bool = True
+    ) -> float:
         """Collect a single victim block; returns the erase finish time,
         or ``now`` when no victim exists."""
         victim = self.select_victim(plane)
@@ -181,12 +174,14 @@ class GarbageCollector:
             obs.emit(GCEvent(
                 now, plane, victim, int(arr.valid_count[victim])
             ))
-        finish, _ = self._move_valid(victim, now, timed)
+        finish, _ = self._move_valid(ftl, victim, now, timed)
         finish = max(finish, self.service.erase_block(victim, now, aging=not timed))
         self.collections += 1
         return finish
 
-    def migrate_block(self, block: int, now: float, *, timed: bool = True) -> float:
+    def migrate_block(
+        self, ftl, block: int, now: float, *, timed: bool = True
+    ) -> float:
         """Wear-levelling migration: relocate every valid page of
         ``block`` (typically a cold, under-worn block) and erase it so
         it re-enters the free pool.  Returns the erase finish time."""
@@ -197,18 +192,19 @@ class GarbageCollector:
                 now, self.service.geom.plane_of_block(block), self.policy,
                 "wear_migrate", block, int(arr.valid_count[block]),
             ))
-        finish, _ = self._move_valid(block, now, timed)
+        finish, _ = self._move_valid(ftl, block, now, timed)
         finish = max(finish, self.service.erase_block(block, now, aging=not timed))
         self.wear_migrations += 1
         if timed:
             self.service.counters.wear_migrations += 1
         return finish
 
-    def _drain_retirements(self, now: float, *, timed: bool = True) -> float:
+    def _drain_retirements(self, ftl, now: float, *, timed: bool = True) -> float:
         """Retire blocks queued on ``service.retire_pending``: relocate
         their valid pages (the bad-block *remapping* — across-page areas
-        ride the same ``relocate`` callback GC migration uses, so their
-        data survives intact), then take the block out of service.
+        ride the same ``ftl._relocate_pages`` GC migration uses, so
+        their data survives intact), then take the block out of
+        service.
 
         Blocks still serving as a write frontier, or not yet fully
         written, are left queued and picked up once sealed.
@@ -228,7 +224,7 @@ class GarbageCollector:
                 continue
             if arr.write_ptr[block] < geom.pages_per_block:
                 continue
-            moved_by, relocated = self._move_valid(block, now, timed)
+            moved_by, relocated = self._move_valid(ftl, block, now, timed)
             finish = max(finish, moved_by)
             if timed and relocated:
                 service.counters.fault_relocations += relocated
@@ -236,7 +232,7 @@ class GarbageCollector:
         return finish
 
     def _collect_until_restored(
-        self, plane: int, now: float, *, timed: bool = True
+        self, ftl, plane: int, now: float, *, timed: bool = True
     ) -> float:
         """The classic stop-the-world loop: collect whole victims until
         the plane's free fraction clears ``restore`` (hysteresis) or no
@@ -246,7 +242,7 @@ class GarbageCollector:
         while self.service.free_fraction(plane) < self.restore:
             before = arr.free_block_count(plane)
             before_bad = arr.total_bad_blocks
-            finish = max(finish, self.collect_once(plane, now, timed=timed))
+            finish = max(finish, self.collect_once(ftl, plane, now, timed=timed))
             if arr.free_block_count(plane) <= before:
                 if arr.total_bad_blocks > before_bad:
                     # the victim's erase failed and the block was
@@ -264,7 +260,9 @@ class GarbageCollector:
                 break
         return finish
 
-    def _collect_slice(self, plane: int, now: float, *, timed: bool = True) -> float:
+    def _collect_slice(
+        self, ftl, plane: int, now: float, *, timed: bool = True
+    ) -> float:
         """One bounded collection slice of a partial policy: continue
         (or start) the plane's victim, relocate at most the policy's
         budget of valid pages, erase the victim once it is empty, and
@@ -280,7 +278,7 @@ class GarbageCollector:
                 obs.emit(GcPolicyDecision(
                     now, plane, self.policy, "urgent", -1, 0
                 ))
-            return self._collect_until_restored(plane, now, timed=timed)
+            return self._collect_until_restored(ftl, plane, now, timed=timed)
         arr = service.array
         obs = service.obs
         victim = self._partial_victim.get(plane)
@@ -304,7 +302,7 @@ class GarbageCollector:
                 obs.emit(GCEvent(
                     now, plane, victim, int(arr.valid_count[victim])
                 ))
-        finish, moved = self._move_valid(victim, now, timed, self._budget)
+        finish, moved = self._move_valid(ftl, victim, now, timed, self._budget)
         self.slices += 1
         if timed:
             service.counters.gc_slices += 1
@@ -329,10 +327,12 @@ class GarbageCollector:
             ))
         return finish
 
-    def maybe_collect(self, plane: int, now: float, *, timed: bool = True) -> float:
-        """Run GC on ``plane`` if it is below the trigger threshold;
-        returns the time the reclamation finished (``now`` when nothing
-        ran).
+    def maybe_collect(
+        self, ftl, plane: int, now: float, *, timed: bool = True
+    ) -> float:
+        """Run GC on ``plane`` of ``ftl``'s device if it is below the
+        trigger threshold; returns the time the reclamation finished
+        (``now`` when nothing ran).
 
         Blocks queued for bad-block retirement are drained first (even
         above the GC threshold), so media failures translate into
@@ -357,23 +357,24 @@ class GarbageCollector:
             attr.suspend()
         finish = now
         try:
-            finish = max(finish, self._drain_retirements(now, timed=timed))
+            finish = max(finish, self._drain_retirements(ftl, now, timed=timed))
             if self.service.free_fraction(plane) >= self.threshold:
                 return finish
             if self._partial:
                 finish = max(
-                    finish, self._collect_slice(plane, now, timed=timed)
+                    finish, self._collect_slice(ftl, plane, now, timed=timed)
                 )
             else:
                 finish = max(
                     finish,
-                    self._collect_until_restored(plane, now, timed=timed),
+                    self._collect_until_restored(ftl, plane, now, timed=timed),
                 )
-            wear_level = self._wear_level
-            if wear_level is not None:
-                levelled = wear_level(plane, now, timed)
-                if levelled is not None:
-                    finish = max(finish, levelled)
+            if self._wear_level:
+                cold = self.policy_obj.wear_victim(self, plane)
+                if cold is not None:
+                    finish = max(
+                        finish, self.migrate_block(ftl, cold, now, timed=timed)
+                    )
         finally:
             self._collecting = False
             if attr is not None:

@@ -12,8 +12,12 @@ and delegates every *decision* to a :class:`GcPolicy` strategy object:
   valid pages one GC invocation may migrate before yielding back to
   host traffic (``None`` = unbounded, the classic stop-the-world
   collection);
-* **wear levelling** (:meth:`GcPolicy.wear_level`) — an optional
-  post-collection hook for policies that move cold data around.
+* **wear levelling** (:meth:`GcPolicy.wear_victim`) — an optional
+  post-collection pick of a cold block for the collector to migrate.
+
+A policy holds only its knobs.  The collector passes itself into the
+hooks that read device state (its flash service, allocator and
+candidate arrays), so neither object points back at the other.
 
 The registry (:func:`make_policy`) maps the
 :data:`~repro.config.GC_POLICIES` names to classes:
@@ -66,10 +70,10 @@ __all__ = [
 class GcPolicy:
     """Strategy interface the :class:`GarbageCollector` delegates to.
 
-    A policy is constructed from the device config (its knobs) and
-    bound to its collector with :meth:`bind` before use; the collector
-    reference gives access to the flash service, allocator and wear
-    state without duplicating any of it here.
+    A policy is constructed from the device config (its knobs).  Hooks
+    that read device state take the calling collector as ``gc``, which
+    gives access to the flash service, allocator and wear state
+    without duplicating any of it here.
     """
 
     #: registry name (matches :data:`repro.config.GC_POLICIES`)
@@ -83,11 +87,6 @@ class GcPolicy:
 
     def __init__(self, cfg: SSDConfig):
         self.cfg = cfg
-        self.gc: "GarbageCollector | None" = None
-
-    def bind(self, gc: "GarbageCollector") -> None:
-        """Attach the owning collector (called once from its init)."""
-        self.gc = gc
 
     # -- scheduling ----------------------------------------------------
     def trigger_threshold(self, threshold: float) -> float:
@@ -102,16 +101,22 @@ class GcPolicy:
 
     # -- victim selection ----------------------------------------------
     def select_victim(
-        self, plane: int, lo: int, valid: np.ndarray, eligible: np.ndarray
+        self,
+        gc: "GarbageCollector",
+        plane: int,
+        lo: int,
+        valid: np.ndarray,
+        eligible: np.ndarray,
     ) -> int:
         """Pick a victim among ``eligible`` blocks (at least one is
         eligible; the collector handled the empty case)."""
         raise NotImplementedError
 
     # -- wear levelling ------------------------------------------------
-    def wear_level(self, plane: int, now: float, timed: bool) -> float | None:
-        """Optional post-collection wear-levelling step; returns the
-        finish time of any migration performed, or ``None``."""
+    def wear_victim(self, gc: "GarbageCollector", plane: int) -> int | None:
+        """Optional post-collection wear-levelling step: a block of
+        ``plane`` for the collector to migrate out and erase, or
+        ``None``."""
         return None
 
 
@@ -124,7 +129,7 @@ class GreedyPolicy(GcPolicy):
 
     name = "greedy"
 
-    def select_victim(self, plane, lo, valid, eligible):
+    def select_victim(self, gc, plane, lo, valid, eligible):
         """Eligible block with the fewest valid pages (lowest index
         wins ties, matching the original collector)."""
         costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
@@ -141,9 +146,8 @@ class CostBenefitPolicy(GcPolicy):
 
     name = "cost_benefit"
 
-    def select_victim(self, plane, lo, valid, eligible):
+    def select_victim(self, gc, plane, lo, valid, eligible):
         """Eligible block maximising the cost-benefit score."""
-        gc = self.gc
         geom = gc.service.geom
         arr = gc.service.array
         hi = lo + geom.blocks_per_plane
@@ -160,16 +164,17 @@ class WearAwarePolicy(GcPolicy):
     trading some write amplification for evener wear."""
 
     name = "wear_aware"
+    #: valid-page cost of one erase above the plane's mean wear
+    WEAR_WEIGHT = 4.0
 
-    def select_victim(self, plane, lo, valid, eligible):
+    def select_victim(self, gc, plane, lo, valid, eligible):
         """Eligible block minimising valid pages + wear penalty."""
-        gc = self.gc
         geom = gc.service.geom
         arr = gc.service.array
         hi = lo + geom.blocks_per_plane
         wear = arr.erase_count[lo:hi].astype(np.float64)
         mean_wear = wear.mean()
-        score = valid + gc.wear_weight * np.maximum(0.0, wear - mean_wear)
+        score = valid + self.WEAR_WEIGHT * np.maximum(0.0, wear - mean_wear)
         score = np.where(eligible, score, np.inf)
         return lo + int(np.argmin(score))
 
@@ -186,9 +191,8 @@ class WindowedGreedyPolicy(GcPolicy):
         super().__init__(cfg)
         self.window = cfg.gc_window
 
-    def select_victim(self, plane, lo, valid, eligible):
+    def select_victim(self, gc, plane, lo, valid, eligible):
         """Greedy pick restricted to the window's oldest blocks."""
-        gc = self.gc
         arr = gc.service.array
         hi = lo + gc.service.geom.blocks_per_plane
         idx = np.nonzero(eligible)[0]
@@ -230,7 +234,7 @@ class PreemptivePolicy(GcPolicy):
         """At most ``gc_slice_pages`` migrations per invocation."""
         return self.slice_pages
 
-    def select_victim(self, plane, lo, valid, eligible):
+    def select_victim(self, gc, plane, lo, valid, eligible):
         """Greedy pick (slicing, not selection, is what differs)."""
         costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
         return lo + int(np.argmin(costs))
@@ -245,7 +249,7 @@ class HotColdPolicy(GcPolicy):
     name = "hot_cold"
     separate_streams = True
 
-    def select_victim(self, plane, lo, valid, eligible):
+    def select_victim(self, gc, plane, lo, valid, eligible):
         """Greedy pick (stream separation is what differs)."""
         costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
         return lo + int(np.argmin(costs))
@@ -269,15 +273,14 @@ class DualPoolPolicy(GcPolicy):
         super().__init__(cfg)
         self.wear_gap = cfg.gc_wear_gap
 
-    def select_victim(self, plane, lo, valid, eligible):
+    def select_victim(self, gc, plane, lo, valid, eligible):
         """Greedy pick (wear levelling is what differs)."""
         costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
         return lo + int(np.argmin(costs))
 
-    def wear_level(self, plane, now, timed):
-        """Migrate the coldest sealed block out when the plane's
-        erase-count gap reaches ``gc_wear_gap``."""
-        gc = self.gc
+    def wear_victim(self, gc, plane):
+        """The coldest sealed block, once the plane's erase-count gap
+        reaches ``gc_wear_gap``."""
         arr = gc.service.array
         lo, valid, eligible = gc._candidates(plane)
         if not eligible.any():
@@ -288,7 +291,7 @@ class DualPoolPolicy(GcPolicy):
         coldest = int(np.argmin(cold))
         if int(erase.max()) - int(cold[coldest]) < self.wear_gap:
             return None
-        return gc.migrate_block(lo + coldest, now, timed=timed)
+        return lo + coldest
 
 
 _REGISTRY: dict[str, type[GcPolicy]] = {

@@ -8,28 +8,26 @@ flash write.  These are exactly the *Map* components of Fig. 10 and the
 reason MRSM loses to the baseline on flash traffic while Across-FTL
 barely registers (map share 36.9%/34.4% vs 2.6%/0.74%, §4.2.2).
 
-DRAM accesses themselves are counted per entry *touch*; schemes with
-tree-structured tables (MRSM) pass a ``touches_fn`` so a lookup costs
-O(log n) touches (Fig. 12b).
+DRAM accesses themselves are counted per entry *touch*; a cache built
+with ``tree=True`` (MRSM's tree-structured table) charges each touch
+its owner's ``tree_touches()``, O(log n) (Fig. 12b).
+
+The cache keeps no reference to the FTL that owns it: the owner passes
+itself into every call that may touch flash, and provides
+``program_map_page(table_id, tvpn, now, timed)`` (allocate a page,
+invalidate the previous copy of the translation page, program the new
+one) and ``read_map_page(table_id, tvpn, now, timed)`` (fetch the
+flash-resident copy), each returning its completion time.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
 from ..flash.service import FlashService
 from ..obs.events import CMTEvent
-
-#: program_map_page(tvpn, now, timed) -> completion time.  Provided by
-#: the owning FTL: it allocates a flash page, invalidates the previous
-#: copy of the translation page, and programs the new one.
-ProgramMapFn = Callable[[int, float, bool], float]
-#: read_map_page(tvpn, now, timed) -> completion time for fetching the
-#: flash-resident copy of a translation page.
-ReadMapFn = Callable[[int, float, bool], float]
 
 
 class MappingCache:
@@ -41,9 +39,7 @@ class MappingCache:
         *,
         entries_per_page: int,
         capacity_entries: int | None,
-        program_map_page: ProgramMapFn,
-        read_map_page: ReadMapFn,
-        touches_fn: Callable[[], int] | None = None,
+        tree: bool = False,
         table_id: int = 0,
     ):
         if entries_per_page <= 0:
@@ -57,9 +53,7 @@ class MappingCache:
             if capacity_entries is None
             else max(1, capacity_entries // entries_per_page)
         )
-        self._program = program_map_page
-        self._read = read_map_page
-        self._touches_fn = touches_fn
+        self.tree = tree
         # bound once: access() runs per mapping touch on the hot path
         self._counters = service.counters
         #: cached translation pages: tvpn -> dirty flag (LRU order)
@@ -72,12 +66,11 @@ class MappingCache:
 
     # ------------------------------------------------------------------
     def access(
-        self, key: int, now: float, *, dirty: bool, timed: bool = True
+        self, ftl, key: int, now: float, *, dirty: bool, timed: bool = True
     ) -> float:
-        """Touch the entry ``key``; returns the time the access completed
-        (``now`` unless flash I/O was needed)."""
-        tf = self._touches_fn
-        self._counters.dram_accesses += 1 if tf is None else tf()
+        """Touch the entry ``key`` of ``ftl``'s table; returns the time
+        the access completed (``now`` unless flash I/O was needed)."""
+        self._counters.dram_accesses += ftl.tree_touches() if self.tree else 1
         obs = self.service.obs
         if self.unlimited:
             self.hits += 1
@@ -97,10 +90,11 @@ class MappingCache:
         self.misses += 1
         if obs is not None:
             obs.emit(CMTEvent(now, self.table_id, "miss", key))
-        return self._fill(tvpn, now, dirty, timed)
+        return self._fill(ftl, tvpn, now, dirty, timed)
 
     def access_range(
-        self, lo: int, hi: int, now: float, *, dirty: bool, timed: bool = True
+        self, ftl, lo: int, hi: int, now: float, *, dirty: bool,
+        timed: bool = True,
     ) -> float:
         """Touch every entry of ``lo..hi`` (inclusive) in ascending
         order; returns the latest completion time.
@@ -109,7 +103,7 @@ class MappingCache:
         :meth:`access` per key, at one LRU touch per *translation page*:
         a page just touched is the most recent entry, nothing a lookup
         does (eviction write-back and the GC it may trigger included)
-        touches this cache or resizes the table ``touches_fn`` measures,
+        touches this cache or resizes the table ``tree_touches`` measures,
         so the page's remaining keys are hits that move nothing.  With
         observability on, each key goes through :meth:`access` and
         emits its own event.
@@ -117,13 +111,12 @@ class MappingCache:
         if self.service.obs is not None:
             finish = now
             for key in range(lo, hi + 1):
-                t = self.access(key, now, dirty=dirty, timed=timed)
+                t = self.access(ftl, key, now, dirty=dirty, timed=timed)
                 if t > finish:
                     finish = t
             return finish
         n = hi - lo + 1
-        tf = self._touches_fn
-        self._counters.dram_accesses += n if tf is None else n * tf()
+        self._counters.dram_accesses += n * ftl.tree_touches() if self.tree else n
         if self.unlimited:
             self.hits += n
             return now
@@ -138,13 +131,15 @@ class MappingCache:
             else:
                 self.misses += 1
                 n -= 1
-                t = self._fill(tvpn, now, dirty, timed)
+                t = self._fill(ftl, tvpn, now, dirty, timed)
                 if t > finish:
                     finish = t
         self.hits += n
         return finish
 
-    def _fill(self, tvpn: int, now: float, dirty: bool, timed: bool) -> float:
+    def _fill(
+        self, ftl, tvpn: int, now: float, dirty: bool, timed: bool
+    ) -> float:
         """Miss path: fetch the flash-resident copy of ``tvpn`` (if any),
         install it most-recent and spill the overflow; returns when the
         lookup may proceed."""
@@ -161,18 +156,18 @@ class MappingCache:
                 if attr is not None:
                     attr.suspend()
                     try:
-                        self._read(tvpn, now, timed)
+                        ftl.read_map_page(self.table_id, tvpn, now, timed)
                     finally:
                         attr.resume()
                 else:
-                    self._read(tvpn, now, timed)
+                    ftl.read_map_page(self.table_id, tvpn, now, timed)
             else:
-                finish = self._read(tvpn, now, timed)
+                finish = ftl.read_map_page(self.table_id, tvpn, now, timed)
         self._cached[tvpn] = dirty
-        self._evict_overflow(now, timed)
+        self._evict_overflow(ftl, now, timed)
         return finish
 
-    def _evict_overflow(self, now: float, timed: bool) -> None:
+    def _evict_overflow(self, ftl, now: float, timed: bool) -> None:
         """Write back evicted dirty translation pages.
 
         Evictions are *asynchronous* (DFTL-style): the flash programs
@@ -189,16 +184,17 @@ class MappingCache:
                     "spill" if was_dirty else "evict", tvpn,
                 ))
             if was_dirty:
-                self._program(tvpn, now, timed)
+                ftl.program_map_page(self.table_id, tvpn, now, timed)
                 self._on_flash.add(tvpn)
 
     # ------------------------------------------------------------------
-    def flush(self, now: float, *, timed: bool = True) -> float:
+    def flush(self, ftl, now: float, *, timed: bool = True) -> float:
         """Write back every dirty translation page (end-of-run barrier)."""
         finish = now
         for tvpn, dirty in list(self._cached.items()):
             if dirty:
-                finish = max(finish, self._program(tvpn, now, timed))
+                t = ftl.program_map_page(self.table_id, tvpn, now, timed)
+                finish = max(finish, t)
                 self._on_flash.add(tvpn)
                 self._cached[tvpn] = False
         return finish

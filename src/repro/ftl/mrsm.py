@@ -123,7 +123,7 @@ class MRSMFTL(BaseFTL):
         #: ppn -> slots programmed / slots still live (R <= 64 sectors)
         self._page_slots = oob("region_slots", "B")
         self._page_live = oob("region_live", "B")
-        # memoised _tree_touches state: current depth and the interval
+        # memoised tree_touches state: current depth and the interval
         # of table sizes it stays valid for (empty → recompute on first use)
         self._tt_val = 1
         self._tt_lo = 0
@@ -133,10 +133,10 @@ class MRSMFTL(BaseFTL):
             table_id=1,
             entries_per_page=entries_per_page,
             capacity_entries=self.dram_entries,
-            touches_fn=self._tree_touches,
+            tree=True,
         )
 
-    def _tree_touches(self) -> int:
+    def tree_touches(self) -> int:
         """DRAM touches per lookup: the depth of the (4-ary) mapping
         tree MRSM keeps its region entries in (Fig. 12b: ~32x the flat
         tables' single touch, once multiplied by regions per request).
@@ -280,7 +280,7 @@ class MRSMFTL(BaseFTL):
             self._frag[(offset + size) // spp] = 1
         # phase 1: mapping lookups + region-level read-modify-write
         finish = self._cache.access_range(
-            first, last, now, dirty=True, timed=timed
+            self, first, last, now, dirty=True, timed=timed
         )
         rmw_ppns = None
         if head != full and rmask[first] & ~head:
@@ -353,7 +353,7 @@ class MRSMFTL(BaseFTL):
         timed = self.timed
         kind = OpKind.DATA if timed else OpKind.AGING
         finish = self._cache.access_range(
-            first, last, now, dirty=False, timed=timed
+            self, first, last, now, dirty=False, timed=timed
         )
         pages = self._wanted_pages(first, last, head, tail, found is not None)
         for ppn, sectors in pages.items():
@@ -534,7 +534,7 @@ class MRSMFTL(BaseFTL):
 
     def flush_metadata(self, now: float) -> float:
         """Write back dirty translation pages (end-of-run barrier)."""
-        return self._cache.flush(now, timed=self.timed)
+        return self._cache.flush(self, now, timed=self.timed)
 
     def stats(self) -> dict:
         """Region-map and mapping-cache statistics for the report."""

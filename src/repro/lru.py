@@ -1,10 +1,13 @@
-"""A thread-safe LRU map bounded by bytes, not by entries.
+"""A thread-safe LRU map bounded by summed value sizes, and optionally
+by entry count.
 
-Both in-process tiers of the repo sit on it: aged-device images
-(:class:`repro.sim.image.ImageCache`) and decoded stored reports
-(:class:`repro.experiments.parallel.ResultStore`).  The caller sizes
+The repo's three in-process tiers sit on it: aged-device images
+(:class:`repro.sim.image.ImageCache`), decoded stored reports
+(:class:`repro.experiments.parallel.ResultStore`) and composed fleet
+plans (:class:`repro.fleet.workload.PlanCache`).  The caller sizes
 each value when it puts it, so the bound means whatever that tier
-measures: array bytes for an image, file bytes for a report.
+measures: array bytes for an image, file bytes for a report, trace
+requests for a plan.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ __all__ = ["ByteLRU"]
 
 class ByteLRU:
     """Values by key, evicting least-recently-used entries once their
-    summed sizes pass ``max_bytes``.  A value larger than the bound is
+    summed sizes pass ``max_bytes`` or, when ``max_entries`` is given,
+    once there are more of them.  A value larger than ``max_bytes`` is
     never kept.  One lock guards the bookkeeping; the values themselves
     are handed out as they are, so a caller that may mutate one copies
     it."""
 
-    def __init__(self, max_bytes: int):
+    def __init__(self, max_bytes: int, max_entries: int | None = None):
         self.max_bytes = max_bytes
+        self.max_entries = max_entries
         self._lock = threading.Lock()
         #: key -> (value, size), least recently used first
         self._items: "OrderedDict[Hashable, tuple[Any, int]]" = OrderedDict()
@@ -41,14 +46,17 @@ class ByteLRU:
 
     def put(self, key: Hashable, value: Any, size: int) -> None:
         """Hold ``value`` under ``key`` in place of any older value, then
-        evict from the least recently used end down to the bound."""
+        evict from the least recently used end down to the bounds."""
         with self._lock:
             self._drop(key)
             if size > self.max_bytes:
                 return
             self._items[key] = (value, size)
             self._bytes += size
-            while self._bytes > self.max_bytes:
+            entries = self.max_entries
+            while self._bytes > self.max_bytes or (
+                entries is not None and len(self._items) > entries
+            ):
                 _, (_, evicted) = self._items.popitem(last=False)
                 self._bytes -= evicted
 

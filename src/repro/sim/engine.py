@@ -15,11 +15,11 @@ counts per sector).
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import heapq
 import sys
 import time as _time
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from typing import Optional
@@ -171,18 +171,22 @@ class Simulator:
         self._attr = None
         self._next_rid = 0
         self._now = 0.0
-        #: event-driven frontend scheduler (SimConfig.frontend); bound
-        #: during _run_frontend, None on the sequential path
-        self._frontend = None
+        #: the event-driven frontend's in-flight list (SimConfig.frontend)
+        #: and its tallies for the report; the scheduler itself is not
+        #: kept: its hooks are bound to this simulator
+        self._fe_inflight: Optional[list] = None
+        self._fe_extra: dict[str, int] = {}
         if self.sim_cfg.observability.enabled:
             self.obs = Observability(self.sim_cfg.observability)
             self._bus = self.obs.bus
             self._attr = self.obs.attribution
+            # a weak reference: the facade must not keep its simulator
+            sim = weakref.ref(self)
             self.obs.bind(
                 timeline=ftl.service.timeline,
                 array=ftl.service.array,
                 ftl=ftl,
-                inflight_fn=self._inflight,
+                inflight_fn=lambda: sim()._inflight(),
             )
             self._attach_obs()
         #: fault injector (SimConfig.faults); installed on the flash
@@ -251,8 +255,8 @@ class Simulator:
         In frontend mode the scheduler tracks the in-flight set
         exactly.
         """
-        if self._frontend is not None:
-            return self._frontend.inflight_count()
+        if self._fe_inflight is not None:
+            return len(self._fe_inflight)
         now = self._now
         return sum(1 for c in self._completions if c > now)
 
@@ -297,14 +301,6 @@ class Simulator:
         if self._aged:
             return
         aged = self.sim_cfg.aged_used > 0.0
-        if aged:
-            # a dropped simulator's device is cyclic garbage (FTL <-> GC
-            # <-> policy, cache callbacks): megabytes of columns in a few
-            # dozen objects, which the object-counting collector lets
-            # pile up (three oracle devices: +12 MiB peak RSS).  One
-            # pass, outside the ``age_s`` bracket: its cost scales with
-            # the caller's heap, not with this device.
-            gc.collect()
         t0 = _time.perf_counter()
         source = self._restore_or_age() if aged else "bypass"
         self._aged = True
@@ -687,7 +683,7 @@ class Simulator:
             on_stall=self._fe_stall if bus is not None else None,
             checker=self.checker,
         )
-        self._frontend = fe
+        self._fe_inflight = fe.inflight
         #: out-of-order completions buffered until every earlier-arrived
         #: read has folded into the digest
         self._fe_pending_reads = {}
@@ -758,6 +754,11 @@ class Simulator:
                 trace.name, n, n, _time.perf_counter() - loop_t0,
                 final=True, prev_width=prog_width,
             )
+        self._fe_extra = {
+            "frontend_hazard_stalls": fe.hazard_stalls,
+            "frontend_cache_bypass": fe.cache_bypass,
+            "frontend_reordered": fe.nand.reordered,
+        }
         return last
 
     def _fe_arrive(self, op: int, offset: int, size: int, ts: float):
@@ -1066,10 +1067,7 @@ class Simulator:
             extra["check_sweeps"] = self.checker.sweeps
             if self._read_digest is not None:
                 extra["check_read_digest"] = self._read_digest.hexdigest()
-        if self._frontend is not None:
-            extra["frontend_hazard_stalls"] = self._frontend.hazard_stalls
-            extra["frontend_cache_bypass"] = self._frontend.cache_bypass
-            extra["frontend_reordered"] = self._frontend.nand.reordered
+        extra.update(self._fe_extra)
         if self.sim_cfg.record_wear:
             from ..flash.wear import wear_stats
 

@@ -154,11 +154,6 @@ class FrontendScheduler:
             self.slots_used -= 1
         self.nand.on_complete(req, now)
 
-    def inflight_count(self) -> int:
-        """Requests the device has accepted and not yet completed (the
-        ``queue_depth`` gauge in frontend mode)."""
-        return len(self.inflight)
-
     # ------------------------------------------------------------------
     def dispatch(self, now: float) -> None:
         """Release every currently eligible waiting request.

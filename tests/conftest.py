@@ -112,7 +112,7 @@ def relocate_each_programmed_page(ftl, kind, *, invariants_hold=True):
     maybe_collect = ftl.gc.maybe_collect
     moved = []
 
-    def relocating_collect(plane, now, *, timed=True):
+    def relocating_collect(owner, plane, now, *, timed=True):
         valid = arr.page_state == PAGE_VALID
         for ppn in np.flatnonzero(valid & ~seen).tolist():
             if arr.meta(ppn).kind == kind:
@@ -120,7 +120,7 @@ def relocate_each_programmed_page(ftl, kind, *, invariants_hold=True):
                     ftl.check_invariants()
                 ftl._relocate(ppn, now, timed)
                 moved.append(ppn)
-        finish = maybe_collect(plane, now, timed=timed)
+        finish = maybe_collect(owner, plane, now, timed=timed)
         seen[:] = arr.page_state == PAGE_VALID
         return finish
 
@@ -132,8 +132,9 @@ def page_at_a_time_relocation(ftl):
     """The GC callback as it was before the block-level move: one
     ``read_page`` -> check -> allocate -> ``program_page`` -> remap ->
     ``invalidate`` chain per valid page, with its own per-kind table
-    updates.  ``ftl.gc.relocate = page_at_a_time_relocation(ftl)`` turns
-    a device into the reference ``BaseFTL._relocate_pages`` is held to
+    updates.  ``ftl._relocate_pages = page_at_a_time_relocation(ftl)``
+    (an instance attribute, which the collector finds first) turns a
+    device into the reference ``BaseFTL._relocate_pages`` is held to
     (tests/test_gc_block_move.py): same device state, same counters."""
     from repro.errors import MappingError
     from repro.ftl.allocator import STREAM_GC

@@ -205,7 +205,7 @@ class TestRetirementDrain:
             assert guard < 10_000
         # mark it failing, as crossing the program-fail threshold would
         svc.retire_pending.add(block)
-        ftl.gc.maybe_collect(plane, 1.0)
+        ftl.gc.maybe_collect(ftl, plane, 1.0)
         assert svc.array.is_bad[block]
         assert svc.counters.bad_blocks == 1
         assert svc.counters.fault_relocations > 0
@@ -225,7 +225,7 @@ class TestRetirementDrain:
         assert svc.array.write_ptr[block] < micro_cfg.pages_per_block
         svc.retire_pending.add(block)
         plane = svc.geom.plane_of_block(block)
-        ftl.gc.maybe_collect(plane, 0.0)
+        ftl.gc.maybe_collect(ftl, plane, 0.0)
         # unfull frontier block: retirement waits until it seals
         assert not svc.array.is_bad[block]
         assert block in svc.retire_pending

@@ -126,6 +126,6 @@ class TestGCReentrancy:
         svc, ftl = setup
         # _collecting guard: calling maybe_collect inside itself is a no-op
         ftl.gc._collecting = True
-        t = ftl.gc.maybe_collect(0, 5.0)
+        t = ftl.gc.maybe_collect(ftl, 0, 5.0)
         assert t == 5.0
         ftl.gc._collecting = False

@@ -68,7 +68,7 @@ KINDS = {
 def device(scheme, policy="greedy", *, reference=False, cfg=CFG, **ftl_kw):
     ftl = make_ftl(scheme, FlashService(cfg.replace(gc_policy=policy)), **ftl_kw)
     if reference:
-        ftl.gc.relocate = page_at_a_time_relocation(ftl)
+        ftl._relocate_pages = page_at_a_time_relocation(ftl)
     return ftl
 
 
@@ -100,7 +100,7 @@ def watch_moves(ftl):
     """Log, per ``_relocate_pages`` call, the record kinds moved and the
     destination runs ``copy_run`` was handed."""
     calls = []
-    relocate, copy_run = ftl.gc.relocate, ftl.service.copy_run
+    relocate, copy_run = ftl._relocate_pages, ftl.service.copy_run
 
     def relocating(ppns, now, timed):
         calls.append({"kinds": set(ftl.service.array.kind[ppns].tolist()), "runs": []})
@@ -110,7 +110,7 @@ def watch_moves(ftl):
         calls[-1]["runs"].append((dst, len(src)))
         return copy_run(src, dst, now, kind, timed=timed)
 
-    ftl.gc.relocate = relocating
+    ftl._relocate_pages = relocating
     ftl.service.copy_run = copying
     return calls
 
@@ -182,7 +182,7 @@ def test_an_exhausted_plane_spills_page_by_page(scheme):
             arr.invalidate(pad)
         ppns = arr.valid_ppns(victim)
         elsewhere = int(arr.valid_count[CFG.blocks_per_plane :].sum())
-        ftl.gc.relocate(ppns, 50.0, True)
+        ftl._relocate_pages(ppns, 50.0, True)
         assert arr.valid_count[victim] == 0
         assert arr.valid_count[CFG.blocks_per_plane :].sum() == elsewhere + len(ppns)
         devices.append(ftl)
@@ -225,7 +225,7 @@ TRACE = generate_trace(
 def simulate(scheme, sim_cfg, *, reference=False):
     sim = Simulator(make_ftl(scheme, FlashService(CFG)), sim_cfg)
     if reference:
-        sim.ftl.gc.relocate = page_at_a_time_relocation(sim.ftl)
+        sim.ftl._relocate_pages = page_at_a_time_relocation(sim.ftl)
     return sim
 
 

@@ -32,7 +32,7 @@ class TestPolicySelection:
         svc = FlashService(micro_cfg)
         ftl = PageMapFTL(svc)
         with pytest.raises(ValueError):
-            GarbageCollector(svc, ftl.allocator, ftl._relocate_pages, 0.1, 0.12,
+            GarbageCollector(svc, ftl.allocator, 0.1, 0.12,
                              policy="nope")
 
     def test_config_validates_policy(self):
@@ -62,7 +62,7 @@ class TestPolicySelection:
         svc = FlashService(micro_cfg)
         ftl = PageMapFTL(svc)
         gc = GarbageCollector(
-            svc, ftl.allocator, ftl._relocate_pages, 0.1, 0.12,
+            svc, ftl.allocator, 0.1, 0.12,
             policy=make_policy("cost_benefit", micro_cfg),
         )
         assert gc.policy == "cost_benefit"

@@ -41,7 +41,7 @@ class TestFrontierDeferral:
         assert svc.array.write_ptr[block] < micro_cfg.pages_per_block
 
         svc.retire_pending.add(block)
-        ftl.gc._drain_retirements(1.0)
+        ftl.gc._drain_retirements(ftl, 1.0)
         # both deferral conditions hold: nothing happens yet
         assert block in svc.retire_pending
         assert not svc.array.is_bad[block]
@@ -63,7 +63,7 @@ class TestFrontierDeferral:
         assert block in ftl.allocator.active_in_plane(plane)
 
         svc.retire_pending.add(block)
-        ftl.gc._drain_retirements(1.0)
+        ftl.gc._drain_retirements(ftl, 1.0)
         assert block in svc.retire_pending
         assert not svc.array.is_bad[block]
 
@@ -109,7 +109,7 @@ class TestFrontierDeferral:
         plane = svc.geom.plane_of_block(block)
 
         svc.retire_pending.add(block)
-        ftl.gc._drain_retirements(0.5)
+        ftl.gc._drain_retirements(ftl, 0.5)
         assert block in svc.retire_pending  # frontier: deferred
 
         next_lpn = fill_until_sealed(ftl, svc, block, start_lpn=20, ppb=ppb)
@@ -135,5 +135,5 @@ class TestFrontierDeferral:
         block = int(np.nonzero(svc.array.write_ptr == 0)[0][0])
         svc.array.is_bad[block] = True  # retired through another path
         svc.retire_pending.add(block)
-        ftl.gc._drain_retirements(1.0)
+        ftl.gc._drain_retirements(ftl, 1.0)
         assert block not in svc.retire_pending

@@ -188,10 +188,10 @@ class TestStats:
 
     def test_tree_touches_grow(self, ftl_pair):
         svc, ftl = ftl_pair
-        t0 = ftl._tree_touches()
+        t0 = ftl.tree_touches()
         for i in range(64):
             ftl.write(i * 16, 16, 0.0)
-        assert ftl._tree_touches() >= t0
+        assert ftl.tree_touches() >= t0
 
 
 def region_columns(ftl):

@@ -476,6 +476,27 @@ class TestSingleFlight:
             _comparable(out.reports[0])
         ] * 2
 
+    def test_a_key_stored_between_lookup_and_claim_is_not_rerun(
+        self, tiny_setup, tmp_path, monkeypatch
+    ):
+        """Another caller may claim, run, store and release a key
+        between a batch's store lookup and its claim; the batch then
+        reads the stored report instead of simulating it again."""
+        store = ResultStore(tmp_path / "store")
+        spec = _specs(tiny_setup)[0]
+        report = execute_runs([spec]).reports[0]
+        claim = store._claim
+
+        def late_claim(key):
+            store.put(spec, report)  # the other caller finishes first
+            return claim(key)
+
+        monkeypatch.setattr(store, "_claim", late_claim)
+        out = execute_runs([spec], store=store)
+        assert (out.executed, out.cached) == (0, 1)
+        assert _comparable(out.reports[0]) == _comparable(report)
+        assert store.stats()["inflight"] == 0
+
     def test_stats_snapshot_is_consistent(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         stats = store.stats()

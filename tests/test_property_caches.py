@@ -108,13 +108,19 @@ def test_mapping_cache_matches_reference(ops, capacity_pages):
     svc = FlashService(SSDConfig.tiny())
     flash_writes: list[int] = []
     flash_reads: list[int] = []
+
+    class Owner:
+        def program_map_page(self, table_id, tvpn, now, timed):
+            flash_writes.append(tvpn)
+            return now
+
+        def read_map_page(self, table_id, tvpn, now, timed):
+            flash_reads.append(tvpn)
+            return now
+
+    owner = Owner()
     cache = MappingCache(
-        svc,
-        entries_per_page=EPP,
-        capacity_entries=capacity_pages * EPP,
-        program_map_page=lambda tvpn, now, timed: flash_writes.append(tvpn)
-        or now,
-        read_map_page=lambda tvpn, now, timed: flash_reads.append(tvpn) or now,
+        svc, entries_per_page=EPP, capacity_entries=capacity_pages * EPP
     )
     # reference model
     ref: OrderedDict[int, bool] = OrderedDict()
@@ -136,7 +142,7 @@ def test_mapping_cache_matches_reference(ops, capacity_pages):
                 if was_dirty:
                     ref_writes.append(old)
                     on_flash.add(old)
-        cache.access(key, 0.0, dirty=dirty)
+        cache.access(owner, key, 0.0, dirty=dirty)
     assert flash_writes == ref_writes
     assert flash_reads == ref_reads
     assert cache.cached_pages == len(ref)
@@ -162,8 +168,9 @@ RANGE_KEYS = 16 * RANGE_EPP  # 16 translation pages
 
 
 def range_cache(capacity_pages, with_touches):
-    """A table-7 cache on a fresh page-mapped FTL: its I/O callbacks are
-    the FTL's own (invalidate + program + GC check, timed reads)."""
+    """A table-7 cache on a fresh page-mapped FTL: its translation-page
+    I/O is the FTL's own (invalidate + program + GC check, timed reads);
+    with ``with_touches`` it charges ``depth[0]`` touches a lookup."""
     ftl = make_ftl("ftl", FlashService(RANGE_CFG))
     depth = [1]
     cache = ftl._make_cache(
@@ -172,8 +179,9 @@ def range_cache(capacity_pages, with_touches):
         capacity_entries=(
             None if capacity_pages is None else capacity_pages * RANGE_EPP
         ),
-        touches_fn=(lambda: depth[0]) if with_touches else None,
+        tree=with_touches,
     )
+    ftl.tree_touches = lambda: depth[0]
     return ftl, cache, depth
 
 
@@ -189,8 +197,8 @@ def assert_range_touch_is_the_per_key_loop(capacity_pages, with_touches, ops):
         depth_a[0] = depth_b[0] = depth  # a lookup never resizes the table
         finish = now
         for key in range(lo, hi + 1):
-            finish = max(finish, b.access(key, now, dirty=dirty))
-        assert a.access_range(lo, hi, now, dirty=dirty) == finish, (i, lo, hi)
+            finish = max(finish, b.access(ftl_b, key, now, dirty=dirty))
+        assert a.access_range(ftl_a, lo, hi, now, dirty=dirty) == finish, (i, lo, hi)
         assert list(a._cached.items()) == list(b._cached.items())  # LRU + dirty
         assert (a.hits, a.misses, a.evictions) == (b.hits, b.misses, b.evictions)
         assert ftl_a.counters == ftl_b.counters  # dram_accesses included
@@ -255,7 +263,7 @@ def test_range_touch_emits_per_key_under_observability():
             events.append(event)
 
     ftl.service.obs = Bus()
-    cache.access_range(2, 9, 0.0, dirty=True)
+    cache.access_range(ftl, 2, 9, 0.0, dirty=True)
     touched = [
         (e.kind, e.key) for e in events
         if isinstance(e, CMTEvent) and e.kind in ("hit", "miss")

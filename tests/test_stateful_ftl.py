@@ -90,7 +90,7 @@ class FTLMachine(RuleBasedStateMachine):
     @rule()
     def force_gc(self):
         for plane in range(self.service.num_planes):
-            self.ftl.gc.collect_once(plane, 0.0)
+            self.ftl.gc.collect_once(self.ftl, plane, 0.0)
 
     @invariant()
     def structures_consistent(self):
