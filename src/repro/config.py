@@ -534,12 +534,13 @@ class FrontendConfig:
     Off by default: the engine replays the trace through the
     sequential loop (bit-identical to every pinned golden/bench
     digest).  When ``enabled``, :meth:`repro.sim.engine.Simulator.run`
-    instead drives a time-ordered event heap
-    (:mod:`repro.sim.events`): requests *arrive*, wait in a frontend
-    queue until they are free of LBA-overlap RAW/WAW/WAR hazards
-    against every in-flight request, *issue* through per-chip command
-    schedulers (:mod:`repro.sim.nand_sched`) and *complete* when the
-    synchronous timing model says so.  Reads that fully hit the DRAM
+    instead drives a discrete-event loop
+    (:meth:`~repro.sim.engine.Simulator._run_frontend`): requests
+    *arrive*, wait in a frontend queue until they are free of
+    LBA-overlap RAW/WAW/WAR hazards against every in-flight request,
+    *issue* through per-chip command schedulers
+    (:mod:`repro.sim.nand_sched`) and *complete* when the synchronous
+    timing model says so.  Reads that fully hit the DRAM
     data cache are served without occupying a NAND queue slot, and
     TRIMs complete at DRAM speed outside the NAND queue.
     """

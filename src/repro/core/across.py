@@ -176,7 +176,7 @@ class AcrossFTL(BaseFTL):
         self, lpn: int, rel_lo: int, rel_hi: int, now: float, stamps: Optional[dict]
     ) -> float:
         """One per-LPN piece of a non-across write."""
-        t = self._pmt_cache.access(self, lpn, now, dirty=True, timed=self.timed)
+        t = self._pmt_cache.access(self, lpn, now, True, self.timed)
         if t > now:
             now = t
         aidx = self._aidx[lpn]
@@ -206,8 +206,8 @@ class AcrossFTL(BaseFTL):
     ) -> float:
         l0, l_end = lpn_range(offset, size, self.spp)
         l1 = l0 + 1
-        t0 = self._pmt_cache.access(self, l0, now, dirty=True, timed=self.timed)
-        t1 = self._pmt_cache.access(self, l1, now, dirty=True, timed=self.timed)
+        t0 = self._pmt_cache.access(self, l0, now, True, self.timed)
+        t1 = self._pmt_cache.access(self, l1, now, True, self.timed)
         now = max(now, t0, t1)
         a0 = self._aidx[l0]
         a1 = self._aidx[l1]
@@ -259,17 +259,21 @@ class AcrossFTL(BaseFTL):
             self._emit_decision("direct", l0, now)
         # the entry first: the page's record carries its index
         entry = self.amt.create(l0, offset, size, -1)
-        ppn, finish = self._program_page(
-            (KIND_ACROSS, entry.aidx, offset, size), now, OpKind.DATA,
-            payload=payload,
+        timed = self.timed
+        ppn = self.allocator.allocate()
+        finish = self.service.program_page(
+            ppn, (KIND_ACROSS, entry.aidx, offset, size), now,
+            OpKind.DATA if timed else OpKind.AGING, timed, payload,
         )
         entry.appn = ppn
         self._aidx[l0] = self._aidx[l0 + 1] = entry.aidx
         # the AMT names the area before a GC pass can relocate it
-        self._gc_check(ppn, now)
+        self.gc.maybe_collect(
+            self, ppn // self.geom.pages_per_plane, now, timed
+        )
         for lpn in entry.lpns:
             self._shadow_pmt(lpn, self._area_rel_mask(lpn, offset, offset + size))
-        t = self._amt_cache.access(self, entry.aidx, now, dirty=True, timed=self.timed)
+        t = self._amt_cache.access(self, entry.aidx, now, True, self.timed)
         if not self.aging:
             self.across_stats.direct_writes += 1
             self.across_stats.areas_created += 1
@@ -294,7 +298,7 @@ class AcrossFTL(BaseFTL):
         if self.service.obs is not None:
             self._emit_decision("amerge", entry.lpn0, now)
         finish = now
-        t = self._amt_cache.access(self, entry.aidx, now, dirty=True, timed=self.timed)
+        t = self._amt_cache.access(self, entry.aidx, now, True, self.timed)
         finish = max(finish, t)
 
         retained_lo, retained_hi = entry.start, entry.end
@@ -328,13 +332,17 @@ class AcrossFTL(BaseFTL):
                     payload[sec] = stamps[sec]
 
         self.service.invalidate(entry.appn)
-        ppn, t = self._program_page(
-            (KIND_ACROSS, entry.aidx, u_lo, u_hi - u_lo), finish, OpKind.DATA,
-            payload=payload,
+        timed = self.timed
+        ppn = self.allocator.allocate()
+        t = self.service.program_page(
+            ppn, (KIND_ACROSS, entry.aidx, u_lo, u_hi - u_lo), finish,
+            OpKind.DATA if timed else OpKind.AGING, timed, payload,
         )
         entry.start, entry.size, entry.appn = u_lo, u_hi - u_lo, ppn
         # as in _direct_write: the AMT names the page before the check
-        self._gc_check(ppn, finish)
+        self.gc.maybe_collect(
+            self, ppn // self.geom.pages_per_plane, finish, timed
+        )
         finish = max(finish, t)
         for lpn in entry.lpns:
             self._shadow_pmt(lpn, self._area_rel_mask(lpn, u_lo, u_hi))
@@ -359,7 +367,7 @@ class AcrossFTL(BaseFTL):
         new_pieces = new_pieces or {}
         if self.service.obs is not None:
             self._emit_decision("arollback", entry.lpn0, now)
-        t = self._amt_cache.access(self, entry.aidx, now, dirty=True, timed=self.timed)
+        t = self._amt_cache.access(self, entry.aidx, now, True, self.timed)
         finish = max(now, t)
         # the across page's data is needed for every sector the update
         # does not overwrite
@@ -417,15 +425,16 @@ class AcrossFTL(BaseFTL):
         across area, merged read when it spills beyond (paper §3.3.2)."""
         finish = now
         found: Optional[dict] = {} if self.track_payload else None
-        #: ppn -> sectors wanted from it
-        plan: dict[int, list[int]] = {}
+        #: ppn -> sectors wanted from it (None unless payloads are
+        #: tracked: only the stamp lookup reads the sectors)
+        plan: dict[int, Optional[list[int]]] = {}
         touched_area = False
         normal_pages = 0
         seen_aidx: set[int] = set()
         normal_ppns: set[int] = set()
 
         for lpn, rel_lo, count in split_extent(offset, size, self.spp):
-            t = self._pmt_cache.access(self, lpn, now, dirty=False, timed=self.timed)
+            t = self._pmt_cache.access(self, lpn, now, False, self.timed)
             finish = max(finish, t)
             wanted = mask_range(rel_lo, rel_lo + count)
             base = lpn * self.spp
@@ -440,21 +449,27 @@ class AcrossFTL(BaseFTL):
                     if aidx not in seen_aidx:
                         seen_aidx.add(aidx)
                         t = self._amt_cache.access(
-                            self, aidx, now, dirty=False, timed=self.timed
+                            self, aidx, now, False, self.timed
                         )
                         finish = max(finish, t)
-                    plan.setdefault(entry.appn, []).extend(
-                        base + bit for bit in iter_bits(hit)
-                    )
+                    if found is None:
+                        plan[entry.appn] = None
+                    else:
+                        plan.setdefault(entry.appn, []).extend(
+                            base + bit for bit in iter_bits(hit)
+                        )
             rem = wanted & ~amask & self._pmt_mask[lpn]
             if rem:
                 ppn = self._pmt[lpn]
                 if ppn not in plan:
                     normal_pages += 1
                 normal_ppns.add(ppn)
-                plan.setdefault(ppn, []).extend(
-                    base + bit for bit in iter_bits(rem)
-                )
+                if found is None:
+                    plan[ppn] = None
+                else:
+                    plan.setdefault(ppn, []).extend(
+                        base + bit for bit in iter_bits(rem)
+                    )
 
         attr = self.service.attr
         # a merged read's extra normal-page reads are the across-FTL

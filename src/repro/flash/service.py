@@ -139,7 +139,6 @@ class FlashService:
         rec: Optional[tuple[int, int, int, int]],
         now: float,
         kind: OpKind = OpKind.DATA,
-        *,
         timed: bool = True,
         payload: Optional[dict] = None,
     ) -> float:

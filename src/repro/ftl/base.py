@@ -236,48 +236,6 @@ class BaseFTL(ABC):
     # ------------------------------------------------------------------
     # programming & relocation
     # ------------------------------------------------------------------
-    def _program_page(
-        self,
-        rec: tuple[int, int, int, int],
-        now: float,
-        kind: OpKind,
-        *,
-        payload: Optional[dict] = None,
-        timed: bool = True,
-    ) -> tuple[int, float]:
-        """Allocate the next page and program the record ``rec``
-        (:meth:`FlashService.program_page`); returns (ppn, finish).  The
-        caller names the page in its tables, then runs :meth:`_gc_check`.
-
-        ``timed=False`` models background work the controller schedules
-        into idle periods (translation-page write-back): the program is
-        counted but does not occupy a foreground chip timeline.
-        """
-        base_timed = self.timed
-        ppn = self.allocator.allocate()
-        finish = self.service.program_page(
-            ppn,
-            rec,
-            now,
-            kind if base_timed else OpKind.AGING,
-            timed=timed and base_timed,
-            payload=payload,
-        )
-        return ppn, finish
-
-    def _gc_check(self, ppn: int, now: float) -> None:
-        """GC check on the plane ``ppn`` was just programmed in.
-
-        GC runs after the program: its migrations and erases keep the
-        chips busy (delaying *later* requests — the long-tail effect),
-        but do not gate this request's completion.  One pass may take
-        several victims, the block this program filled among them, so
-        the caller's tables must name the new page by now.
-        """
-        self.gc.maybe_collect(
-            self, self.geom.plane_of_ppn(ppn), now, timed=self.timed
-        )
-
     def _relocate(self, old_ppn: int, now: float, timed: bool) -> float:
         """Move one valid page: :meth:`_relocate_pages` of a list of one."""
         return self._relocate_pages([old_ppn], now, timed)
@@ -411,11 +369,16 @@ class BaseFTL(ABC):
         # controller schedules it into chip idle periods, so it is
         # counted (Fig. 10's Map share, GC pressure) but does not
         # occupy the foreground timeline
-        ppn, finish = self._program_page(
-            (KIND_MAP, table_id, tvpn, 0), now, OpKind.MAP, timed=False
+        base_timed = self.timed
+        ppn = self.allocator.allocate()
+        finish = self.service.program_page(
+            ppn, (KIND_MAP, table_id, tvpn, 0), now,
+            OpKind.MAP if base_timed else OpKind.AGING, False,
         )
         table[tvpn] = ppn
-        self._gc_check(ppn, now)
+        self.gc.maybe_collect(
+            self, ppn // self.geom.pages_per_plane, now, base_timed
+        )
         return finish
 
     def read_map_page(
@@ -500,13 +463,16 @@ class BaseFTL(ABC):
 
         if old_ppn >= 0:
             service.invalidate(old_ppn)
-        new_ppn, t = self._program_page(
-            (KIND_DATA, lpn, old_mask | new_mask, 0), finish, OpKind.DATA,
-            payload=payload,
+        new_ppn = self.allocator.allocate()
+        t = service.program_page(
+            new_ppn, (KIND_DATA, lpn, old_mask | new_mask, 0), finish,
+            OpKind.DATA if timed else OpKind.AGING, timed, payload,
         )
         self._pmt[lpn] = new_ppn
         self._pmt_mask[lpn] = old_mask | new_mask
-        self._gc_check(new_ppn, finish)
+        self.gc.maybe_collect(
+            self, new_ppn // self.geom.pages_per_plane, finish, timed
+        )
         return t if t > finish else finish
 
     def _read_stamps_from(self, ppn: int, sectors: list[int], out: dict) -> None:

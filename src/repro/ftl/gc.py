@@ -328,11 +328,17 @@ class GarbageCollector:
         return finish
 
     def maybe_collect(
-        self, ftl, plane: int, now: float, *, timed: bool = True
+        self, ftl, plane: int, now: float, timed: bool = True
     ) -> float:
         """Run GC on ``plane`` of ``ftl``'s device if it is below the
         trigger threshold; returns the time the reclamation finished
         (``now`` when nothing ran).
+
+        Every write path calls this right after a program, once its
+        tables name the new page: one pass may take several victims,
+        the block that program filled among them.  GC work keeps the
+        chips busy (delaying *later* requests — the long-tail effect)
+        but does not gate the triggering request's completion.
 
         Blocks queued for bad-block retirement are drained first (even
         above the GC threshold), so media failures translate into

@@ -66,7 +66,7 @@ class MappingCache:
 
     # ------------------------------------------------------------------
     def access(
-        self, ftl, key: int, now: float, *, dirty: bool, timed: bool = True
+        self, ftl, key: int, now: float, dirty: bool, timed: bool = True
     ) -> float:
         """Touch the entry ``key`` of ``ftl``'s table; returns the time
         the access completed (``now`` unless flash I/O was needed)."""
@@ -93,7 +93,7 @@ class MappingCache:
         return self._fill(ftl, tvpn, now, dirty, timed)
 
     def access_range(
-        self, ftl, lo: int, hi: int, now: float, *, dirty: bool,
+        self, ftl, lo: int, hi: int, now: float, dirty: bool,
         timed: bool = True,
     ) -> float:
         """Touch every entry of ``lo..hi`` (inclusive) in ascending
@@ -111,7 +111,7 @@ class MappingCache:
         if self.service.obs is not None:
             finish = now
             for key in range(lo, hi + 1):
-                t = self.access(ftl, key, now, dirty=dirty, timed=timed)
+                t = self.access(ftl, key, now, dirty, timed)
                 if t > finish:
                     finish = t
             return finish

@@ -226,11 +226,15 @@ class MRSMFTL(BaseFTL):
         in both column sets; returns (ppn, finish).
 
         No GC check runs in here: the caller makes it afterwards
-        (:meth:`~repro.ftl.base.BaseFTL._gc_check`), so a relocation can
-        never meet a valid region page whose slots are unwritten.
+        (:meth:`~repro.ftl.gc.GarbageCollector.maybe_collect`), so a
+        relocation can never meet a valid region page whose slots are
+        unwritten.
         """
-        ppn, finish = self._program_page(
-            (KIND_REGION, 0, 0, 0), now, OpKind.DATA, payload=payload
+        timed = self.timed
+        ppn = self.allocator.allocate()
+        finish = self.service.program_page(
+            ppn, (KIND_REGION, 0, 0, 0), now,
+            OpKind.DATA if timed else OpKind.AGING, timed, payload,
         )
         rloc = self._rloc
         rmask = self._rmask
@@ -280,7 +284,7 @@ class MRSMFTL(BaseFTL):
             self._frag[(offset + size) // spp] = 1
         # phase 1: mapping lookups + region-level read-modify-write
         finish = self._cache.access_range(
-            self, first, last, now, dirty=True, timed=timed
+            self, first, last, now, True, timed
         )
         rmw_ppns = None
         if head != full and rmask[first] & ~head:
@@ -337,7 +341,9 @@ class MRSMFTL(BaseFTL):
             ppn, t = self._program_region_page(keys, masks, payload, start)
             if t > finish:
                 finish = t
-            self._gc_check(ppn, start)
+            self.gc.maybe_collect(
+                self, ppn // self.geom.pages_per_plane, start, self.timed
+            )
         return finish
 
     # ------------------------------------------------------------------
@@ -353,7 +359,7 @@ class MRSMFTL(BaseFTL):
         timed = self.timed
         kind = OpKind.DATA if timed else OpKind.AGING
         finish = self._cache.access_range(
-            self, first, last, now, dirty=False, timed=timed
+            self, first, last, now, False, timed
         )
         pages = self._wanted_pages(first, last, head, tail, found is not None)
         for ppn, sectors in pages.items():

@@ -52,7 +52,7 @@ class PageMapFTL(BaseFTL):
         write_page = self._write_data_page
         rmw = self.rmw_enabled
         for lpn, rel_lo, count in split_extent(offset, size, self.spp):
-            t = access(self, lpn, now, dirty=True, timed=timed)
+            t = access(self, lpn, now, True, timed)
             if not rmw:
                 # ablation: pretend the page held nothing else
                 self._pmt_mask[lpn] = 0
@@ -75,7 +75,7 @@ class PageMapFTL(BaseFTL):
         read_page = self.service.read_page
         found: Optional[dict] = {} if self.track_payload else None
         for lpn, rel_lo, count in split_extent(offset, size, self.spp):
-            t = access(self, lpn, now, dirty=False, timed=timed)
+            t = access(self, lpn, now, False, timed)
             if t > finish:
                 finish = t
             wanted = ((1 << count) - 1) << rel_lo

@@ -263,7 +263,10 @@ class EventBus:
     cheap, or subscribe to few event types.
     """
 
-    __slots__ = ("now", "current_request", "_subs", "_any", "events_emitted")
+    __slots__ = (
+        "now", "current_request", "_subs", "_any", "events_emitted",
+        "__weakref__",
+    )
 
     def __init__(self) -> None:
         #: simulated clock for clock-less publishers (engine-advanced)

@@ -21,6 +21,7 @@ milliseconds, so everything is scaled by 1000.
 from __future__ import annotations
 
 import json
+import weakref
 from typing import Optional
 
 from .attribution import PHASES
@@ -47,7 +48,9 @@ class TraceRecorder:
     """Turns bus events into per-request spans."""
 
     def __init__(self, bus: EventBus):
-        self.bus = bus
+        #: a weak reference: the bus holds this recorder's handlers, so
+        #: a strong one back would make a cycle
+        self._bus = weakref.ref(bus)
         #: rid -> open span dict (arrival seen, completion pending)
         self._open: dict[int, dict] = {}
         #: finished spans in completion order
@@ -119,7 +122,7 @@ class TraceRecorder:
 
     def _on_gc(self, ev: GCEvent) -> None:
         self.gc_events.append(ev)
-        span = self._open.get(self.bus.current_request)
+        span = self._open.get(self._bus().current_request)
         if span is not None:
             span["gc_victims"] += 1
 

@@ -47,7 +47,6 @@ from ..obs.events import (
 from ..traces.columnar import decode_segments
 from ..traces.model import OP_READ, OP_TRIM, OP_WRITE, Trace
 from ..traces.synthetic import SyntheticSpec, generate_trace
-from .events import EV_ARRIVE, EV_COMPLETE, EV_ISSUE, EventHeap
 from .frontend import FrontendScheduler, Request
 from .image import IMAGES, DeviceImage, device_geometry, image_key
 from .nand_sched import NandScheduler
@@ -648,10 +647,21 @@ class Simulator:
     # discrete-event frontend replay loop (SimConfig.frontend)
     # ------------------------------------------------------------------
     def _run_frontend(self, trace: Trace) -> float:
-        """Replay through the event heap: requests arrive, wait out
+        """Replay through the event frontend: requests arrive, wait out
         LBA-overlap hazards in the frontend scheduler, issue through
         per-chip command queues and complete when the timing model
         says so.  Returns the last arrival timestamp.
+
+        Three event sources, merged by time: arrivals stream from the
+        (time-sorted) trace columns, issues are released at the current
+        instant into a FIFO, and completions wait in a heap of
+        ``(finish, seq, req)``.  At equal timestamps completions run
+        before arrivals (a freed NCQ slot is visible to a request
+        arriving at the same instant) and arrivals before issues (an
+        issue decided at time ``t`` happens after every external event
+        at ``t``); issues leave in release order and completions with
+        equal finish times in issue order, so replays are reproducible
+        across runs and worker processes.
 
         Ordering contract: oracle stamps/snapshots are taken at
         *arrival* (trace order) and reads fold into the content digest
@@ -661,11 +671,11 @@ class Simulator:
         """
         fe_cfg = self.sim_cfg.frontend
         bus = self._bus
-        heap = EventHeap()
-        self._fe_heap = heap
+        #: requests released at the current instant, in release order
+        issues: deque = deque()
 
         def push_issue(req, now: float) -> None:
-            heap.push(now, EV_ISSUE, req)
+            issues.append(req)
 
         nand = NandScheduler(
             self.cfg.num_chips,
@@ -683,6 +693,7 @@ class Simulator:
             on_stall=self._fe_stall if bus is not None else None,
             checker=self.checker,
         )
+        waiting = fe.waiting
         self._fe_inflight = fe.inflight
         #: out-of-order completions buffered until every earlier-arrived
         #: read has folded into the digest
@@ -695,31 +706,41 @@ class Simulator:
         offsets = trace.offsets.tolist()
         sizes = trace.sizes.tolist()
         n = len(times)
-        last = 0.0
+        #: completion heap; ``seq`` breaks finish-time ties in issue order
+        done: list = []
+        heappush, heappop = heapq.heappush, heapq.heappop
+        seq = 0
+        i = 0
+        t_next = times[0] if n else float("inf")
+        t = last = 0.0
+        #: the last dispatch pass stopped at its window after releasing
+        #: requests: scan again after the next issue (see dispatch)
+        rescan = False
         completed = 0
         checker = self.checker
+        series = self.series
+        snap_every = self.sim_cfg.snapshot_every
         progress = self.sim_cfg.progress
         loop_t0 = _time.perf_counter()
         next_prog = loop_t0 + _PROGRESS_EVERY_S
         prog_width = 0
-        if n:
-            heap.push(times[0], EV_ARRIVE, 0)
-        while heap:
-            t, kind, payload = heap.pop()
-            self._now = t
-            if bus is not None:
-                bus.now = t
-            if kind == EV_COMPLETE:
-                self._fe_complete(payload, t)
-                fe.on_complete(payload, t)
+        while True:
+            # issues wait at the current instant ``t``: a completion or
+            # an arrival at ``t`` runs before them
+            if done and done[0][0] <= t_next and (
+                not issues or done[0][0] <= t
+            ):
+                t, _, req = heappop(done)
+                self._now = t
+                if bus is not None:
+                    bus.now = t
+                self._fe_complete(req, t)
+                fe.on_complete(req, t)
                 completed += 1
                 if checker is not None:
                     checker.maybe_check(completed)
-                if (
-                    self.series is not None
-                    and completed % self.sim_cfg.snapshot_every == 0
-                ):
-                    self.series.append(
+                if series is not None and completed % snap_every == 0:
+                    series.append(
                         Snapshot.capture(completed, t, self.ftl.counters)
                     )
                 if progress:
@@ -730,22 +751,28 @@ class Simulator:
                             prev_width=prog_width,
                         )
                         next_prog = wall + _PROGRESS_EVERY_S
-            elif kind == EV_ARRIVE:
-                i = payload
-                last = times[i]
-                if i + 1 < n:
-                    # arrivals stream from the (time-sorted) trace one
-                    # at a time, keeping the heap small
-                    heap.push(times[i + 1], EV_ARRIVE, i + 1)
-                fe.add(
-                    self._fe_arrive(ops[i], offsets[i], sizes[i], times[i])
-                )
-            else:  # EV_ISSUE
-                self._fe_issue(payload, t)
-            fe.dispatch(t)
-        if fe.waiting or fe.inflight or self._fe_pending_reads:
+                rescan = fe.dispatch(t) if waiting else False
+            elif i < n and (not issues or t_next <= t):
+                t = last = t_next
+                self._now = t
+                if bus is not None:
+                    bus.now = t
+                fe.add(self._fe_arrive(ops[i], offsets[i], sizes[i], t))
+                i += 1
+                t_next = times[i] if i < n else float("inf")
+                rescan = fe.dispatch(t)
+            elif issues:
+                req = issues.popleft()
+                self._fe_issue(req, t)
+                seq += 1
+                heappush(done, (req.finish, seq, req))
+                if rescan:
+                    rescan = fe.dispatch(t)
+            else:
+                break
+        if waiting or fe.inflight or self._fe_pending_reads:
             raise SimulationError(
-                f"frontend drained with {len(fe.waiting)} waiting / "
+                f"frontend drained with {len(waiting)} waiting / "
                 f"{len(fe.inflight)} in-flight request(s) and "
                 f"{len(self._fe_pending_reads)} unfolded read(s)"
             )
@@ -762,15 +789,10 @@ class Simulator:
         return last
 
     def _fe_arrive(self, op: int, offset: int, size: int, ts: float):
-        """Build the per-request state at its arrival event: validate
-        the extent, assign oracle stamps (writes) or snapshot expected
-        versions (reads) in trace order, and announce it on the bus."""
-        if size <= 0:
-            raise SimulationError(f"request size must be positive, got {size}")
-        if offset < 0 or offset + size > self.ftl.logical_pages * self.spp:
-            raise SimulationError(
-                f"request [{offset}, {offset + size}) outside logical space"
-            )
+        """Build the per-request state at its arrival event: assign
+        oracle stamps (writes) or snapshot expected versions (reads) in
+        trace order, and announce it on the bus.  :meth:`run` checked
+        every extent before the loop started."""
         spp = self.spp
         across = (
             size <= spp and (offset + size - 1) // spp == offset // spp + 1
@@ -840,7 +862,7 @@ class Simulator:
 
     def _fe_issue(self, req, now: float) -> None:
         """Service a released request through the (synchronous) FTL
-        timing model and schedule its completion event.
+        timing model and record its completion time in ``req.finish``.
 
         The attribution ledger opens and closes inside this one event
         — every gating flash operation of the request resolves
@@ -909,7 +931,6 @@ class Simulator:
             req.phases = attr.complete(cls, latency)
             if self.checker is not None:
                 self.checker.check_attribution(req.phases, latency, req.rid)
-        self._fe_heap.push(finish, EV_COMPLETE, req)
 
     def _fe_complete(self, req, now: float) -> None:
         """Account a completed request: latency buckets, flush/TRIM

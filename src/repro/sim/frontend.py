@@ -1,8 +1,8 @@
 """Hazard-aware frontend scheduler for the event-driven replay loop.
 
 The frontend owns every request between its ``arrive`` and ``issue``
-events (:mod:`repro.sim.events`).  It enforces the ordering contract a
-real NCQ device provides to the host:
+events (:meth:`repro.sim.engine.Simulator._run_frontend`).  It enforces
+the ordering contract a real NCQ device provides to the host:
 
 * **RAW** — a read must not issue while an earlier-arrived write (or
   TRIM) to an overlapping sector extent is waiting or in flight: it
@@ -155,16 +155,21 @@ class FrontendScheduler:
         self.nand.on_complete(req, now)
 
     # ------------------------------------------------------------------
-    def dispatch(self, now: float) -> None:
-        """Release every currently eligible waiting request.
+    def dispatch(self, now: float) -> bool:
+        """Release every eligible waiting request within the scan window.
 
         One pass suffices: releasing a request moves it from
         ``waiting`` to ``inflight`` without weakening any hazard it
-        imposes, and slots only free on completion events.
+        imposes, and slots only free on completion events.  Issuing a
+        released request changes nothing a pass reads, so a second
+        pass before the next arrival or completion releases nothing —
+        unless this one stopped at its ``window`` after releasing some
+        requests, which lets unscanned ones move up into the window.
+        Returns whether that happened.
         """
         waiting = self.waiting
         if not waiting:
-            return
+            return False
         qd = self.queue_depth
         inflight = self.inflight
         #: earlier-scanned requests that stayed in the queue; later
@@ -216,6 +221,7 @@ class FrontendScheduler:
                 if req.op == OP_READ:
                     self.cache_bypass += 1
                 self._issue(req, now)
+        return scanned > i and i < len(waiting)
 
     @staticmethod
     def _hazard(

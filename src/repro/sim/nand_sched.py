@@ -30,7 +30,7 @@ class NandScheduler:
     """``num_chips`` command queues with bounded in-service windows.
 
     ``issue(req, now)`` is the engine callback that releases a request
-    to the FTL (by pushing an ``issue`` event at ``now``).
+    to the FTL (the engine queues it to issue at ``now``).
     """
 
     def __init__(

@@ -112,7 +112,7 @@ def relocate_each_programmed_page(ftl, kind, *, invariants_hold=True):
     maybe_collect = ftl.gc.maybe_collect
     moved = []
 
-    def relocating_collect(owner, plane, now, *, timed=True):
+    def relocating_collect(owner, plane, now, timed=True):
         valid = arr.page_state == PAGE_VALID
         for ppn in np.flatnonzero(valid & ~seen).tolist():
             if arr.meta(ppn).kind == kind:

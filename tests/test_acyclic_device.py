@@ -53,16 +53,20 @@ MODES = {
 }
 
 
-def assert_freed_on_drop(scheme, cfg, sim_cfg):
+def assert_freed_on_drop(scheme, cfg, sim_cfg, extra=lambda sim: []):
+    """Replay, then drop the simulator with the cyclic collector off:
+    it, its flash array and every object ``extra(sim)`` names must be
+    freed at ``del``."""
     sim = Simulator(make_ftl(scheme, FlashService(cfg)), sim_cfg)
     sim.run(TRACE)
     assert sim.ftl.gc.collections > 0  # GC, and its relocation, ran
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        refs = [weakref.ref(sim), weakref.ref(sim.ftl.service.array)]
-        del sim
-        assert [ref() for ref in refs] == [None, None]
+        objs = [sim, sim.ftl.service.array, *extra(sim)]
+        refs = [weakref.ref(obj) for obj in objs]
+        del sim, objs
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if was_enabled:
             gc.enable()
@@ -78,3 +82,13 @@ def test_a_dropped_aged_simulator_dies_at_del(scheme, policy):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_dropped_simulator_dies_at_del_in_every_mode(scheme, mode):
     assert_freed_on_drop(scheme, CFG, MODES[mode])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_dropped_observed_simulator_frees_its_bus_and_recorder(scheme):
+    # the recorder's handlers sit on the bus; it reads the bus back
+    # only through a weak reference
+    full = dataclasses.replace(AGED, observability=ObservabilityConfig.full())
+    assert_freed_on_drop(
+        scheme, CFG, full, lambda sim: [sim.obs.bus, sim.obs.recorder]
+    )

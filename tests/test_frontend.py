@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
 from repro.sim.engine import Simulator
-from repro.sim.events import EV_ARRIVE, EV_COMPLETE, EV_ISSUE, EventHeap
 from repro.sim.frontend import FrontendScheduler, Request
 from repro.sim.nand_sched import NandScheduler
 from repro.traces.model import OP_READ, OP_TRIM, OP_WRITE, Trace
@@ -40,31 +39,110 @@ class TestFrontendConfig:
 
 
 # ----------------------------------------------------------------------
-# event heap ordering
+# event ordering of the replay loop, observed on the bus
 # ----------------------------------------------------------------------
-class TestEventHeap:
-    def test_time_ordering(self):
-        h = EventHeap()
-        h.push(2.0, EV_ARRIVE, "b")
-        h.push(1.0, EV_ARRIVE, "a")
-        assert h.peek_time() == 1.0
-        assert h.pop() == (1.0, EV_ARRIVE, "a")
-        assert h.pop() == (2.0, EV_ARRIVE, "b")
-        assert not h
+def ordered_events(trace, **frontend):
+    """Replay ``trace`` through the frontend on the tiny device and
+    return ``(kind, rid, t)`` for every arrival, first flash command
+    (the issue) and completion, in the order the loop handled them."""
+    from repro.config import ObservabilityConfig
+    from repro.obs.events import FlashOp, RequestArrive, RequestComplete
 
-    def test_kind_priority_at_equal_time(self):
-        # completions before arrivals before issues at the same instant
-        h = EventHeap()
-        h.push(5.0, EV_ISSUE, "i")
-        h.push(5.0, EV_ARRIVE, "a")
-        h.push(5.0, EV_COMPLETE, "c")
-        assert [h.pop()[2] for _ in range(3)] == ["c", "a", "i"]
+    sim = Simulator(
+        make_ftl("ftl", FlashService(SSDConfig.tiny())),
+        SimConfig(
+            queue_depth=frontend.pop("queue_depth", None),
+            frontend=FrontendConfig(enabled=True, **frontend),
+            observability=ObservabilityConfig(enabled=True),
+        ),
+    )
+    log, issued = [], set()
 
-    def test_push_order_breaks_remaining_ties(self):
-        h = EventHeap()
-        for name in ("x", "y", "z"):
-            h.push(1.0, EV_ARRIVE, name)
-        assert [h.pop()[2] for _ in range(3)] == ["x", "y", "z"]
+    def on_flash(e):
+        if e.rid >= 0 and e.rid not in issued:
+            issued.add(e.rid)
+            log.append(("issue", e.rid, e.t))
+
+    bus = sim._bus
+    bus.subscribe(RequestArrive, lambda e: log.append(("arrive", e.rid, e.t)))
+    bus.subscribe(FlashOp, on_flash)
+    bus.subscribe(
+        RequestComplete, lambda e: log.append(("complete", e.rid, e.t))
+    )
+    sim.run(trace)
+    return log
+
+
+def writes_at(times, offsets):
+    n = len(times)
+    return Trace(
+        "order",
+        np.asarray(times, dtype=np.float64),
+        np.full(n, OP_WRITE, dtype=np.uint8),
+        np.asarray(offsets, dtype=np.int64),
+        np.full(n, 16, dtype=np.int64),
+    )
+
+
+class TestEventOrder:
+    def test_events_leave_in_time_order(self):
+        log = ordered_events(mixed_trace(), queue_depth=8)
+        times = [t for _kind, _rid, t in log]
+        assert times == sorted(times)
+        assert {kind for kind, _rid, _t in log} == {
+            "arrive", "issue", "complete"
+        }
+
+    def test_complete_then_arrive_then_issue_at_one_instant(self):
+        (_, _, t0), (_, _, t1), (_, _, finish) = ordered_events(
+            writes_at([0.0], [0]), queue_depth=1
+        )
+        assert t0 == t1 == 0.0 and finish > 0.0
+        # a second request arrives exactly when the first completes and
+        # needs the single NCQ slot the completion frees
+        log = ordered_events(writes_at([0.0, finish], [0, 800]), queue_depth=1)
+        assert [(kind, rid) for kind, rid, _t in log] == [
+            ("arrive", 0), ("issue", 0),
+            ("complete", 0), ("arrive", 1), ("issue", 1),
+            ("complete", 1),
+        ]
+        assert [t for _k, _r, t in log[2:5]] == [finish] * 3
+
+    def test_issues_at_one_instant_leave_in_fifo_order(self):
+        log = ordered_events(
+            writes_at([0.0] * 4, [0, 800, 1600, 2400]), per_chip_depth=4
+        )
+        assert [(kind, rid) for kind, rid, _t in log[:8]] == [
+            ("arrive", 0), ("arrive", 1), ("arrive", 2), ("arrive", 3),
+            ("issue", 0), ("issue", 1), ("issue", 2), ("issue", 3),
+        ]
+
+    def test_one_heap_push_and_pop_per_request(self, monkeypatch):
+        import heapq
+
+        import repro.sim.engine as engine
+
+        calls = {"heappush": 0, "heappop": 0}
+
+        class Counting:
+            @staticmethod
+            def heappush(heap, item):
+                calls["heappush"] += 1
+                heapq.heappush(heap, item)
+
+            @staticmethod
+            def heappop(heap):
+                calls["heappop"] += 1
+                return heapq.heappop(heap)
+
+        monkeypatch.setattr(engine, "heapq", Counting)
+        trace = mixed_trace()
+        sim = Simulator(
+            make_ftl("across", FlashService(SSDConfig.tiny())),
+            fe_sim_cfg(queue_depth=8),
+        )
+        sim.run(trace)
+        assert calls == {"heappush": len(trace), "heappop": len(trace)}
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +271,19 @@ class TestHazardOrdering:
         fe.add(req(2, OP_WRITE, 100, 8))  # beyond the window
         fe.dispatch(0.0)
         assert issued == [0]
+
+    def test_dispatch_reports_a_window_cut_short_after_releases(self):
+        issued = []
+        fe = make_scheduler(issued, window=2)
+        fe.add(req(0, OP_WRITE, 0, 8))
+        fe.add(req(1, OP_WRITE, 0, 8))
+        fe.add(req(2, OP_WRITE, 100, 8))
+        # released 0, so 2 moved up into a window the pass had used up
+        assert fe.dispatch(0.0)
+        assert not fe.dispatch(0.0)
+        assert issued == [0, 2]
+        assert not fe.dispatch(0.0)
+        assert issued == [0, 2]
 
 
 class TestNCQSlots:
