@@ -44,7 +44,6 @@ from ..obs.events import (
     RequestComplete,
     RequestPhases,
 )
-from ..traces.columnar import decode_segments
 from ..traces.model import OP_READ, OP_TRIM, OP_WRITE, Trace
 from ..traces.synthetic import SyntheticSpec, generate_trace
 from .frontend import FrontendScheduler, Request
@@ -56,8 +55,8 @@ from .oracle import SectorOracle
 #: progress-line refresh interval in wall-clock seconds
 _PROGRESS_EVERY_S = 0.5
 
-#: largest columnar segment the sequential loop decodes at once (bounds
-#: the ``tolist()`` footprint of the request columns)
+#: most requests the sequential loop converts to python objects at once
+#: (bounds the ``tolist()`` footprint of the request columns)
 _SEGMENT_REQUESTS = 512
 
 
@@ -123,7 +122,7 @@ class Simulator:
         self.sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
         self.sim_cfg.validate()
         self.spp = self.cfg.sectors_per_page
-        # per-request constant, hoisted out of process()
+        # per-request constant, hoisted out of _issue()
         self._cache_ms = self.cfg.timing.cache_access_ms
         cache_pages = self.cfg.write_buffer_bytes // self.cfg.page_size_bytes
         self.cache: Optional[DataCache] = (
@@ -175,6 +174,11 @@ class Simulator:
         #: kept: its hooks are bound to this simulator
         self._fe_inflight: Optional[list] = None
         self._fe_extra: dict[str, int] = {}
+        #: reads numbered at arrival, and the completed ones waiting
+        #: until every earlier-arrived read has folded into the digest
+        self._read_count = 0
+        self._pending_reads: dict[int, tuple] = {}
+        self._next_read = 0
         if self.sim_cfg.observability.enabled:
             self.obs = Observability(self.sim_cfg.observability)
             self._bus = self.obs.bus
@@ -422,7 +426,7 @@ class Simulator:
                 return
 
     # ------------------------------------------------------------------
-    # single request
+    # the request lifecycle: arrive -> probe (reads) -> issue -> complete
     # ------------------------------------------------------------------
     def process(
         self,
@@ -446,353 +450,20 @@ class Simulator:
             )
         if start is None or start < arrival:
             start = arrival
-        # inlined is_across_page (size already validated positive above)
-        spp = self.spp
-        across = size <= spp and (offset + size - 1) // spp == offset // spp + 1
-        counters = self.ftl.counters
-        writes_before = counters._measured_writes
-        bus = self._bus
-        rid = -1
-        if bus is not None:
-            rid = self._next_rid
-            self._next_rid += 1
-            self._now = start
-            bus.now = start
-            bus.current_request = rid
-            bus.emit(RequestArrive(arrival, rid, op, offset, size, across))
-        attr = self._attr
-        if attr is not None:
-            attr.begin(arrival, start)
+        req = self._arrive(op, offset, size, arrival)
+        if op == OP_READ:
+            req.cache_hit = self._probe_cache(req, start)
+        self._issue(req, start)
+        self._complete(req)
+        return req.finish - arrival
 
-        if op == OP_TRIM:
-            if attr is not None:
-                # any flash work a trim triggers (across-area rollback)
-                # is non-gating: the trim completes at DRAM speed
-                attr.suspend()
-                try:
-                    finish = self.ftl.trim(offset, size, start)
-                finally:
-                    attr.resume()
-            else:
-                finish = self.ftl.trim(offset, size, start)
-            if self.cache is not None:
-                self.cache.discard(offset, size)
-            if self.oracle is not None:
-                self.oracle.trim(offset, size)
-            self.trim_count += 1
-            self._completions.append(finish)
-            latency = finish - arrival
-            # TRIMs are metadata-only and excluded from the latency
-            # recorder's four read/write buckets, but the request log
-            # keeps its one-row-per-serviced-request contract (flush=0:
-            # a trim never induces flash programs)
-            if self.request_log is not None:
-                self.request_log.append(arrival, op, across, latency, 0, offset)
-            phases = None
-            if attr is not None:
-                attr.advance("cache", finish)
-                phases = attr.complete("trim", latency)
-                if self.checker is not None:
-                    self.checker.check_attribution(phases, latency, rid)
-            if bus is not None:
-                # advance the clock to the completion/sampling
-                # timestamp: the in-flight gauge compares against
-                # self._now, and sampling at `finish` while the clock
-                # still reads `start` would count every request
-                # completing inside [start, finish] as outstanding
-                self._now = finish
-                bus.now = finish
-                if phases:
-                    bus.emit(RequestPhases(
-                        finish, rid, tuple(sorted(phases.items()))
-                    ))
-                bus.emit(RequestComplete(finish, rid, latency))
-                self.obs.maybe_sample(finish)
-            return latency
-
-        if op == OP_WRITE:
-            stamps = (
-                self.oracle.stamp_write(offset, size) if self.oracle else None
-            )
-            finish = self.ftl.write(offset, size, start, stamps)
-            if self.cache is not None:
-                self.cache.put(offset, size, stamps)
-                t = start + self._cache_ms
-                if t > finish:
-                    finish = t
-                if attr is not None:
-                    attr.advance("cache", t)
-        else:
-            if self.cache is not None and self.cache.full_hit(offset, size):
-                counters.cache_hits += 1
-                if bus is not None:
-                    bus.emit(BufferLookup(start, rid, True))
-                finish = start + self._cache_ms
-                if attr is not None:
-                    attr.advance("cache", finish)
-                found = self.cache.get_stamps(offset, size) if self.oracle else None
-            else:
-                if bus is not None and self.cache is not None:
-                    bus.emit(BufferLookup(start, rid, False))
-                finish, found = self.ftl.read(offset, size, start)
-                if self.cache is not None:
-                    self.cache.put_found(offset, size, found)
-            if self.oracle is not None:
-                self.oracle.verify(offset, size, found)
-                if self._read_digest is not None:
-                    self._update_read_digest(offset, size, found)
-        self._completions.append(finish)
-
-        latency = finish - arrival
-        self.recorder.record(op == OP_WRITE, across, latency, size)
-        induced = counters._measured_writes - writes_before
-        if op == OP_WRITE:
-            cls = "across" if across else "normal"
-            self.flush_writes[cls] += induced
-            self.flush_sectors[cls] += size
-        if self.request_log is not None:
-            self.request_log.append(
-                arrival, op, across, latency, induced, offset
-            )
-        phases = None
-        if attr is not None:
-            cls = ("write_" if op == OP_WRITE else "read_") + (
-                "across" if across else "normal"
-            )
-            phases = attr.complete(cls, latency)
-            if self.checker is not None:
-                self.checker.check_attribution(phases, latency, rid)
-        if bus is not None:
-            # same clock advance as the trim branch: sample at the
-            # completion timestamp, not the stale service-start time
-            self._now = finish
-            bus.now = finish
-            if phases:
-                bus.emit(RequestPhases(
-                    finish, rid, tuple(sorted(phases.items()))
-                ))
-            bus.emit(RequestComplete(finish, rid, latency))
-            self.obs.maybe_sample(finish)
-        return latency
-
-    # ------------------------------------------------------------------
-    # sequential replay loop
-    # ------------------------------------------------------------------
-    def _run_sequential(self, trace: Trace) -> float:
-        """Service the trace one request at a time in trace order (the
-        pinned-digest replay model); returns the last arrival timestamp.
-
-        Every request goes through :meth:`process`; the trace is decoded
-        in columnar segments only to bound the ``tolist()`` footprint.
-        """
-        process = self.process
-        checker = self.checker
-        qd = self.sim_cfg.queue_depth
-        completions = self._completions
-        #: completion times of the at-most-qd outstanding requests; a
-        #: slot frees when the *earliest-finishing* one completes (NCQ
-        #: semantics), not the oldest-submitted (FIFO would mis-time
-        #: every replay where a later short request finishes first).
-        #: Metadata-only TRIMs bypass the queue entirely: they complete
-        #: at DRAM speed without holding a NAND slot, so they neither
-        #: wait for a slot nor gate the admission of later requests.
-        outstanding: list[float] = []
-        progress = self.sim_cfg.progress
-        snap_every = (
-            self.sim_cfg.snapshot_every if self.series is not None else 0
-        )
-        last = 0.0
-        n = len(trace)
-        i = 0
-        loop_t0 = _time.perf_counter()
-        next_prog = loop_t0 + _PROGRESS_EVERY_S
-        prog_width = 0
-        for seg in decode_segments(
-            trace, max_batch=_SEGMENT_REQUESTS, spp=self.spp
-        ):
-            for op, offset, size, ts in seg.request_tuples():
-                start = None
-                takes_slot = qd is not None and op != OP_TRIM
-                if takes_slot and len(outstanding) >= qd:
-                    # the device accepts this request only once the
-                    # earliest-finishing outstanding one has completed
-                    start = max(ts, heapq.heappop(outstanding))
-                process(op, offset, size, ts, start)
-                if takes_slot:
-                    heapq.heappush(outstanding, completions[-1])
-                last = ts
-                i += 1
-                if checker is not None:
-                    checker.maybe_check(i)
-                if snap_every and i % snap_every == 0:
-                    self.series.append(
-                        Snapshot.capture(i, ts, self.ftl.counters)
-                    )
-                if progress:
-                    wall = _time.perf_counter()
-                    if wall >= next_prog:
-                        prog_width = _print_progress(
-                            trace.name, i, n, wall - loop_t0,
-                            prev_width=prog_width,
-                        )
-                        next_prog = wall + _PROGRESS_EVERY_S
-        if progress:
-            _print_progress(
-                trace.name, n, n, _time.perf_counter() - loop_t0,
-                final=True, prev_width=prog_width,
-            )
-        return last
-
-    # ------------------------------------------------------------------
-    # discrete-event frontend replay loop (SimConfig.frontend)
-    # ------------------------------------------------------------------
-    def _run_frontend(self, trace: Trace) -> float:
-        """Replay through the event frontend: requests arrive, wait out
-        LBA-overlap hazards in the frontend scheduler, issue through
-        per-chip command queues and complete when the timing model
-        says so.  Returns the last arrival timestamp.
-
-        Three event sources, merged by time: arrivals stream from the
-        (time-sorted) trace columns, issues are released at the current
-        instant into a FIFO, and completions wait in a heap of
-        ``(finish, seq, req)``.  At equal timestamps completions run
-        before arrivals (a freed NCQ slot is visible to a request
-        arriving at the same instant) and arrivals before issues (an
-        issue decided at time ``t`` happens after every external event
-        at ``t``); issues leave in release order and completions with
-        equal finish times in issue order, so replays are reproducible
-        across runs and worker processes.
-
-        Ordering contract: oracle stamps/snapshots are taken at
-        *arrival* (trace order) and reads fold into the content digest
-        in arrival order, so the digest is invariant across queue
-        depths, chip budgets and schemes — the frontend's hazard rules
-        must reproduce arrival semantics, and the oracle proves it.
-        """
-        fe_cfg = self.sim_cfg.frontend
-        bus = self._bus
-        #: requests released at the current instant, in release order
-        issues: deque = deque()
-
-        def push_issue(req, now: float) -> None:
-            issues.append(req)
-
-        nand = NandScheduler(
-            self.cfg.num_chips,
-            per_chip_depth=fe_cfg.per_chip_depth,
-            read_priority=fe_cfg.read_priority,
-            issue=push_issue,
-        )
-        fe = FrontendScheduler(
-            queue_depth=self.sim_cfg.queue_depth,
-            window=fe_cfg.window,
-            nand=nand,
-            predict_chip=self._fe_predict_chip,
-            probe_cache=self._fe_probe_cache,
-            issue=push_issue,
-            on_stall=self._fe_stall if bus is not None else None,
-            checker=self.checker,
-        )
-        waiting = fe.waiting
-        self._fe_inflight = fe.inflight
-        #: out-of-order completions buffered until every earlier-arrived
-        #: read has folded into the digest
-        self._fe_pending_reads = {}
-        self._fe_next_read = 0
-        self._fe_read_count = 0
-
-        times = trace.times.tolist()
-        ops = trace.ops.tolist()
-        offsets = trace.offsets.tolist()
-        sizes = trace.sizes.tolist()
-        n = len(times)
-        #: completion heap; ``seq`` breaks finish-time ties in issue order
-        done: list = []
-        heappush, heappop = heapq.heappush, heapq.heappop
-        seq = 0
-        i = 0
-        t_next = times[0] if n else float("inf")
-        t = last = 0.0
-        #: the last dispatch pass stopped at its window after releasing
-        #: requests: scan again after the next issue (see dispatch)
-        rescan = False
-        completed = 0
-        checker = self.checker
-        series = self.series
-        snap_every = self.sim_cfg.snapshot_every
-        progress = self.sim_cfg.progress
-        loop_t0 = _time.perf_counter()
-        next_prog = loop_t0 + _PROGRESS_EVERY_S
-        prog_width = 0
-        while True:
-            # issues wait at the current instant ``t``: a completion or
-            # an arrival at ``t`` runs before them
-            if done and done[0][0] <= t_next and (
-                not issues or done[0][0] <= t
-            ):
-                t, _, req = heappop(done)
-                self._now = t
-                if bus is not None:
-                    bus.now = t
-                self._fe_complete(req, t)
-                fe.on_complete(req, t)
-                completed += 1
-                if checker is not None:
-                    checker.maybe_check(completed)
-                if series is not None and completed % snap_every == 0:
-                    series.append(
-                        Snapshot.capture(completed, t, self.ftl.counters)
-                    )
-                if progress:
-                    wall = _time.perf_counter()
-                    if wall >= next_prog:
-                        prog_width = _print_progress(
-                            trace.name, completed, n, wall - loop_t0,
-                            prev_width=prog_width,
-                        )
-                        next_prog = wall + _PROGRESS_EVERY_S
-                rescan = fe.dispatch(t) if waiting else False
-            elif i < n and (not issues or t_next <= t):
-                t = last = t_next
-                self._now = t
-                if bus is not None:
-                    bus.now = t
-                fe.add(self._fe_arrive(ops[i], offsets[i], sizes[i], t))
-                i += 1
-                t_next = times[i] if i < n else float("inf")
-                rescan = fe.dispatch(t)
-            elif issues:
-                req = issues.popleft()
-                self._fe_issue(req, t)
-                seq += 1
-                heappush(done, (req.finish, seq, req))
-                if rescan:
-                    rescan = fe.dispatch(t)
-            else:
-                break
-        if waiting or fe.inflight or self._fe_pending_reads:
-            raise SimulationError(
-                f"frontend drained with {len(waiting)} waiting / "
-                f"{len(fe.inflight)} in-flight request(s) and "
-                f"{len(self._fe_pending_reads)} unfolded read(s)"
-            )
-        if progress:
-            _print_progress(
-                trace.name, n, n, _time.perf_counter() - loop_t0,
-                final=True, prev_width=prog_width,
-            )
-        self._fe_extra = {
-            "frontend_hazard_stalls": fe.hazard_stalls,
-            "frontend_cache_bypass": fe.cache_bypass,
-            "frontend_reordered": fe.nand.reordered,
-        }
-        return last
-
-    def _fe_arrive(self, op: int, offset: int, size: int, ts: float):
-        """Build the per-request state at its arrival event: assign
-        oracle stamps (writes) or snapshot expected versions (reads) in
-        trace order, and announce it on the bus.  :meth:`run` checked
-        every extent before the loop started."""
+    def _arrive(self, op: int, offset: int, size: int, ts: float) -> Request:
+        """Build the per-request state at its arrival: classify it
+        (paper §2.1: at most one page of data spanning a page
+        boundary), assign oracle stamps (writes), forget trimmed
+        stamps (TRIMs) or snapshot expected versions (reads) in
+        arrival order, and announce it on the bus.  Callers checked
+        the extent."""
         spp = self.spp
         across = (
             size <= spp and (offset + size - 1) // spp == offset // spp + 1
@@ -808,29 +479,15 @@ class Simulator:
                 oracle.trim(offset, size)
             else:
                 req.expect = oracle.snapshot(offset, size)
-        if op == OP_READ:
-            req.read_index = self._fe_read_count
-            self._fe_read_count += 1
+                req.read_index = self._read_count
+                self._read_count += 1
         if self._bus is not None:
             self._bus.emit(
                 RequestArrive(ts, rid, op, offset, size, across)
             )
         return req
 
-    def _fe_predict_chip(self, req) -> int:
-        """Predict which chip a NAND-bound request touches first (the
-        chip-queue assignment; a heuristic, see
-        :mod:`repro.sim.nand_sched`): mapped reads go to their first
-        LPN's current chip, everything else hashes the LPN across
-        chips."""
-        lpn = req.offset // self.spp
-        if req.op == OP_READ:
-            ppn = self.ftl._pmt[lpn]
-            if ppn >= 0:
-                return self.ftl.geom.chip_of_ppn(ppn)
-        return lpn % self.cfg.num_chips
-
-    def _fe_probe_cache(self, req, now: float) -> bool:
+    def _probe_cache(self, req: Request, now: float) -> bool:
         """One-time DRAM-cache lookup for a hazard-clear read.
 
         Probe-once is sound for hits (a hit is served immediately) and
@@ -850,28 +507,21 @@ class Simulator:
             self._bus.emit(BufferLookup(now, req.rid, hit))
         return hit
 
-    def _fe_stall(self, req, blocker, now: float) -> None:
-        """Publish the first hazard stall of a request on the bus."""
-        if req.op == OP_READ:
-            kind = "raw"
-        elif blocker.op == OP_READ:
-            kind = "war"
-        else:
-            kind = "waw"
-        self._bus.emit(HazardStall(now, req.rid, blocker.rid, kind))
+    def _issue(self, req: Request, now: float) -> None:
+        """Service a request from ``now`` through the (synchronous) FTL
+        timing model and the data cache; record its completion time in
+        ``req.finish``, with what it read, the flash programs it
+        induced and its latency phases.
 
-    def _fe_issue(self, req, now: float) -> None:
-        """Service a released request through the (synchronous) FTL
-        timing model and record its completion time in ``req.finish``.
-
-        The attribution ledger opens and closes inside this one event
-        — every gating flash operation of the request resolves
+        The attribution ledger opens and closes inside this one call —
+        every gating flash operation of the request resolves
         synchronously here — so the single-request frontier recorder
         keeps working with many requests in flight.
         """
         op = req.op
         bus = self._bus
         if bus is not None:
+            self._now = bus.now = now
             bus.current_request = req.rid
         attr = self._attr
         if attr is not None:
@@ -907,16 +557,12 @@ class Simulator:
             finish = now + self._cache_ms
             if attr is not None:
                 attr.advance("cache", finish)
-            req.found = (
-                cache.get_stamps(req.offset, req.size)
-                if self.oracle is not None
-                else None
-            )
+            if self.oracle is not None:
+                req.found = cache.get_stamps(req.offset, req.size)
         else:
-            finish, found = self.ftl.read(req.offset, req.size, now)
+            finish, req.found = self.ftl.read(req.offset, req.size, now)
             if cache is not None:
-                cache.put_found(req.offset, req.size, found)
-            req.found = found
+                cache.put_found(req.offset, req.size, req.found)
         req.induced = counters._measured_writes - writes_before
         req.issue_t = now
         req.finish = finish
@@ -932,32 +578,28 @@ class Simulator:
             if self.checker is not None:
                 self.checker.check_attribution(req.phases, latency, req.rid)
 
-    def _fe_complete(self, req, now: float) -> None:
-        """Account a completed request: latency buckets, flush/TRIM
-        counters, request log, oracle verification against the
-        arrival snapshot, and arrival-order digest folding."""
+    def _complete(self, req: Request) -> None:
+        """Account a completed request: oracle verification against
+        the arrival snapshot and arrival-order digest folding (reads),
+        latency buckets, flush/TRIM counters, the request log, and the
+        completion on the bus, sampled at the completion time."""
         op = req.op
         finish = req.finish
         latency = finish - req.arrival
         self._completions.append(finish)
         if op == OP_TRIM:
+            # metadata-only: outside the four latency buckets, and a
+            # trim never counts as inducing flash programs
             self.trim_count += 1
-            if self.request_log is not None:
-                self.request_log.append(
-                    req.arrival, op, req.across, latency, 0, req.offset
-                )
+            induced = 0
         else:
+            induced = req.induced
             self.recorder.record(op == OP_WRITE, req.across, latency, req.size)
             if op == OP_WRITE:
                 cls = "across" if req.across else "normal"
-                self.flush_writes[cls] += req.induced
+                self.flush_writes[cls] += induced
                 self.flush_sectors[cls] += req.size
-            if self.request_log is not None:
-                self.request_log.append(
-                    req.arrival, op, req.across, latency, req.induced,
-                    req.offset,
-                )
-            if op == OP_READ and self.oracle is not None:
+            elif self.oracle is not None:
                 self.oracle.verify_expected(
                     req.offset, req.size, req.found, req.expect
                 )
@@ -965,21 +607,252 @@ class Simulator:
                     # completions may run out of arrival order; the
                     # digest must not, or it would differ across queue
                     # depths — buffer and fold in read-arrival order
-                    pend = self._fe_pending_reads
+                    pend = self._pending_reads
                     pend[req.read_index] = (req.offset, req.size, req.found)
-                    nxt = self._fe_next_read
+                    nxt = self._next_read
                     while nxt in pend:
                         self._update_read_digest(*pend.pop(nxt))
                         nxt += 1
-                    self._fe_next_read = nxt
+                    self._next_read = nxt
+        if self.request_log is not None:
+            self.request_log.append(
+                req.arrival, op, req.across, latency, induced, req.offset
+            )
         bus = self._bus
         if bus is not None:
+            self._now = bus.now = finish
             if req.phases:
                 bus.emit(RequestPhases(
                     finish, req.rid, tuple(sorted(req.phases.items()))
                 ))
             bus.emit(RequestComplete(finish, req.rid, latency))
             self.obs.maybe_sample(finish)
+
+    def _cadence(self, trace: Trace):
+        """The per-request bookkeeping both replay loops share: the
+        checker's periodic sweep, a counter snapshot every
+        ``snapshot_every`` requests and the throttled progress line.
+        Returns ``(tick, end)``: a loop calls ``tick(done, t)`` after
+        each request with its own count and timestamp, and ``end()``
+        once it has drained."""
+        checker = self.checker
+        series = self.series
+        snap_every = self.sim_cfg.snapshot_every
+        progress = self.sim_cfg.progress
+        name, n = trace.name, len(trace)
+        t0 = _time.perf_counter()
+        next_prog = t0 + _PROGRESS_EVERY_S
+        width = 0
+
+        def tick(done: int, t: float) -> None:
+            nonlocal next_prog, width
+            if checker is not None:
+                checker.maybe_check(done)
+            if series is not None and done % snap_every == 0:
+                series.append(Snapshot.capture(done, t, self.ftl.counters))
+            if progress:
+                wall = _time.perf_counter()
+                if wall >= next_prog:
+                    width = _print_progress(
+                        name, done, n, wall - t0, prev_width=width
+                    )
+                    next_prog = wall + _PROGRESS_EVERY_S
+
+        def end() -> None:
+            if progress:
+                _print_progress(
+                    name, n, n, _time.perf_counter() - t0,
+                    final=True, prev_width=width,
+                )
+
+        return tick, end
+
+    # ------------------------------------------------------------------
+    # sequential replay loop
+    # ------------------------------------------------------------------
+    def _run_sequential(self, trace: Trace) -> float:
+        """Service the trace one request at a time in trace order (the
+        pinned-digest replay model); returns the last arrival timestamp.
+
+        Each request runs its whole lifecycle — arrive, probe (reads),
+        issue at its start time, complete — before the next one
+        arrives, as in :meth:`process`; :meth:`run` checked every
+        extent.  The trace columns are read in segments only to bound
+        the ``tolist()`` footprint.
+        """
+        arrive, probe = self._arrive, self._probe_cache
+        issue, complete = self._issue, self._complete
+        qd = self.sim_cfg.queue_depth
+        #: completion times of the at-most-qd outstanding requests; a
+        #: slot frees when the *earliest-finishing* one completes (NCQ
+        #: semantics), not the oldest-submitted (FIFO would mis-time
+        #: every replay where a later short request finishes first).
+        #: Metadata-only TRIMs bypass the queue entirely: they complete
+        #: at DRAM speed without holding a NAND slot, so they neither
+        #: wait for a slot nor gate the admission of later requests.
+        outstanding: list[float] = []
+        tick, end = self._cadence(trace)
+        last = 0.0
+        i = 0
+        for lo in range(0, len(trace), _SEGMENT_REQUESTS):
+            hi = lo + _SEGMENT_REQUESTS
+            for op, offset, size, ts in zip(
+                trace.ops[lo:hi].tolist(),
+                trace.offsets[lo:hi].tolist(),
+                trace.sizes[lo:hi].tolist(),
+                trace.times[lo:hi].tolist(),
+            ):
+                start = ts
+                takes_slot = qd is not None and op != OP_TRIM
+                if takes_slot and len(outstanding) >= qd:
+                    # the device accepts this request only once the
+                    # earliest-finishing outstanding one has completed
+                    start = max(ts, heapq.heappop(outstanding))
+                req = arrive(op, offset, size, ts)
+                if op == OP_READ:
+                    req.cache_hit = probe(req, start)
+                issue(req, start)
+                complete(req)
+                if takes_slot:
+                    heapq.heappush(outstanding, req.finish)
+                last = ts
+                i += 1
+                tick(i, ts)
+        end()
+        return last
+
+    # ------------------------------------------------------------------
+    # discrete-event frontend replay loop (SimConfig.frontend)
+    # ------------------------------------------------------------------
+    def _run_frontend(self, trace: Trace) -> float:
+        """Replay through the event frontend: requests arrive, wait out
+        LBA-overlap hazards in the frontend scheduler, issue through
+        per-chip command queues and complete when the timing model
+        says so.  Returns the last arrival timestamp.
+
+        Three event sources, merged by time: arrivals stream from the
+        (time-sorted) trace columns, issues are released at the current
+        instant into a FIFO, and completions wait in a heap of
+        ``(finish, seq, req)``.  At equal timestamps completions run
+        before arrivals (a freed NCQ slot is visible to a request
+        arriving at the same instant) and arrivals before issues (an
+        issue decided at time ``t`` happens after every external event
+        at ``t``); issues leave in release order and completions with
+        equal finish times in issue order, so replays are reproducible
+        across runs and worker processes.
+
+        Ordering contract: oracle stamps/snapshots are taken at
+        *arrival* (trace order) and reads fold into the content digest
+        in arrival order, so the digest is invariant across queue
+        depths, chip budgets and schemes — the frontend's hazard rules
+        must reproduce arrival semantics, and the oracle proves it.
+        """
+        fe_cfg = self.sim_cfg.frontend
+        #: requests released at the current instant, in release order
+        issues: deque = deque()
+
+        def push_issue(req, now: float) -> None:
+            issues.append(req)
+
+        nand = NandScheduler(
+            self.cfg.num_chips,
+            per_chip_depth=fe_cfg.per_chip_depth,
+            read_priority=fe_cfg.read_priority,
+            issue=push_issue,
+        )
+        fe = FrontendScheduler(
+            queue_depth=self.sim_cfg.queue_depth,
+            window=fe_cfg.window,
+            nand=nand,
+            predict_chip=self._fe_predict_chip,
+            probe_cache=self._probe_cache,
+            issue=push_issue,
+            on_stall=self._fe_stall if self._bus is not None else None,
+            checker=self.checker,
+        )
+        waiting = fe.waiting
+        self._fe_inflight = fe.inflight
+
+        times = trace.times.tolist()
+        ops = trace.ops.tolist()
+        offsets = trace.offsets.tolist()
+        sizes = trace.sizes.tolist()
+        n = len(times)
+        #: completion heap; ``seq`` breaks finish-time ties in issue order
+        done: list = []
+        heappush, heappop = heapq.heappush, heapq.heappop
+        seq = 0
+        i = 0
+        t_next = times[0] if n else float("inf")
+        t = last = 0.0
+        #: the last dispatch pass stopped at its window after releasing
+        #: requests: scan again after the next issue (see dispatch)
+        rescan = False
+        completed = 0
+        tick, end = self._cadence(trace)
+        while True:
+            # issues wait at the current instant ``t``: a completion or
+            # an arrival at ``t`` runs before them
+            if done and done[0][0] <= t_next and (
+                not issues or done[0][0] <= t
+            ):
+                t, _, req = heappop(done)
+                self._complete(req)
+                fe.on_complete(req, t)
+                completed += 1
+                tick(completed, t)
+                rescan = fe.dispatch(t) if waiting else False
+            elif i < n and (not issues or t_next <= t):
+                t = last = t_next
+                fe.add(self._arrive(ops[i], offsets[i], sizes[i], t))
+                i += 1
+                t_next = times[i] if i < n else float("inf")
+                rescan = fe.dispatch(t)
+            elif issues:
+                req = issues.popleft()
+                self._issue(req, t)
+                seq += 1
+                heappush(done, (req.finish, seq, req))
+                if rescan:
+                    rescan = fe.dispatch(t)
+            else:
+                break
+        if waiting or fe.inflight or self._pending_reads:
+            raise SimulationError(
+                f"frontend drained with {len(waiting)} waiting / "
+                f"{len(fe.inflight)} in-flight request(s) and "
+                f"{len(self._pending_reads)} unfolded read(s)"
+            )
+        end()
+        self._fe_extra = {
+            "frontend_hazard_stalls": fe.hazard_stalls,
+            "frontend_cache_bypass": fe.cache_bypass,
+            "frontend_reordered": fe.nand.reordered,
+        }
+        return last
+
+    def _fe_predict_chip(self, req) -> int:
+        """Predict which chip a NAND-bound request touches first (the
+        chip-queue assignment; a heuristic, see
+        :mod:`repro.sim.nand_sched`): mapped reads go to their first
+        LPN's current chip, everything else hashes the LPN across
+        chips."""
+        lpn = req.offset // self.spp
+        if req.op == OP_READ:
+            ppn = self.ftl._pmt[lpn]
+            if ppn >= 0:
+                return self.ftl.geom.chip_of_ppn(ppn)
+        return lpn % self.cfg.num_chips
+
+    def _fe_stall(self, req, blocker, now: float) -> None:
+        """Publish the first hazard stall of a request on the bus."""
+        if req.op == OP_READ:
+            kind = "raw"
+        elif blocker.op == OP_READ:
+            kind = "war"
+        else:
+            kind = "waw"
+        self._bus.emit(HazardStall(now, req.rid, blocker.rid, kind))
 
     # ------------------------------------------------------------------
     def _streams_summary(self) -> Optional[dict]:
@@ -1023,7 +896,8 @@ class Simulator:
     def _check_extents(self, trace: Trace) -> None:
         """Raise :class:`SimulationError` naming the first request whose
         extent is empty or leaves ``[0, logical sectors)`` — the check
-        :meth:`process` makes per request, over the whole trace at once."""
+        :meth:`process` makes for one request, over the whole trace at
+        once; neither replay loop checks again."""
         limit = self.ftl.logical_pages * self.spp
         offsets, sizes = trace.offsets, trace.sizes
         bad = (sizes <= 0) | (offsets < 0) | (offsets > limit - sizes)

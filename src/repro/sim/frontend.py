@@ -38,7 +38,8 @@ from .nand_sched import NandScheduler
 
 
 class Request:
-    """Mutable per-request state threaded through the event loop."""
+    """Mutable per-request state threaded through the engine's request
+    lifecycle (arrive, issue, complete) in both replay loops."""
 
     __slots__ = (
         "rid", "op", "offset", "size", "arrival", "across",

@@ -1,10 +1,11 @@
-"""Columnar trace decoding for the sequential replay loop.
+"""Columnar trace decoding in bounded segments.
 
-The engine's sequential loop decodes the trace in bounded segments
-instead of converting every column to python objects at once: a
-:class:`ColumnarSegment` is a slice of the trace carrying the four raw
-request columns plus derived per-request geometry (first/last logical
-page, page-piece count, the across-page classification of paper §2.1).
+A :class:`ColumnarSegment` is a slice of the trace carrying the four
+raw request columns plus derived per-request geometry (first/last
+logical page, page-piece count, the across-page classification of
+paper §2.1).  No replay loop uses it: both slice the raw columns
+themselves.  Its remaining users are the frozen ``benchmarks/e2e``
+decode probe (``traces.decode_s``) and ``tests/test_columnar.py``.
 
 Decoding is *pure*: a segment is views/arithmetic over the trace's own
 arrays, so the request stream it describes is byte-identical to what
@@ -72,7 +73,7 @@ class ColumnarSegment:
     def request_tuples(self):
         """The segment's requests as scalar ``(op, offset, size, time)``
         tuples — the same stream the scalar reader yields for this
-        slice; what the sequential loop iterates."""
+        slice."""
         return list(
             zip(
                 self.ops.tolist(),

@@ -1,12 +1,14 @@
 """The sequential loop: bit-identical to ``process()`` by hand.
 
-Replay has one path — ``Simulator._run_sequential`` is a loop over
-``Simulator.process`` — and no option selects another.  These tests
-hold the full canonical report (``benchgate.report_digest``) of the
-loop equal to ``process()`` driven by hand, on all three schemes; plus
-the contracts around the loop (request-granular progress, segment-size
-independence) and the inert ``BatchConfig`` leftover.  Aging's one
-write path is pinned in ``tests/test_aging_writes.py``.
+``Simulator.process`` and both replay loops drive one request
+lifecycle (arrive, probe, issue, complete), and no option selects
+another.  These tests hold the full canonical report
+(``benchgate.report_digest``) of the loop equal to ``process()``
+driven by hand, on all three schemes; that neither loop goes through
+``process`` (and its per-request extent check); plus the contracts
+around the loop (request-granular progress, segment-size independence)
+and the inert ``BatchConfig`` leftover.  Aging's one write path is
+pinned in ``tests/test_aging_writes.py``.
 """
 
 import dataclasses
@@ -127,6 +129,31 @@ class TestBitIdentical:
         monkeypatch.setattr(engine, "_SEGMENT_REQUESTS", 5)
         _, chopped = run_once("across", trace, SimConfig(), cfg)
         assert report_digest(chopped) == report_digest(whole)
+
+
+class TestLoopsBypassProcess:
+    def test_run_does_not_go_through_process(self, monkeypatch):
+        """``run()`` checked every extent up front, so neither loop
+        calls ``process`` (which checks each one again): with it made
+        to raise, both loops still give an unpatched run's report."""
+        cfg = SSDConfig.tiny().replace(write_buffer_bytes=2 * MIB)
+        trace = mixed_trace(cfg, seed=11)
+        sequential = SimConfig(queue_depth=4)
+        frontend = sequential.replace_frontend(enabled=True)
+        plain = [
+            report_digest(run_once("across", trace, sim_cfg, cfg)[1])
+            for sim_cfg in (sequential, frontend)
+        ]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("run() went through Simulator.process")
+
+        monkeypatch.setattr(Simulator, "process", refuse)
+        patched = [
+            report_digest(run_once("across", trace, sim_cfg, cfg)[1])
+            for sim_cfg in (sequential, frontend)
+        ]
+        assert patched == plain
 
 
 class TestFrontendComposition:
