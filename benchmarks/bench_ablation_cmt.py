@@ -6,6 +6,7 @@ the budget shows MRSM's flash map traffic collapsing once the table
 fits, while Across-FTL barely notices the budget at all.
 """
 
+from repro.experiments.runner import run_trace
 from repro.metrics.report import render_table
 from conftest import publish
 
@@ -17,12 +18,14 @@ def test_ablation_cmt(ctx, results_dir, benchmark):
     name = ctx.lun_names()[0]  # lun1 is enough for a sensitivity sweep
 
     def run():
+        trace = ctx.lun_trace(name)
         base_entries = ctx.cfg.logical_pages
         rows = {}
         for frac in BUDGETS:
             entries = max(1024, int(base_entries * frac))
-            m = ctx.run(name, "mrsm", mapping_cache_entries=entries)
-            a = ctx.run(name, "across", mapping_cache_entries=entries)
+            cfg = ctx.cfg.replace(mapping_cache_entries=entries)
+            m = run_trace("mrsm", trace, cfg, ctx.sim_cfg)
+            a = run_trace("across", trace, cfg, ctx.sim_cfg)
             rows[f"budget {frac:g}x"] = [
                 m.counters.map_write_share(),
                 m.counters.map_read_share(),

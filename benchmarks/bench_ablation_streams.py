@@ -4,7 +4,9 @@ GC-migrated pages are colder than fresh user data; giving them their
 own active blocks avoids mixing lifetimes in one erase block.  This
 sweep quantifies the migration/erase effect for the baseline FTL and
 Across-FTL on lun1, and shows Across-FTL's advantage persists with the
-extension enabled.
+extension enabled.  Separation is the ``hot_cold`` GC policy: greedy
+victim selection, as in the ``greedy`` baseline it is compared with,
+plus separate active blocks for GC traffic.
 """
 
 from repro.experiments.runner import run_trace
@@ -19,7 +21,9 @@ def test_ablation_streams(ctx, results_dir, benchmark):
         trace = ctx.lun_trace(name)
         rows = {}
         for separated in (False, True):
-            cfg = ctx.cfg.replace(hot_cold_separation=separated)
+            cfg = ctx.cfg.replace(
+                gc_policy="hot_cold" if separated else "greedy"
+            )
             f = run_trace("ftl", trace, cfg, ctx.sim_cfg)
             a = run_trace("across", trace, cfg, ctx.sim_cfg)
             rows["separated" if separated else "shared"] = [

@@ -56,7 +56,6 @@ from .errors import (
     GeometryError,
     InvariantViolation,
     MappingError,
-    MediaError,
     OutOfSpaceError,
     ReproError,
     SimulationError,
@@ -232,7 +231,6 @@ __all__ = [
     "ConfigError",
     "GeometryError",
     "FlashProtocolError",
-    "MediaError",
     "OutOfSpaceError",
     "MappingError",
     "InvariantViolation",

@@ -29,18 +29,20 @@ from .units import GIB, KIB, MIB, sectors_per_page
 #:   blocks so hot data has time to invalidate itself;
 #: * ``wear_aware`` — greedy score with a penalty on already-worn
 #:   blocks, trading some write amplification for evener wear;
-#: * ``windowed_greedy`` — greedy restricted to the ``gc_window``
-#:   oldest sealed blocks (cheap cost-benefit approximation);
-#: * ``preemptive`` — partial GC in bounded ``gc_slice_pages`` slices
-#:   between host requests, starting early at ``gc_preempt_threshold``
-#:   and deferring the rest while the plane stays healthy
-#:   (arXiv 1807.09313);
+#: * ``windowed_greedy`` — greedy restricted to the oldest sealed
+#:   blocks (cheap cost-benefit approximation);
+#: * ``preemptive`` — partial GC in bounded slices between host
+#:   requests, starting early at a soft threshold and deferring the
+#:   rest while the plane stays healthy (arXiv 1807.09313);
 #: * ``hot_cold`` — greedy victim selection with hot/cold write-stream
 #:   separation (user and GC traffic fill distinct active blocks);
 #: * ``dual_pool`` — greedy victim selection plus dual-pool wear
-#:   levelling: when the plane's erase-count gap exceeds
-#:   ``gc_wear_gap``, the coldest sealed block's data is migrated out
-#:   so the under-worn block re-enters circulation.
+#:   levelling: when the plane's erase-count gap grows too wide, the
+#:   coldest sealed block's data is migrated out so the under-worn
+#:   block re-enters circulation.
+#:
+#: Each policy's tuning values are class constants in
+#: :mod:`repro.ftl.gc_policy`.
 GC_POLICIES = (
     "greedy",
     "cost_benefit",
@@ -72,9 +74,6 @@ class TimingConfig:
     #: on top of the base read, so deep retries escalate like real
     #: NAND retry tables.
     read_retry_ms: float = 0.05
-    #: Per mapping-table lookup cost (models the ARM A7 measurement of
-    #: §4.2.4; charged once per DRAM mapping access when enabled).
-    map_lookup_ms: float = 0.0
     #: Channel-bus transfer time per page (SSDsim models the data
     #: transfer separately from the cell operation; ~20 us for 8 KiB at
     #: 400 MB/s).  0 disables bus contention — the default, since the
@@ -86,8 +85,6 @@ class TimingConfig:
         for name in ("read_ms", "program_ms", "erase_ms", "cache_access_ms"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"timing.{name} must be positive")
-        if self.map_lookup_ms < 0:
-            raise ConfigError("timing.map_lookup_ms must be non-negative")
         if self.transfer_ms < 0:
             raise ConfigError("timing.transfer_ms must be non-negative")
         if self.read_retry_ms < 0:
@@ -113,23 +110,6 @@ class SSDConfig:
     #: GC policy: victim selection plus trigger/budget scheduling (see
     #: :data:`GC_POLICIES` and :mod:`repro.ftl.gc_policy`)
     gc_policy: str = "greedy"
-    #: free-block fraction below which the ``preemptive`` policy starts
-    #: background collection slices (its soft threshold; the classic
-    #: ``gc_threshold`` stays the urgent fall-back)
-    gc_preempt_threshold: float = 0.20
-    #: valid pages a ``preemptive`` collection slice may relocate per
-    #: GC invocation before deferring back to host traffic
-    gc_slice_pages: int = 8
-    #: candidate window of the ``windowed_greedy`` policy: victims come
-    #: from the N least-recently-modified sealed blocks of the plane
-    gc_window: int = 8
-    #: per-plane erase-count gap that triggers a ``dual_pool``
-    #: cold-block migration
-    gc_wear_gap: int = 16
-    #: when True, GC-migrated (cold) pages fill separate active blocks
-    #: from fresh user writes — classic stream separation that avoids
-    #: mixing lifetimes within a block (bench_ablation_streams)
-    hot_cold_separation: bool = False
     #: Fraction of logical space exported to the host; the rest is
     #: over-provisioning the FTL can burn during GC.
     op_ratio: float = 0.125
@@ -220,14 +200,6 @@ class SSDConfig:
             raise ConfigError("op_ratio must be in (0, 1)")
         if self.gc_policy not in GC_POLICIES:
             raise ConfigError(f"unknown gc_policy {self.gc_policy!r}")
-        if not (self.gc_threshold <= self.gc_preempt_threshold < 1.0):
-            raise ConfigError(
-                "gc_preempt_threshold must be in [gc_threshold, 1)"
-            )
-        for name in ("gc_slice_pages", "gc_window", "gc_wear_gap"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.blocks_per_plane < 4:
             raise ConfigError("need at least 4 blocks per plane for GC headroom")
         if self.write_buffer_bytes < 0:
@@ -422,8 +394,8 @@ class FaultConfig:
     beyond ``ecc_bits`` triggers escalating read-retry steps (each step
     recovers a ``retry_error_factor`` fraction of the errors and costs
     ``timing.read_retry_ms * step``); errors surviving
-    ``max_read_retries`` are *uncorrectable* (counted, and raised as
-    :class:`~repro.errors.MediaError` when ``halt_on_uncorrectable``).
+    ``max_read_retries`` are *uncorrectable* (counted; the read still
+    returns its simulated data).
     Programs and erases fail with wear-scaled probabilities; a block
     accumulating ``retire_after_program_fails`` program failures — or
     failing an erase — is retired: its valid pages (including
@@ -464,9 +436,6 @@ class FaultConfig:
     max_program_retries: int = 3
     #: program failures a block survives before it is retired
     retire_after_program_fails: int = 4
-    #: raise :class:`~repro.errors.MediaError` on an uncorrectable read
-    #: instead of counting it and returning the (simulated) data
-    halt_on_uncorrectable: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on any non-physical setting."""
@@ -550,8 +519,6 @@ class FrontendConfig:
     #: how many waiting requests each dispatch scan may look past the
     #: queue head (out-of-order admission window; 1 = strict FIFO)
     window: int = 64
-    #: outstanding command budget per chip scheduler
-    per_chip_depth: int = 1
     #: reorder queued chip commands read-first (reads are latency-
     #: critical; programs are 26x longer and can wait)
     read_priority: bool = True
@@ -560,8 +527,6 @@ class FrontendConfig:
         """Raise :class:`ConfigError` on inconsistent settings."""
         if self.window <= 0:
             raise ConfigError("frontend.window must be positive")
-        if self.per_chip_depth <= 0:
-            raise ConfigError("frontend.per_chip_depth must be positive")
 
 
 @dataclass(frozen=True)

@@ -29,25 +29,9 @@ class FlashProtocolError(ReproError):
     *media* failures — and are therefore raised eagerly rather than
     recorded as statistics.  Failures of the NAND medium itself
     (injected by :mod:`repro.faults`: read-retry exhaustion,
-    program/erase failure, block wear-out) are a separate
-    :class:`MediaError` branch: they are expected device behaviour,
-    normally absorbed by the controller model and surfaced as counters
-    and events, not exceptions.
-    """
-
-
-class MediaError(ReproError):
-    """The NAND medium itself failed in a way the modelled controller
-    could not hide (:mod:`repro.faults`).
-
-    Distinct from :class:`FlashProtocolError` on purpose: a protocol
-    error is a simulator/FTL *bug*; a media error is injected,
-    *expected* device wear-out.  Only raised when the fault config asks
-    for hard failure semantics (``FaultConfig.halt_on_uncorrectable``);
-    the default is graceful degradation — uncorrectable reads, program
-    and erase failures, and retired bad blocks are counted in
-    :class:`~repro.metrics.counters.FlashOpCounters` and published as
-    :mod:`repro.obs` events while the run continues.
+    program/erase failure, block wear-out) are expected device
+    behaviour: the controller model absorbs them and surfaces them as
+    counters and events, not exceptions.
     """
 
 

@@ -418,51 +418,6 @@ class ResultStore:
         if ev is not None:
             ev.set()
 
-    def get_or_run(
-        self,
-        spec: RunSpec,
-        runner: Callable[["RunSpec"], SimulationReport] | None = None,
-    ) -> tuple[SimulationReport, bool]:
-        """Memoised execution with single-flight dedup.
-
-        Returns ``(report, cached)``.  When several threads ask for the
-        same key concurrently, exactly one simulates (``runner``,
-        default: the in-process worker entry point) while the rest wait
-        on its completion and then read the stored result — two
-        in-flight identical requests never simulate twice.  If the
-        computing thread fails, one waiter takes over (a deterministic
-        failure then propagates to it too).
-        """
-        run = (
-            runner
-            if runner is not None
-            else functools.partial(_execute_spec, image_dir=self.image_dir)
-        )
-        key = spec.key()
-        waited = False
-        while True:
-            report = self.get(spec)
-            if report is not None:
-                if waited:
-                    with self._lock:
-                        self.coalesced += 1
-                return report, True
-            ev = self._claim(key)
-            if ev is not None:
-                ev.wait()
-                waited = True
-                continue
-            try:
-                if self._load(spec) is not None:
-                    # another thread claimed, ran and released between
-                    # the miss above and this claim
-                    continue
-                report = run(spec)
-                self.put(spec, report)
-                return report, False
-            finally:
-                self._release(key)
-
     def stats(self) -> dict[str, int]:
         """Thread-safe snapshot of the access counters and of the memory
         tier: reports held and their summed file bytes."""

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from ..config import SSDConfig
-from ..errors import MediaError
 from ..geometry import FlashGeometry
 from ..metrics.counters import FlashOpCounters, OpKind
 from ..obs.events import BadBlockRetired, FlashOp, MediaFault, ReadRetry
@@ -71,9 +70,7 @@ class FlashService:
         With fault injection on, timed reads draw raw bit errors from
         the page's RBER; errors beyond the ECC budget cost escalating
         read-retry steps on the chip, and errors surviving the whole
-        retry table count as uncorrectable (raising
-        :class:`~repro.errors.MediaError` only when
-        ``FaultConfig.halt_on_uncorrectable`` asks for a hard stop).
+        retry table count as uncorrectable (the read still returns).
         """
         self.array.read(ppn)
         # inlined counters.count_read: one method call per page read is
@@ -106,12 +103,6 @@ class FlashService:
                             now, obs.current_request, ppn, steps,
                             uncorrectable,
                         ))
-                if uncorrectable and faults.cfg.halt_on_uncorrectable:
-                    raise MediaError(
-                        f"uncorrectable read at PPN {ppn}: raw errors "
-                        f"exceeded the ECC budget after "
-                        f"{faults.cfg.max_read_retries} retry steps"
-                    )
             if attr is not None:
                 if kind is OpKind.MAP:
                     label = "map_read"

@@ -8,10 +8,11 @@ request stripes over channels/chips and its sub-requests overlap
 
 GC migrations allocate in the victim's own plane (`allocate_in_plane`)
 so collection never steals bandwidth or free space from other planes.
-With ``hot_cold_separation`` enabled, migrated (cold) pages also fill
-*separate* active blocks from fresh user (hot) data — the classic
-stream separation that keeps blocks from mixing lifetimes and lowers
-write amplification (exercised by ``bench_ablation_streams``).
+When the GC policy asks for it (``separate_streams``, set by the
+``hot_cold`` policy), migrated (cold) pages also fill *separate* active
+blocks from fresh user (hot) data — the classic stream separation that
+keeps blocks from mixing lifetimes and lowers write amplification
+(exercised by ``bench_ablation_streams``).
 """
 
 from __future__ import annotations

@@ -73,7 +73,6 @@ class BaseFTL(ABC):
         service: FlashService,
         *,
         track_payload: bool = False,
-        mapping_cache_entries: int | None = None,
     ):
         self.service = service
         self.cfg: SSDConfig = service.cfg
@@ -85,23 +84,15 @@ class BaseFTL(ABC):
         #: DRAM budget for mapping entries; defaults to "the baseline
         #: page table exactly fits" (paper §4.1 / Fig. 12 discussion).
         self.dram_entries = (
-            mapping_cache_entries
-            if mapping_cache_entries is not None
-            else (
-                self.cfg.mapping_cache_entries
-                if self.cfg.mapping_cache_entries is not None
-                else self.logical_pages
-            )
+            self.cfg.mapping_cache_entries
+            if self.cfg.mapping_cache_entries is not None
+            else self.logical_pages
         )
-        # the policy is built before the allocator so policies that ask
-        # for hot/cold stream separation (``hot_cold``) get it without
-        # the user also flipping ``hot_cold_separation``
-        gc_policy = make_policy(self.cfg.gc_policy, self.cfg)
+        # the policy is built first: it decides whether the allocator
+        # separates hot and cold write streams (``hot_cold``)
+        gc_policy = make_policy(self.cfg.gc_policy)
         self.allocator = WriteAllocator(
-            service,
-            separate_streams=(
-                self.cfg.hot_cold_separation or gc_policy.separate_streams
-            ),
+            service, separate_streams=gc_policy.separate_streams
         )
         self.gc = GarbageCollector(
             service,

@@ -43,7 +43,7 @@ class GarbageCollector:
         policy: str | GcPolicy = "greedy",
     ):
         if isinstance(policy, str):
-            policy = make_policy(policy, service.cfg)
+            policy = make_policy(policy)
         self.service = service
         self.allocator = allocator
         #: the strategy object; ``self.policy`` stays the plain name

@@ -15,7 +15,10 @@ and delegates every *decision* to a :class:`GcPolicy` strategy object:
 * **wear levelling** (:meth:`GcPolicy.wear_victim`) — an optional
   post-collection pick of a cold block for the collector to migrate.
 
-A policy holds only its knobs.  The collector passes itself into the
+A policy holds no state: its tuning values are class constants
+(``WindowedGreedyPolicy.WINDOW``, ``PreemptivePolicy.SOFT_THRESHOLD``
+and ``SLICE_PAGES``, ``DualPoolPolicy.WEAR_GAP``,
+``WearAwarePolicy.WEAR_WEIGHT``).  The collector passes itself into the
 hooks that read device state (its flash service, allocator and
 candidate arrays), so neither object points back at the other.
 
@@ -28,13 +31,13 @@ name                      behaviour
 ``greedy``                fewest valid pages (paper / SSDsim default)
 ``cost_benefit``          (1-u)/(2u) * age score; cold blocks win
 ``wear_aware``            greedy + penalty on already-worn blocks
-``windowed_greedy``       greedy among the ``gc_window`` oldest blocks
-``preemptive``            bounded ``gc_slice_pages``-page slices from
-                          ``gc_preempt_threshold`` down, full GC only
+``windowed_greedy``       greedy among the ``WINDOW`` oldest blocks
+``preemptive``            bounded ``SLICE_PAGES``-page slices from
+                          ``SOFT_THRESHOLD`` down, full GC only
                           when the plane turns urgent (1807.09313)
 ``hot_cold``              greedy + hot/cold write-stream separation
 ``dual_pool``             greedy + dual-pool wear levelling via
-                          ``gc_wear_gap``-triggered cold migration
+                          ``WEAR_GAP``-triggered cold migration
 ========================  ============================================
 
 The ``greedy`` policy reproduces the pre-refactor collector bit for
@@ -48,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..config import GC_POLICIES, SSDConfig
+from ..config import GC_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .gc import GarbageCollector
@@ -70,9 +73,8 @@ __all__ = [
 class GcPolicy:
     """Strategy interface the :class:`GarbageCollector` delegates to.
 
-    A policy is constructed from the device config (its knobs).  Hooks
-    that read device state take the calling collector as ``gc``, which
-    gives access to the flash service, allocator and wear state
+    Hooks that read device state take the calling collector as ``gc``,
+    which gives access to the flash service, allocator and wear state
     without duplicating any of it here.
     """
 
@@ -84,9 +86,6 @@ class GcPolicy:
     #: collect in bounded slices (partial GC) instead of running the
     #: full restore loop on every trigger
     partial: bool = False
-
-    def __init__(self, cfg: SSDConfig):
-        self.cfg = cfg
 
     # -- scheduling ----------------------------------------------------
     def trigger_threshold(self, threshold: float) -> float:
@@ -180,27 +179,26 @@ class WearAwarePolicy(GcPolicy):
 
 
 class WindowedGreedyPolicy(GcPolicy):
-    """Greedy restricted to the ``gc_window`` least-recently-modified
+    """Greedy restricted to the ``WINDOW`` least-recently-modified
     sealed blocks — a cheap cost-benefit approximation: the window
     screens out hot blocks (young ``last_mod``), greedy then minimises
     migration cost within it."""
 
     name = "windowed_greedy"
-
-    def __init__(self, cfg: SSDConfig):
-        super().__init__(cfg)
-        self.window = cfg.gc_window
+    #: candidate window: victims come from this many least-recently-
+    #: modified sealed blocks of the plane
+    WINDOW = 8
 
     def select_victim(self, gc, plane, lo, valid, eligible):
         """Greedy pick restricted to the window's oldest blocks."""
         arr = gc.service.array
         hi = lo + gc.service.geom.blocks_per_plane
         idx = np.nonzero(eligible)[0]
-        if idx.size > self.window:
+        if idx.size > self.WINDOW:
             # stable sort: equal ages resolve to the lower block index,
             # keeping victim choice deterministic across runs
             order = np.argsort(arr.last_mod[lo:hi][idx], kind="stable")
-            idx = idx[order[: self.window]]
+            idx = idx[order[: self.WINDOW]]
         return lo + int(idx[np.argmin(valid[idx])])
 
 
@@ -208,9 +206,9 @@ class PreemptivePolicy(GcPolicy):
     """Preemptive/partial GC with request-aware deferral (1807.09313).
 
     Collection starts early — when the plane's free fraction drops
-    below ``gc_preempt_threshold`` — but each invocation (which runs
+    below ``SOFT_THRESHOLD`` — but each invocation (which runs
     between host requests, right after a page program) relocates at
-    most ``gc_slice_pages`` valid pages of the current victim before
+    most ``SLICE_PAGES`` valid pages of the current victim before
     deferring the remainder.  Pages the host invalidates between slices
     never need migration at all, which is where the WAF saving comes
     from.  Once the plane falls below the classic ``gc_threshold`` the
@@ -220,19 +218,21 @@ class PreemptivePolicy(GcPolicy):
 
     name = "preemptive"
     partial = True
-
-    def __init__(self, cfg: SSDConfig):
-        super().__init__(cfg)
-        self.soft_threshold = cfg.gc_preempt_threshold
-        self.slice_pages = cfg.gc_slice_pages
+    #: free-block fraction below which background collection slices
+    #: start (the configured ``gc_threshold`` stays the urgent
+    #: fall-back, and wins when it is the higher of the two)
+    SOFT_THRESHOLD = 0.20
+    #: valid pages one collection slice may relocate before deferring
+    #: back to host traffic
+    SLICE_PAGES = 8
 
     def trigger_threshold(self, threshold: float) -> float:
         """Engage early, at the preemption (soft) threshold."""
-        return max(threshold, self.soft_threshold)
+        return max(threshold, self.SOFT_THRESHOLD)
 
     def relocation_budget(self) -> int | None:
-        """At most ``gc_slice_pages`` migrations per invocation."""
-        return self.slice_pages
+        """At most ``SLICE_PAGES`` migrations per invocation."""
+        return self.SLICE_PAGES
 
     def select_victim(self, gc, plane, lo, valid, eligible):
         """Greedy pick (slicing, not selection, is what differs)."""
@@ -261,17 +261,15 @@ class DualPoolPolicy(GcPolicy):
     Blocks split implicitly into a hot pool (high erase count) and a
     cold pool (low erase count, pinned by long-lived data).  After each
     collection pass the policy checks the plane's erase-count gap;
-    when ``max - min`` over sealed blocks reaches ``gc_wear_gap`` it
+    when ``max - min`` over sealed blocks reaches ``WEAR_GAP`` it
     migrates the coldest sealed block's valid pages out and erases it,
     returning the under-worn block to circulation (one block per GC
     invocation, so the levelling cost stays bounded).
     """
 
     name = "dual_pool"
-
-    def __init__(self, cfg: SSDConfig):
-        super().__init__(cfg)
-        self.wear_gap = cfg.gc_wear_gap
+    #: per-plane erase-count gap that triggers a cold-block migration
+    WEAR_GAP = 16
 
     def select_victim(self, gc, plane, lo, valid, eligible):
         """Greedy pick (wear levelling is what differs)."""
@@ -280,7 +278,7 @@ class DualPoolPolicy(GcPolicy):
 
     def wear_victim(self, gc, plane):
         """The coldest sealed block, once the plane's erase-count gap
-        reaches ``gc_wear_gap``."""
+        reaches ``WEAR_GAP``."""
         arr = gc.service.array
         lo, valid, eligible = gc._candidates(plane)
         if not eligible.any():
@@ -289,7 +287,7 @@ class DualPoolPolicy(GcPolicy):
         erase = arr.erase_count[lo:hi]
         cold = np.where(eligible, erase, np.iinfo(erase.dtype).max)
         coldest = int(np.argmin(cold))
-        if int(erase.max()) - int(cold[coldest]) < self.wear_gap:
+        if int(erase.max()) - int(cold[coldest]) < self.WEAR_GAP:
             return None
         return lo + coldest
 
@@ -310,14 +308,14 @@ _REGISTRY: dict[str, type[GcPolicy]] = {
 assert tuple(_REGISTRY) == GC_POLICIES, "registry drifted from config"
 
 
-def make_policy(name: str, cfg: SSDConfig) -> GcPolicy:
-    """Instantiate the registered policy ``name`` with knobs from
-    ``cfg``; raises :class:`ValueError` on unknown names (the
-    pre-refactor :class:`GarbageCollector` contract)."""
+def make_policy(name: str) -> GcPolicy:
+    """Instantiate the registered policy ``name``; raises
+    :class:`ValueError` on unknown names (the pre-refactor
+    :class:`GarbageCollector` contract)."""
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown GC policy {name!r}; expected one of {GC_POLICIES}"
         ) from None
-    return cls(cfg)
+    return cls()

@@ -50,8 +50,8 @@ class FlashOpCounters:
     #: read-retry steps walked because raw bit errors exceeded the ECC
     #: budget (each step also cost chip time).
     read_retries: int = 0
-    #: reads whose errors survived the whole retry table (data returned
-    #: anyway unless ``FaultConfig.halt_on_uncorrectable``).
+    #: reads whose errors survived the whole retry table (the read
+    #: still returns its data).
     uncorrectable_reads: int = 0
     #: program-status failures absorbed by in-place reprogram attempts.
     program_fails: int = 0

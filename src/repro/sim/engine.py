@@ -564,7 +564,6 @@ class Simulator:
             if cache is not None:
                 cache.put_found(req.offset, req.size, req.found)
         req.induced = counters._measured_writes - writes_before
-        req.issue_t = now
         req.finish = finish
         if attr is not None:
             latency = finish - req.arrival
@@ -744,8 +743,8 @@ class Simulator:
         Ordering contract: oracle stamps/snapshots are taken at
         *arrival* (trace order) and reads fold into the content digest
         in arrival order, so the digest is invariant across queue
-        depths, chip budgets and schemes — the frontend's hazard rules
-        must reproduce arrival semantics, and the oracle proves it.
+        depths and schemes — the frontend's hazard rules must reproduce
+        arrival semantics, and the oracle proves it.
         """
         fe_cfg = self.sim_cfg.frontend
         #: requests released at the current instant, in release order
@@ -756,7 +755,6 @@ class Simulator:
 
         nand = NandScheduler(
             self.cfg.num_chips,
-            per_chip_depth=fe_cfg.per_chip_depth,
             read_priority=fe_cfg.read_priority,
             issue=push_issue,
         )

@@ -45,7 +45,7 @@ class Request:
         "rid", "op", "offset", "size", "arrival", "across",
         "stamps", "expect", "read_index", "found",
         "cache_probed", "cache_hit", "holds_slot", "chip",
-        "issue_t", "finish", "induced", "phases", "stalled",
+        "finish", "induced", "phases", "stalled",
     )
 
     def __init__(
@@ -72,7 +72,6 @@ class Request:
         self.holds_slot = False
         #: chip scheduler the request was queued on (-1 = none)
         self.chip = -1
-        self.issue_t = -1.0
         self.finish = -1.0
         #: flash programs this request induced (service-time delta)
         self.induced = 0

@@ -46,10 +46,11 @@ class SectorOracle:
 
     def snapshot(self, offset: int, size: int) -> dict[int, int]:
         """Current versions of ``[offset, offset+size)`` — the stamps a
-        read arriving *now* must observe.  The event-driven frontend
-        snapshots every read at arrival and verifies the completion
-        against the snapshot (:meth:`verify_expected`), so hazard-
-        ordered out-of-order execution is held to arrival semantics."""
+        read arriving *now* must observe.  Both replay loops snapshot
+        every read at arrival and verify the completion against the
+        snapshot (:meth:`verify_expected`), so the event frontend's
+        hazard-ordered out-of-order execution is held to the same
+        arrival semantics as the sequential loop."""
         versions = self._versions
         return {
             sec: versions[sec]
@@ -57,16 +58,11 @@ class SectorOracle:
             if sec in versions
         }
 
-    def verify(self, offset: int, size: int, found: dict | None) -> None:
-        """Check a read result against the *current* ground truth (the
-        sequential replay loop verifies at service time)."""
-        self.verify_expected(offset, size, found, self._versions)
-
     def verify_expected(
         self, offset: int, size: int, found: dict | None, expected: dict
     ) -> None:
-        """Check a read result against an explicit version map (a
-        :meth:`snapshot`, or the live table for :meth:`verify`)."""
+        """Check a read result against the version map ``expected``
+        (a :meth:`snapshot` taken when the read arrived)."""
         found = found or {}
         for sec in range(offset, offset + size):
             expected_v = expected.get(sec)

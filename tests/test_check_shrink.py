@@ -120,6 +120,33 @@ class TestConfigRoundTrip:
         back = sim_cfg_from_dict(doc)
         assert back == SimConfig(seed=3).replace_batch(enabled=True)
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [(None, "gc_window"), (None, "hot_cold_separation"),
+         ("timing", "map_lookup_ms")],
+    )
+    def test_ssd_config_with_a_removed_key_names_it(self, block, key):
+        """A dump from before a setting was removed fails to load, and
+        the error names the key (no shim silently drops it)."""
+        import dataclasses
+
+        doc = dataclasses.asdict(SSDConfig.tiny())
+        (doc if block is None else doc[block])[key] = 0
+        with pytest.raises(TypeError, match=key):
+            cfg_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [("frontend", "per_chip_depth"), ("faults", "halt_on_uncorrectable")],
+    )
+    def test_sim_config_with_a_removed_key_names_it(self, block, key):
+        import dataclasses
+
+        doc = dataclasses.asdict(SimConfig())
+        doc[block][key] = 1
+        with pytest.raises(TypeError, match=key):
+            sim_cfg_from_dict(doc)
+
 
 class TestCounterexampleFiles:
     def test_round_trip(self, tmp_path):

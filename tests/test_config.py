@@ -81,10 +81,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TimingConfig(read_ms=0.0).validate()
 
-    def test_negative_map_lookup(self):
-        with pytest.raises(ConfigError):
-            TimingConfig(map_lookup_ms=-1).validate()
-
     def test_replace_validates(self):
         with pytest.raises(ConfigError):
             SSDConfig.tiny().replace(channels=-1)

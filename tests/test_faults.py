@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import FaultConfig, SCHEMES, SimConfig, SSDConfig
 from repro.core.across import AcrossFTL
-from repro.errors import ConfigError, MediaError
+from repro.errors import ConfigError
 from repro.experiments.parallel import ResultStore, RunSpec, execute_runs
 from repro.experiments.runner import run_trace
 from repro.faults import FaultInjector, raw_bit_error_rate, read_retry_steps
@@ -122,16 +122,6 @@ class TestServiceInjection:
         svc.program_page(0, (KIND_DATA, 0, 0, 0), 0.0, timed=False)
         svc.read_page(0, 0.0)
         assert svc.counters.uncorrectable_reads == 1
-
-    def test_halt_on_uncorrectable_raises(self, tiny_cfg):
-        fcfg = FaultConfig(
-            enabled=True, rber_base=0.5, ecc_bits=4, max_read_retries=1,
-            halt_on_uncorrectable=True,
-        )
-        svc = self._service(tiny_cfg, fcfg)
-        svc.program_page(0, (KIND_DATA, 0, 0, 0), 0.0, timed=False)
-        with pytest.raises(MediaError):
-            svc.read_page(0, 0.0)
 
     def test_program_failures_queue_retirement(self, tiny_cfg):
         fcfg = FaultConfig(

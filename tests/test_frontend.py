@@ -29,8 +29,6 @@ class TestFrontendConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             FrontendConfig(window=0).validate()
-        with pytest.raises(ConfigError):
-            FrontendConfig(per_chip_depth=0).validate()
 
     def test_replace_frontend(self):
         cfg = SimConfig().replace_frontend(enabled=True, window=8)
@@ -109,9 +107,8 @@ class TestEventOrder:
         assert [t for _k, _r, t in log[2:5]] == [finish] * 3
 
     def test_issues_at_one_instant_leave_in_fifo_order(self):
-        log = ordered_events(
-            writes_at([0.0] * 4, [0, 800, 1600, 2400]), per_chip_depth=4
-        )
+        # LPNs 0..3 hash to the tiny device's four chips, one each
+        log = ordered_events(writes_at([0.0] * 4, [0, 16, 32, 48]))
         assert [(kind, rid) for kind, rid, _t in log[:8]] == [
             ("arrive", 0), ("arrive", 1), ("arrive", 2), ("arrive", 3),
             ("issue", 0), ("issue", 1), ("issue", 2), ("issue", 3),
@@ -149,17 +146,17 @@ class TestEventOrder:
 # scheduler unit tests
 # ----------------------------------------------------------------------
 def make_scheduler(issued, *, queue_depth=None, window=64, cache_hit=False,
-                   num_chips=4, per_chip_depth=8):
-    """A FrontendScheduler whose issue path just records rids."""
+                   num_chips=8):
+    """A FrontendScheduler whose issue path just records rids.  Each
+    request is queued on its own chip (``rid % num_chips``), so only
+    the frontend's hazard and slot rules hold a request back."""
     sink = lambda req, now: issued.append(req.rid)  # noqa: E731
-    nand = NandScheduler(
-        num_chips, per_chip_depth=per_chip_depth, issue=sink
-    )
+    nand = NandScheduler(num_chips, issue=sink)
     return FrontendScheduler(
         queue_depth=queue_depth,
         window=window,
         nand=nand,
-        predict_chip=lambda req: 0,
+        predict_chip=lambda req: req.rid % num_chips,
         probe_cache=lambda req, now: cache_hit,
         issue=sink,
     )
@@ -334,10 +331,9 @@ class TestNCQSlots:
 
 
 class TestNandScheduler:
-    def test_per_chip_depth_queues_excess(self):
+    def test_busy_chip_queues_excess(self):
         issued = []
-        nand = NandScheduler(2, per_chip_depth=1,
-                             issue=lambda r, t: issued.append(r.rid))
+        nand = NandScheduler(2, issue=lambda r, t: issued.append(r.rid))
         a, b, c = (req(i, OP_WRITE, 0, 8) for i in range(3))
         a.chip = b.chip = 0
         c.chip = 1
@@ -351,7 +347,7 @@ class TestNandScheduler:
 
     def test_read_priority_pulls_read_ahead(self):
         issued = []
-        nand = NandScheduler(1, per_chip_depth=1, read_priority=True,
+        nand = NandScheduler(1, read_priority=True,
                              issue=lambda r, t: issued.append(r.rid))
         w0, w1 = req(0, OP_WRITE, 0, 8), req(1, OP_WRITE, 16, 8)
         r2 = req(2, OP_READ, 32, 8)
@@ -366,7 +362,7 @@ class TestNandScheduler:
 
     def test_fifo_without_read_priority(self):
         issued = []
-        nand = NandScheduler(1, per_chip_depth=1, read_priority=False,
+        nand = NandScheduler(1, read_priority=False,
                              issue=lambda r, t: issued.append(r.rid))
         w0, w1 = req(0, OP_WRITE, 0, 8), req(1, OP_WRITE, 16, 8)
         r2 = req(2, OP_READ, 32, 8)

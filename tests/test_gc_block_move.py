@@ -31,6 +31,7 @@ from repro.errors import FlashProtocolError, MappingError
 from repro.experiments.benchgate import report_digest
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
+from repro.ftl.gc_policy import DualPoolPolicy, PreemptivePolicy
 from repro.ftl.meta import KIND_ACROSS, KIND_DATA, KIND_MAP, KIND_REGION
 from repro.obs.events import FlashOp
 from repro.sim.engine import Simulator
@@ -39,10 +40,9 @@ from repro.traces.synthetic import SyntheticSpec, generate_trace
 
 SCHEMES = ("ftl", "mrsm", "across")
 
-#: 4 planes x 48 blocks x 8 pages of 4 KiB, a mapping cache of one
+#: 4 planes x 48 blocks x 8 pages of 4 KiB, and a mapping cache of one
 #: translation page under tables of several (translation pages share
-#: victims with data), short preemptive slices and a wear gap
-#: ``dual_pool`` reaches
+#: victims with data)
 CFG = SSDConfig(
     channels=2,
     chips_per_channel=1,
@@ -53,9 +53,15 @@ CFG = SSDConfig(
     page_size_bytes=4 * 1024,
     write_buffer_bytes=0,
     mapping_cache_entries=64,
-    gc_slice_pages=3,
-    gc_wear_gap=2,
 )
+
+
+@pytest.fixture(autouse=True)
+def short_slices_and_reachable_wear_gap(monkeypatch):
+    """Short preemptive slices and a wear gap ``dual_pool`` reaches on
+    ``CFG``."""
+    monkeypatch.setattr(PreemptivePolicy, "SLICE_PAGES", 3)
+    monkeypatch.setattr(DualPoolPolicy, "WEAR_GAP", 2)
 
 #: the record kinds each scheme's victims hold
 KINDS = {
@@ -139,7 +145,7 @@ def test_block_move_leaves_the_device_of_the_page_at_a_time_chain(scheme, policy
     if policy == "preemptive":
         # a slice budget is a prefix of the victim's valid pages
         assert gc.slices > 0 and gc.deferrals > 0
-        assert sizes.count(CFG.gc_slice_pages) >= gc.deferrals
+        assert sizes.count(PreemptivePolicy.SLICE_PAGES) >= gc.deferrals
     else:
         assert any(len(c["runs"]) > 1 for c in calls)
     if policy == "hot_cold":

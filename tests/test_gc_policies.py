@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.config import SSDConfig
+from repro.config import SimConfig, SSDConfig
 from repro.errors import ConfigError
+from repro.experiments.runner import run_trace
 from repro.flash.service import FlashService
 from repro.flash.wear import projected_lifetime_writes, wear_stats
 from repro.ftl.gc import GC_POLICIES, GarbageCollector
-from repro.ftl.gc_policy import GcPolicy, make_policy
+from repro.ftl.gc_policy import (
+    DualPoolPolicy,
+    GcPolicy,
+    PreemptivePolicy,
+    WindowedGreedyPolicy,
+    make_policy,
+)
 from repro.ftl.meta import KIND_DATA
 from repro.ftl.pagemap import PageMapFTL
 
@@ -50,20 +57,20 @@ class TestPolicySelection:
             "dual_pool",
         )
 
-    def test_make_policy_registry(self, micro_cfg):
+    def test_make_policy_registry(self):
         for name in GC_POLICIES:
-            policy = make_policy(name, micro_cfg)
+            policy = make_policy(name)
             assert isinstance(policy, GcPolicy)
             assert policy.name == name
         with pytest.raises(ValueError):
-            make_policy("nope", micro_cfg)
+            make_policy("nope")
 
     def test_collector_accepts_policy_object(self, micro_cfg):
         svc = FlashService(micro_cfg)
         ftl = PageMapFTL(svc)
         gc = GarbageCollector(
             svc, ftl.allocator, 0.1, 0.12,
-            policy=make_policy("cost_benefit", micro_cfg),
+            policy=make_policy("cost_benefit"),
         )
         assert gc.policy == "cost_benefit"
 
@@ -137,12 +144,32 @@ class TestPolicyCharacter:
         assert svc2.policy == "cost_benefit"
 
 
+class TestHighGcThreshold:
+    """A ``gc_threshold`` above the preemptive soft threshold is a valid
+    device for every policy; ``preemptive`` then engages at the
+    configured threshold, the higher of the two."""
+
+    @pytest.mark.parametrize("policy", ["greedy", "preemptive"])
+    def test_threshold_above_soft_threshold_replays(
+        self, policy, tiny_cfg, small_trace
+    ):
+        assert 0.25 > PreemptivePolicy.SOFT_THRESHOLD
+        # replace() validates
+        cfg = tiny_cfg.replace(
+            gc_policy=policy, gc_threshold=0.25, gc_restore=0.3
+        )
+        assert PageMapFTL(FlashService(cfg)).gc.threshold == 0.25
+        sim_cfg = SimConfig(aged_used=0.9, aged_valid=0.398, check_oracle=True)
+        rep = run_trace("ftl", small_trace, cfg, sim_cfg)
+        assert rep.counters.erases > 0
+
+
 class TestNewPolicyCharacter:
     def test_preemptive_runs_bounded_slices(self, micro_cfg):
         svc, ftl = run_hot_cold("preemptive", micro_cfg)
         gc = ftl.gc
         # the soft threshold starts collection earlier than gc_threshold
-        assert gc.threshold == micro_cfg.gc_preempt_threshold
+        assert gc.threshold == PreemptivePolicy.SOFT_THRESHOLD
         assert gc.hard_threshold == micro_cfg.gc_threshold
         assert gc.slices > 0
         # with an 8-page budget on 8-page blocks some victims still
@@ -150,13 +177,14 @@ class TestNewPolicyCharacter:
         # if every victim fit in one slice, collections must have run
         assert gc.collections > 0
 
-    def test_preemptive_slice_budget_respected(self, micro_cfg):
+    def test_preemptive_slice_budget_respected(self, micro_cfg, monkeypatch):
         # uniform overwrites leave every block partially valid, so a
         # 2-page budget on 8-page blocks cannot finish a victim in one
         # slice: deferrals must appear
         import random
 
-        cfg = micro_cfg.replace(gc_policy="preemptive", gc_slice_pages=2)
+        monkeypatch.setattr(PreemptivePolicy, "SLICE_PAGES", 2)
+        cfg = micro_cfg.replace(gc_policy="preemptive")
         svc = FlashService(cfg)
         ftl = PageMapFTL(svc)
         spp = ftl.spp
@@ -170,9 +198,9 @@ class TestNewPolicyCharacter:
         assert svc.counters.gc_deferrals > 0
         ftl.check_invariants()
 
-    def test_windowed_greedy_restricts_to_window(self, micro_cfg):
-        cfg = micro_cfg.replace(gc_policy="windowed_greedy", gc_window=2)
-        svc, ftl = run_hot_cold("windowed_greedy", cfg)
+    def test_windowed_greedy_restricts_to_window(self, micro_cfg, monkeypatch):
+        monkeypatch.setattr(WindowedGreedyPolicy, "WINDOW", 2)
+        svc, ftl = run_hot_cold("windowed_greedy", micro_cfg)
         assert ftl.gc.policy == "windowed_greedy"
         assert svc.counters.erases > 0
         ftl.check_invariants()
@@ -181,16 +209,16 @@ class TestNewPolicyCharacter:
         cfg = micro_cfg.replace(gc_policy="hot_cold")
         svc = FlashService(cfg)
         ftl = PageMapFTL(svc)
-        # the policy requests stream separation without the user flag
+        # the policy alone turns stream separation on
         assert ftl.allocator.separate_streams
         svc2, ftl2 = run_hot_cold("hot_cold", micro_cfg)
         assert svc2.counters.erases > 0
         ftl2.check_invariants()
 
-    def test_dual_pool_levels_wear(self, micro_cfg):
-        cfg = micro_cfg.replace(gc_wear_gap=2)
-        _, greedy_ftl = run_hot_cold("greedy", cfg)
-        _, dual_ftl = run_hot_cold("dual_pool", cfg)
+    def test_dual_pool_levels_wear(self, micro_cfg, monkeypatch):
+        monkeypatch.setattr(DualPoolPolicy, "WEAR_GAP", 2)
+        _, greedy_ftl = run_hot_cold("greedy", micro_cfg)
+        _, dual_ftl = run_hot_cold("dual_pool", micro_cfg)
         assert dual_ftl.gc.wear_migrations > 0
         assert dual_ftl.gc.service.counters.wear_migrations > 0
         g = wear_stats(greedy_ftl.service.array)
@@ -198,17 +226,17 @@ class TestNewPolicyCharacter:
         # cold-block migration must not worsen the wear spread
         assert d.gini <= g.gini + 0.05
 
-    def test_dual_pool_respects_gap(self, micro_cfg):
+    def test_dual_pool_respects_gap(self, micro_cfg, monkeypatch):
         # a gap larger than any achievable erase spread => no migrations
-        cfg = micro_cfg.replace(gc_wear_gap=10_000)
-        _, ftl = run_hot_cold("dual_pool", cfg)
+        monkeypatch.setattr(DualPoolPolicy, "WEAR_GAP", 10_000)
+        _, ftl = run_hot_cold("dual_pool", micro_cfg)
         assert ftl.gc.wear_migrations == 0
 
-    def test_policy_counters_round_trip(self, micro_cfg):
+    def test_policy_counters_round_trip(self, micro_cfg, monkeypatch):
         from repro.metrics.counters import FlashOpCounters
 
-        cfg = micro_cfg.replace(gc_policy="preemptive", gc_slice_pages=2)
-        svc, _ = run_hot_cold("preemptive", cfg)
+        monkeypatch.setattr(PreemptivePolicy, "SLICE_PAGES", 2)
+        svc, _ = run_hot_cold("preemptive", micro_cfg)
         snap = svc.counters.snapshot()
         assert snap["gc_slices"] == svc.counters.gc_slices
         rebuilt = FlashOpCounters.from_snapshot(snap)

@@ -229,8 +229,8 @@ class TestColumnHazards:
     def test_translation_page_is_recorded_before_the_gc_check(self, tiny_cfg):
         """The same order for the map write-back: the table names the
         translation page an eviction programmed before GC can move it."""
-        svc = FlashService(tiny_cfg)
-        ftl = make_ftl("mrsm", svc, mapping_cache_entries=512)
+        svc = FlashService(tiny_cfg.replace(mapping_cache_entries=512))
+        ftl = make_ftl("mrsm", svc)
         moved = relocate_each_programmed_page(ftl, "map")
         rs = ftl.region_sectors
         epp = ftl._cache.entries_per_page

@@ -26,33 +26,39 @@ class TestStamping:
         assert oracle.written_sectors() == 6
 
 
+def verify(oracle, off, size, found):
+    """Verify ``found`` against a snapshot taken now, as a replay loop
+    does for a read arriving at this point."""
+    oracle.verify_expected(off, size, found, oracle.snapshot(off, size))
+
+
 class TestVerification:
     def test_verify_ok(self, oracle):
         s = oracle.stamp_write(0, 4)
-        oracle.verify(0, 4, dict(s))
+        verify(oracle, 0, 4, dict(s))
         assert oracle.reads_verified == 1
 
     def test_stale_detected(self, oracle):
         s1 = oracle.stamp_write(0, 4)
         oracle.stamp_write(0, 4)
         with pytest.raises(OracleMismatch):
-            oracle.verify(0, 4, dict(s1))
+            verify(oracle, 0, 4, dict(s1))
 
     def test_missing_detected(self, oracle):
         oracle.stamp_write(0, 4)
         with pytest.raises(OracleMismatch):
-            oracle.verify(0, 4, {})
+            verify(oracle, 0, 4, {})
 
     def test_phantom_detected(self, oracle):
         with pytest.raises(OracleMismatch):
-            oracle.verify(0, 4, {0: 99})
+            verify(oracle, 0, 4, {0: 99})
 
     def test_unwritten_ok_when_empty(self, oracle):
-        oracle.verify(100, 8, {})
-        oracle.verify(100, 8, None)
+        verify(oracle, 100, 8, {})
+        verify(oracle, 100, 8, None)
 
     def test_partial_extent_verification(self, oracle):
         s = oracle.stamp_write(0, 8)
         # reading a wider extent: unwritten tail must be absent
         found = dict(s)
-        oracle.verify(0, 16, found)
+        verify(oracle, 0, 16, found)

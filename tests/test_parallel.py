@@ -432,25 +432,25 @@ class TestWorkerFailure:
 class TestSingleFlight:
     """Concurrent identical specs must simulate exactly once."""
 
-    def test_get_or_run_coalesces_threads(self, tiny_setup, tmp_path):
-        import threading
-
+    def test_execute_runs_coalesces_threads(
+        self, tiny_setup, tmp_path, monkeypatch
+    ):
         store = ResultStore(tmp_path / "store")
-        spec = _specs(tiny_setup)[:1][0]
+        spec = _specs(tiny_setup)[0]
         executions = []
-        gate = threading.Barrier(4)
+        execute = parallel_mod._execute_spec
 
-        def runner(s):
+        def counted(s, image_dir=None):
             executions.append(s.key())
-            from repro.experiments.parallel import _execute_spec
+            return execute(s, image_dir)
 
-            return _execute_spec(s)
-
-        results = []
+        monkeypatch.setattr(parallel_mod, "_execute_spec", counted)
+        gate = threading.Barrier(4)
+        outcomes = []
 
         def worker():
             gate.wait()
-            results.append(store.get_or_run(spec, runner=runner))
+            outcomes.append(execute_runs([spec], store=store))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -458,10 +458,10 @@ class TestSingleFlight:
         for t in threads:
             t.join()
         assert len(executions) == 1
-        assert len(results) == 4
-        # exactly one simulated (cached=False), the rest store-served
-        assert sorted(cached for _, cached in results) == [
-            False, True, True, True
+        assert len(outcomes) == 4
+        # exactly one simulated, the rest store-served
+        assert sorted((o.executed, o.cached) for o in outcomes) == [
+            (0, 1), (0, 1), (0, 1), (1, 0)
         ]
         stats = store.stats()
         assert stats["inflight"] == 0
@@ -531,22 +531,25 @@ class TestMemoryTier:
         assert stats["memory_entries"] == 1
         assert stats["memory_bytes"] == store.path_for(spec).stat().st_size
 
-    def test_deleted_file_is_a_miss_and_reruns(self, tiny_setup, tmp_path):
+    def test_deleted_file_is_a_miss_and_reruns(
+        self, tiny_setup, tmp_path, monkeypatch
+    ):
         store, (spec,) = self._filled(tiny_setup, tmp_path)
         assert store.get(spec) is not None
         store.path_for(spec).unlink()
         assert store.get(spec) is None
         assert store.stats()["memory_entries"] == 0
         runs = []
+        execute = parallel_mod._execute_spec
 
-        def runner(s):
+        def counted(s, image_dir=None):
             runs.append(s.key())
-            from repro.experiments.parallel import _execute_spec
+            return execute(s, image_dir)
 
-            return _execute_spec(s)
-
-        report, cached = store.get_or_run(spec, runner=runner)
-        assert not cached and runs == [spec.key()]
+        monkeypatch.setattr(parallel_mod, "_execute_spec", counted)
+        out = execute_runs([spec], store=store)
+        assert (out.executed, out.cached) == (1, 0)
+        assert runs == [spec.key()]
         assert store.path_for(spec).exists()
 
     def test_replaced_file_returns_the_new_report(self, tiny_setup, tmp_path):

@@ -41,7 +41,7 @@ class TestAllocatorStreams:
 
 class TestEndToEnd:
     def test_separation_survives_gc_pressure(self, micro_cfg):
-        cfg = micro_cfg.replace(hot_cold_separation=True)
+        cfg = micro_cfg.replace(gc_policy="hot_cold")
         svc = FlashService(cfg)
         ftl = PageMapFTL(svc, track_payload=True)
         spp = ftl.spp
@@ -64,7 +64,9 @@ class TestEndToEnd:
         separation must not migrate more than the shared allocator."""
 
         def run(separated: bool) -> int:
-            cfg = micro_cfg.replace(hot_cold_separation=separated)
+            cfg = micro_cfg.replace(
+                gc_policy="hot_cold" if separated else "greedy"
+            )
             svc = FlashService(cfg)
             ftl = PageMapFTL(svc)
             spp = ftl.spp
