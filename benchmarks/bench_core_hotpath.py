@@ -4,9 +4,10 @@ Each bench times one inner-loop primitive of the replay pipeline on a
 tiny device — write servicing, read servicing, GC pressure, and the
 Across-FTL AMerge/ARollback paths — so a hot-path regression is
 attributable to a specific layer instead of showing up only as a slower
-end-to-end replay.  The end-to-end contract itself (throughput and
-bit-identical output) is enforced separately by ``scripts/bench_gate.py``
-against ``BENCH_baseline.json``.
+end-to-end replay.  The end-to-end contract itself is enforced
+separately: bit-identical output by ``tests/test_golden_hotpath.py``
+against ``tests/data/golden_hotpath.json``, and speed by
+``benchmarks/e2e``.
 
 Run with:
 

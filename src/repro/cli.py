@@ -19,7 +19,7 @@ Subcommands
     seeded ``--fuzz N`` campaign over random synthetic workloads, or a
     ``--replay`` of a dumped counterexample.
 ``profile``
-    Latency attribution over the pinned bench-gate scenarios: per-phase
+    Latency attribution over the pinned golden-fixture scenarios: per-phase
     breakdown tables, a Fig. 4-style stacked-bar SVG, optional phase
     Chrome traces and an optional cProfile wall-clock harness.
 """
@@ -260,7 +260,7 @@ def cmd_trace(args) -> int:
 def cmd_profile(args) -> int:
     """``repro profile``: where does each request's latency go?
 
-    Replays the pinned bench-gate scenarios (or a ``--scenario``
+    Replays the pinned golden-fixture scenarios (or a ``--scenario``
     subset) with latency attribution on and writes, under ``--out``:
 
     * ``breakdown.txt`` — per-scenario tables of mean ms per request
@@ -730,23 +730,6 @@ def cmd_lint(args) -> int:
     return worst
 
 
-def cmd_bench(args) -> int:
-    """``repro bench``: run the pinned benchmark-gate scenario set.
-
-    Writes ``BENCH_<rev>.json`` and, with ``--check``, compares output
-    digests and normalized throughput against the committed baseline
-    (see :mod:`repro.experiments.benchgate`).
-    """
-    from .experiments import benchgate
-
-    argv: list[str] = ["--baseline", args.baseline]
-    if args.out:
-        argv += ["--out", args.out]
-    if args.check:
-        argv.append("--check")
-    return benchgate.main(argv)
-
-
 def cmd_serve(args) -> int:
     """``repro serve``: the fleet-scale simulation service.
 
@@ -857,10 +840,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="latency attribution over the pinned bench scenarios",
+        help="latency attribution over the pinned golden-fixture scenarios",
     )
     p.add_argument("--scenario", action="append", metavar="NAME",
-                   help="bench-gate scenario to profile (repeatable; "
+                   help="pinned scenario to profile (repeatable; "
                         "default: all five)")
     p.add_argument("--out", default="profile-out",
                    help="artifact output directory")
@@ -926,19 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_sweep(p)
     _add_parallel(p)
     p.set_defaults(func=cmd_endure)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the pinned benchmark scenarios and gate on a baseline",
-    )
-    p.add_argument("--baseline", default="BENCH_baseline.json",
-                   help="committed baseline JSON to compare against")
-    p.add_argument("--out", default=None,
-                   help="output JSON path (default: BENCH_<git rev>.json)")
-    p.add_argument("--check", action="store_true",
-                   help="exit nonzero on output drift or >15%% "
-                        "normalized-throughput regression vs the baseline")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "check",

@@ -1,26 +1,16 @@
-"""Benchmark-regression gate: pinned scenarios, digests and baselines.
+"""Pinned scenarios, report digests and the host calibration loop.
 
-The performance contract of the simulation core is enforced by two
-artifacts built from the *same* pinned scenario set:
-
-* the **golden fixture** (``tests/data/golden_hotpath.json``) pins the
-  full :class:`~repro.metrics.report.SimulationReport` of every
-  scenario, so a performance refactor can prove bit-identical
-  simulation output (``tests/test_golden_hotpath.py``);
-* the **bench baseline** (``BENCH_baseline.json`` at the repo root)
-  pins output digests plus calibrated throughput, and
-  ``scripts/bench_gate.py --check`` (or ``repro bench --check``) fails
-  when output drifts *at all* or throughput regresses beyond
-  ``THROUGHPUT_TOLERANCE``.
-
-Raw requests/second is machine-dependent, so the gate normalises it by
-a small pure-Python calibration loop measured in the same process
-(:func:`calibrate`): the stored ``normalized_throughput`` is
-``requests_per_second / calibration_score``, which is stable enough
-across container generations for a 15% gate.
+The pinned scenario set reproduces the paper's Fig. 9/10/11 pipeline
+at tiny scale.  The **golden fixture**
+(``tests/data/golden_hotpath.json``) pins the full
+:class:`~repro.metrics.report.SimulationReport` of every scenario, so a
+refactor can prove bit-identical simulation output
+(``tests/test_golden_hotpath.py``).  Speed is judged end to end by
+``benchmarks/e2e``, which runs :func:`calibrate` before and after each
+pass to report the host's speed and mark drifting passes noisy.
 
 Scenario set (never reorder or edit in place — add new entries and
-regenerate both artifacts if coverage must grow):
+regenerate the golden fixture if coverage must grow):
 
 * ``fig09-lun1-{ftl,mrsm,across}`` — the Fig. 9/10/11 pipeline at tiny
   scale: VDI-aged bench device, lun1 replay, one run per scheme
@@ -38,14 +28,10 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable
 
 from ..config import FaultConfig, SimConfig, SSDConfig
 from ..metrics.report import SimulationReport
-
-#: allowed relative drop of normalized throughput before --check fails
-THROUGHPUT_TOLERANCE = 0.15
 
 #: report keys that vary run-to-run without any behaviour change
 _VOLATILE_KEYS = ("wall_seconds",)
@@ -103,7 +89,7 @@ def _aged_sim_cfg() -> SimConfig:
 
 
 def scenarios() -> tuple[Scenario, ...]:
-    """The pinned gate scenario set, in stable order."""
+    """The pinned scenario set, in stable order."""
     points = [
         Scenario(
             name=f"fig09-lun1-{scheme}",
@@ -184,185 +170,3 @@ def calibrate(rounds: int = 5) -> float:
         return n / elapsed
 
     return max(one_round() for _ in range(rounds))
-
-
-# ----------------------------------------------------------------------
-# measurement
-# ----------------------------------------------------------------------
-#: full-suite measurement passes; each scenario's best wall is kept
-#: (same best-of-rounds rationale as :func:`calibrate` — a background
-#: blip on a shared host must not read as a throughput regression)
-MEASURE_PASSES = 3
-
-
-def measure(
-    progress: Callable[[str], None] | None = None,
-    *,
-    passes: int = MEASURE_PASSES,
-) -> dict:
-    """Run every pinned scenario; returns the bench document.
-
-    The whole suite runs ``passes`` times — each pass identical to a
-    single-shot run, including a cleared trace memo and aged-device
-    image cache so every pass pays the same generation and aging cost —
-    and each scenario keeps its best wall.
-    Simulation is deterministic, so the repeats double as a free
-    determinism check: a digest that changes between passes is a bug
-    and raises immediately."""
-    from ..sim.image import IMAGES
-    from ..traces.synthetic import _TRACE_MEMO
-
-    calibration = calibrate()
-    best: dict[str, dict] = {}
-    order: list[str] = []
-    for rep in range(max(1, passes)):
-        _TRACE_MEMO.clear()
-        IMAGES.clear()
-        for sc in scenarios():
-            if progress is not None:
-                progress(f"running {sc.name} (pass {rep + 1}) ...")
-            t0 = time.perf_counter()
-            report = sc.run()
-            wall = time.perf_counter() - t0
-            rps = report.requests / wall if wall > 0 else 0.0
-            entry = {
-                "name": sc.name,
-                "scheme": sc.scheme,
-                "requests": report.requests,
-                "wall_seconds": round(wall, 4),
-                "requests_per_second": round(rps, 2),
-                "normalized_throughput": rps / calibration,
-                "digest": report_digest(report),
-                "total_flash_reads": report.counters.total_reads,
-                "total_flash_writes": report.counters.total_writes,
-                "erases": report.counters.erases,
-            }
-            prev = best.get(sc.name)
-            if prev is None:
-                best[sc.name] = entry
-                order.append(sc.name)
-                continue
-            if prev["digest"] != entry["digest"]:
-                raise RuntimeError(
-                    f"{sc.name}: non-deterministic report digest across "
-                    f"measurement passes — {prev['digest'][:12]} vs "
-                    f"{entry['digest'][:12]}"
-                )
-            if entry["wall_seconds"] < prev["wall_seconds"]:
-                best[sc.name] = entry
-    return {
-        "format": 1,
-        "calibration_score": round(calibration, 2),
-        "tolerance": THROUGHPUT_TOLERANCE,
-        "scenarios": [best[name] for name in order],
-    }
-
-
-# ----------------------------------------------------------------------
-# comparison
-# ----------------------------------------------------------------------
-def compare(baseline: dict, current: dict) -> list[str]:
-    """Problems in ``current`` vs ``baseline`` (empty = gate passes).
-
-    Simulation-output drift (digest or flash-op-count mismatch) always
-    fails; normalized throughput may drop by at most
-    ``THROUGHPUT_TOLERANCE`` relative to the baseline.
-    """
-    problems: list[str] = []
-    base_by_name = {e["name"]: e for e in baseline.get("scenarios", [])}
-    tolerance = float(baseline.get("tolerance", THROUGHPUT_TOLERANCE))
-    for entry in current.get("scenarios", []):
-        name = entry["name"]
-        base = base_by_name.pop(name, None)
-        if base is None:
-            problems.append(f"{name}: not present in baseline")
-            continue
-        for key in (
-            "digest", "requests", "total_flash_reads",
-            "total_flash_writes", "erases",
-        ):
-            if entry[key] != base[key]:
-                problems.append(
-                    f"{name}: simulation output drift — {key} "
-                    f"{base[key]!r} -> {entry[key]!r}"
-                )
-        b = float(base["normalized_throughput"])
-        c = float(entry["normalized_throughput"])
-        if b > 0 and c < b * (1.0 - tolerance):
-            problems.append(
-                f"{name}: throughput regression — normalized "
-                f"{c:.4f} vs baseline {b:.4f} "
-                f"({100 * (1 - c / b):.1f}% drop > {100 * tolerance:.0f}%)"
-            )
-    for name in base_by_name:
-        problems.append(f"{name}: scenario missing from current run")
-    return problems
-
-
-# ----------------------------------------------------------------------
-# CLI entry point (shared by scripts/bench_gate.py and `repro bench`)
-# ----------------------------------------------------------------------
-def default_output_name() -> str:
-    """``BENCH_<rev>.json`` from the git revision, or a fixed fallback."""
-    import subprocess
-
-    try:
-        rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except Exception:
-        rev = "worktree"
-    return f"BENCH_{rev or 'worktree'}.json"
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the gate; returns a process exit code."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="bench_gate",
-        description="Run the pinned bench scenarios and optionally "
-        "compare against a committed baseline.",
-    )
-    parser.add_argument(
-        "--baseline", default="BENCH_baseline.json",
-        help="baseline JSON to compare against (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help="output JSON path (default: BENCH_<git rev>.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) on output drift or throughput regression "
-        "against the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    doc = measure(progress=lambda msg: print(f"[bench] {msg}", flush=True))
-    out_path = Path(args.out or default_output_name())
-    out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"[bench] wrote {out_path}")
-    for entry in doc["scenarios"]:
-        print(
-            f"[bench] {entry['name']}: "
-            f"{entry['requests_per_second']:.0f} req/s "
-            f"(normalized {entry['normalized_throughput']:.4f}), "
-            f"digest {entry['digest'][:12]}"
-        )
-
-    if not args.check:
-        return 0
-    baseline_path = Path(args.baseline)
-    if not baseline_path.exists():
-        print(f"[bench] FAIL: baseline {baseline_path} not found")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    problems = compare(baseline, doc)
-    if problems:
-        for p in problems:
-            print(f"[bench] FAIL: {p}")
-        return 1
-    print(f"[bench] OK: all scenarios within gate vs {baseline_path}")
-    return 0

@@ -311,14 +311,18 @@ class ResultStore:
     def _load(self, spec: RunSpec) -> Optional[tuple[dict, os.stat_result]]:
         """The one shared disk lookup: the parsed document for ``spec``
         and the stat of the very file it was read from, or None on
-        anything wrong (missing, corrupt, key mismatch)."""
+        anything wrong (missing, corrupt, key or store-version
+        mismatch)."""
         try:
             with open(self.path_for(spec), "rb") as fh:
                 st = os.fstat(fh.fileno())
                 doc = json.loads(fh.read())
         except (OSError, ValueError):
             return None
-        if doc.get("key") != spec.key():
+        if (
+            doc.get("key") != spec.key()
+            or doc.get("store_version") != self.STORE_VERSION
+        ):
             return None
         return doc, st
 

@@ -121,7 +121,7 @@ class SimulationReport:
             "wall_seconds": self.wall_seconds,
         }
         # emitted only when attribution ran: runs with observability
-        # off must keep byte-identical dumps (bench-gate digests)
+        # off must keep byte-identical dumps (golden-fixture digests)
         if self.attribution is not None:
             d["attribution"] = self.attribution
         if self.streams is not None:

@@ -668,7 +668,7 @@ def generate_trace(spec: SyntheticSpec, *, memo: bool = True) -> Trace:
     """Convenience wrapper: one-shot generation from a spec, memoised.
 
     Repeated calls with an equal spec return the same (read-only)
-    :class:`Trace` instead of regenerating it — the bench-gate
+    :class:`Trace` instead of regenerating it — the pinned
     scenarios share their warm-up and lun specs across schemes, and
     regeneration was a third of their wall time.  Pass ``memo=False``
     to force a fresh, writable generation.

@@ -1,12 +1,13 @@
-"""Golden-report equivalence for the bench-gate scenario set.
+"""Golden-report equivalence for the pinned scenario set.
 
 ``tests/data/golden_hotpath.json`` pins the *entire* canonical
 :class:`~repro.metrics.report.SimulationReport` of every pinned
 benchmark scenario (fig09 replays per scheme, the faults-stress preset
 and the scale-0.02 hotpath replay).  Any hot-path optimisation must
 keep these reports bit-identical — this is the proof behind the
-"≥2x faster, same output" contract of the performance overhaul, and
-the same fixture backs the digests in ``BENCH_baseline.json``.
+"≥2x faster, same output" contract of the performance overhaul.  The
+fixture is the one pin of scenario output; speed is judged by
+``benchmarks/e2e``.
 
 Regenerate (only after an *intentional* behaviour change):
 
@@ -20,8 +21,6 @@ Regenerate (only after an *intentional* behaviour change):
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     EOF
-
-...then regenerate ``BENCH_baseline.json`` with ``repro bench`` too.
 """
 
 import hashlib
@@ -66,6 +65,6 @@ def test_report_matches_golden(sc, golden):
             f"{sc.name}: simulation output drifted from the golden "
             f"fixture in {len(diff)} key(s):\n  " + "\n  ".join(diff[:20])
         )
-    # the digest is what BENCH_baseline.json pins; tie the two together
+    # the digest is taken over exactly the pinned canonical report
     blob = json.dumps(want, sort_keys=True).encode()
     assert report_digest(report) == hashlib.sha256(blob).hexdigest()

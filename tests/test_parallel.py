@@ -46,6 +46,21 @@ def _comparable(report: SimulationReport) -> dict:
     return d
 
 
+@pytest.fixture
+def executed_keys(monkeypatch) -> list:
+    """The run key of every simulation ``execute_runs`` starts from now
+    on, in call order (``_execute_spec`` wrapped, not replaced)."""
+    keys = []
+    execute = parallel_mod._execute_spec
+
+    def counted(s, image_dir=None):
+        keys.append(s.key())
+        return execute(s, image_dir)
+
+    monkeypatch.setattr(parallel_mod, "_execute_spec", counted)
+    return keys
+
+
 class TestNaming:
     def test_sanitize_passthrough(self):
         assert sanitize_fragment("lun1") == "lun1"
@@ -203,6 +218,34 @@ class TestResultStore:
         doc["key"] = "0" * 64
         store.path_for(spec).write_text(json.dumps(doc))
         assert store.get(spec) is None
+
+    @pytest.mark.parametrize("version", [99, None], ids=["skewed", "missing"])
+    def test_another_store_version_is_a_miss(
+        self, tiny_setup, tmp_path, executed_keys, version
+    ):
+        """A file of another (or no) ``store_version`` is a miss like a
+        key mismatch: it runs again and is overwritten, then hits."""
+        store = ResultStore(tmp_path / "store")
+        (spec,) = _specs(tiny_setup, ["ftl"])
+        execute_runs([spec], store=store)
+        executed_keys.clear()
+        path = store.path_for(spec)
+        doc = json.loads(path.read_text())
+        if version is None:
+            del doc["store_version"]
+        else:
+            doc["store_version"] = version
+        path.write_text(json.dumps(doc))
+        assert store.get(spec) is None
+        assert spec not in store
+        out = execute_runs([spec], store=store)
+        assert (out.executed, out.cached) == (1, 0)
+        assert executed_keys == [spec.key()]
+        rewritten = json.loads(path.read_text())
+        assert rewritten["store_version"] == ResultStore.STORE_VERSION
+        again = execute_runs([spec], store=store)
+        assert (again.executed, again.cached) == (0, 1)
+        assert executed_keys == [spec.key()]
 
     def test_compact_file_is_plain_json(self, tiny_setup, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -433,18 +476,10 @@ class TestSingleFlight:
     """Concurrent identical specs must simulate exactly once."""
 
     def test_execute_runs_coalesces_threads(
-        self, tiny_setup, tmp_path, monkeypatch
+        self, tiny_setup, tmp_path, executed_keys
     ):
         store = ResultStore(tmp_path / "store")
         spec = _specs(tiny_setup)[0]
-        executions = []
-        execute = parallel_mod._execute_spec
-
-        def counted(s, image_dir=None):
-            executions.append(s.key())
-            return execute(s, image_dir)
-
-        monkeypatch.setattr(parallel_mod, "_execute_spec", counted)
         gate = threading.Barrier(4)
         outcomes = []
 
@@ -457,7 +492,7 @@ class TestSingleFlight:
             t.start()
         for t in threads:
             t.join()
-        assert len(executions) == 1
+        assert len(executed_keys) == 1
         assert len(outcomes) == 4
         # exactly one simulated, the rest store-served
         assert sorted((o.executed, o.cached) for o in outcomes) == [
@@ -532,24 +567,17 @@ class TestMemoryTier:
         assert stats["memory_bytes"] == store.path_for(spec).stat().st_size
 
     def test_deleted_file_is_a_miss_and_reruns(
-        self, tiny_setup, tmp_path, monkeypatch
+        self, tiny_setup, tmp_path, executed_keys
     ):
         store, (spec,) = self._filled(tiny_setup, tmp_path)
         assert store.get(spec) is not None
         store.path_for(spec).unlink()
         assert store.get(spec) is None
         assert store.stats()["memory_entries"] == 0
-        runs = []
-        execute = parallel_mod._execute_spec
-
-        def counted(s, image_dir=None):
-            runs.append(s.key())
-            return execute(s, image_dir)
-
-        monkeypatch.setattr(parallel_mod, "_execute_spec", counted)
+        executed_keys.clear()
         out = execute_runs([spec], store=store)
         assert (out.executed, out.cached) == (1, 0)
-        assert runs == [spec.key()]
+        assert executed_keys == [spec.key()]
         assert store.path_for(spec).exists()
 
     def test_replaced_file_returns_the_new_report(self, tiny_setup, tmp_path):

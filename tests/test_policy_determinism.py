@@ -1,18 +1,13 @@
-"""Policy determinism: pooled == in-process per policy, and the greedy
-default is digest-identical to the pre-refactor engine (the committed
-bench baseline)."""
-
-import json
-from pathlib import Path
+"""Policy determinism: pooled == in-process per policy, and the policies
+are really plugged in.  That the greedy default reproduces the pinned
+scenario reports bit for bit is ``tests/test_golden_hotpath.py``'s job."""
 
 import pytest
 
 from repro.config import GC_POLICIES, FaultConfig, SimConfig
-from repro.experiments.benchgate import report_digest, scenarios
+from repro.experiments.benchgate import report_digest
 from repro.experiments.parallel import RunSpec, execute_runs
 from repro.experiments.runner import run_trace
-
-BASELINE = Path(__file__).resolve().parents[1] / "BENCH_baseline.json"
 
 
 @pytest.fixture
@@ -52,24 +47,3 @@ class TestJobsDeterminism:
         )
         assert report_digest(greedy) != report_digest(preempt)
         assert preempt.counters.gc_slices > 0
-
-
-class TestGreedyBaselineIdentity:
-    """The refactored collector must reproduce the pre-refactor engine
-    bit for bit under the default greedy policy: every bench-gate
-    scenario digest must equal the committed baseline's."""
-
-    @pytest.mark.parametrize(
-        "scenario", scenarios(), ids=lambda s: s.name
-    )
-    def test_scenario_digest_matches_committed_baseline(self, scenario):
-        baseline = {
-            s["name"]: s["digest"]
-            for s in json.loads(BASELINE.read_text())["scenarios"]
-        }
-        assert scenario.name in baseline
-        got = report_digest(scenario.run())
-        assert got == baseline[scenario.name], (
-            f"{scenario.name}: digest drifted from the pre-refactor "
-            f"baseline under the default greedy policy"
-        )
