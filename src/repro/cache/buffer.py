@@ -8,7 +8,9 @@ covered by cached sectors complete at DRAM speed without any flash
 read.  Reads allocate into the cache as well.
 
 Granularity is the logical page: the cache tracks, per LPN, a bitmask
-of cached sectors plus their oracle stamps when data tracking is on.
+of cached sectors plus their per-sector oracle stamps when data
+tracking is on (a write caches its one version for every sector it
+wrote; a read-allocation caches the stamps the flash read found).
 Eviction is LRU over LPNs and free (write-through means nothing is
 dirty).
 """
@@ -41,8 +43,9 @@ class DataCache:
         self.obs = None
 
     # ------------------------------------------------------------------
-    def put(self, offset: int, size: int, stamps: Optional[dict]) -> None:
-        """Cache the sectors of a write (or of a completed read)."""
+    def put(self, offset: int, size: int, version: Optional[int] = None) -> None:
+        """Cache the sectors of a write; ``version`` is its oracle
+        version (None when the oracle is off)."""
         spp = self.spp
         entries = self._entries
         # single-page extents dominate replays: build the piece tuple
@@ -57,19 +60,17 @@ class DataCache:
             mask = ((1 << count) - 1) << rel_lo
             entry = entries.get(lpn)
             if entry is None:
-                entries[lpn] = entry = [mask, {} if stamps is not None else None]
+                entries[lpn] = entry = [mask, {} if version is not None else None]
                 self.insertions += 1
             else:
                 entries.move_to_end(lpn)
                 entry[0] |= mask
-            if stamps is not None:
+            if version is not None:
                 if entry[1] is None:
                     entry[1] = {}
-                base = lpn * spp
-                for i in range(count):
-                    sec = base + rel_lo + i
-                    if sec in stamps:
-                        entry[1][sec] = stamps[sec]
+                lo = lpn * spp + rel_lo
+                for sec in range(lo, lo + count):
+                    entry[1][sec] = version
         while len(entries) > self.capacity_pages:
             evicted, _ = entries.popitem(last=False)
             self.evictions += 1
@@ -95,19 +96,23 @@ class DataCache:
             return
         if not found:
             return
+        # each run of contiguous sectors holding one version is cached
+        # like a write of that version
         end = offset + size
         run_start = -1
         prev = -2
+        run_v = None
         for sec in sorted(found):
             if sec < offset or sec >= end:
                 continue
-            if sec != prev + 1:
+            v = found[sec]
+            if sec != prev + 1 or v != run_v:
                 if run_start >= 0:
-                    self.put(run_start, prev - run_start + 1, found)
-                run_start = sec
+                    self.put(run_start, prev - run_start + 1, run_v)
+                run_start, run_v = sec, v
             prev = sec
         if run_start >= 0:
-            self.put(run_start, prev - run_start + 1, found)
+            self.put(run_start, prev - run_start + 1, run_v)
 
     # ------------------------------------------------------------------
     def full_hit(self, offset: int, size: int) -> bool:

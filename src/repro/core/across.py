@@ -147,7 +147,7 @@ class AcrossFTL(BaseFTL):
     # write routine (paper §3.3.1)
     # ==================================================================
     def write(
-        self, offset: int, size: int, now: float, stamps: Optional[dict] = None
+        self, offset: int, size: int, now: float, version: Optional[int] = None
     ) -> float:
         """Service a write: across-page requests take the re-alignment
         path; everything else is page-mapped with area interactions
@@ -160,20 +160,20 @@ class AcrossFTL(BaseFTL):
         rel_end = rel_lo + size
         if rel_end <= spp:
             # single-page piece (the dominant replay case)
-            return self._write_piece(lpn, rel_lo, rel_end, now, stamps)
+            return self._write_piece(lpn, rel_lo, rel_end, now, version)
         if size <= spp:
             # spans exactly two pages: the across-page path
-            return self._write_across(offset, size, now, stamps)
+            return self._write_across(offset, size, now, version)
         finish = now
         for lpn, rel_lo, count in split_extent(offset, size, spp):
-            t = self._write_piece(lpn, rel_lo, rel_lo + count, now, stamps)
+            t = self._write_piece(lpn, rel_lo, rel_lo + count, now, version)
             if t > finish:
                 finish = t
         return finish
 
     # ------------------------------------------------------------------
     def _write_piece(
-        self, lpn: int, rel_lo: int, rel_hi: int, now: float, stamps: Optional[dict]
+        self, lpn: int, rel_lo: int, rel_hi: int, now: float, version: Optional[int]
     ) -> float:
         """One per-LPN piece of a non-across write."""
         t = self._pmt_cache.access(self, lpn, now, True, self.timed)
@@ -192,17 +192,17 @@ class AcrossFTL(BaseFTL):
                 u_hi = max(entry.end, abs_hi)
                 if self.amerge_enabled and u_hi - u_lo <= self.spp:
                     return self._amerge(
-                        entry, abs_lo, abs_hi, now, stamps, profitable=False
+                        entry, abs_lo, abs_hi, now, version, profitable=False
                     )
                 return self._rollback(
-                    entry, now, stamps, new_pieces={lpn: (rel_lo, rel_hi)}
+                    entry, now, version, new_pieces={lpn: (rel_lo, rel_hi)}
                 )
         # plain page-mapped update, possibly with read-modify-write
-        return self._write_data_page(lpn, rel_lo, rel_hi, now, stamps)
+        return self._write_data_page(lpn, rel_lo, rel_hi, now, version)
 
     # ------------------------------------------------------------------
     def _write_across(
-        self, offset: int, size: int, now: float, stamps: Optional[dict]
+        self, offset: int, size: int, now: float, version: Optional[int]
     ) -> float:
         l0, l_end = lpn_range(offset, size, self.spp)
         l1 = l0 + 1
@@ -219,12 +219,12 @@ class AcrossFTL(BaseFTL):
             u_hi = max(entry.end, offset + size)
             if self.amerge_enabled and u_hi - u_lo <= self.spp:
                 return self._amerge(
-                    entry, offset, offset + size, now, stamps, profitable=True
+                    entry, offset, offset + size, now, version, profitable=True
                 )
             return self._rollback(
                 entry,
                 now,
-                stamps,
+                version,
                 new_pieces=self._pieces_by_lpn(offset, size),
             )
 
@@ -234,7 +234,7 @@ class AcrossFTL(BaseFTL):
         for aidx in {a for a in (a0, a1) if a >= 0}:
             entry = self.amt.get(aidx)
             finish = max(finish, self._rollback(entry, now, None))
-        return max(finish, self._direct_write(offset, size, finish, stamps))
+        return max(finish, self._direct_write(offset, size, finish, version))
 
     def _pieces_by_lpn(self, offset: int, size: int) -> dict[int, tuple[int, int]]:
         return {
@@ -244,17 +244,16 @@ class AcrossFTL(BaseFTL):
 
     # ------------------------------------------------------------------
     def _direct_write(
-        self, offset: int, size: int, now: float, stamps: Optional[dict]
+        self, offset: int, size: int, now: float, version: Optional[int]
     ) -> float:
         """Across-page *direct write*: re-align onto one fresh page."""
         l0 = offset // self.spp
         payload = None
         if self.track_payload:
             payload = {}
-            if stamps:
+            if version is not None:
                 for sec in range(offset, offset + size):
-                    if sec in stamps:
-                        payload[sec] = stamps[sec]
+                    payload[sec] = version
         if self.service.obs is not None:
             self._emit_decision("direct", l0, now)
         # the entry first: the page's record carries its index
@@ -286,7 +285,7 @@ class AcrossFTL(BaseFTL):
         new_lo: int,
         new_hi: int,
         now: float,
-        stamps: Optional[dict],
+        version: Optional[int],
         *,
         profitable: bool,
     ) -> float:
@@ -326,10 +325,9 @@ class AcrossFTL(BaseFTL):
                         if (new_lo <= sec < new_hi) or sec not in old_payload:
                             continue
                         payload[sec] = old_payload[sec]
-        if payload is not None and stamps:
+        if payload is not None and version is not None:
             for sec in range(new_lo, new_hi):
-                if sec in stamps:
-                    payload[sec] = stamps[sec]
+                payload[sec] = version
 
         self.service.invalidate(entry.appn)
         timed = self.timed
@@ -358,7 +356,7 @@ class AcrossFTL(BaseFTL):
         self,
         entry,
         now: float,
-        stamps: Optional[dict],
+        version: Optional[int],
         new_pieces: Optional[dict[int, tuple[int, int]]] = None,
     ) -> float:
         """Across-page rollback write (paper Fig. 6, right): merge the
@@ -403,7 +401,7 @@ class AcrossFTL(BaseFTL):
                 rel_lo,
                 rel_hi,
                 finish,
-                stamps,
+                version,
                 extra_mask=keep_mask,
                 extra_payload=extra_payload,
             )

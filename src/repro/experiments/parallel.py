@@ -312,7 +312,7 @@ class ResultStore:
         """The one shared disk lookup: the parsed document for ``spec``
         and the stat of the very file it was read from, or None on
         anything wrong (missing, corrupt, key or store-version
-        mismatch)."""
+        mismatch, or valid JSON that is not an object)."""
         try:
             with open(self.path_for(spec), "rb") as fh:
                 st = os.fstat(fh.fileno())
@@ -320,7 +320,8 @@ class ResultStore:
         except (OSError, ValueError):
             return None
         if (
-            doc.get("key") != spec.key()
+            not isinstance(doc, dict)
+            or doc.get("key") != spec.key()
             or doc.get("store_version") != self.STORE_VERSION
         ):
             return None

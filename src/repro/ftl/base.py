@@ -17,12 +17,14 @@ read-modify-write decisions O(1) bit arithmetic.
 
 Data versions
 -------------
-When ``track_payload`` is on, every programmed page stores a dict of
-``absolute_sector -> version stamp`` for the sectors it holds, and
-:meth:`read` returns the stamps it found.  The simulation oracle
-(:mod:`repro.sim.oracle`) compares them against ground truth — this is
-how we prove all three schemes return the newest data through merges,
-rollbacks and GC.
+A host write carries one oracle version (an int, or None when the
+oracle is off).  When ``track_payload`` is on, every programmed page
+stores a dict of ``absolute_sector -> version stamp`` for the sectors
+it holds — the writing request's version for the sectors it wrote,
+carried-over stamps for the rest — and :meth:`read` returns the stamps
+it found.  The simulation oracle (:mod:`repro.sim.oracle`) compares
+them against ground truth — this is how we prove all three schemes
+return the newest data through merges, rollbacks and GC.
 """
 
 from __future__ import annotations
@@ -134,12 +136,13 @@ class BaseFTL(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def write(
-        self, offset: int, size: int, now: float, stamps: Optional[dict] = None
+        self, offset: int, size: int, now: float, version: Optional[int] = None
     ) -> float:
         """Service a write of ``size`` sectors at sector ``offset``.
 
-        ``stamps`` maps absolute sector -> version (oracle mode only).
-        Returns the completion time of the request.
+        ``version`` is the oracle version stamped on every written
+        sector (None when the oracle is off).  Returns the completion
+        time of the request.
         """
 
     @abstractmethod
@@ -391,7 +394,7 @@ class BaseFTL(ABC):
         rel_lo: int,
         rel_hi: int,
         now: float,
-        stamps: Optional[dict],
+        version: Optional[int],
         *,
         extra_mask: int = 0,
         extra_payload: Optional[dict] = None,
@@ -445,12 +448,10 @@ class BaseFTL(ABC):
         if payload is not None:
             if extra_payload:
                 payload.update(extra_payload)
-            if stamps:
+            if version is not None:
                 base = lpn * self.spp
-                for bit in iter_bits(mask_range(rel_lo, rel_hi)):
-                    sec = base + bit
-                    if sec in stamps:
-                        payload[sec] = stamps[sec]
+                for sec in range(base + rel_lo, base + rel_hi):
+                    payload[sec] = version
 
         if old_ppn >= 0:
             service.invalidate(old_ppn)

@@ -42,7 +42,7 @@ name                      behaviour
 
 The ``greedy`` policy reproduces the pre-refactor collector bit for
 bit: same victims, same counters, same report digests (enforced by the
-golden-hotpath fixture and the BENCH baseline).
+golden-hotpath fixture, ``tests/data/golden_hotpath.json``).
 """
 
 from __future__ import annotations

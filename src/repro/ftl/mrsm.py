@@ -250,18 +250,9 @@ class MRSMFTL(BaseFTL):
         self._page_slots[ppn] = self._page_live[ppn] = loc - base
         return ppn, finish
 
-    def _copy_stamps(self, key: int, mask: int, src: dict, dst: dict) -> None:
-        """Copy the stamps ``src`` holds for the ``mask`` sectors of
-        region ``key`` into ``dst`` (oracle runs)."""
-        base = key * self.region_sectors
-        for bit in iter_bits(mask):
-            sec = base + bit
-            if sec in src:
-                dst[sec] = src[sec]
-
     # ------------------------------------------------------------------
     def write(
-        self, offset: int, size: int, now: float, stamps: Optional[dict] = None
+        self, offset: int, size: int, now: float, version: Optional[int] = None
     ) -> float:
         """Service a write: region-level RMW where a region is partially
         covered, then pack the regions into R-slot pages."""
@@ -309,6 +300,7 @@ class MRSMFTL(BaseFTL):
         # phase 2: pack regions into pages, R slots per page
         start = finish
         R = self.R
+        rs = self.region_sectors
         track = self.track_payload
         kill_slot = self._kill_slot
         for k0 in range(first, last + 1, R):
@@ -329,14 +321,16 @@ class MRSMFTL(BaseFTL):
                             self._mapped_ppn(key)
                         )
                         if old:
-                            self._copy_stamps(
-                                key, old_mask & ~new_mask, old, payload
-                            )
+                            for bit in iter_bits(old_mask & ~new_mask):
+                                sec = key * rs + bit
+                                if sec in old:
+                                    payload[sec] = old[sec]
                     kill_slot(key)
                 else:
                     self._entries += 1
-                if stamps and track:
-                    self._copy_stamps(key, new_mask, stamps, payload)
+                if track and version is not None:
+                    for bit in iter_bits(new_mask):
+                        payload[key * rs + bit] = version
                 masks.append(old_mask | new_mask)
             ppn, t = self._program_region_page(keys, masks, payload, start)
             if t > finish:

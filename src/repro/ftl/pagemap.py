@@ -43,7 +43,7 @@ class PageMapFTL(BaseFTL):
 
     # ------------------------------------------------------------------
     def write(
-        self, offset: int, size: int, now: float, stamps: Optional[dict] = None
+        self, offset: int, size: int, now: float, version: Optional[int] = None
     ) -> float:
         """Service a write piece-by-piece with RMW on partial pages."""
         finish = now
@@ -57,7 +57,7 @@ class PageMapFTL(BaseFTL):
                 # ablation: pretend the page held nothing else
                 self._pmt_mask[lpn] = 0
             t = write_page(
-                lpn, rel_lo, rel_lo + count, t if t > now else now, stamps
+                lpn, rel_lo, rel_lo + count, t if t > now else now, version
             )
             if t > finish:
                 finish = t

@@ -460,7 +460,7 @@ class Simulator:
     def _arrive(self, op: int, offset: int, size: int, ts: float) -> Request:
         """Build the per-request state at its arrival: classify it
         (paper §2.1: at most one page of data spanning a page
-        boundary), assign oracle stamps (writes), forget trimmed
+        boundary), assign the oracle version (writes), forget trimmed
         stamps (TRIMs) or snapshot expected versions (reads) in
         arrival order, and announce it on the bus.  Callers checked
         the extent."""
@@ -474,7 +474,7 @@ class Simulator:
         oracle = self.oracle
         if oracle is not None:
             if op == OP_WRITE:
-                req.stamps = oracle.stamp_write(offset, size)
+                req.version = oracle.stamp_write(offset, size)
             elif op == OP_TRIM:
                 oracle.trim(offset, size)
             else:
@@ -545,9 +545,9 @@ class Simulator:
             if attr is not None:
                 attr.advance("cache", finish)
         elif op == OP_WRITE:
-            finish = self.ftl.write(req.offset, req.size, now, req.stamps)
+            finish = self.ftl.write(req.offset, req.size, now, req.version)
             if cache is not None:
-                cache.put(req.offset, req.size, req.stamps)
+                cache.put(req.offset, req.size, req.version)
                 t = now + self._cache_ms
                 if t > finish:
                     finish = t
@@ -740,7 +740,7 @@ class Simulator:
         equal finish times in issue order, so replays are reproducible
         across runs and worker processes.
 
-        Ordering contract: oracle stamps/snapshots are taken at
+        Ordering contract: oracle versions/snapshots are taken at
         *arrival* (trace order) and reads fold into the content digest
         in arrival order, so the digest is invariant across queue
         depths and schemes — the frontend's hazard rules must reproduce

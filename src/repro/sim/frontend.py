@@ -43,9 +43,8 @@ class Request:
 
     __slots__ = (
         "rid", "op", "offset", "size", "arrival", "across",
-        "stamps", "expect", "read_index", "found",
-        "cache_probed", "cache_hit", "holds_slot", "chip",
-        "finish", "induced", "phases", "stalled",
+        "version", "expect", "read_index", "found",
+        "cache_hit", "chip", "finish", "induced", "phases", "stalled",
     )
 
     def __init__(
@@ -58,19 +57,18 @@ class Request:
         self.size = size
         self.arrival = arrival
         self.across = across
-        #: oracle stamps assigned at arrival (writes)
-        self.stamps: Optional[dict] = None
+        #: oracle version assigned at arrival (writes)
+        self.version: Optional[int] = None
         #: oracle versions snapshotted at arrival (reads)
         self.expect: Optional[dict] = None
         #: arrival-order index among reads (digest folding order)
         self.read_index = -1
-        #: stamps the service path returned (reads)
+        #: per-sector stamps the service path returned (reads)
         self.found: Optional[dict] = None
-        self.cache_probed = False
-        self.cache_hit = False
-        #: whether this request occupies a NAND NCQ slot
-        self.holds_slot = False
-        #: chip scheduler the request was queued on (-1 = none)
+        #: DRAM-cache probe result (reads); None = not probed yet
+        self.cache_hit: Optional[bool] = None
+        #: chip scheduler the request was queued on; -1 = none, so a
+        #: request holds a NAND NCQ slot exactly when ``chip >= 0``
         self.chip = -1
         self.finish = -1.0
         #: flash programs this request induced (service-time delta)
@@ -150,7 +148,7 @@ class FrontendScheduler:
         """Release the hazard entry, NCQ slot and chip budget of a
         completed request."""
         self.inflight.remove(req)
-        if req.holds_slot:
+        if req.chip >= 0:
             self.slots_used -= 1
         self.nand.on_complete(req, now)
 
@@ -193,8 +191,7 @@ class FrontendScheduler:
             # hazard-clear: classify the service path
             needs_slot = True
             if req.op == OP_READ:
-                if not req.cache_probed:
-                    req.cache_probed = True
+                if req.cache_hit is None:
                     req.cache_hit = self._probe_cache(req, now)
                 if req.cache_hit:
                     needs_slot = False
@@ -213,7 +210,6 @@ class FrontendScheduler:
             del waiting[i]
             inflight.append(req)
             if needs_slot:
-                req.holds_slot = True
                 self.slots_used += 1
                 req.chip = self._predict_chip(req)
                 self.nand.submit(req, now)

@@ -1,11 +1,12 @@
 """Sector-version oracle.
 
-Ground truth for data correctness: every written sector gets a fresh
-monotone version stamp; the stamps travel through the FTL inside page
-metadata, survive merges, rollbacks and GC migrations, and every read
-must return exactly the newest stamp for each sector it covers.  Any
-divergence raises :class:`OracleMismatch` with a precise description —
-this is the contract all three schemes are tested against.
+Ground truth for data correctness: every host write gets one fresh
+monotone version, which the FTL stores as the stamp of each sector it
+writes; the per-sector stamps travel inside page metadata, survive
+merges, rollbacks and GC migrations, and every read must return
+exactly the newest stamp for each sector it covers.  Any divergence
+raises :class:`OracleMismatch` with a precise description — this is
+the contract all three schemes are tested against.
 """
 
 from __future__ import annotations
@@ -26,17 +27,17 @@ class SectorOracle:
         self.writes_stamped = 0
         self.reads_verified = 0
 
-    def stamp_write(self, offset: int, size: int) -> dict[int, int]:
-        """Assign fresh stamps to ``[offset, offset+size)``; returns the
-        stamps dict handed to the FTL write path."""
+    def stamp_write(self, offset: int, size: int) -> int:
+        """Record a fresh version for every sector of
+        ``[offset, offset+size)``; returns that version, which the FTL
+        write path stores as each written sector's stamp."""
         self._counter += 1
         v = self._counter
-        stamps = {}
+        versions = self._versions
         for sec in range(offset, offset + size):
-            self._versions[sec] = v
-            stamps[sec] = v
+            versions[sec] = v
         self.writes_stamped += 1
-        return stamps
+        return v
 
     def trim(self, offset: int, size: int) -> None:
         """Forget stamps for a trimmed extent: subsequent reads must

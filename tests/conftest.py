@@ -63,6 +63,12 @@ def build_ftl(scheme: str, cfg: SSDConfig, **kw):
     return service, make_ftl(scheme, service, track_payload=True, **kw)
 
 
+def stamps_for(offset: int, size: int, v: int) -> dict:
+    """The ``found`` stamps of a read of ``[offset, offset+size)`` after
+    one write of that extent with oracle version ``v``."""
+    return dict.fromkeys(range(offset, offset + size), v)
+
+
 @pytest.fixture
 def small_trace(tiny_cfg) -> Trace:
     spec = SyntheticSpec(

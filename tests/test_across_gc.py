@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import build_ftl, relocate_each_programmed_page
+from conftest import build_ftl, relocate_each_programmed_page, stamps_for
 from repro.flash.service import FlashService
 from repro.core.across import AcrossFTL
 
@@ -31,14 +31,13 @@ class TestAreaRelocation:
         svc, ftl = setup
         spp = ftl.spp
         # one across area with stamped data
-        stamps = {s: 777 for s in range(2056, 2068)}
-        ftl.write(2056, 12, 0.0, stamps)
+        ftl.write(2056, 12, 0.0, 777)
         # hammer the device until GC has cycled many blocks
         hot = max(4, ftl.logical_pages // 8)
         base = 200  # keep away from the area's lpns (128/129)
         for i in range(3 * svc.geom.num_pages):
             lpn = base + (i % hot)
-            ftl.write(lpn * spp, spp, 0.0, {s: i for s in range(lpn * spp, lpn * spp + spp)})
+            ftl.write(lpn * spp, spp, 0.0, i)
         assert svc.counters.erases > 0
         _, found = ftl.read(2056, 12, 0.0)
         assert all(found[s] == 777 for s in range(2056, 2068))
@@ -60,10 +59,9 @@ class TestAreaRelocation:
             left = int(rng.integers(1, spp // 2))
             right = int(rng.integers(1, spp // 2))
             off, size = boundary - left, left + right
-            stamps = {s: v for s in range(off, off + size)}
             for s in range(off, off + size):
                 version[s] = v
-            ftl.write(off, size, 0.0, stamps)
+            ftl.write(off, size, 0.0, v)
         assert svc.counters.erases > 0
         ftl.check_invariants()
         svc.array.check_invariants()
@@ -96,9 +94,8 @@ class TestProgramRecordGcCheck:
                 (2056, 12),  # direct write onto never-written pages
             ]
         ):
-            stamps = {s: v for s in range(off, off + size)}
-            versions.update(stamps)
-            ftl.write(off, size, 0.0, stamps)
+            versions.update(stamps_for(off, size, v))
+            ftl.write(off, size, 0.0, v)
             ftl.check_invariants()
         st = ftl.across_stats
         assert (

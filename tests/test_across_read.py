@@ -10,16 +10,12 @@ def ftl_pair(tiny_cfg):
     return build_ftl("across", tiny_cfg)
 
 
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
-
-
 class TestDirectRead:
     """Paper Fig. 7a: the request fits inside the across area."""
 
     def test_single_flash_read(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))  # area 2056..2068
+        ftl.write(2056, 12, 0.0, 1)  # area 2056..2068
         before = svc.counters.data_reads
         t, found = ftl.read(2060, 8, 0.0)  # within area, spans both lpns
         assert svc.counters.data_reads - before == 1  # ONE page read
@@ -30,14 +26,14 @@ class TestDirectRead:
         """The comparison the paper makes: same read costs two flash
         reads under the baseline scheme."""
         svc, ftl = build_ftl("ftl", tiny_cfg)
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         before = svc.counters.data_reads
         ftl.read(2060, 8, 0.0)
         assert svc.counters.data_reads - before == 2
 
     def test_read_subset_one_side(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         before = svc.counters.data_reads
         _, found = ftl.read(2056, 4, 0.0)  # only the lpn-128 part
         assert svc.counters.data_reads - before == 1
@@ -45,7 +41,7 @@ class TestDirectRead:
 
     def test_exact_area_read(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         _, found = ftl.read(2056, 12, 0.0)
         assert ftl.across_stats.direct_reads == 1
         assert len(found) == 12
@@ -56,9 +52,9 @@ class TestMergedRead:
 
     def test_reads_area_and_normal_pages(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2048, 16, 0.0, stamps_for(2048, 16, 1))
-        ftl.write(2064, 16, 0.0, stamps_for(2064, 16, 2))
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 3))  # area
+        ftl.write(2048, 16, 0.0, 1)
+        ftl.write(2064, 16, 0.0, 2)
+        ftl.write(2056, 12, 0.0, 3)  # area
         before = svc.counters.data_reads
         _, found = ftl.read(2052, 20, 0.0)  # 2052..2072 exceeds the area
         # needs: area page + both normal pages
@@ -74,14 +70,14 @@ class TestMergedRead:
 
     def test_merged_read_counter_only_for_area_requests(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 32, 0.0, stamps_for(0, 32, 1))
+        ftl.write(0, 32, 0.0, 1)
         ftl.read(8, 16, 0.0)  # across-page read, but no area involved
         assert ftl.across_stats.merged_read_requests == 0
         assert svc.counters.merged_reads == 0
 
     def test_read_beyond_written(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         _, found = ftl.read(2048, 32, 0.0)
         # only the area's sectors exist
         assert set(found) == set(range(2056, 2068))
@@ -91,8 +87,8 @@ class TestMergedRead:
 class TestReadAfterUpdates:
     def test_read_after_amerge(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
-        ftl.write(2060, 12, 0.0, stamps_for(2060, 12, 2))
+        ftl.write(2056, 12, 0.0, 1)
+        ftl.write(2060, 12, 0.0, 2)
         before = svc.counters.data_reads
         _, found = ftl.read(2056, 16, 0.0)
         assert svc.counters.data_reads - before == 1  # still one page
@@ -100,8 +96,8 @@ class TestReadAfterUpdates:
 
     def test_read_after_rollback(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
-        ftl.write(2060, 16, 0.0, stamps_for(2060, 16, 2))  # rollback
+        ftl.write(2056, 12, 0.0, 1)
+        ftl.write(2060, 16, 0.0, 2)  # rollback
         before = svc.counters.data_reads
         _, found = ftl.read(2056, 20, 0.0)
         assert svc.counters.data_reads - before == 2  # two normal pages
@@ -123,6 +119,6 @@ class TestReadLatency:
     def test_parallel_page_reads(self, ftl_pair):
         svc, ftl = ftl_pair
         # two pages land on different planes/chips thanks to RR allocation
-        ftl.write(2048, 32, 0.0, stamps_for(2048, 32, 1))
+        ftl.write(2048, 32, 0.0, 1)
         t, _ = ftl.read(2048, 32, 100.0)
         assert t == pytest.approx(100.075)  # overlapped, not serialized

@@ -7,10 +7,6 @@ import pytest
 from conftest import build_ftl
 
 
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
-
-
 @pytest.fixture
 def ftl_pair(tiny_cfg):
     return build_ftl("across", tiny_cfg)
@@ -20,7 +16,7 @@ class TestMergeChains:
     def test_repeated_overwrites_keep_one_area(self, ftl_pair):
         svc, ftl = ftl_pair
         for v in range(20):
-            ftl.write(2056, 12, 0.0, stamps_for(2056, 12, v))
+            ftl.write(2056, 12, 0.0, v)
         assert len(ftl.amt) == 1
         assert ftl.amt.total_created == 1
         assert ftl.across_stats.profitable_amerge == 19
@@ -32,14 +28,14 @@ class TestMergeChains:
         svc, ftl = ftl_pair
         # area starts tiny at the boundary and grows by one sector per
         # write until the union no longer fits one page
-        ftl.write(2063, 2, 0.0, stamps_for(2063, 2, 0))
+        ftl.write(2063, 2, 0.0, 0)
         merges = 0
         v = 1
         lo, hi = 2063, 2065
         while len(ftl.amt) == 1 and v < 20:
             lo -= 1
             hi += 1
-            ftl.write(lo, hi - lo, 0.0, stamps_for(lo, hi - lo, v))
+            ftl.write(lo, hi - lo, 0.0, v)
             v += 1
         assert ftl.across_stats.rollbacks == 1  # eventually exceeded
         _, found = ftl.read(lo, hi - lo, 0.0)
@@ -48,9 +44,9 @@ class TestMergeChains:
 
     def test_edge_union_exactly_one_page_merges(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         # union 2054..2070 is exactly 16 sectors: still an AMerge
-        ftl.write(2054, 16, 0.0, stamps_for(2054, 16, 2))
+        ftl.write(2054, 16, 0.0, 2)
         assert len(ftl.amt) == 1
         assert ftl.across_stats.profitable_amerge == 1
         entry = next(ftl.amt.entries())
@@ -58,11 +54,11 @@ class TestMergeChains:
 
     def test_area_recreated_after_rollback(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
-        ftl.write(2060, 16, 0.0, stamps_for(2060, 16, 2))  # union 20 > 16
+        ftl.write(2056, 12, 0.0, 1)
+        ftl.write(2060, 16, 0.0, 2)  # union 20 > 16
         assert len(ftl.amt) == 0
         assert ftl.across_stats.rollbacks == 1
-        ftl.write(2058, 8, 0.0, stamps_for(2058, 8, 3))    # fresh area
+        ftl.write(2058, 8, 0.0, 3)    # fresh area
         assert len(ftl.amt) == 1
         assert ftl.amt.total_created == 2
         _, found = ftl.read(2056, 20, 0.0)
@@ -81,7 +77,7 @@ class TestManyAreas:
         offs = []
         for i in range(1, 30, 2):  # boundaries 2 pages apart: no conflicts
             off = i * 16 - 3
-            ftl.write(off, 6, 0.0, stamps_for(off, 6, i))
+            ftl.write(off, 6, 0.0, i)
             offs.append((off, i))
         assert len(ftl.amt) == 15
         for off, v in offs:
@@ -92,9 +88,9 @@ class TestManyAreas:
     def test_adjacent_boundary_conflict_chain(self, ftl_pair):
         svc, ftl = ftl_pair
         # areas on (0,1), then (1,2) evicts it, then (2,3) evicts that
-        ftl.write(13, 6, 0.0, stamps_for(13, 6, 1))    # lpns (0,1)
-        ftl.write(29, 6, 0.0, stamps_for(29, 6, 2))    # lpns (1,2)
-        ftl.write(45, 6, 0.0, stamps_for(45, 6, 3))    # lpns (2,3)
+        ftl.write(13, 6, 0.0, 1)    # lpns (0,1)
+        ftl.write(29, 6, 0.0, 2)    # lpns (1,2)
+        ftl.write(45, 6, 0.0, 3)    # lpns (2,3)
         assert len(ftl.amt) == 1
         assert ftl.across_stats.rollbacks == 2
         _, found = ftl.read(13, 38, 0.0)
@@ -107,11 +103,11 @@ class TestManyAreas:
 class TestInterleavings:
     def test_normal_traffic_around_area(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         # non-overlapping sub-page updates on both lpns of the area
         for v in range(2, 12):
-            ftl.write(2048, 6, 0.0, stamps_for(2048, 6, v))
-            ftl.write(2070, 8, 0.0, stamps_for(2070, 8, v + 100))
+            ftl.write(2048, 6, 0.0, v)
+            ftl.write(2070, 8, 0.0, v + 100)
         assert len(ftl.amt) == 1  # untouched the whole time
         _, found = ftl.read(2048, 32, 0.0)
         assert all(found[s] == 11 for s in range(2048, 2054))
@@ -121,8 +117,8 @@ class TestInterleavings:
 
     def test_full_page_pair_overwrite_clears_area(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
-        ftl.write(2048, 32, 0.0, stamps_for(2048, 32, 2))  # both pages
+        ftl.write(2056, 12, 0.0, 1)
+        ftl.write(2048, 32, 0.0, 2)  # both pages
         assert len(ftl.amt) == 0
         _, found = ftl.read(2048, 32, 0.0)
         assert all(v == 2 for v in found.values())
@@ -133,7 +129,7 @@ class TestInterleavings:
     def test_write_size_exactly_page_at_boundary(self, ftl_pair):
         svc, ftl = ftl_pair
         # size == spp spanning two pages is still across (paper Fig. 1)
-        ftl.write(2056, 16, 0.0, stamps_for(2056, 16, 5))
+        ftl.write(2056, 16, 0.0, 5)
         assert ftl.across_stats.direct_writes == 1
         assert next(ftl.amt.entries()).size == 16
         _, found = ftl.read(2056, 16, 0.0)
@@ -141,7 +137,7 @@ class TestInterleavings:
 
     def test_two_sector_area_minimum(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2063, 2, 0.0, stamps_for(2063, 2, 9))
+        ftl.write(2063, 2, 0.0, 9)
         entry = next(ftl.amt.entries())
         assert entry.size == 2
         _, found = ftl.read(2063, 2, 0.0)

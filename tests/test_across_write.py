@@ -10,17 +10,13 @@ def ftl_pair(tiny_cfg):
     return build_ftl("across", tiny_cfg)
 
 
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
-
-
 class TestDirectWrite:
     """Paper Fig. 6 left: first across-page write creates an area."""
 
     def test_single_program(self, ftl_pair):
         svc, ftl = ftl_pair
         # write(1028K, 6K) with 8K pages = sectors 2056..2068
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         assert svc.counters.data_writes == 1  # one page, not two
         assert ftl.across_stats.direct_writes == 1
 
@@ -42,9 +38,9 @@ class TestDirectWrite:
     def test_shadowing_of_normal_pages(self, ftl_pair):
         svc, ftl = ftl_pair
         # pre-existing normal data on both pages
-        ftl.write(2048, 16, 0.0, stamps_for(2048, 16, 1))
-        ftl.write(2064, 16, 0.0, stamps_for(2064, 16, 2))
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 3))
+        ftl.write(2048, 16, 0.0, 1)
+        ftl.write(2064, 16, 0.0, 2)
+        ftl.write(2056, 12, 0.0, 3)
         # PMT masks exclude the shadowed sectors
         assert int(ftl.pmt_mask[128]) & 0xFF00 == 0
         assert int(ftl.pmt_mask[129]) & 0x000F == 0
@@ -59,9 +55,9 @@ class TestDirectWrite:
     def test_fully_shadowed_page_invalidated(self, ftl_pair):
         svc, ftl = ftl_pair
         # the only written sectors of both pages lie inside the area
-        ftl.write(2060, 4, 0.0, stamps_for(2060, 4, 1))   # tail of lpn 128
-        ftl.write(2064, 2, 0.0, stamps_for(2064, 2, 2))   # head of lpn 129
-        ftl.write(2058, 10, 0.0, stamps_for(2058, 10, 3))  # across, covers both
+        ftl.write(2060, 4, 0.0, 1)   # tail of lpn 128
+        ftl.write(2064, 2, 0.0, 2)   # head of lpn 129
+        ftl.write(2058, 10, 0.0, 3)  # across, covers both
         assert ftl.pmt[128] == -1 and ftl.pmt[129] == -1
         _, found = ftl.read(2058, 10, 0.0)
         assert all(v == 3 for v in found.values())
@@ -77,9 +73,9 @@ class TestAMerge:
 
     def test_profitable_amerge(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))  # area 2056..2068
+        ftl.write(2056, 12, 0.0, 1)  # area 2056..2068
         # across update 2060..2072: union 2056..2072 = 16 <= spp
-        ftl.write(2060, 12, 0.0, stamps_for(2060, 12, 2))
+        ftl.write(2060, 12, 0.0, 2)
         assert ftl.across_stats.profitable_amerge == 1
         assert ftl.across_stats.rollbacks == 0
         entry = next(ftl.amt.entries())
@@ -87,8 +83,8 @@ class TestAMerge:
 
     def test_amerge_data_correct(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
-        ftl.write(2060, 12, 0.0, stamps_for(2060, 12, 2))
+        ftl.write(2056, 12, 0.0, 1)
+        ftl.write(2060, 12, 0.0, 2)
         _, found = ftl.read(2056, 16, 0.0)
         for s in range(2056, 2060):
             assert found[s] == 1
@@ -104,10 +100,10 @@ class TestAMerge:
 
     def test_contained_overwrite_no_read(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         before = svc.counters.data_reads
         # full overwrite of the area: nothing old needs reading
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 2))
+        ftl.write(2056, 12, 0.0, 2)
         assert svc.counters.data_reads - before == 0
         assert ftl.across_stats.profitable_amerge == 1
 
@@ -121,17 +117,17 @@ class TestAMerge:
 
     def test_unprofitable_amerge(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         # non-across sub-page update overlapping the area's lpn-128 part
-        ftl.write(2058, 4, 0.0, stamps_for(2058, 4, 2))
+        ftl.write(2058, 4, 0.0, 2)
         assert ftl.across_stats.unprofitable_amerge == 1
         _, found = ftl.read(2056, 12, 0.0)
         assert found[2056] == 1 and found[2058] == 2 and found[2062] == 1
 
     def test_amerge_disabled_forces_rollback(self, tiny_cfg):
         svc, ftl = build_ftl("across", tiny_cfg, amerge_enabled=False)
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
-        ftl.write(2060, 12, 0.0, stamps_for(2060, 12, 2))
+        ftl.write(2056, 12, 0.0, 1)
+        ftl.write(2060, 12, 0.0, 2)
         assert ftl.across_stats.profitable_amerge == 0
         assert ftl.across_stats.rollbacks == 1
         _, found = ftl.read(2056, 16, 0.0)
@@ -149,18 +145,18 @@ class TestARollback:
 
     def test_rollback_triggered(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))  # area 2056..2068
+        ftl.write(2056, 12, 0.0, 1)  # area 2056..2068
         # across update 2060..2076: union 2056..2076 = 20 > 16 -> rollback
-        ftl.write(2060, 16, 0.0, stamps_for(2060, 16, 2))
+        ftl.write(2060, 16, 0.0, 2)
         assert ftl.across_stats.rollbacks == 1
         assert len(ftl.amt) == 0
         assert ftl.aidx[128] == -1 and ftl.aidx[129] == -1
 
     def test_rollback_data_correct(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2048, 16, 0.0, stamps_for(2048, 16, 1))  # normal lpn 128
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 2))  # area
-        ftl.write(2060, 16, 0.0, stamps_for(2060, 16, 3))  # rollback trigger
+        ftl.write(2048, 16, 0.0, 1)  # normal lpn 128
+        ftl.write(2056, 12, 0.0, 2)  # area
+        ftl.write(2060, 16, 0.0, 3)  # rollback trigger
         _, found = ftl.read(2048, 32, 0.0)
         for s in range(2048, 2056):
             assert found[s] == 1, s
@@ -180,10 +176,10 @@ class TestARollback:
 
     def test_rollback_from_single_page_update(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2062, 4, 0.0, stamps_for(2062, 4, 1))  # area 2062..2066
+        ftl.write(2062, 4, 0.0, 1)  # area 2062..2066
         # full-page write over lpn 128: union spans the whole page 128
         # plus the area's tail in 129 -> exceeds one page -> rollback
-        ftl.write(2048, 16, 0.0, stamps_for(2048, 16, 2))
+        ftl.write(2048, 16, 0.0, 2)
         assert ftl.across_stats.rollbacks == 1
         _, found = ftl.read(2048, 32, 0.0)
         for s in range(2048, 2064):
@@ -194,9 +190,9 @@ class TestARollback:
     def test_conflicting_neighbor_area_rolled_back(self, ftl_pair):
         svc, ftl = ftl_pair
         # area A on lpns (128, 129)
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         # new across write on lpns (129, 130): conflicts with A via 129
-        ftl.write(2072, 12, 0.0, stamps_for(2072, 12, 2))
+        ftl.write(2072, 12, 0.0, 2)
         assert ftl.across_stats.rollbacks == 1       # A rolled back
         assert ftl.across_stats.direct_writes == 2   # new area created
         assert len(ftl.amt) == 1
@@ -218,15 +214,15 @@ class TestARollback:
 class TestNonAcrossPaths:
     def test_aligned_write_untouched_by_across_logic(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         assert ftl.across_stats.across_writes == 0
         assert len(ftl.amt) == 0
 
     def test_non_overlapping_update_keeps_area(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2060, 6, 0.0, stamps_for(2060, 6, 1))  # area 2060..2066
+        ftl.write(2060, 6, 0.0, 1)  # area 2060..2066
         # sub-page write on lpn 128 NOT overlapping the area
-        ftl.write(2048, 4, 0.0, stamps_for(2048, 4, 2))
+        ftl.write(2048, 4, 0.0, 2)
         assert len(ftl.amt) == 1  # area survives
         assert ftl.across_stats.unprofitable_amerge == 0
         _, found = ftl.read(2048, 20, 0.0)
@@ -234,9 +230,9 @@ class TestNonAcrossPaths:
 
     def test_large_write_over_area_rolls_back(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(2060, 6, 0.0, stamps_for(2060, 6, 1))
+        ftl.write(2060, 6, 0.0, 1)
         # 3-page aligned write covering both lpns of the area
-        ftl.write(2048, 48, 0.0, stamps_for(2048, 48, 2))
+        ftl.write(2048, 48, 0.0, 2)
         assert len(ftl.amt) == 0
         _, found = ftl.read(2048, 48, 0.0)
         assert all(v == 2 for v in found.values())

@@ -14,10 +14,6 @@ from repro.metrics.sketch import LogHistogram
 from repro.obs.attribution import PHASES, REQUEST_CLASSES, AttributionRecorder
 
 
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
-
-
 # ----------------------------------------------------------------------
 # recorder unit behaviour
 # ----------------------------------------------------------------------
@@ -141,9 +137,9 @@ class TestReadLabels:
             page_size_bytes=8 * 1024, write_buffer_bytes=0,
         )
         svc, ftl = build_ftl("across", cfg)
-        ftl.write(2048, 16, 0.0, stamps_for(2048, 16, 1))
-        ftl.write(2064, 16, 0.0, stamps_for(2064, 16, 2))
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 3))  # area
+        ftl.write(2048, 16, 0.0, 1)
+        ftl.write(2064, 16, 0.0, 2)
+        ftl.write(2056, 12, 0.0, 3)  # area
         rec = AttributionRecorder()
         svc.attr = rec
         rec.begin(100.0, 100.0)
@@ -154,11 +150,11 @@ class TestReadLabels:
 
     def test_rmw_update_read_phase(self, tiny_cfg):
         svc, ftl = build_ftl("ftl", tiny_cfg)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         rec = AttributionRecorder()
         svc.attr = rec
         rec.begin(100.0, 100.0)
-        ftl.write(0, 4, 100.0, stamps_for(0, 4, 2))  # partial: RMW
+        ftl.write(0, 4, 100.0, 2)  # partial: RMW
         phases = rec.complete("write_normal", 0.0)
         assert phases.get("update_read", 0.0) > 0.0
         assert phases.get("flash_read", 0.0) == 0.0

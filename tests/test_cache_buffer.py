@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.buffer import DataCache
+from conftest import stamps_for
 
 
 @pytest.fixture
@@ -10,13 +11,9 @@ def cache():
     return DataCache(capacity_pages=4, spp=16)
 
 
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
-
-
 class TestPutAndHit:
     def test_full_hit_after_put(self, cache):
-        cache.put(0, 16, stamps_for(0, 16, 1))
+        cache.put(0, 16, 1)
         assert cache.full_hit(0, 16)
         assert cache.full_hit(4, 8)
 
@@ -24,24 +21,24 @@ class TestPutAndHit:
         assert not cache.full_hit(0, 4)
 
     def test_partial_coverage_is_miss(self, cache):
-        cache.put(0, 8, stamps_for(0, 8, 1))
+        cache.put(0, 8, 1)
         assert not cache.full_hit(0, 16)
         assert cache.full_hit(0, 8)
 
     def test_across_page_extent(self, cache):
-        cache.put(8, 16, stamps_for(8, 16, 1))
+        cache.put(8, 16, 1)
         assert cache.full_hit(8, 16)
         assert cache.full_hit(12, 8)
         assert not cache.full_hit(0, 8)
 
     def test_stamps_returned(self, cache):
-        cache.put(0, 16, stamps_for(0, 16, 7))
+        cache.put(0, 16, 7)
         got = cache.get_stamps(4, 4)
         assert got == {4: 7, 5: 7, 6: 7, 7: 7}
 
     def test_newer_write_overwrites_stamps(self, cache):
-        cache.put(0, 16, stamps_for(0, 16, 1))
-        cache.put(4, 4, stamps_for(4, 4, 2))
+        cache.put(0, 16, 1)
+        cache.put(4, 4, 2)
         got = cache.get_stamps(0, 16)
         assert got[4] == 2 and got[0] == 1
 

@@ -63,7 +63,7 @@ class TestEngineEdges:
         ftl = make_ftl("across", svc, track_payload=True)
         limit = ftl.logical_pages * ftl.spp
         boundary = limit - ftl.spp
-        ftl.write(boundary - 4, 8, 0.0, {s: 5 for s in range(boundary - 4, boundary + 4)})
+        ftl.write(boundary - 4, 8, 0.0, 5)
         assert len(ftl.amt) == 1
         _, found = ftl.read(boundary - 4, 8, 1.0)
         assert len(found) == 8
@@ -75,7 +75,7 @@ class TestSchemeEdges:
         for scheme in ("ftl", "mrsm", "across"):
             svc, ftl = build_ftl(scheme, tiny_cfg)
             for sec in (0, 15, 16, 17, 160):
-                ftl.write(sec, 1, 0.0, {sec: sec})
+                ftl.write(sec, 1, 0.0, sec)
             for sec in (0, 15, 16, 17, 160):
                 _, found = ftl.read(sec, 1, 0.0)
                 assert found.get(sec) == sec, (scheme, sec)
@@ -83,9 +83,9 @@ class TestSchemeEdges:
     def test_interleaved_trim_write_read(self, tiny_cfg):
         for scheme in ("ftl", "mrsm", "across"):
             svc, ftl = build_ftl(scheme, tiny_cfg)
-            ftl.write(100, 20, 0.0, {s: 1 for s in range(100, 120)})
+            ftl.write(100, 20, 0.0, 1)
             ftl.trim(104, 4, 1.0)
-            ftl.write(106, 2, 2.0, {s: 2 for s in range(106, 108)})
+            ftl.write(106, 2, 2.0, 2)
             _, found = ftl.read(100, 20, 3.0)
             assert found.get(100) == 1, scheme
             assert 104 not in found and 105 not in found, scheme

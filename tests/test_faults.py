@@ -175,8 +175,7 @@ class TestRetirementDrain:
         svc = FlashService(micro_cfg)
         ftl = AcrossFTL(svc, track_payload=True)
         spp = ftl.spp
-        stamps = {s: 909 for s in range(2056, 2068)}
-        ftl.write(2056, 12, 0.0, stamps)
+        ftl.write(2056, 12, 0.0, 909)
         entry = next(ftl.amt.entries())
         area_ppn = entry.appn
         block = area_ppn // micro_cfg.pages_per_block
@@ -189,8 +188,7 @@ class TestRetirementDrain:
             or block in ftl.allocator.active_in_plane(plane)
         ):
             lpn = 40 + guard
-            ftl.write(lpn * spp, spp, 0.0,
-                      {s: guard for s in range(lpn * spp, lpn * spp + spp)})
+            ftl.write(lpn * spp, spp, 0.0, guard)
             guard += 1
             assert guard < 10_000
         # mark it failing, as crossing the program-fail threshold would

@@ -304,7 +304,7 @@ class TestNCQSlots:
         # the trim issues despite the single NCQ slot being held
         assert issued == [0, 1]
         assert fe.slots_used == 1
-        assert not t1.holds_slot
+        assert t1.chip < 0
 
     def test_cache_hit_read_bypasses_the_nand_queue(self):
         issued = []

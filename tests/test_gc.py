@@ -91,9 +91,8 @@ class TestCollection:
         for i in range(3 * svc.geom.num_pages):
             lpn = i % hot
             v += 1
-            stamps = {s: v for s in range(lpn * spp, (lpn + 1) * spp)}
             version[lpn] = v
-            ftl.write(lpn * spp, spp, 0.0, stamps)
+            ftl.write(lpn * spp, spp, 0.0, v)
         assert svc.counters.erases > 0
         for lpn, expect in version.items():
             _, found = ftl.read(lpn * spp, spp, 0.0)

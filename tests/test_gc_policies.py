@@ -94,8 +94,7 @@ class TestAllPoliciesWork:
         for i in range(2 * svc.geom.num_pages):
             lpn = i % hot
             version[lpn] = i
-            ftl.write(lpn * spp, spp, 0.0,
-                      {s: i for s in range(lpn * spp, (lpn + 1) * spp)})
+            ftl.write(lpn * spp, spp, 0.0, i)
         for lpn, v in version.items():
             _, found = ftl.read(lpn * spp, spp, 0.0)
             assert all(found[s] == v for s in range(lpn * spp, (lpn + 1) * spp))

@@ -10,10 +10,7 @@ import numpy as np
 
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
-
-
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
+from conftest import stamps_for
 
 
 def fill_until_sealed(ftl, svc, block, *, start_lpn, ppb):
@@ -23,7 +20,7 @@ def fill_until_sealed(ftl, svc, block, *, start_lpn, ppb):
     spp = ftl.spp
     while svc.array.write_ptr[block] < ppb:
         lpn = start_lpn + guard
-        ftl.write(lpn * spp, spp, 0.0, stamps_for(lpn * spp, spp, 7))
+        ftl.write(lpn * spp, spp, 0.0, 7)
         guard += 1
         assert guard < 10_000
     return start_lpn + guard
@@ -34,7 +31,7 @@ class TestFrontierDeferral:
         svc = FlashService(micro_cfg)
         ftl = make_ftl("ftl", svc, track_payload=True)
         spp = ftl.spp
-        ftl.write(0, spp, 0.0, stamps_for(0, spp, 1))
+        ftl.write(0, spp, 0.0, 1)
         block = int(ftl.pmt[0]) // micro_cfg.pages_per_block
         plane = svc.geom.plane_of_block(block)
         assert block in ftl.allocator.active_in_plane(plane)
@@ -52,7 +49,7 @@ class TestFrontierDeferral:
         ftl = make_ftl("ftl", svc, track_payload=True)
         spp = ftl.spp
         ppb = micro_cfg.pages_per_block
-        ftl.write(0, spp, 0.0, stamps_for(0, spp, 1))
+        ftl.write(0, spp, 0.0, 1)
         block = int(ftl.pmt[0]) // ppb
         plane = svc.geom.plane_of_block(block)
         fill_until_sealed(ftl, svc, block, start_lpn=10, ppb=ppb)
@@ -72,7 +69,7 @@ class TestFrontierDeferral:
         ftl = make_ftl("ftl", svc, track_payload=True)
         spp = ftl.spp
         ppb = micro_cfg.pages_per_block
-        ftl.write(0, spp, 0.0, stamps_for(0, spp, 1))
+        ftl.write(0, spp, 0.0, 1)
         block = int(ftl.pmt[0]) // ppb
         plane = svc.geom.plane_of_block(block)
         svc.retire_pending.add(block)
@@ -83,7 +80,7 @@ class TestFrontierDeferral:
         guard = 0
         while not svc.array.is_bad[block]:
             lpn = next_lpn + guard
-            ftl.write(lpn * spp, spp, 0.0, stamps_for(lpn * spp, spp, 9))
+            ftl.write(lpn * spp, spp, 0.0, 9)
             guard += 1
             assert guard < 10_000
         assert block not in svc.retire_pending
@@ -103,7 +100,7 @@ class TestFrontierDeferral:
         # an across-page write: lands in an AMT-managed area page
         offset = 2 * spp + spp // 2
         size = spp // 2 + 2
-        ftl.write(offset, size, 0.0, stamps_for(offset, size, 909))
+        ftl.write(offset, size, 0.0, 909)
         entry = next(ftl.amt.entries())
         block = entry.appn // ppb
         plane = svc.geom.plane_of_block(block)
@@ -116,7 +113,7 @@ class TestFrontierDeferral:
         guard = 0
         while not svc.array.is_bad[block]:
             lpn = next_lpn + guard
-            ftl.write(lpn * spp, spp, 0.0, stamps_for(lpn * spp, spp, 3))
+            ftl.write(lpn * spp, spp, 0.0, 3)
             guard += 1
             assert guard < 10_000
         # the area moved off the retired block and kept every sector

@@ -346,7 +346,7 @@ def test_age_with_trace_bypasses_the_cache(tmp_path):
 
 def test_payload_stamps_are_refused():
     ftl = make_ftl("across", FlashService(CFG), track_payload=True)
-    ftl.write(0, 4, 0.0, {s: 1 for s in range(4)})
+    ftl.write(0, 4, 0.0, 1)
     with pytest.raises(ValueError, match="payload"):
         device_state(ftl)
 

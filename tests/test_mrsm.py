@@ -6,16 +6,12 @@ from repro.errors import ConfigError, MappingError
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
 from repro.ftl.mrsm import MRSMFTL
-from conftest import build_ftl, relocate_each_programmed_page
+from conftest import build_ftl, relocate_each_programmed_page, stamps_for
 
 
 @pytest.fixture
 def ftl_pair(tiny_cfg):
     return build_ftl("mrsm", tiny_cfg)
-
-
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
 
 
 class TestRegionGeometry:
@@ -49,31 +45,31 @@ class TestPacking:
     def test_across_page_write_single_program(self, ftl_pair):
         svc, ftl = ftl_pair
         # 12-sector across-page extent = 3 regions -> ONE program
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         assert svc.counters.data_writes == 1
 
     def test_full_page_write_single_program(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         assert svc.counters.data_writes == 1
 
     def test_large_write_multiple_pages(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 32, 0.0, stamps_for(0, 32, 1))  # 8 regions -> 2 pages
+        ftl.write(0, 32, 0.0, 1)  # 8 regions -> 2 pages
         assert svc.counters.data_writes == 2
 
     def test_region_aligned_update_no_rmw(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         before = svc.counters.data_reads
-        ftl.write(4, 8, 0.0, stamps_for(4, 8, 2))  # region-aligned
+        ftl.write(4, 8, 0.0, 2)  # region-aligned
         assert svc.counters.data_reads == before  # "overwrites directly"
         assert svc.counters.update_reads == 0
 
     def test_sub_region_update_rmw(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
-        ftl.write(1, 2, 0.0, stamps_for(1, 2, 2))  # partial region 0
+        ftl.write(0, 16, 0.0, 1)
+        ftl.write(1, 2, 0.0, 2)  # partial region 0
         assert svc.counters.update_reads == 1
         _, found = ftl.read(0, 4, 0.0)
         assert found[0] == 1 and found[1] == 2 and found[2] == 2 and found[3] == 1
@@ -82,24 +78,24 @@ class TestPacking:
 class TestSlotLiveness:
     def test_page_invalidated_when_all_slots_die(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ppn, _ = ftl.region_loc(0)
         assert svc.array.is_valid(ppn)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 2))  # kills all 4 slots
+        ftl.write(0, 16, 0.0, 2)  # kills all 4 slots
         assert not svc.array.is_valid(ppn)
 
     def test_page_survives_partial_overwrite(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ppn, _ = ftl.region_loc(0)
-        ftl.write(0, 4, 0.0, stamps_for(0, 4, 2))  # kills one slot
+        ftl.write(0, 4, 0.0, 2)  # kills one slot
         assert svc.array.is_valid(ppn)  # three slots still live
 
     def test_region_map_points_to_new_page(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         old = ftl.region_loc(0)
-        ftl.write(0, 4, 0.0, stamps_for(0, 4, 2))
+        ftl.write(0, 4, 0.0, 2)
         assert ftl.region_loc(0) != old
         assert ftl.region_loc(1) == (old[0], 1)  # untouched region stays
 
@@ -107,7 +103,7 @@ class TestSlotLiveness:
 class TestReads:
     def test_read_spanning_regions(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         before = svc.counters.data_reads
         _, found = ftl.read(2, 10, 0.0)
         assert svc.counters.data_reads - before == 1  # one packed page
@@ -115,8 +111,8 @@ class TestReads:
 
     def test_read_fragmented_page_multiple_reads(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
-        ftl.write(4, 4, 0.0, stamps_for(4, 4, 2))  # region 1 moves
+        ftl.write(0, 16, 0.0, 1)
+        ftl.write(4, 4, 0.0, 2)  # region 1 moves
         before = svc.counters.data_reads
         _, found = ftl.read(0, 16, 0.0)
         assert svc.counters.data_reads - before == 2  # two physical pages
@@ -131,10 +127,10 @@ class TestReads:
 class TestGCRelocation:
     def test_compaction_of_live_slots(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ppn, _ = ftl.region_loc(0)
-        ftl.write(0, 4, 0.0, stamps_for(0, 4, 2))   # slot 0 dead
-        ftl.write(8, 4, 0.0, stamps_for(8, 4, 3))   # slot 2 dead
+        ftl.write(0, 4, 0.0, 2)   # slot 0 dead
+        ftl.write(8, 4, 0.0, 3)   # slot 2 dead
         ftl._relocate(ppn, 0.0, True)
         assert not svc.array.is_valid(ppn)
         # surviving regions 1 and 3 compacted onto a new page
@@ -217,9 +213,8 @@ class TestColumnHazards:
         for v, (off, size) in enumerate(
             [(0, 16), (6, 10), (2056, 12), (3, 2), (0, 64), (30, 7), (2050, 40)]
         ):
-            stamps = stamps_for(off, size, v)
-            versions.update(stamps)
-            ftl.write(off, size, 0.0, stamps)
+            versions.update(stamps_for(off, size, v))
+            ftl.write(off, size, 0.0, v)
         assert len(moved) >= 7
         assert not any(svc.array.is_valid(ppn) for ppn in moved)
         for sec, v in versions.items():
@@ -247,15 +242,15 @@ class TestColumnHazards:
         last page of the device without complaint."""
         svc, ftl = ftl_pair
         last_ppn = svc.geom.num_pages - 1
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ftl.region_masks[40] = 0b0110  # corrupt: mask without a slot
         reads = svc.array.total_page_reads
         with pytest.raises(MappingError, match="no slot"):
             ftl.read(160, 4, 0.0)
         with pytest.raises(MappingError, match="no slot"):
-            ftl.write(160, 1, 0.0, stamps_for(160, 1, 2))  # RMW lookup
+            ftl.write(160, 1, 0.0, 2)  # RMW lookup
         with pytest.raises(MappingError, match="bookkeeping"):
-            ftl.write(160, 4, 0.0, stamps_for(160, 4, 2))  # slot kill
+            ftl.write(160, 4, 0.0, 2)  # slot kill
         with pytest.raises(MappingError, match="bookkeeping"):
             ftl.trim(160, 4, 0.0)
         assert svc.array.total_page_reads == reads
@@ -267,10 +262,10 @@ class TestColumnHazards:
     @pytest.mark.parametrize("offset", [0, 5, 16, 163])
     def test_zero_length_requests_are_no_ops(self, ftl_pair, offset):
         svc, ftl = ftl_pair
-        ftl.write(160, 8, 0.0, stamps_for(160, 8, 1))
+        ftl.write(160, 8, 0.0, 1)
         before = region_columns(ftl)
         programs, dram = svc.array.total_programs, svc.counters.dram_accesses
-        assert ftl.write(offset, 0, 3.0, {}) == 3.0
+        assert ftl.write(offset, 0, 3.0, 2) == 3.0
         assert ftl.read(offset, 0, 3.0) == (3.0, {})
         # a TRIM is one DRAM-speed metadata operation whatever it covers
         assert ftl.trim(offset, 0, 3.0) == 3.0 + ftl.cfg.timing.cache_access_ms
@@ -292,10 +287,10 @@ class TestColumnHazards:
             offset = limit  # first sector past the end
         elif offset in (-2, -6):
             offset += limit  # straddles the end
-        ftl.write(limit - 16, 16, 0.0, stamps_for(limit - 16, 16, 1))
+        ftl.write(limit - 16, 16, 0.0, 1)
         before = region_columns(ftl)
         for request in (
-            lambda: ftl.write(offset, size, 1.0, stamps_for(offset, size, 2)),
+            lambda: ftl.write(offset, size, 1.0, 2),
             lambda: ftl.read(offset, size, 1.0),
             lambda: ftl.trim(offset, size, 1.0),
         ):

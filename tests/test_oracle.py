@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.oracle import OracleMismatch, SectorOracle
+from conftest import stamps_for
 
 
 @pytest.fixture
@@ -12,13 +13,16 @@ def oracle():
 
 class TestStamping:
     def test_stamps_monotone(self, oracle):
-        s1 = oracle.stamp_write(0, 4)
-        s2 = oracle.stamp_write(0, 4)
-        assert all(s2[k] > s1[k] for k in s1)
+        """A write's format is one int version, increasing per write."""
+        v1 = oracle.stamp_write(0, 4)
+        v2 = oracle.stamp_write(100, 2)
+        v3 = oracle.stamp_write(0, 4)
+        assert all(type(v) is int for v in (v1, v2, v3))
+        assert v1 < v2 < v3
 
     def test_stamps_cover_extent(self, oracle):
-        s = oracle.stamp_write(10, 5)
-        assert set(s) == {10, 11, 12, 13, 14}
+        v = oracle.stamp_write(10, 5)
+        assert oracle.snapshot(8, 10) == stamps_for(10, 5, v)
 
     def test_written_sectors(self, oracle):
         oracle.stamp_write(0, 4)
@@ -34,15 +38,15 @@ def verify(oracle, off, size, found):
 
 class TestVerification:
     def test_verify_ok(self, oracle):
-        s = oracle.stamp_write(0, 4)
-        verify(oracle, 0, 4, dict(s))
+        v = oracle.stamp_write(0, 4)
+        verify(oracle, 0, 4, stamps_for(0, 4, v))
         assert oracle.reads_verified == 1
 
     def test_stale_detected(self, oracle):
-        s1 = oracle.stamp_write(0, 4)
+        v1 = oracle.stamp_write(0, 4)
         oracle.stamp_write(0, 4)
         with pytest.raises(OracleMismatch):
-            verify(oracle, 0, 4, dict(s1))
+            verify(oracle, 0, 4, stamps_for(0, 4, v1))
 
     def test_missing_detected(self, oracle):
         oracle.stamp_write(0, 4)
@@ -58,7 +62,7 @@ class TestVerification:
         verify(oracle, 100, 8, None)
 
     def test_partial_extent_verification(self, oracle):
-        s = oracle.stamp_write(0, 8)
+        v = oracle.stamp_write(0, 8)
         # reading a wider extent: unwritten tail must be absent
-        found = dict(s)
+        found = stamps_for(0, 8, v)
         verify(oracle, 0, 16, found)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import build_ftl, relocate_each_programmed_page
+from conftest import build_ftl, relocate_each_programmed_page, stamps_for
 
 
 @pytest.fixture
@@ -10,30 +10,26 @@ def ftl_pair(tiny_cfg):
     return build_ftl("ftl", tiny_cfg)
 
 
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
-
-
 class TestBasicWrite:
     def test_full_page_write_one_program(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         assert svc.counters.data_writes == 1
         assert svc.counters.data_reads == 0
 
     def test_across_page_write_two_programs(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(8, 16, 0.0, stamps_for(8, 16, 1))
+        ftl.write(8, 16, 0.0, 1)
         assert svc.counters.data_writes == 2  # the across-page penalty
 
     def test_multi_page_write(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 48, 0.0, stamps_for(0, 48, 1))
+        ftl.write(0, 48, 0.0, 1)
         assert svc.counters.data_writes == 3
 
     def test_sub_page_write_no_read_when_fresh(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(4, 4, 0.0, stamps_for(4, 4, 1))
+        ftl.write(4, 4, 0.0, 1)
         assert svc.counters.data_writes == 1
         assert svc.counters.data_reads == 0
         assert svc.counters.update_reads == 0
@@ -42,21 +38,21 @@ class TestBasicWrite:
 class TestRMW:
     def test_partial_update_reads_old_page(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
-        ftl.write(4, 4, 0.0, stamps_for(4, 4, 2))
+        ftl.write(0, 16, 0.0, 1)
+        ftl.write(4, 4, 0.0, 2)
         assert svc.counters.update_reads == 1
         assert svc.counters.data_reads == 1
 
     def test_full_overwrite_skips_read(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 2))
+        ftl.write(0, 16, 0.0, 1)
+        ftl.write(0, 16, 0.0, 2)
         assert svc.counters.update_reads == 0
 
     def test_rmw_preserves_other_sectors(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
-        ftl.write(4, 4, 0.0, stamps_for(4, 4, 2))
+        ftl.write(0, 16, 0.0, 1)
+        ftl.write(4, 4, 0.0, 2)
         _, found = ftl.read(0, 16, 0.0)
         assert found[0] == 1 and found[3] == 1
         assert found[4] == 2 and found[7] == 2
@@ -64,16 +60,16 @@ class TestRMW:
 
     def test_old_page_invalidated(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         old_ppn = int(ftl.pmt[0])
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 2))
+        ftl.write(0, 16, 0.0, 2)
         assert not svc.array.is_valid(old_ppn)
         assert int(ftl.pmt[0]) != old_ppn
 
     def test_rmw_disabled_ablation(self, tiny_cfg):
         svc, ftl = build_ftl("ftl", tiny_cfg, rmw_enabled=False)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
-        ftl.write(4, 4, 0.0, stamps_for(4, 4, 2))
+        ftl.write(0, 16, 0.0, 1)
+        ftl.write(4, 4, 0.0, 2)
         assert svc.counters.update_reads == 0
 
 
@@ -87,7 +83,7 @@ class TestRead:
 
     def test_read_one_page(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         svc.counters.reads[list(svc.counters.reads)[0]]  # no-op touch
         _, found = ftl.read(2, 6, 0.0)
         assert len(found) == 6
@@ -95,14 +91,14 @@ class TestRead:
 
     def test_across_read_two_pages(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 32, 0.0, stamps_for(0, 32, 1))
+        ftl.write(0, 32, 0.0, 1)
         before = svc.counters.data_reads
         ftl.read(8, 16, 0.0)
         assert svc.counters.data_reads - before == 2  # across-page read cost
 
     def test_read_partial_written(self, ftl_pair):
         svc, ftl = ftl_pair
-        ftl.write(0, 4, 0.0, stamps_for(0, 4, 1))
+        ftl.write(0, 4, 0.0, 1)
         _, found = ftl.read(0, 16, 0.0)
         assert set(found) == {0, 1, 2, 3}
 
@@ -172,9 +168,8 @@ class TestProgramRecordGcCheck:
             # ARollback writes both pages back through this path
             writes += [(12, 8), (0, 32)]
         for v, (off, size) in enumerate(writes):
-            stamps = stamps_for(off, size, v)
-            versions.update(stamps)
-            ftl.write(off, size, 0.0, stamps)
+            versions.update(stamps_for(off, size, v))
+            ftl.write(off, size, 0.0, v)
         assert len(moved) >= len(writes)
         assert not any(svc.array.is_valid(ppn) for ppn in moved)
         for sec, v in versions.items():

@@ -247,6 +247,33 @@ class TestResultStore:
         assert (again.executed, again.cached) == (0, 1)
         assert executed_keys == [spec.key()]
 
+    @pytest.mark.parametrize(
+        "text", ["[]", "3", '"x"', "null"],
+        ids=["list", "number", "string", "null"],
+    )
+    def test_non_object_document_is_a_miss(
+        self, tiny_setup, tmp_path, executed_keys, text
+    ):
+        """Valid JSON that is not an object is a miss like a corrupt
+        file, not an error: it runs again and is overwritten, then
+        hits."""
+        store = ResultStore(tmp_path / "store")
+        (spec,) = _specs(tiny_setup, ["ftl"])
+        execute_runs([spec], store=store)
+        executed_keys.clear()
+        path = store.path_for(spec)
+        path.write_text(text)
+        assert store.get(spec) is None
+        assert spec not in store
+        out = execute_runs([spec], store=store)
+        assert (out.executed, out.cached) == (1, 0)
+        assert executed_keys == [spec.key()]
+        rewritten = json.loads(path.read_text())
+        assert rewritten["key"] == spec.key()
+        again = execute_runs([spec], store=store)
+        assert (again.executed, again.cached) == (0, 1)
+        assert executed_keys == [spec.key()]
+
     def test_compact_file_is_plain_json(self, tiny_setup, tmp_path):
         store = ResultStore(tmp_path / "store")
         (spec,) = _specs(tiny_setup, ["ftl"])

@@ -59,7 +59,7 @@ def test_datacache_matches_reference(ops, capacity):
             continue
         if op == "put":
             stamp += 1
-            cache.put(offset, size, {s: stamp for s in range(offset, offset + size)})
+            cache.put(offset, size, stamp)
             for s in range(offset, offset + size):
                 ref_sectors[s] = stamp
             for lpn in range(offset // SPP, (offset + size - 1) // SPP + 1):

@@ -68,11 +68,9 @@ def run_workload(scheme: str, ops):
         size = max(1, min(size, MAX_SECTOR - offset))
         if is_write:
             v += 1
-            stamps = {}
             for s in range(offset, offset + size):
-                stamps[s] = v
                 versions[s] = v
-            ftl.write(offset, size, 0.0, stamps)
+            ftl.write(offset, size, 0.0, v)
         else:
             _, found = ftl.read(offset, size, 0.0)
             for s in range(offset, offset + size):
@@ -143,13 +141,11 @@ def test_across_invariants_under_gc_pressure(ops, seed):
         offset = max(0, min(offset, MAX_SECTOR - 1))
         size = max(1, min(size, MAX_SECTOR - offset))
         v += 1
-        ftl.write(offset, size, 0.0, {s: v for s in range(offset, offset + size)})
+        ftl.write(offset, size, 0.0, v)
         # interleave hot full-page overwrites to force GC
         lpn = int(rng.integers(hot))
         v += 1
-        ftl.write(
-            lpn * SPP, SPP, 0.0, {s: v for s in range(lpn * SPP, (lpn + 1) * SPP)}
-        )
+        ftl.write(lpn * SPP, SPP, 0.0, v)
     ftl.check_invariants()
     svc.array.check_invariants()
 
@@ -173,11 +169,9 @@ def run_mixed_workload(scheme: str, ops, *, check_every: int = 0, **ftl_kw):
         size = max(1, min(size, MAX_SECTOR - offset))
         if action == "write":
             v += 1
-            stamps = {}
             for s in range(offset, offset + size):
-                stamps[s] = v
                 versions[s] = v
-            ftl.write(offset, size, 0.0, stamps)
+            ftl.write(offset, size, 0.0, v)
         elif action == "trim":
             ftl.trim(offset, size, 0.0)
             for s in range(offset, offset + size):

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_ftl, random_extents
-
-
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
+from conftest import build_ftl, random_extents, stamps_for
 
 
 def random_workload(ftl, n=300, seed=5):
@@ -30,9 +26,8 @@ def random_workload(ftl, n=300, seed=5):
             p = int(rng.integers(max_page - 3))
             off, size = p * spp, int(rng.integers(1, 3 * spp))
         v += 1
-        st = stamps_for(off, size, v)
-        versions.update(st)
-        ftl.write(off, size, 0.0, st)
+        versions.update(stamps_for(off, size, v))
+        ftl.write(off, size, 0.0, v)
     return versions
 
 
@@ -106,8 +101,7 @@ class TestRebuild:
         hot = max(4, ftl.logical_pages // 8)
         for i in range(2 * svc.geom.num_pages):
             lpn = i % hot
-            ftl.write(lpn * spp, spp, 0.0,
-                      stamps_for(lpn * spp, spp, i))
+            ftl.write(lpn * spp, spp, 0.0, i)
         assert svc.counters.erases > 0
         before = snapshot(ftl)
         wipe(ftl)
@@ -121,7 +115,7 @@ class TestRebuild:
         random_workload(ftl, n=150, seed=2)
         wipe(ftl)
         ftl.rebuild_from_flash()
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 999))
+        ftl.write(2056, 12, 0.0, 999)
         _, found = ftl.read(2056, 12, 0.0)
         assert all(v == 999 for v in found.values())
         ftl.check_invariants()
@@ -142,7 +136,7 @@ class TestRegionColumnsRebuild:
         rng = np.random.default_rng(regions)
         span = int(ftl.logical_pages * ftl.spp * 0.4)
         for off, size in random_extents(rng, 3 * svc.geom.num_pages, span, ftl.spp):
-            ftl.write(off, size, 0.0, stamps_for(off, size, off))
+            ftl.write(off, size, 0.0, off)
         assert svc.counters.erases > 0 and ftl.gc.migrated_pages > 0
         before = region_tables(ftl)
         oob = {name: col.copy() for name, col in svc.array.oob.items()}
@@ -161,7 +155,7 @@ class TestRegionColumnsRebuild:
         forgotten (the documented caveat of ``rebuild_from_flash``)."""
         svc, ftl = build_ftl("mrsm", tiny_cfg, regions_per_page=regions)
         rs = ftl.region_sectors
-        ftl.write(0, 4 * rs, 0.0, stamps_for(0, 4 * rs, 1))
+        ftl.write(0, 4 * rs, 0.0, 1)
         written = region_tables(ftl)
         ftl.trim(rs, rs, 1.0)          # region 1, whole
         ftl.trim(2 * rs, 1, 1.0)       # region 2, first sector

@@ -53,11 +53,9 @@ class FTLMachine(RuleBasedStateMachine):
     def _write(self, offset: int, size: int):
         size = max(1, min(size, MAX_SECTOR - offset))
         self.version += 1
-        stamps = {}
         for s in range(offset, offset + size):
-            stamps[s] = self.version
             self.model[s] = self.version
-        self.ftl.write(offset, size, 0.0, stamps)
+        self.ftl.write(offset, size, 0.0, self.version)
         self.ops += 1
 
     @rule(offset=offsets, size=sizes)

@@ -50,8 +50,7 @@ class TestEndToEnd:
         for i in range(3 * svc.geom.num_pages):
             lpn = i % hot
             version[lpn] = i
-            ftl.write(lpn * spp, spp, 0.0,
-                      {s: i for s in range(lpn * spp, (lpn + 1) * spp)})
+            ftl.write(lpn * spp, spp, 0.0, i)
         assert svc.counters.erases > 0
         ftl.check_invariants()
         svc.array.check_invariants()

@@ -10,14 +10,10 @@ from repro.traces.model import OP_READ, OP_TRIM, OP_WRITE
 from conftest import build_ftl
 
 
-def stamps_for(offset, size, v):
-    return {s: v for s in range(offset, offset + size)}
-
-
 class TestPageMapTrim:
     def test_full_page_trim_invalidates(self, tiny_cfg):
         svc, ftl = build_ftl("ftl", tiny_cfg)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ppn = int(ftl.pmt[0])
         ftl.trim(0, 16, 1.0)
         assert not svc.array.is_valid(ppn)
@@ -27,7 +23,7 @@ class TestPageMapTrim:
 
     def test_partial_trim_keeps_page(self, tiny_cfg):
         svc, ftl = build_ftl("ftl", tiny_cfg)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ftl.trim(0, 8, 1.0)
         assert svc.array.is_valid(int(ftl.pmt[0]))
         _, found = ftl.read(0, 16, 2.0)
@@ -40,17 +36,17 @@ class TestPageMapTrim:
 
     def test_trim_then_rewrite_no_rmw(self, tiny_cfg):
         svc, ftl = build_ftl("ftl", tiny_cfg)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ftl.trim(0, 16, 1.0)
         before = svc.counters.update_reads
-        ftl.write(0, 4, 2.0, stamps_for(0, 4, 2))  # fresh page: no RMW
+        ftl.write(0, 4, 2.0, 2)  # fresh page: no RMW
         assert svc.counters.update_reads == before
 
 
 class TestAcrossTrim:
     def test_full_area_trim_releases(self, tiny_cfg):
         svc, ftl = build_ftl("across", tiny_cfg)
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         appn = next(ftl.amt.entries()).appn
         ftl.trim(2056, 12, 1.0)
         assert len(ftl.amt) == 0
@@ -62,14 +58,14 @@ class TestAcrossTrim:
 
     def test_wider_trim_covers_area(self, tiny_cfg):
         svc, ftl = build_ftl("across", tiny_cfg)
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))
+        ftl.write(2056, 12, 0.0, 1)
         ftl.trim(2048, 32, 1.0)  # both full pages
         assert len(ftl.amt) == 0
         ftl.check_invariants()
 
     def test_partial_area_trim_preserves_survivors(self, tiny_cfg):
         svc, ftl = build_ftl("across", tiny_cfg)
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 1))  # area 2056..2068
+        ftl.write(2056, 12, 0.0, 1)  # area 2056..2068
         ftl.trim(2056, 4, 1.0)  # drop the first 4 sectors only
         assert len(ftl.amt) == 0  # area rolled back
         _, found = ftl.read(2048, 32, 2.0)
@@ -79,8 +75,8 @@ class TestAcrossTrim:
 
     def test_trim_normal_data_keeps_area(self, tiny_cfg):
         svc, ftl = build_ftl("across", tiny_cfg)
-        ftl.write(2048, 4, 0.0, stamps_for(2048, 4, 1))   # normal head
-        ftl.write(2056, 12, 0.0, stamps_for(2056, 12, 2))  # area
+        ftl.write(2048, 4, 0.0, 1)   # normal head
+        ftl.write(2056, 12, 0.0, 2)  # area
         ftl.trim(2048, 4, 1.0)
         assert len(ftl.amt) == 1
         _, found = ftl.read(2048, 32, 2.0)
@@ -91,7 +87,7 @@ class TestAcrossTrim:
 class TestMRSMTrim:
     def test_region_trim_kills_slot(self, tiny_cfg):
         svc, ftl = build_ftl("mrsm", tiny_cfg)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ppn, _ = ftl.region_loc(0)
         ftl.trim(0, 16, 1.0)
         assert not svc.array.is_valid(ppn)
@@ -102,7 +98,7 @@ class TestMRSMTrim:
 
     def test_partial_region_trim(self, tiny_cfg):
         svc, ftl = build_ftl("mrsm", tiny_cfg)
-        ftl.write(0, 16, 0.0, stamps_for(0, 16, 1))
+        ftl.write(0, 16, 0.0, 1)
         ftl.trim(0, 2, 1.0)  # half of region 0
         assert ftl.region_loc(0) is not None
         _, found = ftl.read(0, 4, 2.0)
