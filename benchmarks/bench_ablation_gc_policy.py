@@ -1,9 +1,9 @@
 """Ablation: GC victim-selection policy.
 
 DESIGN.md §5 extension — the paper (and SSDsim) use greedy selection;
-this sweep shows how cost-benefit and wear-aware selection trade erase
-count against wear evenness under the same lun1 workload, and that
-Across-FTL's advantage is not an artifact of the greedy policy.
+this sweep runs every registered policy under the same lun1 workload
+and checks that Across-FTL's advantage is not an artifact of the
+greedy policy.
 """
 
 from repro.ftl.gc import GC_POLICIES

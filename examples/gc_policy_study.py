@@ -2,8 +2,8 @@
 """GC-policy and wear study (library extension beyond the paper).
 
 The paper evaluates with SSDsim's greedy garbage collection.  This
-example compares greedy, cost-benefit and wear-aware victim selection
-under the same hot/cold VDI workload, reporting erase counts, write
+example runs every registered GC policy (``GC_POLICIES``) under the
+same hot/cold VDI workload, reporting erase counts, write
 amplification and wear evenness — and shows Across-FTL keeps its
 advantage under every policy.
 
@@ -55,7 +55,7 @@ def main() -> None:
         seed=99,
         hot_zones=32,
         zipf_s=1.3,  # strongly skewed: hot/cold separation favours
-                     # age- and wear-aware policies
+                     # age-aware policies
     )
     trace = generate_trace(spec)
 
@@ -87,7 +87,7 @@ def main() -> None:
         print(f"  {policy:13s} {r:.3f}")
     print(
         "\nThe re-alignment saving is orthogonal to the GC policy: "
-        "Across-FTL erases less under all three."
+        "Across-FTL erases less under every policy."
     )
 
 

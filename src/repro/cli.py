@@ -114,6 +114,22 @@ def _add_fault_sweep(p: argparse.ArgumentParser) -> None:
                    help="fault-injection RNG seed")
 
 
+def _gc_policies(values) -> tuple:
+    """The GC policy names of repeatable ``--gc-policies`` comma lists,
+    in order and each once (``all`` = every registered policy; none
+    given = empty); exits on an unknown name."""
+    from .config import GC_POLICIES
+
+    names = [n.strip() for v in values or () for n in v.split(",")]
+    names = [n for n in names if n]
+    if "all" in names:
+        return GC_POLICIES
+    for name in names:
+        if name not in GC_POLICIES:
+            raise SystemExit(f"unknown GC policy {name!r}; have {GC_POLICIES}")
+    return tuple(dict.fromkeys(names))
+
+
 def _fault_axis(args):
     """(base FaultConfig, levels) from the shared sweep arguments."""
     from .config import FaultConfig
@@ -491,17 +507,7 @@ def cmd_endure(args) -> int:
 
     cfg = _device(args)
     trace = _load_trace(args, cfg)
-    if args.policies:
-        policies = tuple(
-            p for ps in args.policies for p in ps.split(",") if p
-        )
-        for pol in policies:
-            if pol not in GC_POLICIES:
-                raise SystemExit(
-                    f"unknown GC policy {pol!r}; have {GC_POLICIES}"
-                )
-    else:
-        policies = GC_POLICIES
+    policies = _gc_policies(args.gc_policies) or GC_POLICIES
     base, levels = _fault_axis(args)
     res = run_endurance(
         trace,
@@ -539,21 +545,10 @@ def cmd_check(args) -> int:
     from .check.shrink import dump_counterexample
 
     schemes = tuple(args.schemes) if args.schemes else SCHEMES
-    policies: tuple = ()
-    if getattr(args, "gc_policies", None):
-        from .config import GC_POLICIES
-
-        if args.gc_policies.strip() == "all":
-            policies = tuple(p for p in GC_POLICIES if p != "greedy")
-        else:
-            policies = tuple(
-                p for p in args.gc_policies.split(",") if p.strip()
-            )
-            for pol in policies:
-                if pol not in GC_POLICIES:
-                    raise SystemExit(
-                        f"unknown GC policy {pol!r}; have {GC_POLICIES}"
-                    )
+    # greedy is the base leg every policy leg is compared against
+    policies = tuple(
+        p for p in _gc_policies(args.gc_policies) if p != "greedy"
+    )
 
     if args.replay:
         res = replay_counterexample(args.replay)
@@ -901,10 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="GC-policy endurance zoo (policy x fault-intensity sweep)",
     )
     p.add_argument("--scheme", choices=SCHEMES, default="across")
-    p.add_argument("--gc-policies", dest="policies", action="append",
-                   metavar="P1[,P2,...]",
-                   help="GC policies to sweep (repeatable or "
-                        "comma-separated; default: the full zoo)")
+    p.add_argument("--gc-policies", action="append", metavar="P1[,P2,...]",
+                   help="GC policies to sweep (repeatable, comma-"
+                        "separated, 'all' = the whole zoo; default: all)")
     _add_common(p)
     _add_fault_sweep(p)
     _add_parallel(p)
@@ -947,12 +941,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --frontend: additionally replay at each "
                         "listed host queue depth (point runs only), "
                         "e.g. 1,8,32")
-    p.add_argument("--gc-policies", dest="gc_policies",
-                   metavar="P1[,P2,...]",
+    p.add_argument("--gc-policies", action="append", metavar="P1[,P2,...]",
                    help="also replay each scheme under the listed GC "
-                        "policies ('all' = the whole zoo) and compare "
-                        "oracle read digests against the default-policy "
-                        "leg")
+                        "policies (repeatable, comma-separated, 'all' = "
+                        "the whole zoo) and compare oracle read digests "
+                        "against the default-policy leg")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 

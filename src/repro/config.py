@@ -27,30 +27,22 @@ from .units import GIB, KIB, MIB, sectors_per_page
 #: * ``greedy`` — fewest valid pages (the paper's / SSDsim's default);
 #: * ``cost_benefit`` — classic (1-u)/(2u) * age score, favouring cold
 #:   blocks so hot data has time to invalidate itself;
-#: * ``wear_aware`` — greedy score with a penalty on already-worn
-#:   blocks, trading some write amplification for evener wear;
 #: * ``windowed_greedy`` — greedy restricted to the oldest sealed
 #:   blocks (cheap cost-benefit approximation);
 #: * ``preemptive`` — partial GC in bounded slices between host
 #:   requests, starting early at a soft threshold and deferring the
 #:   rest while the plane stays healthy (arXiv 1807.09313);
 #: * ``hot_cold`` — greedy victim selection with hot/cold write-stream
-#:   separation (user and GC traffic fill distinct active blocks);
-#: * ``dual_pool`` — greedy victim selection plus dual-pool wear
-#:   levelling: when the plane's erase-count gap grows too wide, the
-#:   coldest sealed block's data is migrated out so the under-worn
-#:   block re-enters circulation.
+#:   separation (user and GC traffic fill distinct active blocks).
 #:
 #: Each policy's tuning values are class constants in
 #: :mod:`repro.ftl.gc_policy`.
 GC_POLICIES = (
     "greedy",
     "cost_benefit",
-    "wear_aware",
     "windowed_greedy",
     "preemptive",
     "hot_cold",
-    "dual_pool",
 )
 
 

@@ -194,8 +194,6 @@ class BaseFTL(ABC):
                 out["gc_slice_passes"] = self.gc.slices
             if self.gc.deferrals:
                 out["gc_deferral_passes"] = self.gc.deferrals
-            if self.gc.wear_migrations:
-                out["gc_wear_migrations"] = self.gc.wear_migrations
         return out
 
     def flush_metadata(self, now: float) -> float:

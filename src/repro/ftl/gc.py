@@ -69,12 +69,9 @@ class GarbageCollector:
         self._ok_free_count = next(
             (c for c in range(bpp + 1) if c / bpp >= self.threshold), bpp + 1
         )
-        # policy plumbing resolved once: partial mode, slice budget and
-        # whether the policy overrides the wear-levelling hook (the
-        # default path then pays a single flag check)
+        # policy plumbing resolved once: partial mode and slice budget
         self._partial = policy.partial
         self._budget = policy.relocation_budget()
-        self._wear_level = type(policy).wear_victim is not GcPolicy.wear_victim
         #: plane -> victim block a partial policy is mid-way through
         self._partial_victim: dict[int, int] = {}
         #: number of GC invocations (victim blocks processed)
@@ -91,15 +88,11 @@ class GarbageCollector:
         #: slices that left the victim un-erased, deferring the rest to
         #: a later invocation (measured twin: ``gc_deferrals``)
         self.deferrals = 0
-        #: cold blocks migrated by wear levelling (measured twin:
-        #: ``wear_migrations``)
-        self.wear_migrations = 0
 
     # ------------------------------------------------------------------
     #: the tallies of :meth:`state`, in order
     _TALLIES = (
-        "collections", "migrated_pages", "stalls",
-        "slices", "deferrals", "wear_migrations",
+        "collections", "migrated_pages", "stalls", "slices", "deferrals",
     )
 
     def state(self) -> dict:
@@ -177,26 +170,6 @@ class GarbageCollector:
         finish, _ = self._move_valid(ftl, victim, now, timed)
         finish = max(finish, self.service.erase_block(victim, now, aging=not timed))
         self.collections += 1
-        return finish
-
-    def migrate_block(
-        self, ftl, block: int, now: float, *, timed: bool = True
-    ) -> float:
-        """Wear-levelling migration: relocate every valid page of
-        ``block`` (typically a cold, under-worn block) and erase it so
-        it re-enters the free pool.  Returns the erase finish time."""
-        arr = self.service.array
-        obs = self.service.obs
-        if obs is not None:
-            obs.emit(GcPolicyDecision(
-                now, self.service.geom.plane_of_block(block), self.policy,
-                "wear_migrate", block, int(arr.valid_count[block]),
-            ))
-        finish, _ = self._move_valid(ftl, block, now, timed)
-        finish = max(finish, self.service.erase_block(block, now, aging=not timed))
-        self.wear_migrations += 1
-        if timed:
-            self.service.counters.wear_migrations += 1
         return finish
 
     def _drain_retirements(self, ftl, now: float, *, timed: bool = True) -> float:
@@ -375,12 +348,6 @@ class GarbageCollector:
                     finish,
                     self._collect_until_restored(ftl, plane, now, timed=timed),
                 )
-            if self._wear_level:
-                cold = self.policy_obj.wear_victim(self, plane)
-                if cold is not None:
-                    finish = max(
-                        finish, self.migrate_block(ftl, cold, now, timed=timed)
-                    )
         finally:
             self._collecting = False
             if attr is not None:

@@ -11,16 +11,13 @@ and delegates every *decision* to a :class:`GcPolicy` strategy object:
 * **relocation budget** (:meth:`GcPolicy.relocation_budget`) — how many
   valid pages one GC invocation may migrate before yielding back to
   host traffic (``None`` = unbounded, the classic stop-the-world
-  collection);
-* **wear levelling** (:meth:`GcPolicy.wear_victim`) — an optional
-  post-collection pick of a cold block for the collector to migrate.
+  collection).
 
 A policy holds no state: its tuning values are class constants
 (``WindowedGreedyPolicy.WINDOW``, ``PreemptivePolicy.SOFT_THRESHOLD``
-and ``SLICE_PAGES``, ``DualPoolPolicy.WEAR_GAP``,
-``WearAwarePolicy.WEAR_WEIGHT``).  The collector passes itself into the
-hooks that read device state (its flash service, allocator and
-candidate arrays), so neither object points back at the other.
+and ``SLICE_PAGES``).  The collector passes itself into the hooks that
+read device state (its flash service and candidate arrays), so
+neither object points back at the other.
 
 The registry (:func:`make_policy`) maps the
 :data:`~repro.config.GC_POLICIES` names to classes:
@@ -30,14 +27,11 @@ name                      behaviour
 ========================  ============================================
 ``greedy``                fewest valid pages (paper / SSDsim default)
 ``cost_benefit``          (1-u)/(2u) * age score; cold blocks win
-``wear_aware``            greedy + penalty on already-worn blocks
 ``windowed_greedy``       greedy among the ``WINDOW`` oldest blocks
 ``preemptive``            bounded ``SLICE_PAGES``-page slices from
                           ``SOFT_THRESHOLD`` down, full GC only
                           when the plane turns urgent (1807.09313)
 ``hot_cold``              greedy + hot/cold write-stream separation
-``dual_pool``             greedy + dual-pool wear levelling via
-                          ``WEAR_GAP``-triggered cold migration
 ========================  ============================================
 
 The ``greedy`` policy reproduces the pre-refactor collector bit for
@@ -61,11 +55,9 @@ __all__ = [
     "GcPolicy",
     "GreedyPolicy",
     "CostBenefitPolicy",
-    "WearAwarePolicy",
     "WindowedGreedyPolicy",
     "PreemptivePolicy",
     "HotColdPolicy",
-    "DualPoolPolicy",
     "make_policy",
 ]
 
@@ -74,8 +66,8 @@ class GcPolicy:
     """Strategy interface the :class:`GarbageCollector` delegates to.
 
     Hooks that read device state take the calling collector as ``gc``,
-    which gives access to the flash service, allocator and wear state
-    without duplicating any of it here.
+    which gives access to the flash service and its block columns
+    without duplicating any of them here.
     """
 
     #: registry name (matches :data:`repro.config.GC_POLICIES`)
@@ -110,13 +102,6 @@ class GcPolicy:
         """Pick a victim among ``eligible`` blocks (at least one is
         eligible; the collector handled the empty case)."""
         raise NotImplementedError
-
-    # -- wear levelling ------------------------------------------------
-    def wear_victim(self, gc: "GarbageCollector", plane: int) -> int | None:
-        """Optional post-collection wear-levelling step: a block of
-        ``plane`` for the collector to migrate out and erase, or
-        ``None``."""
-        return None
 
 
 class GreedyPolicy(GcPolicy):
@@ -158,26 +143,6 @@ class CostBenefitPolicy(GcPolicy):
         return lo + int(np.argmax(benefit))
 
 
-class WearAwarePolicy(GcPolicy):
-    """Greedy score plus a penalty on blocks worn past the plane mean,
-    trading some write amplification for evener wear."""
-
-    name = "wear_aware"
-    #: valid-page cost of one erase above the plane's mean wear
-    WEAR_WEIGHT = 4.0
-
-    def select_victim(self, gc, plane, lo, valid, eligible):
-        """Eligible block minimising valid pages + wear penalty."""
-        geom = gc.service.geom
-        arr = gc.service.array
-        hi = lo + geom.blocks_per_plane
-        wear = arr.erase_count[lo:hi].astype(np.float64)
-        mean_wear = wear.mean()
-        score = valid + self.WEAR_WEIGHT * np.maximum(0.0, wear - mean_wear)
-        score = np.where(eligible, score, np.inf)
-        return lo + int(np.argmin(score))
-
-
 class WindowedGreedyPolicy(GcPolicy):
     """Greedy restricted to the ``WINDOW`` least-recently-modified
     sealed blocks — a cheap cost-benefit approximation: the window
@@ -202,14 +167,15 @@ class WindowedGreedyPolicy(GcPolicy):
         return lo + int(idx[np.argmin(valid[idx])])
 
 
-class PreemptivePolicy(GcPolicy):
+class PreemptivePolicy(GreedyPolicy):
     """Preemptive/partial GC with request-aware deferral (1807.09313).
 
-    Collection starts early — when the plane's free fraction drops
-    below ``SOFT_THRESHOLD`` — but each invocation (which runs
-    between host requests, right after a page program) relocates at
-    most ``SLICE_PAGES`` valid pages of the current victim before
-    deferring the remainder.  Pages the host invalidates between slices
+    Victims are greedy's; what differs is when, and how much of one,
+    is collected.  Collection starts early — when the plane's free
+    fraction drops below ``SOFT_THRESHOLD`` — but each invocation
+    (which runs between host requests, right after a page program)
+    relocates at most ``SLICE_PAGES`` valid pages of the current victim
+    before deferring the remainder.  Pages the host invalidates between slices
     never need migration at all, which is where the WAF saving comes
     from.  Once the plane falls below the classic ``gc_threshold`` the
     collector abandons slicing and runs the full restore loop, so
@@ -234,13 +200,8 @@ class PreemptivePolicy(GcPolicy):
         """At most ``SLICE_PAGES`` migrations per invocation."""
         return self.SLICE_PAGES
 
-    def select_victim(self, gc, plane, lo, valid, eligible):
-        """Greedy pick (slicing, not selection, is what differs)."""
-        costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
-        return lo + int(np.argmin(costs))
 
-
-class HotColdPolicy(GcPolicy):
+class HotColdPolicy(GreedyPolicy):
     """Greedy victim selection with hot/cold write-stream separation:
     GC-migrated (cold, survived at least one collection) pages fill
     different active blocks than fresh user writes, so blocks stop
@@ -249,59 +210,15 @@ class HotColdPolicy(GcPolicy):
     name = "hot_cold"
     separate_streams = True
 
-    def select_victim(self, gc, plane, lo, valid, eligible):
-        """Greedy pick (stream separation is what differs)."""
-        costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
-        return lo + int(np.argmin(costs))
-
-
-class DualPoolPolicy(GcPolicy):
-    """Greedy victim selection plus dual-pool wear levelling.
-
-    Blocks split implicitly into a hot pool (high erase count) and a
-    cold pool (low erase count, pinned by long-lived data).  After each
-    collection pass the policy checks the plane's erase-count gap;
-    when ``max - min`` over sealed blocks reaches ``WEAR_GAP`` it
-    migrates the coldest sealed block's valid pages out and erases it,
-    returning the under-worn block to circulation (one block per GC
-    invocation, so the levelling cost stays bounded).
-    """
-
-    name = "dual_pool"
-    #: per-plane erase-count gap that triggers a cold-block migration
-    WEAR_GAP = 16
-
-    def select_victim(self, gc, plane, lo, valid, eligible):
-        """Greedy pick (wear levelling is what differs)."""
-        costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
-        return lo + int(np.argmin(costs))
-
-    def wear_victim(self, gc, plane):
-        """The coldest sealed block, once the plane's erase-count gap
-        reaches ``WEAR_GAP``."""
-        arr = gc.service.array
-        lo, valid, eligible = gc._candidates(plane)
-        if not eligible.any():
-            return None
-        hi = lo + gc.service.geom.blocks_per_plane
-        erase = arr.erase_count[lo:hi]
-        cold = np.where(eligible, erase, np.iinfo(erase.dtype).max)
-        coldest = int(np.argmin(cold))
-        if int(erase.max()) - int(cold[coldest]) < self.WEAR_GAP:
-            return None
-        return lo + coldest
-
 
 _REGISTRY: dict[str, type[GcPolicy]] = {
     cls.name: cls
     for cls in (
         GreedyPolicy,
         CostBenefitPolicy,
-        WearAwarePolicy,
         WindowedGreedyPolicy,
         PreemptivePolicy,
         HotColdPolicy,
-        DualPoolPolicy,
     )
 }
 

@@ -69,8 +69,6 @@ class FlashOpCounters:
     #: deferred to a later slice — the request-aware deferral of
     #: preemptive GC).
     gc_deferrals: int = 0
-    #: cold blocks migrated by wear levelling (dual-pool policy).
-    wear_migrations: int = 0
     #: running totals of measured (non-aging) ops, kept in lock-step
     #: with the per-kind dicts so :attr:`total_reads`/:attr:`total_writes`
     #: are O(1) — the engine consults them on every request.
@@ -168,7 +166,7 @@ class FlashOpCounters:
         the full counter state, so :meth:`from_snapshot` can rebuild an
         equal instance; the flat aggregates stay for readability and
         backward compatibility of archived sweeps.  Policy-zoo tallies
-        (``gc_slices``/``gc_deferrals``/``wear_migrations``) appear only
+        (``gc_slices``/``gc_deferrals``) appear only
         when nonzero: the default greedy policy never touches them, and
         omitting the keys keeps default-run report digests byte-stable.
         """
@@ -201,8 +199,6 @@ class FlashOpCounters:
             out["gc_slices"] = self.gc_slices
         if self.gc_deferrals:
             out["gc_deferrals"] = self.gc_deferrals
-        if self.wear_migrations:
-            out["wear_migrations"] = self.wear_migrations
         return out
 
     @classmethod
@@ -237,7 +233,6 @@ class FlashOpCounters:
         out.fault_relocations = int(d.get("fault_relocations", 0))
         out.gc_slices = int(d.get("gc_slices", 0))
         out.gc_deferrals = int(d.get("gc_deferrals", 0))
-        out.wear_migrations = int(d.get("wear_migrations", 0))
         return out
 
     def load_state(self, d: dict) -> None:
@@ -278,5 +273,4 @@ class FlashOpCounters:
         )
         out.gc_slices = self.gc_slices + other.gc_slices
         out.gc_deferrals = self.gc_deferrals + other.gc_deferrals
-        out.wear_migrations = self.wear_migrations + other.wear_migrations
         return out

@@ -184,8 +184,8 @@ class GcPolicyDecision(Event):
     ``action``: ``slice_erase`` (partial GC finished a victim) |
     ``defer`` (partial GC left valid pages for a later slice) |
     ``urgent`` (partial policy fell back to the full restore loop;
-    ``block`` is -1) | ``wear_migrate`` (wear levelling migrated a cold
-    block).  ``pages`` counts the valid pages relocated by the decision.
+    ``block`` is -1).  ``pages`` counts the valid pages relocated by the
+    decision.
     """
 
     plane: int

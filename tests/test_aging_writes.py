@@ -5,7 +5,10 @@ The pins below are ``DeviceImage.fingerprint()``s of the device state
 two aging runs leave behind — recorded when ftl and across still aged
 through a fused kernel that inlined the untimed flavour of every
 flash/cache operation, and which the scalar loop over ``write`` was
-required to match bit for bit.  The one path must reproduce every pin:
+required to match bit for bit (re-pinned once since, when the GC
+tallies lost an element that was 0 in every pin: ``state_diff`` against
+the old device listed only ``gc.tallies``).  The one path must
+reproduce every pin:
 PMT and masks, the AMT, page states and write pointers, page records,
 counters, the allocator cursor, GC tallies and the mapping caches' LRU
 order — also with a mapping cache too small for the table
@@ -45,35 +48,35 @@ CFG = SSDConfig(
 PINS = {
     ("ftl", "default"): (
         {}, {},
-        "93fe7b805081e3c647b109294cd6efab1a9ffa50cecc878819d64aa18bcc10a5",
+        "7fc91545d3346661d2b6328e93948cce36a4bc7a26797b063e25a2e008c74a04",
     ),
     ("ftl", "small-map-cache"): (
         {"mapping_cache_entries": 1024}, {},
-        "ff172fe5c55151f2b3f96dafe5ae5bb5497f4ca5953272df880833ac08025166",
+        "8462ef35dbe70055a1a1f3d0c67fe3a789965e91893ea5ca4dc7c862ec887b78",
     ),
     ("ftl", "hot-cold"): (
         {"gc_policy": "hot_cold"}, {},
-        "726928ed5ea19ed46a35842b87c0c67a6637c4574853ba6abc5a524c04c9111e",
+        "d9aaddd3730d1388f523120fd160a282fbddc3dac64f44a256580ba1957831ca",
     ),
     ("ftl", "no-rmw"): (
         {}, {"rmw_enabled": False},
-        "b979f87a7847cc37916226e22e6858b0d15ebfac76a082399f553868e879c463",
+        "ab898fb3aceaae0e5483da9a4a33ec1bc9d606dd94532027d58243250357c298",
     ),
     ("across", "default"): (
         {}, {},
-        "16ae577e7c18e38af26c7ea3f7786f381be1bdd673d8a5bd1b26b4460f9b8fd8",
+        "2a79e0a7fea487716c90bce9e14c7835086ea04efe50037f20172e53604ef1b4",
     ),
     ("across", "small-map-cache"): (
         {"mapping_cache_entries": 1024}, {},
-        "9ffb12b78a3ed657650975240493562f2038fbc832636b1c88992ef5d0598f8e",
+        "8d74b1a4568db8301841c14e3524485b085f9d483cec360d0e7f75cb027201e0",
     ),
     ("across", "hot-cold"): (
         {"gc_policy": "hot_cold"}, {},
-        "d5fa01ef3d92bbbcd143e7d182e6394cb6c1d939f596c332e0e70deda24e292b",
+        "f1dae95d0af35d4cb6cd11843ff968ed9ba51e0be03f147529efc19ce81cb378",
     ),
     ("mrsm", "default"): (
         {}, {},
-        "bf532c484800b58356180745d1561879d823a501da6db8667f97212057c090c0",
+        "1a9d92225530271a4037dc0ad44886925a4b925b85ece1161814df626425f524",
     ),
 }
 

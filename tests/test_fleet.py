@@ -83,7 +83,11 @@ class TestRouting:
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": "random"},
+            env={
+                "PYTHONPATH": "src",
+                "PYTHONHASHSEED": "random",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
         ).stdout.strip()
         here = str([shard_of(t, fleet_cfg) for t in range(6)])
         assert out == here

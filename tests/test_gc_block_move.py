@@ -31,7 +31,7 @@ from repro.errors import FlashProtocolError, MappingError
 from repro.experiments.benchgate import report_digest
 from repro.flash.service import FlashService
 from repro.ftl import make_ftl
-from repro.ftl.gc_policy import DualPoolPolicy, PreemptivePolicy
+from repro.ftl.gc_policy import PreemptivePolicy
 from repro.ftl.meta import KIND_ACROSS, KIND_DATA, KIND_MAP, KIND_REGION
 from repro.obs.events import FlashOp
 from repro.sim.engine import Simulator
@@ -57,11 +57,9 @@ CFG = SSDConfig(
 
 
 @pytest.fixture(autouse=True)
-def short_slices_and_reachable_wear_gap(monkeypatch):
-    """Short preemptive slices and a wear gap ``dual_pool`` reaches on
-    ``CFG``."""
+def short_slices(monkeypatch):
+    """Preemptive slices short enough to defer on ``CFG``."""
     monkeypatch.setattr(PreemptivePolicy, "SLICE_PAGES", 3)
-    monkeypatch.setattr(DualPoolPolicy, "WEAR_GAP", 2)
 
 #: the record kinds each scheme's victims hold
 KINDS = {
@@ -150,8 +148,6 @@ def test_block_move_leaves_the_device_of_the_page_at_a_time_chain(scheme, policy
         assert any(len(c["runs"]) > 1 for c in calls)
     if policy == "hot_cold":
         assert moved.allocator.separate_streams
-    if policy == "dual_pool":
-        assert gc.wear_migrations > 0
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -1,4 +1,4 @@
-"""GC policy zoo: selection, scheduling and wear-levelling behaviour."""
+"""GC policy zoo: selection, scheduling and wear statistics."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.flash.service import FlashService
 from repro.flash.wear import projected_lifetime_writes, wear_stats
 from repro.ftl.gc import GC_POLICIES, GarbageCollector
 from repro.ftl.gc_policy import (
-    DualPoolPolicy,
     GcPolicy,
     PreemptivePolicy,
     WindowedGreedyPolicy,
@@ -43,18 +42,19 @@ class TestPolicySelection:
                              policy="nope")
 
     def test_config_validates_policy(self):
-        with pytest.raises(ConfigError):
-            SSDConfig(gc_policy="bogus").validate()
+        # "wear_aware" and "dual_pool" were policies once: exact copies
+        # of greedy's decisions on every workload the repo runs
+        for name in ("bogus", "wear_aware", "dual_pool"):
+            with pytest.raises(ConfigError):
+                SSDConfig(gc_policy=name).validate()
 
     def test_policies_constant(self):
         assert GC_POLICIES == (
             "greedy",
             "cost_benefit",
-            "wear_aware",
             "windowed_greedy",
             "preemptive",
             "hot_cold",
-            "dual_pool",
         )
 
     def test_make_policy_registry(self):
@@ -101,15 +101,6 @@ class TestAllPoliciesWork:
 
 
 class TestPolicyCharacter:
-    def test_wear_aware_levels_wear(self, micro_cfg):
-        _, greedy_ftl = run_hot_cold("greedy", micro_cfg)
-        _, wear_ftl = run_hot_cold("wear_aware", micro_cfg)
-        g = wear_stats(greedy_ftl.service.array)
-        w = wear_stats(wear_ftl.service.array)
-        # with a wear penalty the erase distribution must not be more
-        # imbalanced than greedy's
-        assert w.gini <= g.gini + 0.05
-
     def test_cost_benefit_prefers_cold_blocks(self, micro_cfg):
         """Among two equally-valid candidates, cost-benefit must pick
         the one that has been idle the longest."""
@@ -214,23 +205,6 @@ class TestNewPolicyCharacter:
         assert svc2.counters.erases > 0
         ftl2.check_invariants()
 
-    def test_dual_pool_levels_wear(self, micro_cfg, monkeypatch):
-        monkeypatch.setattr(DualPoolPolicy, "WEAR_GAP", 2)
-        _, greedy_ftl = run_hot_cold("greedy", micro_cfg)
-        _, dual_ftl = run_hot_cold("dual_pool", micro_cfg)
-        assert dual_ftl.gc.wear_migrations > 0
-        assert dual_ftl.gc.service.counters.wear_migrations > 0
-        g = wear_stats(greedy_ftl.service.array)
-        d = wear_stats(dual_ftl.service.array)
-        # cold-block migration must not worsen the wear spread
-        assert d.gini <= g.gini + 0.05
-
-    def test_dual_pool_respects_gap(self, micro_cfg, monkeypatch):
-        # a gap larger than any achievable erase spread => no migrations
-        monkeypatch.setattr(DualPoolPolicy, "WEAR_GAP", 10_000)
-        _, ftl = run_hot_cold("dual_pool", micro_cfg)
-        assert ftl.gc.wear_migrations == 0
-
     def test_policy_counters_round_trip(self, micro_cfg, monkeypatch):
         from repro.metrics.counters import FlashOpCounters
 
@@ -249,7 +223,6 @@ class TestNewPolicyCharacter:
         snap = svc.counters.snapshot()
         assert "gc_slices" not in snap
         assert "gc_deferrals" not in snap
-        assert "wear_migrations" not in snap
         stats = ftl.stats()
         assert "gc_policy" not in stats
 

@@ -579,9 +579,9 @@ def test_processes_racing_on_one_key(tmp_path):
 # ----------------------------------------------------------------------
 #: fingerprint of the tiny-device image per scheme (CFG, AGED)
 FINGERPRINTS = {
-    "ftl": "67da8eba5687f1cb0c367dd7f3ec5c7f6c143e544259da58f39cf81ebb0a39fb",
-    "mrsm": "016e5e2f857b5b8258a200f62b9e945c9e4ecc6d930507311d31cb0366ea371e",
-    "across": "13df2e41350dcc8f68906919a913bf5e49687484b152423102a51b1af2966e9f",
+    "ftl": "f3e23082e88fe786f1c0ed3c07c6626b99fabe901984cb7fe374695b59c80dd0",
+    "mrsm": "ff6e6b431b1137dfe2886c570fe1af1211afe79813c6465d8995f72145a7e9fa",
+    "across": "61439d312d98f11e65c2949a38ad8c92db069f7c224b092edc01b63246646526",
 }
 
 
