@@ -1,4 +1,4 @@
-"""Ablation: GC victim-selection policy.
+"""Ablation: GC policy.
 
 DESIGN.md §5 extension — the paper (and SSDsim) use greedy selection;
 this sweep runs every registered policy under the same lun1 workload

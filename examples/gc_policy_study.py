@@ -54,8 +54,8 @@ def main() -> None:
         footprint_sectors=int(cfg.logical_sectors * 0.8),
         seed=99,
         hot_zones=32,
-        zipf_s=1.3,  # strongly skewed: hot/cold separation favours
-                     # age-aware policies
+        zipf_s=1.3,  # strongly skewed: hot/cold stream separation
+                     # has hot and cold data to separate
     )
     trace = generate_trace(spec)
 

@@ -69,15 +69,21 @@ class DifferentialResult:
     #: per-scheme reports of the cache-on leg (for callers that want
     #: counters / latency detail alongside the verdict)
     reports: dict = field(default_factory=dict)
+    #: the comparisons run beside the cross-scheme one, in order
+    #: ("cache", "frontend", "qd=N", "gc=<policy>", "jobs", "image")
+    legs: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def summary(self) -> str:
-        """One line per failure (or an all-clear)."""
+        """One line per failure (or an all-clear naming the legs)."""
         if self.ok:
-            return f"{self.trace_name}: ok ({len(self.reports)} schemes agree)"
+            agree = f"{len(self.reports)} schemes agree"
+            if self.legs:
+                agree += f"; legs: {', '.join(self.legs)}"
+            return f"{self.trace_name}: ok ({agree})"
         lines = [f"{self.trace_name}: {len(self.failures)} failure(s)"]
         for f in self.failures:
             where = f" [{f.scheme}]" if f.scheme else ""
@@ -196,6 +202,7 @@ def differential_replay(
         )
 
     if compare_cache and cfg.write_buffer_bytes > 0:
+        result.legs.append("cache")
         nocache_cfg = cfg.replace(write_buffer_bytes=0)
         for scheme in schemes:
             if scheme not in digests:
@@ -219,6 +226,7 @@ def differential_replay(
                 )
 
     if frontend or qd_sweep:
+        result.legs += ["frontend", *(f"qd={qd}" for qd in qd_sweep)]
         fe_sim = sim_cfg.replace_frontend(enabled=True)
         for scheme in schemes:
             if scheme not in digests:
@@ -262,6 +270,7 @@ def differential_replay(
                         )
                     )
 
+    result.legs += [f"gc={policy}" for policy in policies]
     for policy in policies:
         pol_cfg = cfg.replace(gc_policy=policy)
         for scheme in schemes:
@@ -286,15 +295,18 @@ def differential_replay(
                 )
 
     if compare_jobs and result.reports:
+        result.legs.append("jobs")
         result.failures.extend(
             _compare_jobs(trace, cfg, sim_cfg, result.reports, jobs)
         )
-    result.failures.extend(
-        _compare_image(
-            trace, cfg, base_sim_cfg, schemes, policies,
-            frontend or bool(qd_sweep),
+    if base_sim_cfg.aged_used > 0.0:
+        result.legs.append("image")
+        result.failures.extend(
+            _compare_image(
+                trace, cfg, base_sim_cfg, schemes, policies,
+                frontend or bool(qd_sweep),
+            )
         )
-    )
     return result
 
 
@@ -308,8 +320,6 @@ def _compare_image(trace, cfg, sim_cfg, schemes, policies, frontend):
     from ..sim.engine import Simulator
     from ..sim.image import IMAGES, device_state, state_diff
 
-    if sim_cfg.aged_used <= 0.0:
-        return []
     plain = replace(sim_cfg, check_oracle=False, progress=False)
     plain = plain.replace_check(enabled=False)
     loops = [plain]

@@ -21,29 +21,20 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError
 from .units import GIB, KIB, MIB, sectors_per_page
 
-#: Registered GC victim-selection / scheduling policies
-#: (:mod:`repro.ftl.gc_policy`):
+#: Registered GC scheduling policies (:mod:`repro.ftl.gc_policy`);
+#: every one collects greedy's victim (fewest valid pages):
 #:
-#: * ``greedy`` — fewest valid pages (the paper's / SSDsim's default);
-#: * ``cost_benefit`` — classic (1-u)/(2u) * age score, favouring cold
-#:   blocks so hot data has time to invalidate itself;
-#: * ``windowed_greedy`` — greedy restricted to the oldest sealed
-#:   blocks (cheap cost-benefit approximation);
+#: * ``greedy`` — the classic threshold / restore loop (the paper's /
+#:   SSDsim's default);
 #: * ``preemptive`` — partial GC in bounded slices between host
 #:   requests, starting early at a soft threshold and deferring the
 #:   rest while the plane stays healthy (arXiv 1807.09313);
-#: * ``hot_cold`` — greedy victim selection with hot/cold write-stream
-#:   separation (user and GC traffic fill distinct active blocks).
+#: * ``hot_cold`` — hot/cold write-stream separation (user and GC
+#:   traffic fill distinct active blocks).
 #:
 #: Each policy's tuning values are class constants in
 #: :mod:`repro.ftl.gc_policy`.
-GC_POLICIES = (
-    "greedy",
-    "cost_benefit",
-    "windowed_greedy",
-    "preemptive",
-    "hot_cold",
-)
+GC_POLICIES = ("greedy", "preemptive", "hot_cold")
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,8 @@ module supplies the missing execution layer:
   Workers run with ``progress`` forced off and the parent renders a
   single sweep-level progress line instead.
 
-Filename helpers (:func:`sanitize_fragment`, :func:`run_filename`) are
-shared with :meth:`ExperimentContext.save_results` so archives and the
-store speak one naming scheme.
+Filename helpers (:func:`sanitize_fragment`, :func:`run_filename`) give
+the store's files their human-readable names.
 """
 
 from __future__ import annotations
@@ -102,8 +101,8 @@ def run_filename(
     page_size_bytes: int,
     ftl_kw: Mapping[str, Any] | None = None,
 ) -> str:
-    """The shared ``<trace>__<scheme>__<pageKiB>[__kwargs]`` stem used
-    by both :class:`ResultStore` files and ``save_results`` archives."""
+    """The ``<trace>__<scheme>__<pageKiB>[__kwargs]`` stem of a
+    :class:`ResultStore` file name."""
     stem = (
         f"{sanitize_fragment(trace_name)}__{sanitize_fragment(scheme)}"
         f"__{page_size_bytes // 1024}k"
@@ -252,10 +251,10 @@ class ResultStore:
     """On-disk cache of completed runs, keyed by :func:`run_key`.
 
     One JSON document per run under ``root``, named
-    ``<trace>__<scheme>__<pageKiB>[__kwargs]__<key12>.json`` — the same
-    human-readable stem ``save_results`` archives use, suffixed with the
-    key prefix so distinct configurations of the same (trace, scheme,
-    page) never collide.  Writes are atomic (temp file + ``os.replace``)
+    ``<trace>__<scheme>__<pageKiB>[__kwargs]__<key12>.json`` — the
+    human-readable :func:`run_filename` stem, suffixed with the key
+    prefix so distinct configurations of the same (trace, scheme, page)
+    never collide.  Writes are atomic (temp file + ``os.replace``)
     so concurrent workers and parallel bench sessions can share a store
     directory safely.
 

@@ -21,7 +21,7 @@ from ..metrics.report import SimulationReport
 from ..sim.engine import Simulator
 from ..traces.model import Trace
 from ..traces.synthetic import generate_trace
-from .parallel import ResultStore, RunSpec, execute_runs, run_filename
+from .parallel import ResultStore, RunSpec, execute_runs
 
 
 def run_trace(
@@ -206,43 +206,6 @@ class ExperimentContext:
             for scheme in schemes
         ]
         return len(self.run_many(points))
-
-    def save_results(self, directory) -> int:
-        """Archive every memoised run as JSON under ``directory``.
-
-        Writes one ``<trace>__<scheme>__<pageKiB>[__kwargs].json`` per
-        run (same naming scheme as :class:`ResultStore`, with raw kwarg
-        values sanitised and colliding names de-collided by a numeric
-        suffix) plus an ``index.json`` listing them; returns the number
-        of runs saved.
-        """
-        import json
-        from pathlib import Path
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        index = []
-        used: set[str] = set()
-        for (trace, scheme, page, kw), report in self._runs.items():
-            stem = run_filename(trace, scheme, page, dict(kw))
-            fname = f"{stem}.json"
-            serial = 2
-            while fname in used:
-                fname = f"{stem}__{serial}.json"
-                serial += 1
-            used.add(fname)
-            (directory / fname).write_text(report.to_json(indent=1))
-            index.append(
-                {
-                    "file": fname,
-                    "trace": trace,
-                    "scheme": scheme,
-                    "page_size_bytes": page,
-                    "ftl_kwargs": {k: repr(v) for k, v in kw},
-                }
-            )
-        (directory / "index.json").write_text(json.dumps(index, indent=1))
-        return len(index)
 
     def sweep(
         self,

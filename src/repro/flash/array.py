@@ -12,7 +12,7 @@ state, :class:`array.array` for counters — because scalar indexing of
 those is several times faster than numpy scalar indexing, and the
 per-page operations here are the innermost loop of the whole simulator.
 The public numpy attributes (``page_state``, ``write_ptr``, ``valid_count``,
-``erase_count``, ``last_mod``, ``is_bad``, ``kind``, ``a``, ``b``, ``c``)
+``erase_count``, ``is_bad``, ``kind``, ``a``, ``b``, ``c``)
 are **zero-copy views** over
 the same buffers (``np.frombuffer``), so vectorised consumers — GC
 victim selection, wear statistics, observability samplers, tests — read
@@ -61,7 +61,6 @@ class FlashArray:
         self._write_ptr = array("i", bytes(4 * n_blocks))
         self._valid_count = array("i", bytes(4 * n_blocks))
         self._erase_count = array("q", bytes(8 * n_blocks))
-        self._last_mod = array("q", bytes(8 * n_blocks))
         self._is_bad = bytearray(n_blocks)
         # precomputed page-state runs for whole-block erase/retire
         self._free_run = bytes(ppb)
@@ -76,10 +75,6 @@ class FlashArray:
         self.valid_count = np.frombuffer(self._valid_count, dtype=np.int32)
         #: lifetime erase count, per global block (wear indicator)
         self.erase_count = np.frombuffer(self._erase_count, dtype=np.int64)
-        #: logical clock of block mutations, and per-block last-mutation
-        #: stamp — the "age" input of cost-benefit GC victim selection
-        self.mod_seq = 0
-        self.last_mod = np.frombuffer(self._last_mod, dtype=np.int64)
         #: retired (bad) blocks — media wear-out, never reused
         #: (:meth:`retire_block`; injected by :mod:`repro.faults`)
         self.is_bad = np.frombuffer(self._is_bad, dtype=np.bool_)
@@ -174,9 +169,6 @@ class FlashArray:
         self._c[ppn] = c
         if payload:
             self.payloads[ppn] = payload
-        seq = self.mod_seq + 1
-        self.mod_seq = seq
-        self._last_mod[block] = seq
 
     def read(self, ppn: int) -> None:
         """Read a VALID page: protocol check and tally."""
@@ -215,14 +207,10 @@ class FlashArray:
         if state[ppn] != PAGE_VALID:
             raise FlashProtocolError(f"invalidate of non-valid PPN {ppn}")
         state[ppn] = PAGE_INVALID
-        block = ppn // self._ppb
-        self._valid_count[block] -= 1
+        self._valid_count[ppn // self._ppb] -= 1
         self._kind[ppn] = 0
         if self.payloads:
             self.payloads.pop(ppn, None)
-        seq = self.mod_seq + 1
-        self.mod_seq = seq
-        self._last_mod[block] = seq
 
     def is_valid(self, ppn: int) -> bool:
         """True while the page holds live data."""
@@ -231,8 +219,8 @@ class FlashArray:
     def copy_run(self, src: np.ndarray, dst: int) -> None:
         """Move the pages ``src`` (ascending PPNs of one block) onto the
         run of free pages from ``dst`` on inside another: ``read(s);
-        program(d, *record(s)); invalidate(s)`` pair by pair — checks,
-        tallies and ``mod_seq`` stamps included — as column operations.
+        program(d, *record(s)); invalidate(s)`` pair by pair — checks
+        and tallies included — as column operations.
         Payload stamps have no column and stay behind."""
         n = len(src)
         state = self.page_state
@@ -262,11 +250,6 @@ class FlashArray:
         self.b[dst:end] = self.b[src]
         self.c[dst:end] = self.c[src]
         self.kind[src] = 0
-        # pair i stamps its program 2i + 1 and its invalidate 2i + 2
-        seq = self.mod_seq + 2 * n
-        self.mod_seq = seq
-        self._last_mod[block] = seq - 1
-        self._last_mod[old_block] = seq
 
     # ------------------------------------------------------------------
     # block operations
@@ -316,9 +299,6 @@ class FlashArray:
             self._free_blocks[plane].remove(block)
         except ValueError:
             pass
-        seq = self.mod_seq + 1
-        self.mod_seq = seq
-        self._last_mod[block] = seq
 
     def valid_ppns(self, block: int) -> np.ndarray:
         """The VALID PPNs of a block, ascending (GC migration source)."""
@@ -336,8 +316,8 @@ class FlashArray:
     # ------------------------------------------------------------------
     #: the per-page and per-block columns, by attribute name
     _COLUMNS = (
-        "page_state", "write_ptr", "valid_count", "erase_count", "last_mod",
-        "is_bad", "kind", "a", "b", "c",
+        "page_state", "write_ptr", "valid_count", "erase_count", "is_bad",
+        "kind", "a", "b", "c",
     )
 
     def _columns(self) -> dict[str, np.ndarray]:
@@ -360,8 +340,7 @@ class FlashArray:
             out[name] *= live
         out.update(
             tallies=np.array(
-                [self.mod_seq, self.total_programs, self.total_page_reads],
-                np.int64,
+                [self.total_programs, self.total_page_reads], np.int64
             ),
             free_counts=np.array([len(q) for q in free], np.int64),
             free_blocks=np.array([b for q in free for b in q], np.int64),
@@ -377,9 +356,7 @@ class FlashArray:
             col[:] = s[name]
         self.payloads.clear()
         self.total_bad_blocks = int(self.is_bad.sum())
-        self.mod_seq, self.total_programs, self.total_page_reads = s[
-            "tallies"
-        ].tolist()
+        self.total_programs, self.total_page_reads = s["tallies"].tolist()
         blocks = s["free_blocks"].tolist()
         pos = 0
         for q, n in zip(self._free_blocks, s["free_counts"].tolist()):

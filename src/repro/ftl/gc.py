@@ -2,25 +2,28 @@
 
 When a plane's free-block fraction drops below the policy's trigger
 threshold (Table 1: 10% for the default greedy policy), the collector
-repeatedly picks a victim via the configured :class:`GcPolicy`
-(:mod:`repro.ftl.gc_policy`), migrates its valid pages through the
-FTL's ``_relocate_pages`` (which re-programs them and fixes the
+repeatedly picks the sealed block with the fewest valid pages (the
+greedy victim every policy shares), migrates its valid pages through
+the FTL's ``_relocate_pages`` (which re-programs them and fixes the
 mapping tables), and erases the block — until the plane is back above
-``gc_restore`` or no block would yield free space.  Partial policies
-(``preemptive``) instead relocate bounded slices per invocation and
-defer the rest to later invocations while the plane stays healthy.
+``gc_restore`` or no block would yield free space.  The configured
+:class:`GcPolicy` (:mod:`repro.ftl.gc_policy`) decides when and how
+much: partial policies (``preemptive``) relocate bounded slices per
+invocation and defer the rest to later invocations while the plane
+stays healthy.
 
 Erase operations are the paper's endurance metric (Fig. 11); migration
 reads/writes are counted with :attr:`OpKind.GC` so they appear in the
 flash-op totals of Fig. 10 without polluting the Data/Map split.
 
-The collector keeps no reference to its FTL, and its policy none to
-the collector: the FTL passes itself into every call that may move
-pages, and the collector passes itself into the policy's hooks, so a
-dropped device is freed by reference counting alone.
+The collector keeps no reference to its FTL: the FTL passes itself
+into every call that may move pages, so a dropped device is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..config import GC_POLICIES
 from ..flash.service import FlashService
@@ -32,7 +35,7 @@ __all__ = ["GC_POLICIES", "GarbageCollector"]
 
 
 class GarbageCollector:
-    """Per-plane collector delegating decisions to a :class:`GcPolicy`."""
+    """Per-plane greedy collector scheduled by a :class:`GcPolicy`."""
 
     def __init__(
         self,
@@ -46,9 +49,7 @@ class GarbageCollector:
             policy = make_policy(policy)
         self.service = service
         self.allocator = allocator
-        #: the strategy object; ``self.policy`` stays the plain name
-        #: (the pre-refactor string attribute callers compare against)
-        self.policy_obj = policy
+        #: the policy's registry name
         self.policy = policy.name
         #: effective trigger threshold (the policy may start earlier
         #: than the configured ``gc_threshold``, e.g. ``preemptive``)
@@ -112,8 +113,9 @@ class GarbageCollector:
         self._partial_victim.update(map(tuple, s["partial_victim"]))
 
     # ------------------------------------------------------------------
-    def _candidates(self, plane: int):
-        """(lo, valid, eligible) arrays for a plane's blocks."""
+    def select_victim(self, plane: int) -> int | None:
+        """The eligible block with the fewest valid pages (lowest index
+        wins ties); None when no eligible block would free any space."""
         geom = self.service.geom
         arr = self.service.array
         lo = plane * geom.blocks_per_plane
@@ -130,16 +132,11 @@ class GarbageCollector:
         eligible = eligible & (valid < geom.pages_per_block)
         # retired bad blocks look like perfect victims (0 valid, sealed
         # write pointer) but can never be erased
-        eligible = eligible & ~arr.is_bad[lo : lo + geom.blocks_per_plane]
-        return lo, valid, eligible
-
-    def select_victim(self, plane: int) -> int | None:
-        """Pick a victim block by the configured policy; None when no
-        eligible block would free any space."""
-        lo, valid, eligible = self._candidates(plane)
+        eligible = eligible & ~arr.is_bad[lo:hi]
         if not eligible.any():
             return None
-        return self.policy_obj.select_victim(self, plane, lo, valid, eligible)
+        costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
+        return lo + int(np.argmin(costs))
 
     # ------------------------------------------------------------------
     def _move_valid(

@@ -1,23 +1,21 @@
 """Pluggable garbage-collection policies (the policy zoo).
 
 :class:`~repro.ftl.gc.GarbageCollector` owns the *mechanism* — trigger
-fast path, retirement draining, the restore loop, relocation plumbing —
-and delegates every *decision* to a :class:`GcPolicy` strategy object:
+fast path, retirement draining, the restore loop, relocation plumbing
+and the greedy victim pick every policy shares — and asks a
+:class:`GcPolicy` strategy object the *scheduling* questions:
 
-* **victim selection** (:meth:`GcPolicy.select_victim`) over the
-  candidate arrays the collector already computed;
 * **trigger threshold** (:meth:`GcPolicy.trigger_threshold`) — how
   early collection starts relative to ``SSDConfig.gc_threshold``;
 * **relocation budget** (:meth:`GcPolicy.relocation_budget`) — how many
   valid pages one GC invocation may migrate before yielding back to
   host traffic (``None`` = unbounded, the classic stop-the-world
-  collection).
+  collection);
+* **mechanism flags** — ``separate_streams`` (hot/cold write streams in
+  the allocator) and ``partial`` (bounded-slice collection).
 
 A policy holds no state: its tuning values are class constants
-(``WindowedGreedyPolicy.WINDOW``, ``PreemptivePolicy.SOFT_THRESHOLD``
-and ``SLICE_PAGES``).  The collector passes itself into the hooks that
-read device state (its flash service and candidate arrays), so
-neither object points back at the other.
+(``PreemptivePolicy.SOFT_THRESHOLD`` and ``SLICE_PAGES``).
 
 The registry (:func:`make_policy`) maps the
 :data:`~repro.config.GC_POLICIES` names to classes:
@@ -25,9 +23,9 @@ The registry (:func:`make_policy`) maps the
 ========================  ============================================
 name                      behaviour
 ========================  ============================================
-``greedy``                fewest valid pages (paper / SSDsim default)
-``cost_benefit``          (1-u)/(2u) * age score; cold blocks win
-``windowed_greedy``       greedy among the ``WINDOW`` oldest blocks
+``greedy``                :class:`GcPolicy` itself: the classic
+                          threshold / restore loop (paper / SSDsim
+                          default)
 ``preemptive``            bounded ``SLICE_PAGES``-page slices from
                           ``SOFT_THRESHOLD`` down, full GC only
                           when the plane turns urgent (1807.09313)
@@ -41,21 +39,11 @@ golden-hotpath fixture, ``tests/data/golden_hotpath.json``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-import numpy as np
-
 from ..config import GC_POLICIES
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .gc import GarbageCollector
 
 __all__ = [
     "GC_POLICIES",
     "GcPolicy",
-    "GreedyPolicy",
-    "CostBenefitPolicy",
-    "WindowedGreedyPolicy",
     "PreemptivePolicy",
     "HotColdPolicy",
     "make_policy",
@@ -63,15 +51,12 @@ __all__ = [
 
 
 class GcPolicy:
-    """Strategy interface the :class:`GarbageCollector` delegates to.
-
-    Hooks that read device state take the calling collector as ``gc``,
-    which gives access to the flash service and its block columns
-    without duplicating any of them here.
-    """
+    """The ``greedy`` policy, and the base every other policy tunes:
+    collect when the free fraction drops below ``gc_threshold``, run
+    the restore loop to completion, one write stream."""
 
     #: registry name (matches :data:`repro.config.GC_POLICIES`)
-    name: str = "base"
+    name: str = "greedy"
     #: request hot/cold write-stream separation in the allocator
     #: (user and GC traffic fill distinct active blocks)
     separate_streams: bool = False
@@ -79,7 +64,6 @@ class GcPolicy:
     #: full restore loop on every trigger
     partial: bool = False
 
-    # -- scheduling ----------------------------------------------------
     def trigger_threshold(self, threshold: float) -> float:
         """Effective free-block fraction below which GC engages; the
         default keeps the configured ``gc_threshold``."""
@@ -90,84 +74,8 @@ class GcPolicy:
         unbounded)."""
         return None
 
-    # -- victim selection ----------------------------------------------
-    def select_victim(
-        self,
-        gc: "GarbageCollector",
-        plane: int,
-        lo: int,
-        valid: np.ndarray,
-        eligible: np.ndarray,
-    ) -> int:
-        """Pick a victim among ``eligible`` blocks (at least one is
-        eligible; the collector handled the empty case)."""
-        raise NotImplementedError
 
-
-class GreedyPolicy(GcPolicy):
-    """Fewest valid pages — the paper's (and SSDsim's) default.
-
-    This is the pre-refactor behaviour verbatim; runs with this policy
-    are bit-identical to the monolithic collector they replaced.
-    """
-
-    name = "greedy"
-
-    def select_victim(self, gc, plane, lo, valid, eligible):
-        """Eligible block with the fewest valid pages (lowest index
-        wins ties, matching the original collector)."""
-        costs = np.where(eligible, valid, np.iinfo(valid.dtype).max)
-        return lo + int(np.argmin(costs))
-
-
-class CostBenefitPolicy(GcPolicy):
-    """Classic cost-benefit: maximise ``(1-u)/(2u) * age``.
-
-    ``age`` is the time (in block-modification sequence numbers) since
-    the block last changed, so cold blocks win ties — hot data gets
-    time to invalidate itself before being migrated.
-    """
-
-    name = "cost_benefit"
-
-    def select_victim(self, gc, plane, lo, valid, eligible):
-        """Eligible block maximising the cost-benefit score."""
-        geom = gc.service.geom
-        arr = gc.service.array
-        hi = lo + geom.blocks_per_plane
-        ppb = geom.pages_per_block
-        u = valid / ppb
-        age = (arr.mod_seq - arr.last_mod[lo:hi]).astype(np.float64) + 1.0
-        benefit = (1.0 - u) / (2.0 * u + 1e-9) * age
-        benefit = np.where(eligible, benefit, -np.inf)
-        return lo + int(np.argmax(benefit))
-
-
-class WindowedGreedyPolicy(GcPolicy):
-    """Greedy restricted to the ``WINDOW`` least-recently-modified
-    sealed blocks — a cheap cost-benefit approximation: the window
-    screens out hot blocks (young ``last_mod``), greedy then minimises
-    migration cost within it."""
-
-    name = "windowed_greedy"
-    #: candidate window: victims come from this many least-recently-
-    #: modified sealed blocks of the plane
-    WINDOW = 8
-
-    def select_victim(self, gc, plane, lo, valid, eligible):
-        """Greedy pick restricted to the window's oldest blocks."""
-        arr = gc.service.array
-        hi = lo + gc.service.geom.blocks_per_plane
-        idx = np.nonzero(eligible)[0]
-        if idx.size > self.WINDOW:
-            # stable sort: equal ages resolve to the lower block index,
-            # keeping victim choice deterministic across runs
-            order = np.argsort(arr.last_mod[lo:hi][idx], kind="stable")
-            idx = idx[order[: self.WINDOW]]
-        return lo + int(idx[np.argmin(valid[idx])])
-
-
-class PreemptivePolicy(GreedyPolicy):
+class PreemptivePolicy(GcPolicy):
     """Preemptive/partial GC with request-aware deferral (1807.09313).
 
     Victims are greedy's; what differs is when, and how much of one,
@@ -201,7 +109,7 @@ class PreemptivePolicy(GreedyPolicy):
         return self.SLICE_PAGES
 
 
-class HotColdPolicy(GreedyPolicy):
+class HotColdPolicy(GcPolicy):
     """Greedy victim selection with hot/cold write-stream separation:
     GC-migrated (cold, survived at least one collection) pages fill
     different active blocks than fresh user writes, so blocks stop
@@ -212,14 +120,7 @@ class HotColdPolicy(GreedyPolicy):
 
 
 _REGISTRY: dict[str, type[GcPolicy]] = {
-    cls.name: cls
-    for cls in (
-        GreedyPolicy,
-        CostBenefitPolicy,
-        WindowedGreedyPolicy,
-        PreemptivePolicy,
-        HotColdPolicy,
-    )
+    cls.name: cls for cls in (GcPolicy, PreemptivePolicy, HotColdPolicy)
 }
 
 assert tuple(_REGISTRY) == GC_POLICIES, "registry drifted from config"

@@ -349,7 +349,7 @@ class Simulator:
             and self.faults is None
             and self.oracle is None
             and self.checker is None
-            and ftl.service.array.mod_seq == 0
+            and ftl.service.array.total_programs == 0
             and ftl.counters == FlashOpCounters()
         )
 

@@ -59,7 +59,7 @@ __all__ = [
 #: bump whenever aging behaviour or the image layout changes: files of
 #: another version are misses and get overwritten
 #: (tests/test_image.py pins a fingerprint per scheme to remind you)
-IMAGE_VERSION = 4
+IMAGE_VERSION = 5
 
 #: byte bound of the in-process tier (bench-device images are 2-5 MiB)
 MEMORY_BYTES = 64 * 1024 * 1024

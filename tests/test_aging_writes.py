@@ -5,10 +5,12 @@ The pins below are ``DeviceImage.fingerprint()``s of the device state
 two aging runs leave behind — recorded when ftl and across still aged
 through a fused kernel that inlined the untimed flavour of every
 flash/cache operation, and which the scalar loop over ``write`` was
-required to match bit for bit (re-pinned once since, when the GC
-tallies lost an element that was 0 in every pin: ``state_diff`` against
-the old device listed only ``gc.tallies``).  The one path must
-reproduce every pin:
+required to match bit for bit (re-pinned twice since: when the GC
+tallies lost an element that was 0 in every pin, ``state_diff`` against
+the old device listed only ``gc.tallies``; when the array lost its
+block-age clock, it listed only ``array.last_mod`` and
+``array.tallies``, whose other elements were unchanged).  The one path
+must reproduce every pin:
 PMT and masks, the AMT, page states and write pointers, page records,
 counters, the allocator cursor, GC tallies and the mapping caches' LRU
 order — also with a mapping cache too small for the table
@@ -48,35 +50,35 @@ CFG = SSDConfig(
 PINS = {
     ("ftl", "default"): (
         {}, {},
-        "7fc91545d3346661d2b6328e93948cce36a4bc7a26797b063e25a2e008c74a04",
+        "6677fb1b601e6114dac2ad79bbfbe8e40bdee3485eddff81078773e53a42ff3e",
     ),
     ("ftl", "small-map-cache"): (
         {"mapping_cache_entries": 1024}, {},
-        "8462ef35dbe70055a1a1f3d0c67fe3a789965e91893ea5ca4dc7c862ec887b78",
+        "636a46e9509644ea0bbef10658b7be9021a0127319a439961994ebdadd34d9a4",
     ),
     ("ftl", "hot-cold"): (
         {"gc_policy": "hot_cold"}, {},
-        "d9aaddd3730d1388f523120fd160a282fbddc3dac64f44a256580ba1957831ca",
+        "c072f7bdf01320611aaff5f2597d2e14a9ae993a28910e0a6f0118fa322ba73f",
     ),
     ("ftl", "no-rmw"): (
         {}, {"rmw_enabled": False},
-        "ab898fb3aceaae0e5483da9a4a33ec1bc9d606dd94532027d58243250357c298",
+        "08e9c0d166fcd00422c8e0a67db202326135468c4473b20e13f9f83d5ee74e67",
     ),
     ("across", "default"): (
         {}, {},
-        "2a79e0a7fea487716c90bce9e14c7835086ea04efe50037f20172e53604ef1b4",
+        "e367055b40f310fff2fd2e7d704b756efaf29777729f88d1d6b72166e4a122a2",
     ),
     ("across", "small-map-cache"): (
         {"mapping_cache_entries": 1024}, {},
-        "8d74b1a4568db8301841c14e3524485b085f9d483cec360d0e7f75cb027201e0",
+        "14ea50072a07a3994eafe30b9254708dfd6643ed4bffd2234f716a500b08428d",
     ),
     ("across", "hot-cold"): (
         {"gc_policy": "hot_cold"}, {},
-        "f1dae95d0af35d4cb6cd11843ff968ed9ba51e0be03f147529efc19ce81cb378",
+        "7e0c221e81ad99c029628c18afe6891fce257cce198057f008f19a508bb998b3",
     ),
     ("mrsm", "default"): (
         {}, {},
-        "1a9d92225530271a4037dc0ad44886925a4b925b85ece1161814df626425f524",
+        "b476afae094c7aaa0b2227aefb6157275bb2cdb40f4760bc2b7071cc9e0f40bc",
     ),
 }
 

@@ -173,6 +173,7 @@ class TestImageLeg:
             frontend=True, policies=("preemptive",),
         )
         assert res.ok, res.summary()
+        assert res.legs == ["frontend", "gc=preemptive", "image"]
 
     def test_a_field_load_state_drops_is_named(
         self, diff_trace, diff_cfg, monkeypatch
@@ -224,6 +225,26 @@ class TestImageLeg:
             every=200, compare_cache=False,
         )
         assert res.ok
+
+
+class TestLegs:
+    def test_cli_all_clear_names_the_legs_it_ran(self, capsys):
+        """The all-clear line says which comparisons ran: the zoo's
+        policy legs and each queue depth, not only the scheme count."""
+        from repro.cli import main
+
+        rc = main([
+            "check", "--lun", "lun1", "--scale", "0.0005",
+            "--aged-used", "0", "--aged-valid", "0", "--scheme", "ftl",
+            "--skip-jobs", "--gc-policies", "all", "--frontend",
+            "--qd-sweep", "1,8",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.strip() == (
+            "lun1: ok (1 schemes agree; legs: cache, frontend, qd=1, "
+            "qd=8, gc=preemptive, gc=hot_cold)"
+        )
 
 
 class TestResultTypes:

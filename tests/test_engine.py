@@ -59,7 +59,7 @@ class TestProcess:
             sim.run(trace)
         assert sim.host == {}  # age_device never ran
         assert sim.ftl.counters.total_writes == 0
-        assert sim.ftl.service.array.mod_seq == 0
+        assert sim.ftl.service.array.total_programs == 0
 
     def test_across_classification(self):
         sim = make_sim()

@@ -63,7 +63,7 @@ def test_tail_latency():
 @pytest.mark.slow
 def test_gc_policy_study():
     out = run_example("gc_policy_study.py", "--requests", "2000")
-    assert "cost_benefit" in out and "wear gini" in out
+    assert "preemptive" in out and "wear gini" in out
 
 
 @pytest.mark.slow

@@ -4,8 +4,8 @@ page-at-a-time chain it replaced (``conftest.page_at_a_time_relocation``).
 Two devices see the same requests; one collects through the block move,
 the other through the reference.  Afterwards every field of the device
 state seam is equal (``state_diff`` is empty: page states, record
-columns, ``mod_seq`` / ``last_mod`` stamps, allocator cursor, chip
-timelines, mapping tables, GC tallies) and so are the counters — for
+columns, flash tallies, allocator cursor, chip timelines, mapping
+tables, GC tallies) and so are the counters — for
 ftl / mrsm / across under every GC policy.  Then the instrumented mode:
 with the event bus, the fault injector or latency attribution on, the
 same routine issues single flash operations, so events, fault draws and

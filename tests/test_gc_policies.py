@@ -8,13 +8,7 @@ from repro.experiments.runner import run_trace
 from repro.flash.service import FlashService
 from repro.flash.wear import projected_lifetime_writes, wear_stats
 from repro.ftl.gc import GC_POLICIES, GarbageCollector
-from repro.ftl.gc_policy import (
-    GcPolicy,
-    PreemptivePolicy,
-    WindowedGreedyPolicy,
-    make_policy,
-)
-from repro.ftl.meta import KIND_DATA
+from repro.ftl.gc_policy import GcPolicy, PreemptivePolicy, make_policy
 from repro.ftl.pagemap import PageMapFTL
 
 
@@ -43,19 +37,18 @@ class TestPolicySelection:
 
     def test_config_validates_policy(self):
         # "wear_aware" and "dual_pool" were policies once: exact copies
-        # of greedy's decisions on every workload the repo runs
-        for name in ("bogus", "wear_aware", "dual_pool"):
+        # of greedy's decisions on every workload the repo runs;
+        # "cost_benefit" and "windowed_greedy" too: above greedy's WA
+        # in every cell of the measured grid (docs/gc_policies.md)
+        for name in (
+            "bogus", "wear_aware", "dual_pool", "cost_benefit",
+            "windowed_greedy",
+        ):
             with pytest.raises(ConfigError):
                 SSDConfig(gc_policy=name).validate()
 
     def test_policies_constant(self):
-        assert GC_POLICIES == (
-            "greedy",
-            "cost_benefit",
-            "windowed_greedy",
-            "preemptive",
-            "hot_cold",
-        )
+        assert GC_POLICIES == ("greedy", "preemptive", "hot_cold")
 
     def test_make_policy_registry(self):
         for name in GC_POLICIES:
@@ -70,9 +63,9 @@ class TestPolicySelection:
         ftl = PageMapFTL(svc)
         gc = GarbageCollector(
             svc, ftl.allocator, 0.1, 0.12,
-            policy=make_policy("cost_benefit"),
+            policy=make_policy("preemptive"),
         )
-        assert gc.policy == "cost_benefit"
+        assert gc.policy == "preemptive"
 
 
 class TestAllPoliciesWork:
@@ -98,40 +91,6 @@ class TestAllPoliciesWork:
         for lpn, v in version.items():
             _, found = ftl.read(lpn * spp, spp, 0.0)
             assert all(found[s] == v for s in range(lpn * spp, (lpn + 1) * spp))
-
-
-class TestPolicyCharacter:
-    def test_cost_benefit_prefers_cold_blocks(self, micro_cfg):
-        """Among two equally-valid candidates, cost-benefit must pick
-        the one that has been idle the longest."""
-        svc = FlashService(micro_cfg.replace(gc_policy="cost_benefit"))
-        ftl = PageMapFTL(svc)
-        spp = ftl.spp
-        ppb = svc.geom.pages_per_block
-        # fill two blocks in plane 0 and invalidate one page in each,
-        # the "old" block first
-        for i in range(2 * ppb):
-            ppn = ftl.allocator.allocate_in_plane(0)
-            svc.array.program(ppn, KIND_DATA, i)
-            ftl.pmt[i] = ppn
-            ftl.pmt_mask[i] = (1 << spp) - 1
-        b_old = svc.geom.block_of_ppn(int(ftl.pmt[0]))
-        b_new = svc.geom.block_of_ppn(int(ftl.pmt[ppb]))
-        svc.array.invalidate(int(ftl.pmt[0]))
-        ftl.pmt[0] = -1
-        ftl.pmt_mask[0] = 0
-        svc.array.invalidate(int(ftl.pmt[ppb]))
-        ftl.pmt[ppb] = -1
-        ftl.pmt_mask[ppb] = 0
-        # identical utilisation; b_old was last modified earlier, so it
-        # is the older block and cost-benefit must pick it
-        assert svc.array.last_mod[b_old] < svc.array.last_mod[b_new]
-        victim = ftl.gc.select_victim(0)
-        assert victim == b_old
-        # sanity: greedy would tie-break by index as well, so also check
-        # the benefit actually differs
-        svc2 = ftl.gc
-        assert svc2.policy == "cost_benefit"
 
 
 class TestHighGcThreshold:
@@ -186,13 +145,6 @@ class TestNewPolicyCharacter:
         assert gc.slices > 0
         assert gc.deferrals > 0
         assert svc.counters.gc_deferrals > 0
-        ftl.check_invariants()
-
-    def test_windowed_greedy_restricts_to_window(self, micro_cfg, monkeypatch):
-        monkeypatch.setattr(WindowedGreedyPolicy, "WINDOW", 2)
-        svc, ftl = run_hot_cold("windowed_greedy", micro_cfg)
-        assert ftl.gc.policy == "windowed_greedy"
-        assert svc.counters.erases > 0
         ftl.check_invariants()
 
     def test_hot_cold_separates_streams(self, micro_cfg):

@@ -286,7 +286,7 @@ def test_device_scheme_and_ftl_kwargs_split_the_key():
     keys = {
         key(),
         key("across"),
-        key(cfg=CFG.replace(gc_policy="cost_benefit")),
+        key(cfg=CFG.replace(gc_policy="preemptive")),
         key(cfg=CFG.replace(blocks_per_plane=32)),
         key(rmw_enabled=False),
     }
@@ -579,9 +579,9 @@ def test_processes_racing_on_one_key(tmp_path):
 # ----------------------------------------------------------------------
 #: fingerprint of the tiny-device image per scheme (CFG, AGED)
 FINGERPRINTS = {
-    "ftl": "f3e23082e88fe786f1c0ed3c07c6626b99fabe901984cb7fe374695b59c80dd0",
-    "mrsm": "ff6e6b431b1137dfe2886c570fe1af1211afe79813c6465d8995f72145a7e9fa",
-    "across": "61439d312d98f11e65c2949a38ad8c92db069f7c224b092edc01b63246646526",
+    "ftl": "af58f51cf683399f3119b97a4023412c73e154e3367605ad3187f9d882fbdc9b",
+    "mrsm": "c1920c9c3d97435a2dcbb9776323175a1e79a209cf8e28d34930fe9d407db570",
+    "across": "27d5e97e8602aa00181a32a40a7f442e3e3905a3ef5dbce1b9bd9a78ec1e1f8b",
 }
 
 
@@ -707,7 +707,7 @@ class TestSweeps:
     def test_distinct_images_restore_nothing(self):
         cfgs = [
             CFG.replace(gc_policy=p)
-            for p in ("greedy", "cost_benefit", "windowed_greedy")
+            for p in ("greedy", "preemptive", "hot_cold")
         ]
         out = execute_runs(grid(traces=1, cfgs=cfgs), jobs=1)
         assert dict(out.images) == {"built": 9}

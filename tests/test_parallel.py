@@ -405,35 +405,6 @@ class TestContextIntegration:
         n = ctx.prewarm(schemes=("ftl",))
         assert n == 6  # six luns x one scheme
 
-    def test_save_results_sanitized_names(self, micro_ctx_kwargs, tmp_path):
-        ctx = ExperimentContext(**micro_ctx_kwargs)
-        ctx.run("lun1", "ftl", rmw_enabled=False)
-        n = ctx.save_results(tmp_path / "archive")
-        assert n == 1
-        index = json.loads((tmp_path / "archive" / "index.json").read_text())
-        fname = index[0]["file"]
-        assert fname == "lun1__ftl__8k__rmw_enabled-False.json"
-        rebuilt = SimulationReport.from_json(
-            (tmp_path / "archive" / fname).read_text()
-        )
-        assert rebuilt.scheme == "ftl"
-
-    def test_save_results_decollides(self, micro_ctx_kwargs, tmp_path):
-        """Two kwarg values that sanitise identically must not overwrite
-        each other's archive file."""
-        ctx = ExperimentContext(**micro_ctx_kwargs)
-        rep = ctx.run("lun1", "ftl")
-        # fake two memo entries whose kwargs sanitise to the same
-        # fragment ('a b' and 'a-b' both become 'a-b')
-        ctx._runs[("lun1", "ftl", 8 * 1024, (("k", "a b"),))] = rep
-        ctx._runs[("lun1", "ftl", 8 * 1024, (("k", "a-b"),))] = rep
-        n = ctx.save_results(tmp_path / "archive")
-        assert n == 3
-        index = json.loads((tmp_path / "archive" / "index.json").read_text())
-        names = [e["file"] for e in index]
-        assert len(set(names)) == 3  # de-collided
-        assert sorted(names)[2].endswith("__2.json")
-
 
 class TestWorkerFailure:
     """A raising worker must not abort the sweep or lose siblings."""

@@ -102,17 +102,3 @@ class TestContext:
             assert set(per_scheme) == {"ftl", "across"}
             for rep in per_scheme.values():
                 assert rep.requests == len(micro_ctx.lun_trace(name))
-
-    def test_save_results(self, micro_ctx, tmp_path):
-        import json
-
-        micro_ctx.run("lun1", "ftl")
-        micro_ctx.run("lun1", "across")
-        n = micro_ctx.save_results(tmp_path / "archive")
-        assert n >= 2
-        index = json.loads((tmp_path / "archive" / "index.json").read_text())
-        assert {e["scheme"] for e in index} >= {"ftl", "across"}
-        first = json.loads(
-            (tmp_path / "archive" / index[0]["file"]).read_text()
-        )
-        assert first["counters"]["total_writes"] > 0

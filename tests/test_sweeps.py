@@ -26,10 +26,10 @@ class TestSweepConfig:
     def test_gc_policy_sweep(self, setting):
         cfg, _, trace = setting
         res = sweep_config(
-            "gc_policy", ["greedy", "cost_benefit"], trace, cfg,
+            "gc_policy", ["greedy", "preemptive"], trace, cfg,
             metric="erase_count", schemes=("ftl",),
         )
-        assert set(res.values) == {"greedy", "cost_benefit"}
+        assert set(res.values) == {"greedy", "preemptive"}
         assert all("ftl" in v for v in res.values.values())
         assert "sweep of gc_policy" in res.rendered()
 
