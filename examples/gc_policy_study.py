@@ -54,8 +54,8 @@ def main() -> None:
         footprint_sectors=int(cfg.logical_sectors * 0.8),
         seed=99,
         hot_zones=32,
-        zipf_s=1.3,  # strongly skewed: hot/cold stream separation
-                     # has hot and cold data to separate
+        zipf_s=1.3,  # strongly skewed: hot pages get overwritten
+                     # before a deferred GC slice migrates them
     )
     trace = generate_trace(spec)
 

@@ -28,13 +28,11 @@ from .units import GIB, KIB, MIB, sectors_per_page
 #:   SSDsim's default);
 #: * ``preemptive`` — partial GC in bounded slices between host
 #:   requests, starting early at a soft threshold and deferring the
-#:   rest while the plane stays healthy (arXiv 1807.09313);
-#: * ``hot_cold`` — hot/cold write-stream separation (user and GC
-#:   traffic fill distinct active blocks).
+#:   rest while the plane stays healthy (arXiv 1807.09313).
 #:
 #: Each policy's tuning values are class constants in
 #: :mod:`repro.ftl.gc_policy`.
-GC_POLICIES = ("greedy", "preemptive", "hot_cold")
+GC_POLICIES = ("greedy", "preemptive")
 
 
 @dataclass(frozen=True)

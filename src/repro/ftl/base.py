@@ -42,9 +42,8 @@ from ..flash.service import FlashService
 from ..metrics.counters import OpKind
 from ..obs.events import FTLDecision
 from ..units import split_extent
-from .allocator import STREAM_GC, WriteAllocator
+from .allocator import WriteAllocator
 from .gc import GarbageCollector
-from .gc_policy import make_policy
 from .mapping_cache import MappingCache
 from .meta import KIND_DATA, KIND_MAP
 
@@ -90,18 +89,13 @@ class BaseFTL(ABC):
             if self.cfg.mapping_cache_entries is not None
             else self.logical_pages
         )
-        # the policy is built first: it decides whether the allocator
-        # separates hot and cold write streams (``hot_cold``)
-        gc_policy = make_policy(self.cfg.gc_policy)
-        self.allocator = WriteAllocator(
-            service, separate_streams=gc_policy.separate_streams
-        )
+        self.allocator = WriteAllocator(service)
         self.gc = GarbageCollector(
             service,
             self.allocator,
             self.cfg.gc_threshold,
             self.cfg.gc_restore,
-            policy=gc_policy,
+            policy=self.cfg.gc_policy,
         )
         #: toggled by the engine during device pre-conditioning: flash
         #: ops become untimed and are counted under OpKind.AGING.
@@ -234,11 +228,11 @@ class BaseFTL(ABC):
 
     def _relocate_pages(self, ppns, now: float, timed: bool) -> float:
         """GC relocation: move the valid pages ``ppns`` — ascending, all
-        in one block — to the GC frontier of their plane and fix the
+        in one block — to the active block of their plane and fix the
         mapping tables; returns the last program's completion time.
 
         Destinations are what one ``allocate_in_plane`` per page hands
-        out: runs ending with the plane's active GC block, each moved
+        out: runs ending with the plane's active block, each moved
         as one :meth:`FlashService.copy_run`.  A page the exhausted
         plane cannot take spills to ``allocator.allocate`` and moves by
         itself through ``read_page`` / ``program_page`` — as every page
@@ -263,12 +257,12 @@ class BaseFTL(ABC):
         finish = now
         i = 0
         while i < n:
-            new = allocator.allocate_in_plane(plane, STREAM_GC)
+            new = allocator.allocate_in_plane(plane)
             if new is None or per_page:
                 old = int(src[i])
                 service.read_page(old, now, kind, timed=timed)
                 if new is None:
-                    new = allocator.allocate(STREAM_GC)
+                    new = allocator.allocate()
                 t = service.program_page(
                     new, arr.record(old), now, kind,
                     timed=timed, payload=arr.payloads.get(old),

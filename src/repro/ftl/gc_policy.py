@@ -11,8 +11,7 @@ and the greedy victim pick every policy shares — and asks a
   valid pages one GC invocation may migrate before yielding back to
   host traffic (``None`` = unbounded, the classic stop-the-world
   collection);
-* **mechanism flags** — ``separate_streams`` (hot/cold write streams in
-  the allocator) and ``partial`` (bounded-slice collection).
+* **mechanism flag** — ``partial`` (bounded-slice collection).
 
 A policy holds no state: its tuning values are class constants
 (``PreemptivePolicy.SOFT_THRESHOLD`` and ``SLICE_PAGES``).
@@ -29,7 +28,6 @@ name                      behaviour
 ``preemptive``            bounded ``SLICE_PAGES``-page slices from
                           ``SOFT_THRESHOLD`` down, full GC only
                           when the plane turns urgent (1807.09313)
-``hot_cold``              greedy + hot/cold write-stream separation
 ========================  ============================================
 
 The ``greedy`` policy reproduces the pre-refactor collector bit for
@@ -45,7 +43,6 @@ __all__ = [
     "GC_POLICIES",
     "GcPolicy",
     "PreemptivePolicy",
-    "HotColdPolicy",
     "make_policy",
 ]
 
@@ -53,13 +50,10 @@ __all__ = [
 class GcPolicy:
     """The ``greedy`` policy, and the base every other policy tunes:
     collect when the free fraction drops below ``gc_threshold``, run
-    the restore loop to completion, one write stream."""
+    the restore loop to completion."""
 
     #: registry name (matches :data:`repro.config.GC_POLICIES`)
     name: str = "greedy"
-    #: request hot/cold write-stream separation in the allocator
-    #: (user and GC traffic fill distinct active blocks)
-    separate_streams: bool = False
     #: collect in bounded slices (partial GC) instead of running the
     #: full restore loop on every trigger
     partial: bool = False
@@ -109,18 +103,8 @@ class PreemptivePolicy(GcPolicy):
         return self.SLICE_PAGES
 
 
-class HotColdPolicy(GcPolicy):
-    """Greedy victim selection with hot/cold write-stream separation:
-    GC-migrated (cold, survived at least one collection) pages fill
-    different active blocks than fresh user writes, so blocks stop
-    mixing lifetimes (Dayan & Bonnet, arXiv 1504.01666)."""
-
-    name = "hot_cold"
-    separate_streams = True
-
-
 _REGISTRY: dict[str, type[GcPolicy]] = {
-    cls.name: cls for cls in (GcPolicy, PreemptivePolicy, HotColdPolicy)
+    cls.name: cls for cls in (GcPolicy, PreemptivePolicy)
 }
 
 assert tuple(_REGISTRY) == GC_POLICIES, "registry drifted from config"

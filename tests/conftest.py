@@ -143,7 +143,6 @@ def page_at_a_time_relocation(ftl):
     device into the reference ``BaseFTL._relocate_pages`` is held to
     (tests/test_gc_block_move.py): same device state, same counters."""
     from repro.errors import MappingError
-    from repro.ftl.allocator import STREAM_GC
     from repro.ftl.meta import KIND_ACROSS, KIND_DATA, KIND_MAP, KIND_REGION
     from repro.metrics.counters import OpKind
 
@@ -190,11 +189,9 @@ def page_at_a_time_relocation(ftl):
             kind = OpKind.GC if ftl.timed else OpKind.AGING
             service.read_page(old, now, kind, timed=timed)
             rec = arr.record(old)
-            new = allocator.allocate_in_plane(
-                ftl.geom.plane_of_ppn(old), STREAM_GC
-            )
+            new = allocator.allocate_in_plane(ftl.geom.plane_of_ppn(old))
             if new is None:
-                new = allocator.allocate(STREAM_GC)
+                new = allocator.allocate()
             finish = max(finish, service.program_page(
                 new, rec, now, kind, timed=ftl.timed,
                 payload=arr.payloads.get(old),

@@ -94,8 +94,7 @@ class TestActiveBlocks:
         ppn = alloc.allocate_in_plane(0)
         svc.array.program(ppn, KIND_DATA)
         blk = svc.geom.block_of_ppn(ppn)
-        assert blk in alloc.active_blocks()
-        assert alloc.is_active(blk)
+        assert alloc.active_in_plane(0) == blk
 
     def test_full_block_leaves_active_set(self, setup):
         svc, alloc = setup
@@ -108,4 +107,4 @@ class TestActiveBlocks:
         # allocating once more rotates to a fresh block
         ppn = alloc.allocate_in_plane(0)
         svc.array.program(ppn, KIND_DATA)
-        assert not alloc.is_active(blk)
+        assert alloc.active_in_plane(0) != blk

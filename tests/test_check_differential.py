@@ -243,7 +243,7 @@ class TestLegs:
         assert rc == 0, out
         assert out.strip() == (
             "lun1: ok (1 schemes agree; legs: cache, frontend, qd=1, "
-            "qd=8, gc=preemptive, gc=hot_cold)"
+            "qd=8, gc=preemptive)"
         )
 
 

@@ -185,7 +185,7 @@ class TestRetirementDrain:
         guard = 0
         while (
             svc.array.write_ptr[block] < micro_cfg.pages_per_block
-            or block in ftl.allocator.active_in_plane(plane)
+            or ftl.allocator.active_in_plane(plane) == block
         ):
             lpn = 40 + guard
             ftl.write(lpn * spp, spp, 0.0, guard)

@@ -146,8 +146,6 @@ def test_block_move_leaves_the_device_of_the_page_at_a_time_chain(scheme, policy
         assert sizes.count(PreemptivePolicy.SLICE_PAGES) >= gc.deferrals
     else:
         assert any(len(c["runs"]) > 1 for c in calls)
-    if policy == "hot_cold":
-        assert moved.allocator.separate_streams
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -176,7 +174,7 @@ def test_an_exhausted_plane_spills_page_by_page(scheme):
         arr = ftl.service.array
         victim = next(
             b for b in range(CFG.blocks_per_plane)
-            if arr.valid_count[b] > 3 and not ftl.allocator.is_active(b)
+            if arr.valid_count[b] > 3 and ftl.allocator.active_in_plane(0) != b
         )
         arr._free_blocks[0].clear()
         while (pad := ftl.allocator.allocate_in_plane(0)) is not None:
@@ -200,7 +198,7 @@ def test_the_checks_of_the_chain_are_kept():
     victim = next(
         b for b in range(CFG.num_blocks)
         if 1 < arr.valid_count[b] < CFG.pages_per_block
-        and not ftl.allocator.is_active(b)
+        and ftl.allocator.active_in_plane(ftl.geom.plane_of_block(b)) != b
         and (arr.kind[arr.valid_ppns(b)] == KIND_DATA).all()
     )
     ppns = arr.valid_ppns(victim)

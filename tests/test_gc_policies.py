@@ -39,16 +39,17 @@ class TestPolicySelection:
         # "wear_aware" and "dual_pool" were policies once: exact copies
         # of greedy's decisions on every workload the repo runs;
         # "cost_benefit" and "windowed_greedy" too: above greedy's WA
-        # in every cell of the measured grid (docs/gc_policies.md)
+        # in every cell of the measured grid; "hot_cold" too, on a
+        # device aged under greedy (docs/gc_policies.md)
         for name in (
             "bogus", "wear_aware", "dual_pool", "cost_benefit",
-            "windowed_greedy",
+            "windowed_greedy", "hot_cold",
         ):
             with pytest.raises(ConfigError):
                 SSDConfig(gc_policy=name).validate()
 
     def test_policies_constant(self):
-        assert GC_POLICIES == ("greedy", "preemptive", "hot_cold")
+        assert GC_POLICIES == ("greedy", "preemptive")
 
     def test_make_policy_registry(self):
         for name in GC_POLICIES:
@@ -146,16 +147,6 @@ class TestNewPolicyCharacter:
         assert gc.deferrals > 0
         assert svc.counters.gc_deferrals > 0
         ftl.check_invariants()
-
-    def test_hot_cold_separates_streams(self, micro_cfg):
-        cfg = micro_cfg.replace(gc_policy="hot_cold")
-        svc = FlashService(cfg)
-        ftl = PageMapFTL(svc)
-        # the policy alone turns stream separation on
-        assert ftl.allocator.separate_streams
-        svc2, ftl2 = run_hot_cold("hot_cold", micro_cfg)
-        assert svc2.counters.erases > 0
-        ftl2.check_invariants()
 
     def test_policy_counters_round_trip(self, micro_cfg, monkeypatch):
         from repro.metrics.counters import FlashOpCounters

@@ -34,7 +34,7 @@ class TestFrontierDeferral:
         ftl.write(0, spp, 0.0, 1)
         block = int(ftl.pmt[0]) // micro_cfg.pages_per_block
         plane = svc.geom.plane_of_block(block)
-        assert block in ftl.allocator.active_in_plane(plane)
+        assert ftl.allocator.active_in_plane(plane) == block
         assert svc.array.write_ptr[block] < micro_cfg.pages_per_block
 
         svc.retire_pending.add(block)
@@ -57,7 +57,7 @@ class TestFrontierDeferral:
         # block is cleared from the active list only by the *next*
         # allocation in its plane
         assert svc.array.write_ptr[block] == ppb
-        assert block in ftl.allocator.active_in_plane(plane)
+        assert ftl.allocator.active_in_plane(plane) == block
 
         svc.retire_pending.add(block)
         ftl.gc._drain_retirements(ftl, 1.0)
@@ -84,7 +84,7 @@ class TestFrontierDeferral:
             guard += 1
             assert guard < 10_000
         assert block not in svc.retire_pending
-        assert block not in ftl.allocator.active_in_plane(plane)
+        assert ftl.allocator.active_in_plane(plane) != block
         assert svc.counters.bad_blocks == 1
         # every page the block held was relocated, nothing lost
         _, found = ftl.read(0, spp, 5.0)
