@@ -120,6 +120,46 @@ class TestCollection:
         assert ftl.gc.collections > 0
 
 
+class TestStallRule:
+    def test_an_erased_victim_is_progress(self, setup):
+        """The victim's valid pages overflow the active block, so
+        migration opens a fresh block while the erase frees one: the
+        plane's free count stays where it was, yet the pass reclaimed
+        its victim.  That is not a stall; the loop goes on to a second
+        victim, which restores the plane."""
+        svc, ftl = setup
+        arr = svc.array
+        spp = ftl.spp
+        ppb = svc.geom.pages_per_block
+        bpp = svc.geom.blocks_per_plane
+        # plane 0: every block but one taken, the last active block one
+        # page short of full
+        ppns = []
+        for lpn in range((bpp - 1) * ppb - 1):
+            ppn = ftl.allocator.allocate_in_plane(0)
+            arr.program(ppn, KIND_DATA, lpn)
+            ftl.pmt[lpn] = ppn
+            ftl.pmt_mask[lpn] = (1 << spp) - 1
+            ppns.append(ppn)
+        # the first two blocks keep two valid pages each
+        for lpn in [*range(2, ppb), *range(ppb + 2, 2 * ppb)]:
+            arr.invalidate(ppns[lpn])
+            ftl.pmt[lpn] = -1
+            ftl.pmt_mask[lpn] = 0
+        active = svc.geom.block_of_ppn(ppns[-1])
+        victim = svc.geom.block_of_ppn(ppns[0])
+        assert ppb - int(arr.write_ptr[active]) < int(arr.valid_count[victim])
+        assert arr.free_block_count(0) == 1
+
+        ftl.gc.maybe_collect(ftl, 0, 0.0)
+
+        assert ftl.gc.collections == 2
+        assert ftl.gc.stalls == 0 and svc.counters.gc_stalls == 0
+        assert arr.free_block_count(0) == 2
+        ftl.check_invariants()
+        arr.check_invariants()
+
+
 class TestGCReentrancy:
     def test_no_recursive_collection(self, setup):
         svc, ftl = setup
