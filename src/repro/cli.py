@@ -146,6 +146,15 @@ def _add_parallel(p: argparse.ArgumentParser) -> None:
                         "completed runs are reused across invocations")
 
 
+def _add_figures_ctx(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_figures_ctx` reads."""
+    p.add_argument("--scale", type=float, default=0.03)
+    p.add_argument("--full-device", action="store_true")
+    p.add_argument("--aged-used", type=float, default=0.90)
+    p.add_argument("--aged-valid", type=float, default=0.398)
+    _add_parallel(p)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", help="trace file (SYSTOR'17 by default)")
     p.add_argument("--workload",
@@ -641,6 +650,23 @@ def _prewarm_ctx(ctx: ExperimentContext, names) -> None:
         ctx.prewarm(page_sizes=sorted(pages))
 
 
+def _figures_ctx(args) -> ExperimentContext:
+    """The context ``figures``, ``summary`` and ``report`` draw from:
+    the bench device (Table 1's with ``--full-device``) aged by the VDI
+    warm-up stream, as ``benchmarks/`` and EXPERIMENTS.md age it."""
+    return ExperimentContext(
+        cfg=SSDConfig.paper_table1() if args.full_device else SSDConfig.bench_default(),
+        sim_cfg=SimConfig(
+            aged_used=args.aged_used,
+            aged_valid=args.aged_valid,
+            aging_style="vdi",
+        ),
+        scale=args.scale,
+        jobs=args.jobs,
+        store=_store(args),
+    )
+
+
 def cmd_figures(args) -> int:
     """``repro figures``: regenerate paper figures by name."""
     from .experiments import figures as F
@@ -651,13 +677,7 @@ def cmd_figures(args) -> int:
     unknown = [n for n in names if n not in F.ALL_FIGURES]
     if unknown:
         raise SystemExit(f"unknown figures {unknown}; have {sorted(F.ALL_FIGURES)}")
-    ctx = ExperimentContext(
-        cfg=SSDConfig.paper_table1() if args.full_device else SSDConfig.bench_default(),
-        sim_cfg=SimConfig(aged_used=args.aged_used, aged_valid=args.aged_valid),
-        scale=args.scale,
-        jobs=args.jobs,
-        store=_store(args),
-    )
+    ctx = _figures_ctx(args)
     _prewarm_ctx(ctx, names)
     out = Path(args.out) if args.out else None
     if out:
@@ -676,17 +696,7 @@ def cmd_summary(args) -> int:
     """``repro summary``: generate the paper-vs-measured markdown."""
     from .experiments.summary import render_experiments_md
 
-    ctx = ExperimentContext(
-        cfg=SSDConfig.paper_table1() if args.full_device else SSDConfig.bench_default(),
-        sim_cfg=SimConfig(
-            aged_used=args.aged_used,
-            aged_valid=args.aged_valid,
-            aging_style="vdi",
-        ),
-        scale=args.scale,
-        jobs=args.jobs,
-        store=_store(args),
-    )
+    ctx = _figures_ctx(args)
     from .experiments.figures import ALL_FIGURES
 
     _prewarm_ctx(ctx, args.names or list(ALL_FIGURES))
@@ -775,17 +785,7 @@ def cmd_report(args) -> int:
     """``repro report``: render the figure charts as an HTML report."""
     from .experiments.charts import render_report_html
 
-    ctx = ExperimentContext(
-        cfg=SSDConfig.paper_table1() if args.full_device else SSDConfig.bench_default(),
-        sim_cfg=SimConfig(
-            aged_used=args.aged_used,
-            aged_valid=args.aged_valid,
-            aging_style="vdi",
-        ),
-        scale=args.scale,
-        jobs=args.jobs,
-        store=_store(args),
-    )
+    ctx = _figures_ctx(args)
     from .experiments.figures import ALL_FIGURES
 
     _prewarm_ctx(ctx, list(ALL_FIGURES))
@@ -854,31 +854,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="regenerate paper figures")
     p.add_argument("names", nargs="*", help="figure ids (fig2..fig14, table2) or 'all'")
-    p.add_argument("--scale", type=float, default=0.03)
     p.add_argument("--out", help="directory for rendered outputs")
-    p.add_argument("--full-device", action="store_true")
-    p.add_argument("--aged-used", type=float, default=0.90)
-    p.add_argument("--aged-valid", type=float, default=0.398)
-    _add_parallel(p)
+    _add_figures_ctx(p)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("summary", help="paper-vs-measured markdown")
     p.add_argument("names", nargs="*", help="figure subset (default: all)")
-    p.add_argument("--scale", type=float, default=0.03)
     p.add_argument("--out", help="output markdown path")
-    p.add_argument("--full-device", action="store_true")
-    p.add_argument("--aged-used", type=float, default=0.90)
-    p.add_argument("--aged-valid", type=float, default=0.398)
-    _add_parallel(p)
+    _add_figures_ctx(p)
     p.set_defaults(func=cmd_summary)
 
     p = sub.add_parser("report", help="HTML chart report of the figures")
     p.add_argument("--out", default="report.html")
-    p.add_argument("--scale", type=float, default=0.03)
-    p.add_argument("--full-device", action="store_true")
-    p.add_argument("--aged-used", type=float, default=0.90)
-    p.add_argument("--aged-valid", type=float, default=0.398)
-    _add_parallel(p)
+    _add_figures_ctx(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(

@@ -151,6 +151,26 @@ class TestFigures:
         args = build_parser().parse_args(["report", "--out", "x.html"])
         assert args.out == "x.html"
 
+    def test_figures_age_like_summary_and_the_benches(self, monkeypatch, capsys):
+        """``repro figures`` draws from the device ``repro summary``,
+        ``repro report`` and ``benchmarks/`` use: VDI-aged."""
+        from types import SimpleNamespace
+
+        from repro.experiments import figures
+
+        seen = []
+
+        def fig(ctx):
+            seen.append(ctx)
+            return SimpleNamespace(rendered="")
+
+        monkeypatch.setattr(figures, "ALL_FIGURES", {"fig2": fig})
+        assert main(["figures", "fig2", "--scale", "0.001"]) == 0
+        (ctx,) = seen
+        sim_cfg = ctx.sim_cfg
+        assert sim_cfg.aging_style == "vdi"
+        assert (sim_cfg.aged_used, sim_cfg.aged_valid) == (0.90, 0.398)
+
     @pytest.mark.slow
     def test_fig13_to_dir(self, tmp_path, capsys):
         rc = main([
